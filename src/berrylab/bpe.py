@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .angles import circle_distance, wrap_2pi, wrap_pm_pi
 from .dynamics import (
@@ -48,7 +47,7 @@ from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
     bits_for_precision,
     distribution_for_loop,
-    distribution_from_phases,
+    distribution_for_unitary,
     estimate_from_distribution,
 )
 
@@ -136,7 +135,7 @@ def choose_alpha(T: float, H_max: float, eps_B: float, mode: str = "formula",
         raise ConfigError(f"eps_B must be positive, got {eps_B}")
     if mode == "formula":
         return 1.0 + math.pi / (T * H_max + 2.0 * eps_B)
-    if mode in ("integer", "integer-reciprocal"):
+    if mode == "integer":
         if cap is None or T * H_max == 0.0:
             q = 1
         else:
@@ -152,7 +151,7 @@ def reconstruct_phases(m1: float, m_alpha: float, alpha: float,
     """(theta_D_hat, theta_B_hat) from the two measured loop phases."""
     if alpha <= 1.0:
         raise ConfigError(f"alpha must exceed 1, got {alpha}")
-    if mode in ("integer", "integer-reciprocal"):
+    if mode == "integer":
         q = 1.0 / (alpha - 1.0)
         if abs(q - round(q)) > 1e-9:
             raise ConfigError(
@@ -200,7 +199,7 @@ class BpeConfig:
             raise ConfigError(f"epsilon_B must be positive, got {self.epsilon_B}")
         if not (0.0 < self.eta < 1.0):
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
-        if self.alpha_mode not in ("integer", "integer-reciprocal", "formula"):
+        if self.alpha_mode not in ("integer", "formula"):
             raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
         if self.alpha is not None and self.alpha <= 1.0:
             raise ConfigError(f"alpha must exceed 1, got {self.alpha}")
@@ -216,13 +215,77 @@ class BpeConfig:
         return math.sqrt(self.eta_qpe)
 
 
-def _eps_ph(eps_B: float, alpha: float) -> float:
-    return eps_B * (alpha - 1.0) / (alpha + 1.0)
-
-
 def _default_repetitions(eta_qpe: float) -> int:
     R = max(5, math.ceil(4.0 * math.log(1.0 / eta_qpe)))
     return R if R % 2 == 1 else R + 1
+
+
+def _step_count(T: float, h_max: float, oversampling: float) -> int:
+    """Exact Trotter steps keeping dt * H_max <= 1/oversampling."""
+    return max(1, math.ceil(T * max(h_max, 1e-12) * oversampling))
+
+
+def _resolve_runtime(
+    family: HamiltonianFamily, cfg: BpeConfig, guiding_state=None
+) -> tuple[np.ndarray, dict]:
+    """Set-up shared by both estimators: norm bounds, gap guard, ground state,
+    guiding check and runtime T.  Returns the ground state psi0 at lambda = 0
+    and a record of the rest, keyed as in the estimators' diagnostics.
+
+    Unless cfg.T is set, T comes from the doubling search on measured loop
+    infidelity.  That search certifies state tracking (a 1/T^2 effect) but
+    not the eigenphase, which lags the ideal -E0 T + theta_B by about G/T
+    and is amplified (alpha+1)/alpha < 2 fold by the reconstruction.  The
+    runtime is therefore floored at 4 G / eps_B, which keeps that systematic
+    within half of eps_B; QPE readout gets the other half.  A floored
+    calibration records the floor as ``phase_lag_floor``.
+    """
+    h_max, d1_max, d2_max = norm_bounds(family)
+    gap, gap_argmin = min_gap(family, cfg.gap_grid)  # also the degeneracy guard
+    E0, psi0 = ground_state(family, 0.0)
+
+    guiding_fidelity = 1.0
+    if guiding_state is not None:
+        guide = np.asarray(guiding_state, dtype=complex)
+        if guide.shape != (family.dim,):
+            raise ConfigError(
+                f"guiding state has shape {guide.shape}, expected "
+                f"({family.dim},)"
+            )
+        guiding_fidelity = float(abs(np.vdot(guide, psi0)) ** 2)
+        if guiding_fidelity < cfg.guiding_floor:
+            raise ConfigError(
+                f"guiding-state fidelity {guiding_fidelity:.3f} below "
+                f"the floor {cfg.guiding_floor}; cannot postselect the "
+                "ground state from this input"
+            )
+
+    T, calibration = cfg.T, None
+    if T is None:
+        T, calibration = calibrate_runtime(
+            family,
+            cfg.delta_adia,
+            oversampling=cfg.oversampling,
+            trotter_order=cfg.trotter_order,
+        )
+    phase_lag = phase_lag_scale(family, cfg.gap_grid)
+    T_phase_floor = 4.0 * phase_lag / cfg.epsilon_B
+    if cfg.T is None and T < T_phase_floor:
+        T = T_phase_floor
+        calibration = dict(calibration, phase_lag_floor=T_phase_floor)
+    return psi0, {
+        "T": float(T),
+        "H_max": h_max,
+        "dH_max": d1_max,
+        "d2H_max": d2_max,
+        "gap": gap,
+        "gap_argmin": gap_argmin,
+        "phase_lag": phase_lag,
+        "T_phase_floor": T_phase_floor,
+        "E0": E0,
+        "guiding_fidelity": guiding_fidelity,
+        "calibration": calibration,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -249,67 +312,30 @@ class BpeEngine:
         self.config = config or BpeConfig()
         cfg = self.config
 
-        self.h_max, self.d1_max, self.d2_max = norm_bounds(family)
-        self.gap, self.gap_argmin = min_gap(family, cfg.gap_grid)
-        self.E0, self.psi0 = ground_state(family, 0.0)
-
-        self.guiding_fidelity = 1.0
-        if guiding_state is not None:
-            guide = np.asarray(guiding_state, dtype=complex)
-            if guide.shape != (family.dim,):
-                raise ConfigError(
-                    f"guiding state has shape {guide.shape}, expected "
-                    f"({family.dim},)"
-                )
-            self.guiding_fidelity = float(abs(np.vdot(guide, self.psi0)) ** 2)
-            if self.guiding_fidelity < cfg.guiding_floor:
-                raise ConfigError(
-                    f"guiding-state fidelity {self.guiding_fidelity:.3f} below "
-                    f"the floor {cfg.guiding_floor}; cannot postselect the "
-                    "ground state from this input"
-                )
-
-        self.calibration: dict | None = None
-        T = cfg.T
-        if T is None:
-            T, self.calibration = calibrate_runtime(
-                family,
-                cfg.delta_adia,
-                oversampling=cfg.oversampling,
-                trotter_order=cfg.trotter_order,
-            )
-
-        # The infidelity search certifies state tracking (a 1/T^2 effect)
-        # but not the eigenphase, which lags the ideal -E0 T + theta_B by
-        # about G/T and is amplified (alpha+1)/alpha < 2 fold by the
-        # reconstruction.  Floor the runtime so that systematic stays within
-        # half of eps_B; QPE readout gets the other half via m below.
-        self.phase_lag = phase_lag_scale(family, cfg.gap_grid)
-        self.T_phase_floor = 4.0 * self.phase_lag / cfg.epsilon_B
-        if cfg.T is None and T < self.T_phase_floor:
-            T = self.T_phase_floor
-            self.calibration = dict(self.calibration)
-            self.calibration["phase_lag_floor"] = self.T_phase_floor
+        self.psi0, self.setup = _resolve_runtime(family, cfg, guiding_state)
+        self.T = self.setup["T"]
+        self.calibration = self.setup["calibration"]
+        # A floored runtime reports the infidelity measured at that runtime.
+        if self.calibration is not None and "phase_lag_floor" in self.calibration:
             self.calibration["infidelity"] = loop_infidelity(
                 family,
-                T,
+                self.T,
                 oversampling=cfg.oversampling,
                 trotter_order=cfg.trotter_order,
             )
-        self.T = float(T)
 
         if cfg.alpha is not None:
             self.alpha_nominal = float(cfg.alpha)
         else:
             self.alpha_nominal = choose_alpha(
-                self.T, self.h_max, cfg.epsilon_B, cfg.alpha_mode, cfg.alpha_cap
+                self.T, self.setup["H_max"], cfg.epsilon_B, cfg.alpha_mode,
+                cfg.alpha_cap
             )
 
         # Shared-step schedules: the alpha run reuses dt exactly, and the
         # realized step ratio is what enters the reconstruction.
-        steps = max(1, math.ceil(self.T * max(self.h_max, 1e-12)
-                                 * cfg.oversampling))
-        if cfg.alpha_mode in ("integer", "integer-reciprocal"):
+        steps = _step_count(self.T, self.setup["H_max"], cfg.oversampling)
+        if cfg.alpha_mode == "integer":
             q = round(1.0 / (self.alpha_nominal - 1.0))
             if abs(1.0 / (self.alpha_nominal - 1.0) - q) > 1e-9 or q < 1:
                 raise ConfigError(
@@ -333,7 +359,7 @@ class BpeEngine:
                 "desk-scale estimation"
             )
 
-        self.eps_ph = _eps_ph(cfg.epsilon_B, self.alpha)
+        self.eps_ph = cfg.epsilon_B * (self.alpha - 1.0) / (self.alpha + 1.0)
         self.m = (
             cfg.m if cfg.m is not None else bits_for_precision(0.5 * self.eps_ph)
         )
@@ -341,8 +367,7 @@ class BpeEngine:
 
         sched1 = AdiabaticSchedule(T=self.T, steps=steps,
                                    trotter_order=cfg.trotter_order)
-        sched_a = AdiabaticSchedule(T=self.T_alpha, steps=steps_alpha,
-                                    trotter_order=cfg.trotter_order)
+        sched_a = replace(sched1, T=self.T_alpha, steps=steps_alpha)
         self.dist1 = distribution_for_loop(self.family, sched1, self.psi0, self.m)
         self.dist_alpha = distribution_for_loop(
             self.family, sched_a, self.psi0, self.m
@@ -368,7 +393,6 @@ class BpeEngine:
         )
         diagnostics = {
             "seed": seed if isinstance(seed, int) else repr(seed),
-            "T": self.T,
             "T_alpha": self.T_alpha,
             "alpha_nominal": self.alpha_nominal,
             "alpha": self.alpha,
@@ -383,16 +407,7 @@ class BpeEngine:
             "eta": self.config.eta,
             "eta_qpe": self.config.eta_qpe,
             "delta_adia": self.config.delta_adia,
-            "H_max": self.h_max,
-            "dH_max": self.d1_max,
-            "d2H_max": self.d2_max,
-            "gap": self.gap,
-            "gap_argmin": self.gap_argmin,
-            "phase_lag": self.phase_lag,
-            "T_phase_floor": self.T_phase_floor,
-            "E0": self.E0,
-            "guiding_fidelity": self.guiding_fidelity,
-            "calibration": self.calibration,
+            **self.setup,
             "m1": est1.value,
             "m_alpha": est_a.value,
             "raw_outcomes_1": est1.raw_outcomes,
@@ -441,47 +456,23 @@ def murta_bpe(
     [0, pi) and aliases theta_B - pi whenever theta_B >= pi.
     """
     cfg = config or BpeConfig()
-    h_max, _, _ = norm_bounds(family)
-    min_gap(family, cfg.gap_grid)  # degeneracy guard
-    _, psi0 = ground_state(family, 0.0)
-
-    if initial_ground_state is not None:
-        guide = np.asarray(initial_ground_state, dtype=complex)
-        fid = float(abs(np.vdot(guide, psi0)) ** 2)
-        if fid < cfg.guiding_floor:
-            raise ConfigError(
-                f"guiding-state fidelity {fid:.3f} below the floor "
-                f"{cfg.guiding_floor}"
-            )
-
-    T = cfg.T
-    calibration = None
-    if T is None:
-        T, calibration = calibrate_runtime(
-            family, cfg.delta_adia,
-            oversampling=cfg.oversampling, trotter_order=cfg.trotter_order,
-        )
-        # Same phase-lag floor as the two-runtime engine: the composite's
-        # readout inherits each leg's ~G/T eigenphase lag.
-        T = max(T, 4.0 * phase_lag_scale(family, cfg.gap_grid) / cfg.epsilon_B)
-    steps = max(1, math.ceil(T * max(h_max, 1e-12) * cfg.oversampling))
+    # Same phase-lag floor as the two-runtime engine: the composite's
+    # readout inherits each leg's ~G/T eigenphase lag.
+    psi0, setup = _resolve_runtime(family, cfg, initial_ground_state)
+    T = setup["T"]
+    steps = _step_count(T, setup["H_max"], cfg.oversampling)
     if 2 * steps > MAX_TOTAL_STEPS:
         raise CapacityError(
             f"runtime T={T:.3e} needs {2 * steps} exact Trotter steps, over "
             f"the per-run budget of {MAX_TOTAL_STEPS}"
         )
-    fwd = AdiabaticSchedule(T=T, steps=steps, direction="forward",
-                            trotter_order=cfg.trotter_order)
-    rev = AdiabaticSchedule(T=T, steps=steps, direction="reversed",
-                            trotter_order=cfg.trotter_order)
+    fwd = AdiabaticSchedule(T=T, steps=steps, trotter_order=cfg.trotter_order)
+    rev = replace(fwd, direction="reversed")
     composite = loop_propagator(family, rev) @ loop_propagator(family, fwd)
 
     m = cfg.m if cfg.m is not None else bits_for_precision(cfg.epsilon_B)
     R = cfg.R if cfg.R is not None else _default_repetitions(cfg.eta_qpe)
-    Tm, Q = scipy.linalg.schur(composite, output="complex")
-    phases = np.angle(np.diag(Tm))
-    weights = np.abs(Q.conj().T @ psi0) ** 2
-    dist = distribution_from_phases(phases, weights, m)
+    dist = distribution_for_unitary(composite, psi0, m)
     est = estimate_from_distribution(dist, R, np.random.default_rng(seed))
     theta = est.value / 2.0  # in [0, pi)
 
@@ -495,6 +486,6 @@ def murta_bpe(
         "R": R,
         "doubled_phase": est.value,
         "raw_outcomes": est.raw_outcomes,
-        "calibration": calibration,
+        "calibration": setup["calibration"],
         "low_fidelity_warning": est.low_fidelity_warning,
     }

@@ -49,16 +49,19 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_path: str, command: str, params: dict, seed=None) -> str:
+def _write_manifest(args) -> None:
+    """Write ``<out>.manifest.json`` recording every parsed option of the
+    subcommand; a command resolves its path defaults into ``args`` first."""
+    params = {
+        k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")
+    }
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "package_version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
     }
-    path = f"{out_path}.manifest.json"
-    _write_json(path, manifest)
-    return path
+    _write_json(f"{args.out}.manifest.json", manifest)
 
 
 def _resolve_target(path: str):
@@ -84,6 +87,13 @@ def _maybe_decide(theta_B: float, instance, epsilon_B: float):
     return decide_interval(theta_B, a, b, delta, epsilon_B)
 
 
+def _parse_int(text: str, base: int, what: str) -> int:
+    try:
+        return int(text, base)
+    except ValueError:
+        raise ConfigError(f"{what}: {text!r} is not a base-{base} integer") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -99,20 +109,9 @@ def cmd_oracle(args) -> int:
         "min_gap_lambda": gap_lam,
     }
     _write_json(args.out, payload)
-    sweep_path = args.sweep_out or f"{args.out}.sweep.csv"
-    write_sweep_csv(family, args.sweep_grid, sweep_path)
-    _write_manifest(
-        args.out,
-        "oracle",
-        {
-            "instance": args.instance,
-            "grid_size": args.grid_size,
-            "gap_grid": args.gap_grid,
-            "sweep_grid": args.sweep_grid,
-            "sweep_out": sweep_path,
-            "out": args.out,
-        },
-    )
+    args.sweep_out = args.sweep_out or f"{args.out}.sweep.csv"
+    write_sweep_csv(family, args.sweep_grid, args.sweep_out)
+    _write_manifest(args)
     print(f"theta_B = {result.theta_B:.12f} (converged={result.converged}); wrote {args.out}")
     return 0
 
@@ -120,11 +119,7 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     family, _ = _resolve_target(args.instance)
     write_sweep_csv(family, args.grid_size, args.out)
-    _write_manifest(
-        args.out,
-        "sweep",
-        {"instance": args.instance, "grid_size": args.grid_size, "out": args.out},
-    )
+    _write_manifest(args)
     print(f"wrote {args.out}")
     return 0
 
@@ -161,21 +156,7 @@ def cmd_bpe(args) -> int:
     if instance is not None and "oracle_theta_B" in instance.provenance:
         payload["oracle_theta_B"] = instance.provenance["oracle_theta_B"]
     _write_json(args.out, payload)
-    _write_manifest(
-        args.out,
-        "bpe",
-        {
-            "instance": args.instance,
-            "epsilon_b": args.epsilon_b,
-            "eta": args.eta,
-            "alpha_mode": args.alpha_mode,
-            "alpha_cap": args.alpha_cap,
-            "runtime": args.runtime,
-            "oversampling": args.oversampling,
-            "out": args.out,
-        },
-        seed=args.seed,
-    )
+    _write_manifest(args)
     print(f"theta_B_hat = {theta_B:.6f}, theta_D_hat = {theta_D:.6f}; wrote {args.out}")
     return 0
 
@@ -196,21 +177,7 @@ def cmd_murta(args) -> int:
         "decision": decision,
     }
     _write_json(args.out, payload)
-    _write_manifest(
-        args.out,
-        "murta",
-        {
-            "instance": args.instance,
-            "epsilon_b": args.epsilon_b,
-            "eta": args.eta,
-            "alpha_mode": args.alpha_mode,
-            "alpha_cap": args.alpha_cap,
-            "runtime": args.runtime,
-            "oversampling": args.oversampling,
-            "out": args.out,
-        },
-        seed=args.seed,
-    )
+    _write_manifest(args)
     print(f"theta_B_hat = {theta:.6f} (halved readout, [0, pi)); wrote {args.out}")
     return 0
 
@@ -223,7 +190,7 @@ def cmd_genhard(args) -> int:
     else:
         if args.witness is None:
             raise ConfigError("kind=duqma requires --witness (basis bits)")
-        witness = int(args.witness, 2)
+        witness = _parse_int(args.witness, 2, "--witness")
         instance = build_duqma_instance(
             circuit,
             witness,
@@ -234,19 +201,7 @@ def cmd_genhard(args) -> int:
     family_path, prov_path = save_instance(instance, args.out)
     for w in instance.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    _write_manifest(
-        args.out,
-        "genhard",
-        {
-            "circuit": args.circuit,
-            "kind": args.kind,
-            "witness": args.witness,
-            "r": args.r,
-            "epsilon": args.epsilon,
-            "idle_steps": args.idle_steps,
-            "out": args.out,
-        },
-    )
+    _write_manifest(args)
     print(
         f"kind={instance.kind} oracle_theta_B={instance.provenance['oracle_theta_B']:.6f} "
         f"certified_delta={instance.certified_delta:.3g}; wrote {family_path}, {prov_path}"
@@ -259,7 +214,7 @@ def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
     if kind == "ground":
         return ground_state(instance.family, 0.0)[1]
     if kind == "excited":
-        k = int(arg) if arg else 1
+        k = _parse_int(arg, 10, f"witness {spec!r}") if arg else 1
         s = diagonalize(instance.family, 0.0)
         if not 0 <= k < s.eigenvectors.shape[1]:
             raise ConfigError(f"excited level {k} out of range")
@@ -268,7 +223,7 @@ def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
         if not arg:
             raise ConfigError("basis witness needs bits, e.g. basis:0101")
         dim = 2 ** instance.family.n_qubits
-        idx = int(arg, 2)
+        idx = _parse_int(arg, 2, f"witness {spec!r}")
         if not 0 <= idx < dim:
             raise ConfigError(f"basis index {arg} out of range for dim {dim}")
         vec = np.zeros(dim, dtype=complex)
@@ -277,7 +232,7 @@ def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
     if kind == "history":
         if instance.circuit is None:
             raise ConfigError("instance carries no circuit; history witness unavailable")
-        witness = int(arg, 2) if arg else None
+        witness = _parse_int(arg, 2, f"witness {spec!r}") if arg else None
         return history_state(instance.circuit, witness).amplitudes
     raise ConfigError(
         f"unknown witness spec {spec!r}; use ground | excited:<k> | "
@@ -321,27 +276,13 @@ def cmd_verify(args) -> int:
         "witness": args.witness,
     }
     _write_json(args.out, payload)
-    rates_path = args.rates_csv or f"{args.out}.rates.csv"
-    with open(rates_path, "w", newline="") as fh:
+    args.rates_csv = args.rates_csv or f"{args.out}.rates.csv"
+    with open(args.rates_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "energy_pass", "decision", "accept"])
         for i, o in enumerate(outcomes):
             writer.writerow([i, int(o.energy_pass), o.decision, int(o.accept)])
-    _write_manifest(
-        args.out,
-        "verify",
-        {
-            "instance": args.instance,
-            "witness": args.witness,
-            "runs": args.runs,
-            "epsilon_b": args.epsilon_b,
-            "eta": args.eta,
-            "soundness_delta": args.soundness_delta,
-            "rates_csv": rates_path,
-            "out": args.out,
-        },
-        seed=args.seed,
-    )
+    _write_manifest(args)
     print(
         f"accept_rate = {accept_rate:.3f}, energy_pass_rate = {energy_pass_rate:.3f} "
         f"over {args.runs} runs; wrote {args.out}"
@@ -352,6 +293,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _add_bpe_flags(p: argparse.ArgumentParser) -> None:
@@ -390,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bpe", help="two-runtime Berry phase estimation")
     p.add_argument("--instance", required=True)
     _add_bpe_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bpe)
 
     p = sub.add_parser("murta", help="phase-doubling baseline estimator")
     p.add_argument("--instance", required=True)
     _add_bpe_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_murta)
 
@@ -414,12 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="seeded protocol runs against an instance")
     p.add_argument("--instance", required=True, help="instance prefix (family + provenance)")
     p.add_argument("--witness", required=True, help="ground | excited:<k> | basis:<bits> | history:<bits>")
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_int_at_least(1), default=1)
     p.add_argument("--epsilon-b", type=float, default=0.05)
     p.add_argument("--eta", type=float, default=0.05)
     p.add_argument("--soundness-delta", type=float, default=1.0 / 12.0)
     p.add_argument("--rates-csv", default=None, help="accept-rate CSV path (default: <out>.rates.csv)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 

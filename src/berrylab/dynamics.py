@@ -119,10 +119,18 @@ def _step_lambdas(schedule: AdiabaticSchedule) -> np.ndarray:
     return j / schedule.steps
 
 
-def _step_unitary(H: np.ndarray, dt: float, sign: float) -> np.ndarray:
-    w, V = np.linalg.eigh(H)
-    phases = np.exp(sign * -1j * w * dt)
-    return (V * phases[None, :]) @ V.conj().T
+def _step_factors(family: HamiltonianFamily, schedule: AdiabaticSchedule):
+    """Yield (V, phases) per exact step, U_j = (V * phases) @ V^dagger; a
+    lambda-independent family is one step of length T at lambda = 0."""
+    _check_step_size(family, schedule)
+    sign = 1.0 if schedule.direction == "forward" else -1.0
+    if family.is_constant():
+        lams, dt = (0.0,), schedule.T
+    else:
+        lams, dt = _step_lambdas(schedule), schedule.dt
+    for lam in lams:
+        w, V = np.linalg.eigh(eval_hamiltonian(family, lam))
+        yield V, np.exp(sign * -1j * w * dt)
 
 
 def adiabatic_propagate(state, family: HamiltonianFamily, schedule: AdiabaticSchedule):
@@ -143,33 +151,16 @@ def adiabatic_propagate(state, family: HamiltonianFamily, schedule: AdiabaticSch
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (family.dim,):
         raise ConfigError(f"state has shape {vec.shape}, expected ({family.dim},)")
-    _check_step_size(family, schedule)
-    sign = 1.0 if schedule.direction == "forward" else -1.0
-    if family.is_constant():
-        H = eval_hamiltonian(family, 0.0)
-        w, V = np.linalg.eigh(H)
-        return (V * np.exp(sign * -1j * w * schedule.T)[None, :]) @ (
-            V.conj().T @ vec
-        )
-    for lam in _step_lambdas(schedule):
-        H = eval_hamiltonian(family, lam)
-        w, V = np.linalg.eigh(H)
-        vec = (V * np.exp(sign * -1j * w * schedule.dt)[None, :]) @ (V.conj().T @ vec)
+    for V, phases in _step_factors(family, schedule):
+        vec = (V * phases) @ (V.conj().T @ vec)
     return vec
 
 
 def loop_propagator(family: HamiltonianFamily, schedule: AdiabaticSchedule) -> np.ndarray:
     """Dense unitary for one traversal of the loop under the schedule."""
-    _check_step_size(family, schedule)
-    sign = 1.0 if schedule.direction == "forward" else -1.0
-    if family.is_constant():
-        H = eval_hamiltonian(family, 0.0)
-        return _step_unitary(H, schedule.T, sign)
-    d = family.dim
-    W = np.eye(d, dtype=complex)
-    for lam in _step_lambdas(schedule):
-        H = eval_hamiltonian(family, lam)
-        W = _step_unitary(H, schedule.dt, sign) @ W
+    W = np.eye(family.dim, dtype=complex)
+    for V, phases in _step_factors(family, schedule):
+        W = ((V * phases) @ V.conj().T) @ W
     return W
 
 

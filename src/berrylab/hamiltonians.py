@@ -105,6 +105,8 @@ def _canon_harmonics(pairs) -> tuple[tuple[int, float], ...]:
         if k < 1:
             raise ConfigError(f"harmonic index must be >= 1, got {k}")
         acc[k] = acc.get(k, 0.0) + a
+    if not all(math.isfinite(a) for a in acc.values()):
+        raise ConfigError(f"harmonic amplitudes must be finite, got {acc}")
     return tuple((k, acc[k]) for k in sorted(acc) if acc[k] != 0.0)
 
 
@@ -122,6 +124,8 @@ class TrigCoefficient:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "const", float(self.const))
+        if not math.isfinite(self.const):
+            raise ConfigError(f"constant term must be finite, got {self.const}")
         object.__setattr__(self, "cos_terms", _canon_harmonics(self.cos_terms))
         object.__setattr__(self, "sin_terms", _canon_harmonics(self.sin_terms))
 
@@ -492,6 +496,8 @@ def from_json_dict(obj: dict) -> HamiltonianFamily:
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed family record: {exc}") from exc
+    if not isinstance(raw_terms, list):
+        raise ConfigError("malformed family record: terms must be a list")
     terms = []
     for i, t in enumerate(raw_terms):
         try:

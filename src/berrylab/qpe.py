@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .angles import wrap_2pi
 from .dynamics import AdiabaticSchedule, StateVector, loop_propagator
 from .errors import CapacityError, ConfigError
 from .hamiltonians import HamiltonianFamily
@@ -129,6 +128,20 @@ def distribution_from_phases(
     )
 
 
+def distribution_for_unitary(
+    W: np.ndarray, psi: np.ndarray, m: int, fidelity_floor: float = 0.9
+) -> QpeDistribution:
+    """QPE outcome distribution for a dense unitary W and input state psi.
+
+    W is unitary, hence normal, so its complex Schur form is diagonal and
+    yields an orthonormal eigenbasis.
+    """
+    T, Q = scipy.linalg.schur(W, output="complex")
+    phases = np.angle(np.diag(T))
+    weights = np.abs(Q.conj().T @ psi) ** 2
+    return distribution_from_phases(phases, weights, m, fidelity_floor)
+
+
 def distribution_for_loop(
     family: HamiltonianFamily,
     schedule: AdiabaticSchedule,
@@ -136,11 +149,7 @@ def distribution_for_loop(
     m: int,
     fidelity_floor: float = 0.9,
 ) -> QpeDistribution:
-    """QPE outcome distribution for the loop propagator of a schedule.
-
-    The propagator is unitary, hence normal, so its complex Schur form is
-    diagonal and yields an orthonormal eigenbasis.
-    """
+    """QPE outcome distribution for the loop propagator of a schedule."""
     if isinstance(input_state, StateVector):
         input_state = input_state.amplitudes
     psi = np.asarray(input_state, dtype=complex)
@@ -148,11 +157,9 @@ def distribution_for_loop(
         raise ConfigError(
             f"input state has shape {psi.shape}, expected ({family.dim},)"
         )
-    W = loop_propagator(family, schedule)
-    T, Q = scipy.linalg.schur(W, output="complex")
-    phases = np.angle(np.diag(T))
-    weights = np.abs(Q.conj().T @ psi) ** 2
-    return distribution_from_phases(phases, weights, m, fidelity_floor)
+    return distribution_for_unitary(
+        loop_propagator(family, schedule), psi, m, fidelity_floor
+    )
 
 
 def sample_outcomes(dist: QpeDistribution, R: int, rng: np.random.Generator) -> np.ndarray:

@@ -140,6 +140,11 @@ def test_choose_alpha_validation():
         choose_alpha(1.0, 1.0, 0.05, mode="golden")
 
 
+def test_config_rejects_integer_reciprocal_alias():
+    with pytest.raises(ConfigError):
+        BpeConfig(alpha_mode="integer-reciprocal")
+
+
 # -- reconstruction --------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 
 import berrylab
 from berrylab.circuits import circuit_to_json_dict
+from berrylab.cli import build_parser
 from berrylab.corpus import (
     bqp_yes_circuit,
     duqma_yes_circuit,
@@ -126,6 +128,90 @@ def test_degenerate_family_exit_code(tmp_path):
     )
     assert p.returncode == 4
     assert "degenerate" in p.stderr
+
+
+BAD_FAMILIES = {
+    "terms-not-a-list": {"n_qubits": 1, "k_max": 1, "terms": 5},
+    "nan-coefficient": {
+        "n_qubits": 1,
+        "k_max": 1,
+        "terms": [{"pauli": "X", "coeff": {"const": float("nan")}}],
+    },
+}
+
+
+@pytest.mark.parametrize("record", BAD_FAMILIES.values(), ids=BAD_FAMILIES.keys())
+@pytest.mark.parametrize("command", ["oracle", "bpe"])
+def test_bad_family_file_exit_code(tmp_path, command, record):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))  # NaN is written as the literal NaN
+    extra = ["--seed", 0] if command == "bpe" else []
+    p = run_cli(command, "--instance", bad, *extra, "--out", tmp_path / "o.json")
+    assert p.returncode == 2, p.stderr
+    assert "Traceback" not in p.stderr
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--instance", "syn", "--witness", "ground", "--runs", 0],
+        ["verify", "--instance", "syn", "--witness", "ground", "--runs", -3],
+        ["bpe", "--instance", "eq.json", "--seed", -1],
+        ["verify", "--instance", "syn", "--witness", "excited:x"],
+        ["verify", "--instance", "syn", "--witness", "basis:2"],
+        ["genhard", "--circuit", "duqma.circuit.json", "--kind", "duqma",
+         "--witness", "x"],
+    ],
+    ids=["runs-0", "runs-negative", "seed-negative", "excited-not-int",
+         "basis-not-bits", "genhard-witness-not-bits"],
+)
+def test_bad_argument_exit_code(work, tmp_path, argv):
+    argv = [work / a if a in ("syn", "eq.json", "duqma.circuit.json") else a
+            for a in argv]
+    if argv[0] == "verify":
+        argv += ["--seed", 1]
+    p = run_cli(*argv, "--out", tmp_path / "o.json")
+    assert p.returncode == 2, p.stderr
+    assert "Traceback" not in p.stderr
+    assert not (tmp_path / "o.json").exists()
+
+
+# -- manifests -------------------------------------------------------------------
+
+
+def _flags(command):
+    """Dests of every option the subcommand's parser defines."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "genhard", "verify"])
+def test_manifest_records_every_flag(work, command):
+    out = work / f"manifest_{command}"
+    argv = {
+        "sweep": ["--instance", work / "eq.json", "--grid-size", 5],
+        "genhard": ["--circuit", work / "yes.circuit.json", "--kind", "bqp",
+                    "--idle-steps", 2],
+        "verify": ["--instance", work / "syn", "--witness", "ground",
+                   "--runs", 2, "--seed", 4],
+    }[command]
+    p = run_cli(command, *argv, "--out", out)
+    assert p.returncode == 0, p.stderr
+    manifest = json.loads((work / f"manifest_{command}.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["parameters"]) == _flags(command) - {"seed"}
+    assert manifest["parameters"]["out"] == str(out)
+    assert manifest["seed"] == (4 if command == "verify" else None)
+    if command == "verify":
+        rates = manifest["parameters"]["rates_csv"]
+        assert rates == f"{out}.rates.csv"
+        assert (work / f"manifest_{command}.rates.csv").exists()
+    if command == "genhard":
+        assert manifest["parameters"]["r"] is None
+        assert manifest["parameters"]["idle_steps"] == 2
 
 
 # -- bpe / murta ------------------------------------------------------------------

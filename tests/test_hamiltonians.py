@@ -261,6 +261,28 @@ def test_from_json_rejects_malformed():
         from_json_dict({"kind": "mystery"})
 
 
+def test_from_json_rejects_non_list_terms():
+    with pytest.raises(ConfigError, match="terms must be a list"):
+        from_json_dict({"n_qubits": 1, "k_max": 1, "terms": 5})
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        {"const": float("nan")},
+        {"const": float("inf")},
+        {"cos": [[1, float("nan")]]},
+        {"sin": [[2, float("-inf")]]},
+        {"cos": [[1, 1e308], [1, 1e308]]},  # merged harmonics overflow
+    ],
+)
+def test_from_json_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ConfigError, match="finite"):
+        from_json_dict(
+            {"n_qubits": 1, "k_max": 1, "terms": [{"pauli": "X", "coeff": coeff}]}
+        )
+
+
 # -- capacity ----------------------------------------------------------------
 
 
