@@ -37,9 +37,9 @@ from .angles import circle_distance, wrap_2pi, wrap_pm_pi
 from .dynamics import (
     AdiabaticSchedule,
     calibrate_runtime,
-    loop_infidelity,
     loop_propagator,
     phase_lag_scale,
+    step_count,
 )
 from .errors import CapacityError, ConfigError
 from .exact import ground_state, min_gap
@@ -220,11 +220,6 @@ def _default_repetitions(eta_qpe: float) -> int:
     return R if R % 2 == 1 else R + 1
 
 
-def _step_count(T: float, h_max: float, oversampling: float) -> int:
-    """Exact Trotter steps keeping dt * H_max <= 1/oversampling."""
-    return max(1, math.ceil(T * max(h_max, 1e-12) * oversampling))
-
-
 def _resolve_runtime(
     family: HamiltonianFamily, cfg: BpeConfig, guiding_state=None
 ) -> tuple[np.ndarray, dict]:
@@ -315,14 +310,6 @@ class BpeEngine:
         self.psi0, self.setup = _resolve_runtime(family, cfg, guiding_state)
         self.T = self.setup["T"]
         self.calibration = self.setup["calibration"]
-        # A floored runtime reports the infidelity measured at that runtime.
-        if self.calibration is not None and "phase_lag_floor" in self.calibration:
-            self.calibration["infidelity"] = loop_infidelity(
-                family,
-                self.T,
-                oversampling=cfg.oversampling,
-                trotter_order=cfg.trotter_order,
-            )
 
         if cfg.alpha is not None:
             self.alpha_nominal = float(cfg.alpha)
@@ -334,7 +321,7 @@ class BpeEngine:
 
         # Shared-step schedules: the alpha run reuses dt exactly, and the
         # realized step ratio is what enters the reconstruction.
-        steps = _step_count(self.T, self.setup["H_max"], cfg.oversampling)
+        steps = step_count(self.T, self.setup["H_max"], cfg.oversampling)
         if cfg.alpha_mode == "integer":
             q = round(1.0 / (self.alpha_nominal - 1.0))
             if abs(1.0 / (self.alpha_nominal - 1.0) - q) > 1e-9 or q < 1:
@@ -372,6 +359,11 @@ class BpeEngine:
         self.dist_alpha = distribution_for_loop(
             self.family, sched_a, self.psi0, self.m
         )
+        if "phase_lag_floor" in (self.calibration or {}):
+            # A floored runtime reports its infidelity, read from the propagator
+            # just built: <psi0|W(T)|psi0> = sum_k weight_k e^{i phase_k}.
+            overlap = np.sum(self.dist1.weights * np.exp(1j * self.dist1.phases))
+            self.calibration["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
     def run(self, seed) -> tuple[float, float, dict]:
         """One seeded estimation: returns (theta_B_hat, theta_D_hat,
@@ -460,7 +452,7 @@ def murta_bpe(
     # readout inherits each leg's ~G/T eigenphase lag.
     psi0, setup = _resolve_runtime(family, cfg, initial_ground_state)
     T = setup["T"]
-    steps = _step_count(T, setup["H_max"], cfg.oversampling)
+    steps = step_count(T, setup["H_max"], cfg.oversampling)
     if 2 * steps > MAX_TOTAL_STEPS:
         raise CapacityError(
             f"runtime T={T:.3e} needs {2 * steps} exact Trotter steps, over "
@@ -468,7 +460,12 @@ def murta_bpe(
         )
     fwd = AdiabaticSchedule(T=T, steps=steps, trotter_order=cfg.trotter_order)
     rev = replace(fwd, direction="reversed")
-    composite = loop_propagator(family, rev) @ loop_propagator(family, fwd)
+    W_fwd = loop_propagator(family, fwd)
+    composite = loop_propagator(family, rev) @ W_fwd
+    if "phase_lag_floor" in (setup["calibration"] or {}):
+        # A floored runtime reports its infidelity, read from the forward leg.
+        overlap = np.vdot(psi0, W_fwd @ psi0)
+        setup["calibration"]["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
     m = cfg.m if cfg.m is not None else bits_for_precision(cfg.epsilon_B)
     R = cfg.R if cfg.R is not None else _default_repetitions(cfg.eta_qpe)

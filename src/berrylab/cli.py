@@ -247,6 +247,8 @@ def cmd_verify(args) -> int:
             f"{args.instance} has no provenance sidecar; verification needs "
             "a full instance"
         )
+    if instance.E_th is None:  # refuse before any spectral work
+        raise ConfigError("instance carries no energy threshold")
     witness = _resolve_witness(instance, args.witness)
     config = VerifierConfig(
         soundness_delta=args.soundness_delta,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .exact import ground_state
+from .exact import gapped_slice, ground_state, lambda_grid
 from .hamiltonians import (
     HamiltonianFamily,
     derivative_family,
@@ -96,11 +96,15 @@ def make_schedule(
     """Schedule with enough steps that dt * H_max <= 1/oversampling."""
     if oversampling < 2.0:
         raise ConfigError(f"oversampling must be >= 2, got {oversampling}")
-    h_max = norm_bounds(family)[0]
-    steps = max(1, math.ceil(T * max(h_max, 1e-12) * oversampling))
+    steps = step_count(T, norm_bounds(family)[0], oversampling)
     return AdiabaticSchedule(
         T=T, steps=steps, direction=direction, trotter_order=trotter_order
     )
+
+
+def step_count(T: float, h_max: float, oversampling: float) -> int:
+    """Exact Trotter steps keeping dt * H_max <= 1/oversampling."""
+    return max(1, math.ceil(T * max(h_max, 1e-12) * oversampling))
 
 
 def _check_step_size(family: HamiltonianFamily, schedule: AdiabaticSchedule) -> None:
@@ -276,15 +280,10 @@ def phase_lag_scale(family: HamiltonianFamily, grid: int = 64) -> float:
         return 0.0
     dfam = derivative_family(family, 1)
     total = 0.0
-    for i in range(grid):
-        lam = (i + 0.5) / grid
-        w, V = np.linalg.eigh(eval_hamiltonian(family, lam))
-        denom = w[1:] - w[0]
-        if denom.size and denom[0] <= 1e-12:
-            raise NumericalError(
-                f"ground state degenerate at lambda={lam:.4f}; no finite "
-                "adiabatic runtime exists"
-            )
+    for lam in lambda_grid(family, grid, offset=0.5):
+        s = gapped_slice(family, lam)  # no finite adiabatic runtime without a gap
+        V = s.eigenvectors
+        denom = s.eigenvalues[1:] - s.eigenvalues[0]
         amps = V[:, 1:].conj().T @ (eval_hamiltonian(dfam, lam) @ V[:, 0])
         total += float(np.sum(np.abs(amps) ** 2 / denom ** 3))
     return total / grid

@@ -38,7 +38,15 @@ class SpectrumSlice:
     eigenvectors: np.ndarray  # columns, unitary
     gap: float  # E1 - E0
     degenerate: bool  # ground gap below the degeneracy threshold
-    residual: float  # max_k || H v_k - E_k v_k ||
+    family: HamiltonianFamily
+
+    @property
+    def residual(self) -> float:
+        """max_k || H v_k - E_k v_k ||, formed only when read: it costs a d^3
+        product that no scan along the loop needs."""
+        H = eval_hamiltonian(self.family, self.lam)
+        V, E = self.eigenvectors, self.eigenvalues
+        return float(np.max(np.linalg.norm(H @ V - V * E[None, :], axis=0)))
 
     @property
     def ground_energy(self) -> float:
@@ -50,31 +58,34 @@ class SpectrumSlice:
 
 
 def diagonalize(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
-    """Full eigensystem at one lambda, with an explicit residual check."""
-    H = eval_hamiltonian(family, lam)
-    evals, evecs = np.linalg.eigh(H)
+    """Full eigensystem at one lambda; its residual is formed on demand."""
+    evals, evecs = np.linalg.eigh(eval_hamiltonian(family, lam))
     scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 1.0)
     gap = float(evals[1] - evals[0]) if evals.size > 1 else math.inf
-    residual = float(
-        np.max(np.linalg.norm(H @ evecs - evecs * evals[None, :], axis=0))
-    )
     return SpectrumSlice(
         lam=float(lam),
         eigenvalues=evals,
         eigenvectors=evecs,
         gap=gap,
         degenerate=gap < DEGENERACY_RTOL * scale,
-        residual=residual,
+        family=family,
     )
+
+
+def gapped_slice(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
+    """diagonalize(family, lam), refusing a numerically degenerate ground
+    space: the one degeneracy rule of every scan along the loop."""
+    s = diagonalize(family, lam)
+    if s.degenerate:
+        raise DegeneracyError(
+            f"degenerate ground space at lambda={lam:.6f} (gap={s.gap:.3e})"
+        )
+    return s
 
 
 def ground_state(family: HamiltonianFamily, lam: float) -> tuple[float, np.ndarray]:
     """(E0, |psi0>) at lambda; refuses a numerically degenerate ground space."""
-    s = diagonalize(family, lam)
-    if s.degenerate:
-        raise DegeneracyError(
-            f"ground space degenerate at lambda={lam:.6f} (gap={s.gap:.3e})"
-        )
+    s = gapped_slice(family, lam)
     return s.ground_energy, s.ground_state
 
 
@@ -85,25 +96,32 @@ def min_gap(family: HamiltonianFamily, grid) -> tuple[float, float]:
     sequence of lambdas.  Raises DegeneracyError naming the offending lambda
     if any slice is degenerate.
     """
-    lams = _as_grid(grid)
+    lams = lambda_grid(family, grid)
     best_gap = math.inf
     best_lam = float(lams[0])
     for lam in lams:
-        s = diagonalize(family, lam)
-        if s.degenerate:
-            raise DegeneracyError(
-                f"degenerate ground space at lambda={lam:.6f} (gap={s.gap:.3e})"
-            )
+        s = gapped_slice(family, lam)
         if s.gap < best_gap:
             best_gap, best_lam = s.gap, float(lam)
     return best_gap, best_lam
 
 
-def _as_grid(grid) -> np.ndarray:
+def lambda_grid(family: HamiltonianFamily, grid, offset: float = 0.0) -> np.ndarray:
+    """The lambdas of a grid.  A point count n gives the uniform grid
+    (j + offset) / n on [0, 1); it is refused when n <= 2 k for the family's
+    highest harmonic k, since such a grid aliases that harmonic.  An explicit
+    sequence of lambdas is taken as given."""
     if isinstance(grid, (int, np.integer)):
         if grid < 2:
             raise ConfigError(f"grid must have at least 2 points, got {grid}")
-        return np.arange(int(grid)) / float(grid)
+        k = max((j for _, c in family.terms for j, _ in c.cos_terms + c.sin_terms),
+                default=0)
+        if grid <= 2 * k:
+            raise ConfigError(
+                f"a {grid}-point lambda grid aliases the family's harmonic "
+                f"{k}; use more than {2 * k} points"
+            )
+        return (np.arange(int(grid)) + offset) / float(grid)
     lams = np.asarray(grid, dtype=float)
     if lams.ndim != 1 or lams.size < 2:
         raise ConfigError("grid must be an int or a 1-d sequence of lambdas")
@@ -163,15 +181,7 @@ def wilson_loop_berry_phase(family: HamiltonianFamily, N: int = 256) -> BerryPha
     """
     if N < 4 or N % 2 != 0:
         raise ConfigError(f"Wilson grid size must be even and >= 4, got {N}")
-    states = []
-    for j in range(N):
-        lam = j / N
-        s = diagonalize(family, lam)
-        if s.degenerate:
-            raise DegeneracyError(
-                f"degenerate ground space at lambda={lam:.6f} (gap={s.gap:.3e})"
-            )
-        states.append(s.ground_state)
+    states = [gapped_slice(family, lam).ground_state for lam in lambda_grid(family, N)]
     theta, min_overlap = _wilson_angle(states)
     theta_half, _ = _wilson_angle(states[::2])
     # O(1/N^2) convergence: the next doubling moves theta by about a quarter
@@ -307,26 +317,20 @@ def write_sweep_csv(
     the first grid point) is used for every row, so the iA column is a
     single smooth gauge rather than per-row choices.
     """
-    lams = _as_grid(grid)
-    _, psi_first = ground_state(family, float(lams[0]))
-    anchor = np.zeros(psi_first.size, dtype=complex)
-    anchor[int(np.argmax(np.abs(psi_first)))] = 1.0
+    # Every row is computed before the file is opened, so a failing slice
+    # leaves no partial sweep behind.  Only formatted rows are kept, never
+    # the slices: the sweep holds one eigensystem at a time.
+    rows = []
+    anchor = None
+    for lam in lambda_grid(family, grid):
+        s = gapped_slice(family, lam)
+        if anchor is None:
+            anchor = np.zeros(s.eigenvalues.size, dtype=complex)
+            anchor[int(np.argmax(np.abs(s.ground_state)))] = 1.0
+        conn = berry_connection_exact(family, lam, h=h, anchor=anchor)
+        rows.append([f"{lam:.10f}", f"{s.eigenvalues[0]:.12e}",
+                     f"{s.eigenvalues[1]:.12e}", f"{s.gap:.12e}", f"{conn:.12e}"])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "E0", "E1", "gap", "iA_lambda"])
-        for lam in lams:
-            s = diagonalize(family, lam)
-            if s.degenerate:
-                raise DegeneracyError(
-                    f"degenerate ground space at lambda={lam:.6f}"
-                )
-            conn = berry_connection_exact(family, lam, h=h, anchor=anchor)
-            writer.writerow(
-                [
-                    f"{lam:.10f}",
-                    f"{s.eigenvalues[0]:.12e}",
-                    f"{s.eigenvalues[1]:.12e}",
-                    f"{s.gap:.12e}",
-                    f"{conn:.12e}",
-                ]
-            )
+        writer.writerows(rows)

@@ -53,6 +53,7 @@ from .exact import (
     berry_connection_exact,
     berry_connection_perturbative,
     diagonalize,
+    lambda_grid,
     min_gap,
     wilson_loop_berry_phase,
 )
@@ -69,7 +70,6 @@ from .hamiltonians import (
     save_family,
     scale_and_add,
     sine,
-    to_json_dict,
 )
 
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -337,8 +337,8 @@ def _certify_connection_exact(
     meaningful.
     """
     vals = [
-        berry_connection_exact(family, (i + 0.5) / grid_size, anchor=anchor)
-        for i in range(grid_size)
+        berry_connection_exact(family, lam, anchor=anchor)
+        for lam in lambda_grid(family, grid_size, offset=0.5)
     ]
     return _connection_stats(vals)
 
@@ -554,10 +554,8 @@ def build_duqma_instance(
     # on the lambda-independent base spectrum.
     if r > 0:
         vals = [
-            berry_connection_perturbative(
-                s01, V, r, (i + 0.5) / connection_grid
-            ).value
-            for i in range(connection_grid)
+            berry_connection_perturbative(s01, V, r, lam).value
+            for lam in lambda_grid(V, connection_grid, offset=0.5)
         ]
         conn_lo, conn_hi, conn_sign = _connection_stats(vals)
     else:

@@ -28,7 +28,7 @@ from .angles import wrap_pm_pi
 from .bpe import BpeConfig, decide_interval, run_bpe
 from .dynamics import StateVector
 from .errors import ConfigError
-from .hamiltonians import eval_hamiltonian
+from .exact import gapped_slice
 from .qpe import QpeDistribution, bits_for_precision, distribution_from_phases, sample_outcomes
 
 DEFAULT_ENERGY_REPETITIONS = 15
@@ -97,18 +97,17 @@ def _as_amplitudes(witness_state) -> np.ndarray:
 
 def energy_distribution(instance, witness_state, precision: float | None = None) -> EnergyDistribution:
     """Diagonalize H(0) and build the exact QPE outcome distribution for the
-    witness.  Heavy (one dense eigh); reuse across seeds."""
+    witness.  Heavy (one dense eigh); reuse across seeds.  A degenerate
+    ground space at lambda = 0 raises DegeneracyError."""
     psi = _as_amplitudes(witness_state)
-    H = eval_hamiltonian(instance.family, 0.0)
-    if H.shape[0] != psi.size:
+    if instance.family.dim != psi.size:
         raise ConfigError(
             f"witness dimension {psi.size} does not match instance "
-            f"dimension {H.shape[0]}"
+            f"dimension {instance.family.dim}"
         )
-    evals, vecs = np.linalg.eigh(H)
-    delta_min = float(evals[1] - evals[0])
-    if delta_min <= 0:
-        raise ConfigError("instance has a degenerate ground space at lambda=0")
+    s = gapped_slice(instance.family, 0.0)
+    evals, vecs = s.eigenvalues, s.eigenvectors
+    delta_min = s.gap
     if precision is None:
         precision = delta_min / 4.0
     if precision > delta_min / 4.0 * (1.0 + 1e-9):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from berrylab.angles import circle_distance, wrap_2pi
 from berrylab.bpe import (
+    MAX_TOTAL_STEPS,
     BpeConfig,
     BpeEngine,
     WrappedInterval,
@@ -18,6 +19,7 @@ from berrylab.bpe import (
 )
 from berrylab.corpus import constant_z_family, equatorial_loop, tilted_loop_family
 from berrylab.errors import CapacityError, ConfigError
+from berrylab.hamiltonians import constant, cosine, make_family, sine
 
 from oracles import EQUATORIAL_THETA_B, tilted_theta_B
 
@@ -298,6 +300,47 @@ def test_fixed_runtime_skips_calibration(equatorial):
 def test_step_budget_guard(equatorial):
     with pytest.raises(CapacityError):
         BpeEngine(equatorial, BpeConfig(T=1e7))
+
+
+def test_budget_error_before_long_propagation(monkeypatch):
+    # The phase-lag floor of this fast loop needs more steps than the budget
+    # allows; the engine must say so without first propagating at that floor.
+    from berrylab import dynamics
+
+    kernel = dynamics._step_factors
+
+    def spy(family, schedule):
+        assert schedule.steps <= MAX_TOTAL_STEPS // 2, schedule
+        return kernel(family, schedule)
+
+    monkeypatch.setattr(dynamics, "_step_factors", spy)
+    fam = make_family(
+        1, [("X", cosine(20, 1.0)), ("Y", sine(20, 1.0)), ("Z", constant(0.5))]
+    )
+    with pytest.raises(CapacityError):
+        BpeEngine(fam)
+
+
+def test_floored_infidelity_agrees_between_estimators(equatorial):
+    engine = BpeEngine(equatorial)
+    assert "phase_lag_floor" in engine.calibration
+    _, diag = murta_bpe(equatorial, seed=0, return_diagnostics=True)
+    assert diag["T"] == engine.T
+    assert abs(diag["calibration"]["infidelity"]
+               - engine.calibration["infidelity"]) < 1e-9
+
+
+@pytest.mark.parametrize("alpha_mode", ["integer", "formula"])
+def test_unfloored_calibration_keeps_its_own_infidelity(equatorial, alpha_mode):
+    # Above the phase-lag floor the runtime is the calibrated one, and the
+    # record keeps the infidelity it measured there, not one from the
+    # estimator's (possibly step-rounded) schedule.
+    cfg = BpeConfig(epsilon_B=2.0, alpha_mode=alpha_mode)
+    engine = BpeEngine(equatorial, cfg)
+    _, diag = murta_bpe(equatorial, config=cfg, seed=0, return_diagnostics=True)
+    for calibration in (engine.calibration, diag["calibration"]):
+        assert "phase_lag_floor" not in calibration
+        assert calibration["infidelity"] == calibration["tested"][-1][1]
 
 
 def test_decide_needs_margin_vs_certified_delta(equatorial):

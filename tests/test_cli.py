@@ -17,7 +17,7 @@ from berrylab.corpus import (
     equatorial_loop,
     synthetic_verifier_instance,
 )
-from berrylab.hamiltonians import constant, make_family, save_family
+from berrylab.hamiltonians import constant, cosine, make_family, save_family
 from berrylab.hardness import save_instance
 
 
@@ -130,12 +130,48 @@ def test_degenerate_family_exit_code(tmp_path):
     assert "degenerate" in p.stderr
 
 
+def test_failed_sweep_leaves_no_csv(tmp_path):
+    # H = cos(2 pi lambda) Z vanishes at lambda = 1/4, the second grid point.
+    save_family(make_family(1, [("Z", cosine(1, 1.0))]), str(tmp_path / "cz.json"))
+    out = tmp_path / "s.csv"
+    p = run_cli("sweep", "--instance", tmp_path / "cz.json", "--grid-size", 4,
+                "--out", out)
+    assert p.returncode == 4, p.stderr
+    assert not out.exists()
+
+
+def test_verify_refuses_missing_threshold_before_any_work(tmp_path, monkeypatch):
+    from berrylab import cli
+    from berrylab.hardness import build_bqp_instance
+
+    def engine(*args, **kwargs):
+        raise AssertionError("BpeEngine built for an instance without E_th")
+
+    monkeypatch.setattr(cli, "BpeEngine", engine)
+    instance = build_bqp_instance(bqp_yes_circuit())
+    assert instance.E_th is None
+    save_instance(instance, str(tmp_path / "bqp"))
+    out = tmp_path / "o.json"
+    rc = cli.main(["verify", "--instance", str(tmp_path / "bqp"), "--witness",
+                   "history", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 BAD_FAMILIES = {
     "terms-not-a-list": {"n_qubits": 1, "k_max": 1, "terms": 5},
     "nan-coefficient": {
         "n_qubits": 1,
         "k_max": 1,
         "terms": [{"pauli": "X", "coeff": {"const": float("nan")}}],
+    },
+    "harmonic-aliased-by-every-grid": {
+        "n_qubits": 1,
+        "k_max": 1,
+        "terms": [
+            {"pauli": "X", "coeff": {"cos": [[100_000_000, 1.0]]}},
+            {"pauli": "Z", "coeff": {"const": 0.5}},
+        ],
     },
 }
 

@@ -1,10 +1,13 @@
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from berrylab.angles import circle_distance
 from berrylab.corpus import constant_z_family, equatorial_loop, tilted_loop_family
+from berrylab.dynamics import phase_lag_scale
 from berrylab.errors import ConfigError, DegeneracyError
 from berrylab.exact import (
     berry_connection_exact,
@@ -13,8 +16,10 @@ from berrylab.exact import (
     ground_state,
     min_gap,
     wilson_loop_berry_phase,
+    write_sweep_csv,
 )
-from berrylab.hamiltonians import constant, make_family
+from berrylab.hamiltonians import constant, cosine, make_family, sine
+from berrylab.verifier import energy_distribution
 
 from oracles import (
     EQUATORIAL_THETA_B,
@@ -116,6 +121,69 @@ def test_wilson_raises_on_degenerate_slice():
     fam = make_family(2, [("ZI", constant(1.0))])
     with pytest.raises(DegeneracyError):
         wilson_loop_berry_phase(fam, N=8)
+
+
+# -- rules shared by every scan along the loop -------------------------------
+
+DEGENERATE_SCANS = {
+    "ground_state": lambda fam, tmp: ground_state(fam, 0.0),
+    "write_sweep_csv": lambda fam, tmp: write_sweep_csv(fam, 8, str(tmp / "s.csv")),
+    "phase_lag_scale": lambda fam, tmp: phase_lag_scale(fam),
+    "energy_distribution": lambda fam, tmp: energy_distribution(
+        SimpleNamespace(family=fam), np.eye(4)[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("scan", DEGENERATE_SCANS.values(), ids=DEGENERATE_SCANS.keys())
+def test_every_scan_refuses_a_degenerate_slice(scan, tmp_path):
+    fam = make_family(2, [("ZI", cosine(1, 1.0))])  # doubly degenerate levels
+    with pytest.raises(DegeneracyError):
+        scan(fam, tmp_path)
+
+
+UNIFORM_SCANS = {
+    "min_gap": lambda fam, n, tmp: min_gap(fam, n),
+    "wilson_loop_berry_phase": lambda fam, n, tmp: wilson_loop_berry_phase(fam, n),
+    "write_sweep_csv": lambda fam, n, tmp: write_sweep_csv(fam, n, str(tmp / "s.csv")),
+    "phase_lag_scale": lambda fam, n, tmp: phase_lag_scale(fam, n),
+}
+
+
+@pytest.mark.parametrize("scan", UNIFORM_SCANS.values(), ids=UNIFORM_SCANS.keys())
+def test_uniform_scans_refuse_an_aliasing_grid(scan, tmp_path):
+    # 16 points are exactly two per period of the 8th harmonic: too few to
+    # resolve it.
+    fam = make_family(
+        1, [("X", cosine(8, 1.0)), ("Y", sine(8, 1.0)), ("Z", constant(0.5))]
+    )
+    with pytest.raises(ConfigError, match="aliases"):
+        scan(fam, 16, tmp_path)
+    assert not (tmp_path / "s.csv").exists()
+    min_gap(fam, np.arange(16) / 16)  # an explicit lambda list is taken as given
+
+
+def test_sweep_holds_one_eigensystem_at_a_time(monkeypatch, tmp_path):
+    # Rows are all formed before the file is opened, but no slice may outlive
+    # its row: a sweep needs O(d^2) memory, not O(N d^2).
+    from berrylab import exact
+
+    solve = exact.gapped_slice
+    slices, bases, most = [], [], [0, 0]
+
+    def spy(family, lam):
+        most[0] = max(most[0], sum(r() is not None for r in slices))
+        most[1] = max(most[1], sum(r() is not None for r in bases))
+        s = solve(family, lam)
+        slices.append(weakref.ref(s))
+        bases.append(weakref.ref(s.eigenvectors))
+        return s
+
+    monkeypatch.setattr(exact, "gapped_slice", spy)
+    write_sweep_csv(equatorial_loop(), 16, str(tmp_path / "s.csv"))
+    assert len(slices) == 16 * 4  # each row's slice and its three stencil points
+    assert most[0] <= 1  # the current row's slice
+    assert most[1] <= 3  # ... and the two earlier stencil states
 
 
 # -- local connection --------------------------------------------------------
