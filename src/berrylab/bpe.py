@@ -59,6 +59,16 @@ TWO_PI = 2.0 * math.pi
 MAX_TOTAL_STEPS = 2_000_000
 
 
+def _check_step_budget(T: float, total_steps: int) -> None:
+    """Refuse a run whose propagators need more than MAX_TOTAL_STEPS steps."""
+    if total_steps > MAX_TOTAL_STEPS:
+        raise CapacityError(
+            f"runtime T={T:.3e} needs {total_steps} exact Trotter steps, over "
+            f"the per-run budget of {MAX_TOTAL_STEPS}; the family's phase-lag "
+            "scale or norm is too large for desk-scale estimation"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Wrapped intervals and the decision rule
 # ---------------------------------------------------------------------------
@@ -96,6 +106,16 @@ class WrappedInterval:
         return WrappedInterval(self.b + delta, self.a - delta)
 
 
+def check_decision_margin(delta: float, eps_B: float) -> None:
+    """Refuse eps_B >= 2 delta, where no estimate can be decided.  It needs
+    no estimate, so callers can run it before any spectral work."""
+    if not eps_B < 2.0 * delta:
+        raise ConfigError(
+            f"need eps_B < 2*delta for a meaningful decision margin, got "
+            f"eps_B={eps_B}, delta={delta}"
+        )
+
+
 def decide_interval(theta_hat: float, a: float, b: float, delta: float,
                     eps_B: float) -> int:
     """1 iff theta_hat lies within delta - eps_B of the arc [a, b].
@@ -104,11 +124,7 @@ def decide_interval(theta_hat: float, a: float, b: float, delta: float,
     complement) this reproduces the true interval bit whenever the estimate
     is eps_B-accurate.
     """
-    if not eps_B < 2.0 * delta:
-        raise ConfigError(
-            f"need eps_B < 2*delta for a meaningful decision margin, got "
-            f"eps_B={eps_B}, delta={delta}"
-        )
+    check_decision_margin(delta, eps_B)
     return int(WrappedInterval(a, b).distance(theta_hat) <= delta - eps_B)
 
 
@@ -338,13 +354,7 @@ class BpeEngine:
         self.alpha = steps_alpha / steps  # realized ratio, exact in floats
         self.dt = self.T / steps
         self.T_alpha = self.dt * steps_alpha
-        if steps + steps_alpha > MAX_TOTAL_STEPS:
-            raise CapacityError(
-                f"runtime T={self.T:.3e} needs {steps + steps_alpha} exact "
-                f"Trotter steps, over the per-run budget of {MAX_TOTAL_STEPS}; "
-                "the family's phase-lag scale or norm is too large for "
-                "desk-scale estimation"
-            )
+        _check_step_budget(self.T, steps + steps_alpha)
 
         self.eps_ph = cfg.epsilon_B * (self.alpha - 1.0) / (self.alpha + 1.0)
         self.m = (
@@ -453,11 +463,7 @@ def murta_bpe(
     psi0, setup = _resolve_runtime(family, cfg, initial_ground_state)
     T = setup["T"]
     steps = step_count(T, setup["H_max"], cfg.oversampling)
-    if 2 * steps > MAX_TOTAL_STEPS:
-        raise CapacityError(
-            f"runtime T={T:.3e} needs {2 * steps} exact Trotter steps, over "
-            f"the per-run budget of {MAX_TOTAL_STEPS}"
-        )
+    _check_step_budget(T, 2 * steps)
     fwd = AdiabaticSchedule(T=T, steps=steps, trotter_order=cfg.trotter_order)
     rev = replace(fwd, direction="reversed")
     W_fwd = loop_propagator(family, fwd)

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .bpe import BpeConfig, BpeEngine, decide_interval, murta_bpe, run_bpe
+from .bpe import BpeConfig, BpeEngine, check_decision_margin, decide_interval, murta_bpe, run_bpe
 from .circuits import circuit_from_json_dict
 from .errors import CapacityError, ConfigError, NumericalError
 from .exact import diagonalize, ground_state, min_gap, wilson_loop_berry_phase, write_sweep_csv
@@ -124,7 +126,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _bpe_config(args) -> BpeConfig:
+def _bpe_config(args, instance) -> BpeConfig:
+    if instance is not None:  # refuse an unusable margin before any spectral work
+        check_decision_margin(instance.interval[2], args.epsilon_b)
     return BpeConfig(
         epsilon_B=args.epsilon_b,
         eta=args.eta,
@@ -137,7 +141,7 @@ def _bpe_config(args) -> BpeConfig:
 
 def cmd_bpe(args) -> int:
     family, instance = _resolve_target(args.instance)
-    config = _bpe_config(args)
+    config = _bpe_config(args, instance)
     theta_B, theta_D, diag = run_bpe(family, config=config, seed=args.seed)
     decision = _maybe_decide(theta_B, instance, args.epsilon_b)
     payload = {
@@ -163,7 +167,7 @@ def cmd_bpe(args) -> int:
 
 def cmd_murta(args) -> int:
     family, instance = _resolve_target(args.instance)
-    config = _bpe_config(args)
+    config = _bpe_config(args, instance)
     theta, diag = murta_bpe(family, config=config, seed=args.seed, return_diagnostics=True)
     decision = _maybe_decide(theta, instance, args.epsilon_b)
     payload = {
@@ -255,12 +259,11 @@ def cmd_verify(args) -> int:
         bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta),
     )
     shared_dist = energy_distribution(instance, witness, config.energy_precision)
-    try:
-        engine = BpeEngine(instance.family, config.bpe, guiding_state=witness)
-    except ConfigError:
-        # Witness too far from the ground state to guide phase estimation;
-        # runs that fail the energy gate never need the engine anyway.
-        engine = None
+    # The engine is built when a run first passes the energy gate, after
+    # run_verifier has checked the decision margin; if every run fails the
+    # gate, no loop is propagated.
+    build = functools.cache(lambda: BpeEngine(instance.family, config.bpe, guiding_state=witness))
+    engine = SimpleNamespace(run=lambda seed: build().run(seed))
     children = np.random.SeedSequence(args.seed).spawn(args.runs)
     outcomes = [
         run_verifier(instance, witness, config, seed=child,

@@ -140,6 +140,19 @@ class TrigCoefficient:
             out += b * math.sin(k * x)
         return out
 
+    def values(self, lams: np.ndarray) -> np.ndarray:
+        """value() at each lambda of an array, in the same operation order,
+        so every entry carries the same bits."""
+        if self.is_constant():
+            return np.full(np.shape(lams), self.const)
+        x = TWO_PI * (np.asarray(lams, dtype=float) % 1.0)
+        out = np.full(x.shape, self.const)
+        for k, a in self.cos_terms:
+            out += a * np.cos(k * x)
+        for k, b in self.sin_terms:
+            out += b * np.sin(k * x)
+        return out
+
     def derivative(self) -> "TrigCoefficient":
         cos_out = [(k, TWO_PI * k * b) for k, b in self.sin_terms]
         sin_out = [(k, -TWO_PI * k * a) for k, a in self.cos_terms]
@@ -349,14 +362,30 @@ def _actions_for(family: HamiltonianFamily) -> list:
 
 def eval_hamiltonian(family: HamiltonianFamily, lam: float) -> np.ndarray:
     """Dense Hermitian matrix H(lambda), qubit 0 as most significant bit."""
+    return eval_hamiltonians(family, np.array([float(lam)]))[0]
+
+
+def eval_hamiltonians(family: HamiltonianFamily, lams: np.ndarray) -> np.ndarray:
+    """Stack of dense H(lambda_j), shape (len(lams), d, d).
+
+    Strings that permute the basis alike (same X/Y letters) fill the same
+    entries, and no others do; each such group sums its terms in term order,
+    from zero.  Every product c_i * vals is exact (vals are +-1 and +-i), so
+    a slice carries the same bits whatever else is in the stack.
+    """
     check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
+    lams = np.asarray(lams, dtype=float)
     d = family.dim
-    H = np.zeros((d, d), dtype=complex)
-    cols = np.arange(d, dtype=np.int64)
+    groups: dict[int, tuple] = {}
     for (rows, vals), (_, coeff) in zip(_actions_for(family), family.terms):
-        c = coeff.value(lam)
-        if c != 0.0:
-            H[rows, cols] += c * vals
+        groups.setdefault(int(rows[0]), (rows, []))[1].append((vals, coeff))
+    H = np.zeros((lams.size, d, d), dtype=complex)
+    cols = np.arange(d, dtype=np.int64)
+    for rows, members in groups.values():
+        entries = np.zeros((lams.size, d), dtype=complex)
+        for vals, coeff in members:
+            entries += coeff.values(lams)[:, None] * vals
+        H[:, rows, cols] = entries
     return H
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import wrap_pm_pi
-from .bpe import BpeConfig, decide_interval, run_bpe
+from .bpe import BpeConfig, check_decision_margin, decide_interval, run_bpe
 from .dynamics import StateVector
 from .errors import ConfigError
 from .exact import gapped_slice
@@ -235,6 +235,7 @@ def run_verifier(
             accept_probability=max(p, 0.0),
         )
 
+    check_decision_margin(delta, config.bpe.epsilon_B)  # before any propagation
     if bpe_engine is not None:
         theta_B, theta_D, diagnostics = bpe_engine.run(bpe_seed)
     else:

@@ -35,6 +35,40 @@ def expm_evolve(family, vec: np.ndarray, T: float, steps: int) -> np.ndarray:
     return expm_loop(family, T, steps) @ np.asarray(vec, dtype=complex)
 
 
+# Pinned step-by-step kernel ---------------------------------------------------
+#
+# One eigh(eval_hamiltonian(family, lam_j)) per exact step, in step order: the
+# per-step form of the chunked dynamics._step_factors.  Same lambda grid, step
+# sign and product order, so the package must match it bit for bit.
+
+
+def _stepwise_factors(family, schedule):
+    sign = 1.0 if schedule.direction == "forward" else -1.0
+    if family.is_constant():
+        lams, dt = [0.0], schedule.T
+    else:
+        shift = 0.5 if schedule.trotter_order == 2 else 0.0
+        lams = [(j + shift) / schedule.steps for j in range(schedule.steps)]
+        dt = schedule.dt
+    for lam in lams:
+        w, V = np.linalg.eigh(eval_hamiltonian(family, lam))
+        yield V, np.exp(sign * -1j * w * dt)
+
+
+def stepwise_loop_propagator(family, schedule) -> np.ndarray:
+    W = np.eye(family.dim, dtype=complex)
+    for V, phases in _stepwise_factors(family, schedule):
+        W = ((V * phases) @ V.conj().T) @ W
+    return W
+
+
+def stepwise_propagate(vec: np.ndarray, family, schedule) -> np.ndarray:
+    vec = np.asarray(vec, dtype=complex)
+    for V, phases in _stepwise_factors(family, schedule):
+        vec = (V * phases) @ (V.conj().T @ vec)
+    return vec
+
+
 def fd_family_derivative(family, lam: float, h: float = 1e-6) -> np.ndarray:
     """Central-difference d/dlam of the dense Hamiltonian."""
     return (eval_hamiltonian(family, lam + h) - eval_hamiltonian(family, lam - h)) / (

@@ -321,6 +321,25 @@ def test_budget_error_before_long_propagation(monkeypatch):
         BpeEngine(fam)
 
 
+def test_murta_budget_error_before_long_propagation(monkeypatch):
+    # The baseline shares the engine's step-budget check: same family, same
+    # CapacityError, and no propagation past the budget first.
+    from berrylab import dynamics
+
+    kernel = dynamics._step_factors
+
+    def spy(family, schedule):
+        assert schedule.steps <= MAX_TOTAL_STEPS // 2, schedule
+        return kernel(family, schedule)
+
+    monkeypatch.setattr(dynamics, "_step_factors", spy)
+    fam = make_family(
+        1, [("X", cosine(20, 1.0)), ("Y", sine(20, 1.0)), ("Z", constant(0.5))]
+    )
+    with pytest.raises(CapacityError, match="per-run budget"):
+        murta_bpe(fam)
+
+
 def test_floored_infidelity_agrees_between_estimators(equatorial):
     engine = BpeEngine(equatorial)
     assert "phase_lag_floor" in engine.calibration

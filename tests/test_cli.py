@@ -158,6 +158,55 @@ def test_verify_refuses_missing_threshold_before_any_work(tmp_path, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, estimator", [("bpe", "run_bpe"), ("murta", "murta_bpe")])
+def test_estimators_refuse_a_margin_below_epsilon_before_any_work(
+    tmp_path, monkeypatch, command, estimator
+):
+    from berrylab import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{estimator} ran with eps_B >= 2 delta")
+
+    monkeypatch.setattr(cli, estimator, fail)
+    save_instance(synthetic_verifier_instance("yes", delta=0.3), str(tmp_path / "syn"))
+    out = tmp_path / "o.json"
+    rc = cli.main([command, "--instance", str(tmp_path / "syn"), "--epsilon-b", "0.6",
+                   "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def _verify_without_engine(tmp_path, monkeypatch, witness):
+    from berrylab import cli
+
+    def engine(*args, **kwargs):
+        raise AssertionError("BpeEngine built")
+
+    monkeypatch.setattr(cli, "BpeEngine", engine)
+    save_instance(synthetic_verifier_instance("yes", delta=0.3), str(tmp_path / "syn"))
+    out = tmp_path / "o.json"
+    rc = cli.main(["verify", "--instance", str(tmp_path / "syn"), "--witness", witness,
+                   "--runs", "3", "--epsilon-b", "0.6", "--seed", "1", "--out", str(out)])
+    return rc, out
+
+
+def test_verify_refuses_a_margin_below_epsilon_before_the_engine(tmp_path, monkeypatch):
+    # the exact ground state passes the energy gate, so a run reaches the
+    # decision, whose margin cannot hold eps_B = 0.6 >= 2 * 0.3
+    rc, out = _verify_without_engine(tmp_path, monkeypatch, "ground")
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_verify_builds_no_engine_when_every_run_fails_the_gate(tmp_path, monkeypatch):
+    # the excited state fails the gate on every run: no decision is made,
+    # so neither the engine nor the margin is needed
+    rc, out = _verify_without_engine(tmp_path, monkeypatch, "excited:1")
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["energy_pass_rate"] == 0.0
+
+
 BAD_FAMILIES = {
     "terms-not-a-list": {"n_qubits": 1, "k_max": 1, "terms": 5},
     "nan-coefficient": {

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from berrylab.corpus import constant_z_family, equatorial_loop, tilted_loop_family
+from berrylab import dynamics
+from berrylab.corpus import (
+    bqp_yes_circuit,
+    constant_z_family,
+    equatorial_loop,
+    random_gapped_family,
+    tilted_loop_family,
+)
 from berrylab.dynamics import (
     AdiabaticSchedule,
     StateVector,
@@ -20,12 +27,15 @@ from berrylab.dynamics import (
 from berrylab.errors import ConfigError, NumericalError
 from berrylab.exact import ground_state
 from berrylab.hamiltonians import constant, cosine, make_family, norm_bounds, sine
+from berrylab.hardness import build_bqp_instance
 
 from oracles import (
     EQUATORIAL_E0,
     equatorial_loop_eigenphase,
     equatorial_phase_lag_coefficient,
     expm_loop,
+    stepwise_loop_propagator,
+    stepwise_propagate,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -114,6 +124,54 @@ def test_propagator_is_unitary(equatorial):
     sched = make_schedule(equatorial, T=5.0)
     W = loop_propagator(equatorial, sched)
     assert np.linalg.norm(W @ W.conj().T - np.eye(2), 2) < 1e-12
+
+
+# -- chunked step kernel vs the pinned step-by-step kernel --------------------
+
+
+@pytest.fixture(scope="module")
+def kernel_families():
+    return {
+        "constant": constant_z_family(2, 0.7),
+        "equatorial": equatorial_loop(),
+        "random-3q": random_gapped_family(3, np.random.default_rng(11)),
+        "bqp": build_bqp_instance(bqp_yes_circuit()).family,
+    }
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+@pytest.mark.parametrize("name", ["constant", "equatorial", "random-3q", "bqp"])
+def test_chunked_kernel_matches_stepwise_kernel(kernel_families, name, direction, order):
+    fam = kernel_families[name]
+    chunk = max(1, dynamics._CHUNK_BYTES // (16 * fam.dim ** 2))
+    steps = 2 * chunk + 3  # two full chunks, then a partial one
+    sched = AdiabaticSchedule(T=0.2 * steps / norm_bounds(fam)[0], steps=steps,
+                              direction=direction, trotter_order=order)
+    W = loop_propagator(fam, sched)
+    assert W.tobytes() == stepwise_loop_propagator(fam, sched).tobytes()
+    vec = np.random.default_rng(3).standard_normal(fam.dim) + 0j
+    vec /= np.linalg.norm(vec)
+    out = adiabatic_propagate(vec, fam, sched)
+    assert out.tobytes() == stepwise_propagate(vec, fam, sched).tobytes()
+
+
+def test_step_kernel_stacks_stay_under_the_cap(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        assert a.nbytes <= 256 * 1024, a.shape
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for n, steps, chunks in ((1, 130, [130]), (4, 130, [64, 64, 2]), (7, 3, [1, 1, 1])):
+        fam = make_family(n, [("X" + "I" * (n - 1), cosine(1, 1.0)), ("Z" * n, constant(0.5))])
+        shapes.clear()
+        loop_propagator(fam, AdiabaticSchedule(T=0.1 * steps, steps=steps))
+        assert [s[0] for s in shapes] == chunks
+        assert all(s[1:] == (fam.dim, fam.dim) for s in shapes)
 
 
 # -- loop eigenphase physics --------------------------------------------------

@@ -18,6 +18,7 @@ from berrylab.hamiltonians import (
     dense_pauli,
     derivative_family,
     eval_hamiltonian,
+    eval_hamiltonians,
     from_json_dict,
     load_family,
     make_family,
@@ -281,6 +282,67 @@ def test_from_json_rejects_non_finite_coefficients(coeff):
         from_json_dict(
             {"n_qubits": 1, "k_max": 1, "terms": [{"pauli": "X", "coeff": coeff}]}
         )
+
+
+# -- stacked evaluation ------------------------------------------------------
+
+
+_amplitudes = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_far_harmonics = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=10**6), _amplitudes), max_size=3
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(TrigCoefficient, const=_amplitudes, cos_terms=_far_harmonics,
+              sin_terms=_far_harmonics),
+    st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+             min_size=1, max_size=8),
+)
+def test_trig_values_match_value_bit_for_bit(coeff, lams):
+    table = coeff.values(np.array(lams))
+    scalar = np.array([coeff.value(lam) for lam in lams])
+    assert table.tobytes() == scalar.tobytes()
+
+
+def test_stacked_eval_matches_single_eval(rng):
+    fam = make_family(
+        3,
+        [("XYI", cosine(2, 0.7)), ("ZIZ", TrigCoefficient(0.3, ((1, -0.4),), ((3, 0.2),))),
+         ("IIY", sine(1, -1.1)), ("ZZZ", constant(0.5))],
+    )
+    lams = np.concatenate([rng.uniform(-3.0, 3.0, 20), [0.0, 0.25, 0.5, -0.0]])
+    stack = eval_hamiltonians(fam, lams)
+    assert stack.shape == (lams.size, 8, 8)
+    for lam, H in zip(lams, stack):
+        assert H.tobytes() == eval_hamiltonian(fam, lam).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_strategy(), st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
+def test_eval_matches_dense_pauli_sum_bit_for_bit(fam, lam):
+    # Every c * P entry is exact, so summing whole matrices in term order from
+    # zero is an independent route to the same bits.
+    want = np.zeros((fam.dim, fam.dim), dtype=complex)
+    for p, c in fam.terms:
+        want = want + c.value(lam) * dense_pauli(p.axes)
+    assert eval_hamiltonian(fam, lam).tobytes() == want.tobytes()
+
+
+def test_stacked_eval_checks_the_budget_once(monkeypatch):
+    import berrylab.hamiltonians as hmod
+
+    calls = []
+    check = hmod.check_dense_budget
+    monkeypatch.setattr(hmod, "check_dense_budget",
+                        lambda *a, **k: calls.append(a) or check(*a, **k))
+    fam = make_family(2, [("XZ", cosine(1, 1.0)), ("ZI", constant(0.5))])
+    eval_hamiltonians(fam, np.linspace(0.0, 1.0, 50))
+    assert len(calls) == 1
+    monkeypatch.setenv("BERRYLAB_MAX_QUBITS", "1")
+    with pytest.raises(CapacityError):
+        eval_hamiltonians(fam, np.linspace(0.0, 1.0, 50))
 
 
 # -- capacity ----------------------------------------------------------------
