@@ -142,109 +142,3 @@ try:
     __version__ = _metadata.version("artifact")
 except _metadata.PackageNotFoundError:  # running from a source tree
     __version__ = "0.0.0"
-
-__all__ = [
-    "TWO_PI",
-    "circle_distance",
-    "wrap_2pi",
-    "wrap_pm_pi",
-    "BpeConfig",
-    "BpeEngine",
-    "WrappedInterval",
-    "choose_alpha",
-    "decide_interval",
-    "murta_bpe",
-    "reconstruct_phases",
-    "run_bpe",
-    "GATE_LIBRARY",
-    "Gate",
-    "GateCircuit",
-    "apply_gate",
-    "circuit_from_json_dict",
-    "circuit_to_json_dict",
-    "gate",
-    "initial_system_state",
-    "one_probability",
-    "partial_states",
-    "simulate",
-    "with_idle_steps",
-    "bqp_no_circuit",
-    "bqp_yes_circuit",
-    "constant_z_family",
-    "duqma_no_circuit",
-    "duqma_yes_circuit",
-    "equatorial_loop",
-    "random_gapped_family",
-    "synthetic_verifier_instance",
-    "tilted_loop_family",
-    "AdiabaticSchedule",
-    "StateVector",
-    "adiabatic_propagate",
-    "calibrate_runtime",
-    "controlled_power_apply",
-    "loop_infidelity",
-    "loop_propagator",
-    "make_schedule",
-    "required_runtime",
-    "BerrylabError",
-    "CapacityError",
-    "ConfigError",
-    "DegeneracyError",
-    "NumericalError",
-    "BerryPhaseResult",
-    "PerturbativeConnection",
-    "SpectrumSlice",
-    "berry_connection_exact",
-    "berry_connection_perturbative",
-    "diagonalize",
-    "ground_state",
-    "min_gap",
-    "wilson_loop_berry_phase",
-    "write_sweep_csv",
-    "HamiltonianFamily",
-    "PauliString",
-    "TrigCoefficient",
-    "apply_hamiltonian",
-    "check_dense_budget",
-    "constant",
-    "cosine",
-    "dense_budget",
-    "dense_pauli",
-    "derivative_family",
-    "eval_hamiltonian",
-    "from_json_dict",
-    "load_family",
-    "make_family",
-    "norm_bounds",
-    "save_family",
-    "scale_and_add",
-    "sine",
-    "to_json_dict",
-    "HardnessInstance",
-    "accept_operator_spectrum",
-    "build_bqp_instance",
-    "build_duqma_instance",
-    "compile_history",
-    "history_state",
-    "load_instance",
-    "make_V",
-    "product_guiding_state",
-    "save_instance",
-    "window_guiding_state",
-    "PhaseEstimate",
-    "QpeDistribution",
-    "bits_for_precision",
-    "circular_median",
-    "distribution_for_loop",
-    "distribution_from_phases",
-    "estimate_from_distribution",
-    "qpe_run",
-    "sample_outcomes",
-    "EnergyDistribution",
-    "VerifierConfig",
-    "VerifierOutcome",
-    "energy_distribution",
-    "energy_test",
-    "run_verifier",
-    "__version__",
-]

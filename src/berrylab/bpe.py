@@ -230,10 +230,13 @@ class BpeConfig:
     def delta_adia(self) -> float:
         return math.sqrt(self.eta_qpe)
 
-
-def _default_repetitions(eta_qpe: float) -> int:
-    R = max(5, math.ceil(4.0 * math.log(1.0 / eta_qpe)))
-    return R if R % 2 == 1 else R + 1
+    @property
+    def repetitions(self) -> int:
+        """R, or by default an odd count of at least 5 and 4 ln(1/eta_qpe)."""
+        if self.R is not None:
+            return self.R
+        R = max(5, math.ceil(4.0 * math.log(1.0 / self.eta_qpe)))
+        return R if R % 2 == 1 else R + 1
 
 
 def _resolve_runtime(
@@ -360,7 +363,7 @@ class BpeEngine:
         self.m = (
             cfg.m if cfg.m is not None else bits_for_precision(0.5 * self.eps_ph)
         )
-        self.R = cfg.R if cfg.R is not None else _default_repetitions(cfg.eta_qpe)
+        self.R = cfg.repetitions
 
         sched1 = AdiabaticSchedule(T=self.T, steps=steps,
                                    trotter_order=cfg.trotter_order)
@@ -474,7 +477,7 @@ def murta_bpe(
         setup["calibration"]["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
     m = cfg.m if cfg.m is not None else bits_for_precision(cfg.epsilon_B)
-    R = cfg.R if cfg.R is not None else _default_repetitions(cfg.eta_qpe)
+    R = cfg.repetitions
     dist = distribution_for_unitary(composite, psi0, m)
     est = estimate_from_distribution(dist, R, np.random.default_rng(seed))
     theta = est.value / 2.0  # in [0, pi)

@@ -20,21 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .exact import gapped_slice, ground_state, lambda_grid
+from .exact import ground_state, lambda_grid, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
     derivative_family,
     eval_hamiltonian,
-    eval_hamiltonians,
     norm_bounds,
 )
 
 DEFAULT_OVERSAMPLING = 10.0  # steps per unit of T * H_max
-
-# Bytes per stacked complex (steps, d, d) array of the step kernel: 64 steps
-# at d = 16, one step from d = 128 on.  Larger chunks raise peak memory and
-# gain little; the unitaries still multiply one at a time, in step order.
-_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -130,18 +124,17 @@ def _step_lambdas(schedule: AdiabaticSchedule) -> np.ndarray:
 
 
 def _step_factors(family: HamiltonianFamily, schedule: AdiabaticSchedule):
-    """Yield (V, phases) stacks over chunks of consecutive exact steps,
-    U_j = (V[j] * phases[j]) @ V[j]^dagger; a lambda-independent family is
-    one step of length T at lambda = 0."""
+    """Yield (V, phases) stacks over the sweep's chunks of consecutive exact
+    steps, U_j = (V[j] * phases[j]) @ V[j]^dagger; a lambda-independent
+    family is one step of length T at lambda = 0.  The unitaries still
+    multiply one at a time, in step order."""
     _check_step_size(family, schedule)
     sign = 1.0 if schedule.direction == "forward" else -1.0
     if family.is_constant():
         lams, dt = np.zeros(1), schedule.T
     else:
         lams, dt = _step_lambdas(schedule), schedule.dt
-    chunk = max(1, _CHUNK_BYTES // (16 * family.dim ** 2))
-    for start in range(0, lams.size, chunk):
-        w, V = np.linalg.eigh(eval_hamiltonians(family, lams[start:start + chunk]))
+    for _, w, V in spectra(family, lams):
         yield V, np.exp(sign * -1j * w * dt)
 
 
@@ -290,11 +283,12 @@ def phase_lag_scale(family: HamiltonianFamily, grid: int = 64) -> float:
         return 0.0
     dfam = derivative_family(family, 1)
     total = 0.0
-    for lam in lambda_grid(family, grid, offset=0.5):
-        s = gapped_slice(family, lam)  # no finite adiabatic runtime without a gap
+    # The sweep refuses a degenerate slice: no finite adiabatic runtime
+    # without a gap.
+    for s in sweep(family, lambda_grid(family, grid, offset=0.5)):
         V = s.eigenvectors
         denom = s.eigenvalues[1:] - s.eigenvalues[0]
-        amps = V[:, 1:].conj().T @ (eval_hamiltonian(dfam, lam) @ V[:, 0])
+        amps = V[:, 1:].conj().T @ (eval_hamiltonian(dfam, s.lam) @ V[:, 0])
         total += float(np.sum(np.abs(amps) ** 2 / denom ** 3))
     return total / grid
 

@@ -4,7 +4,9 @@ Everything here works on dense spectra: instantaneous eigensystems, minimum
 spectral gaps along the loop, Wilson-loop Berry phases (gauge invariant by
 construction) with a discretization error estimate, and the local Berry
 connection both exactly (finite differences in an explicitly anchored gauge)
-and to leading order in a perturbation strength r.
+and to leading order in a perturbation strength r.  Every scan along the
+loop, and the step kernel in dynamics, takes its eigensystems from one
+chunked sweep (spectra, sweep).
 
 All reported angles live in [0, 2 pi).
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from .angles import circle_distance, wrap_2pi
 from .errors import ConfigError, DegeneracyError, NumericalError
-from .hamiltonians import HamiltonianFamily, eval_hamiltonian
+from .hamiltonians import HamiltonianFamily, eval_hamiltonian, eval_hamiltonians
 
 # A gap below this relative threshold is treated as an exact degeneracy.
 DEGENERACY_RTOL = 1e-8
@@ -57,9 +59,24 @@ class SpectrumSlice:
         return self.eigenvectors[:, 0]
 
 
-def diagonalize(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
-    """Full eigensystem at one lambda; its residual is formed on demand."""
-    evals, evecs = np.linalg.eigh(eval_hamiltonian(family, lam))
+# Bytes per stacked complex (n, d, d) array of a sweep: 64 points at d = 16,
+# one point from d = 128 on.  Larger chunks raise peak memory and gain little;
+# each point gets the bits of a one-point solve whatever else is in its stack.
+_CHUNK_BYTES = 256 * 1024
+
+
+def spectra(family: HamiltonianFamily, lams):
+    """Yield (lams, eigenvalues, eigenvectors) over consecutive chunks of a
+    lambda sequence: one stack of H(lambda) and one stacked eigh per chunk,
+    no stack above _CHUNK_BYTES unless a single matrix is."""
+    lams = np.asarray(lams, dtype=float)
+    chunk = max(1, _CHUNK_BYTES // (16 * family.dim ** 2))
+    for start in range(0, lams.size, chunk):
+        part = lams[start:start + chunk]
+        yield (part, *np.linalg.eigh(eval_hamiltonians(family, part)))
+
+
+def _slice(family: HamiltonianFamily, lam, evals, evecs) -> SpectrumSlice:
     scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 1.0)
     gap = float(evals[1] - evals[0]) if evals.size > 1 else math.inf
     return SpectrumSlice(
@@ -72,15 +89,34 @@ def diagonalize(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
     )
 
 
-def gapped_slice(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
-    """diagonalize(family, lam), refusing a numerically degenerate ground
-    space: the one degeneracy rule of every scan along the loop."""
-    s = diagonalize(family, lam)
+def _gapped(s: SpectrumSlice) -> SpectrumSlice:
     if s.degenerate:
         raise DegeneracyError(
-            f"degenerate ground space at lambda={lam:.6f} (gap={s.gap:.3e})"
+            f"degenerate ground space at lambda={s.lam:.6f} (gap={s.gap:.3e})"
         )
     return s
+
+
+def sweep(family: HamiltonianFamily, lams):
+    """Yield the SpectrumSlice at each lambda in order, refusing a
+    numerically degenerate ground space: the one spectral sweep along the
+    loop.  A slice's arrays are views into its chunk's stacks, so a slice
+    kept alive keeps that chunk's eigenvectors alive."""
+    for part, w, V in spectra(family, lams):
+        for lam, evals, evecs in zip(part, w, V):
+            yield _gapped(_slice(family, lam, evals, evecs))
+
+
+def diagonalize(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
+    """Full eigensystem at one lambda; its residual is formed on demand."""
+    ((_, w, V),) = spectra(family, [lam])
+    return _slice(family, lam, w[0], V[0])
+
+
+def gapped_slice(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
+    """diagonalize(family, lam), refusing a numerically degenerate ground
+    space by the rule every sweep applies."""
+    return _gapped(diagonalize(family, lam))
 
 
 def ground_state(family: HamiltonianFamily, lam: float) -> tuple[float, np.ndarray]:
@@ -99,10 +135,9 @@ def min_gap(family: HamiltonianFamily, grid) -> tuple[float, float]:
     lams = lambda_grid(family, grid)
     best_gap = math.inf
     best_lam = float(lams[0])
-    for lam in lams:
-        s = gapped_slice(family, lam)
+    for s in sweep(family, lams):
         if s.gap < best_gap:
-            best_gap, best_lam = s.gap, float(lam)
+            best_gap, best_lam = s.gap, s.lam
     return best_gap, best_lam
 
 
@@ -153,13 +188,12 @@ class BerryPhaseResult:
         }
 
 
-def _wilson_angle(states: list[np.ndarray]) -> tuple[float, float]:
-    """(theta_B, min overlap magnitude) for a closed chain of ground states."""
+def _wilson_angle(overlaps) -> tuple[float, float]:
+    """(theta_B, min overlap magnitude) from the adjacent ground-state
+    overlaps of a closed chain, in chain order."""
     total = 0.0
     min_abs = 1.0
-    n = len(states)
-    for j in range(n):
-        o = complex(np.vdot(states[j], states[(j + 1) % n]))
+    for j, o in enumerate(overlaps):
         mag = abs(o)
         min_abs = min(min_abs, mag)
         if mag < MIN_LOOP_OVERLAP:
@@ -181,9 +215,24 @@ def wilson_loop_berry_phase(family: HamiltonianFamily, N: int = 256) -> BerryPha
     """
     if N < 4 or N % 2 != 0:
         raise ConfigError(f"Wilson grid size must be even and >= 4, got {N}")
-    states = [gapped_slice(family, lam).ground_state for lam in lambda_grid(family, N)]
-    theta, min_overlap = _wilson_angle(states)
-    theta_half, _ = _wilson_angle(states[::2])
+    # Overlaps are taken as the sweep goes, so only the first ground state
+    # and the last two (which close the N- and N/2-point loops) stay alive.
+    # They are the solver's column views: a copy would move the last bit.
+    full, half = [], []
+    first = prev = prev2 = None
+    for j, s in enumerate(sweep(family, lambda_grid(family, N))):
+        psi = s.ground_state
+        if j == 0:
+            first = psi
+        else:
+            full.append(complex(np.vdot(prev, psi)))
+        if j % 2 == 0 and j > 0:
+            half.append(complex(np.vdot(prev2, psi)))
+        prev2, prev = prev, psi
+    full.append(complex(np.vdot(prev, first)))
+    half.append(complex(np.vdot(prev2, first)))
+    theta, min_overlap = _wilson_angle(full)
+    theta_half, _ = _wilson_angle(half)
     # O(1/N^2) convergence: the next doubling moves theta by about a quarter
     # of the last halving step, so half that step is a safe error estimate.
     est = max(circle_distance(theta, theta_half) / 2.0, 1e-11)
@@ -222,9 +271,35 @@ def berry_connection_exact(
       berry_connection_perturbative is derived, making the two directly
       comparable point by point.
     """
+    return berry_connections(family, [lam], h, anchor)[0]
+
+
+def berry_connections(
+    family: HamiltonianFamily, lams, h: float = 1e-4, anchor=None
+) -> list[float]:
+    """berry_connection_exact at each lambda, from one sweep over the
+    stencil points lambda - h, lambda, lambda + h of every lambda."""
+    return [
+        _connection(lam, h, anchor, lo, mid, hi)
+        for lam, mid, lo, hi in _stencil(family, lams, h)
+    ]
+
+
+def _stencil(family: HamiltonianFamily, lams, h: float):
+    """(lambda, slices at lambda, lambda - h, lambda + h) for each lambda.
+    The centre is solved first, so a row that is degenerate throughout is
+    refused at its own lambda."""
     if h <= 0:
         raise ConfigError(f"finite-difference step must be positive, got {h}")
-    states = [ground_state(family, x)[1] for x in (lam - h, lam, lam + h)]
+    lams = np.asarray(lams, dtype=float)
+    slices = sweep(family, np.stack([lams, lams - h, lams + h], axis=1).ravel())
+    return zip(lams, *[slices] * 3)  # consecutive triples of the one sweep
+
+
+def _connection(lam, h: float, anchor, lo, mid, hi) -> float:
+    """The central difference of berry_connection_exact at lambda, from the
+    slices at lambda - h, lambda and lambda + h."""
+    states = [lo.ground_state, mid.ground_state, hi.ground_state]
     if anchor is None:
         # First index whose amplitude is within a whisker of the maximum:
         # plain argmax would flip between exactly tied components under
@@ -319,15 +394,14 @@ def write_sweep_csv(
     """
     # Every row is computed before the file is opened, so a failing slice
     # leaves no partial sweep behind.  Only formatted rows are kept, never
-    # the slices: the sweep holds one eigensystem at a time.
+    # the slices: the sweep holds one chunk of eigensystems at a time.
     rows = []
     anchor = None
-    for lam in lambda_grid(family, grid):
-        s = gapped_slice(family, lam)
+    for lam, s, lo, hi in _stencil(family, lambda_grid(family, grid), h):
         if anchor is None:
             anchor = np.zeros(s.eigenvalues.size, dtype=complex)
             anchor[int(np.argmax(np.abs(s.ground_state)))] = 1.0
-        conn = berry_connection_exact(family, lam, h=h, anchor=anchor)
+        conn = _connection(lam, h, anchor, lo, s, hi)
         rows.append([f"{lam:.10f}", f"{s.eigenvalues[0]:.12e}",
                      f"{s.eigenvalues[1]:.12e}", f"{s.gap:.12e}", f"{conn:.12e}"])
     with open(path, "w", newline="") as fh:

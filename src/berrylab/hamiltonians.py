@@ -271,9 +271,6 @@ class HamiltonianFamily:
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
-    def coefficient_map(self) -> dict[str, TrigCoefficient]:
-        return {p.axes: c for p, c in self.terms}
-
     def is_constant(self) -> bool:
         return all(c.is_constant() for _, c in self.terms)
 
@@ -498,11 +495,20 @@ def coeff_to_json(coeff: TrigCoefficient) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer as an int; int() would also take 1.5, true and "1"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def coeff_from_json(obj: dict) -> TrigCoefficient:
     return TrigCoefficient(
         const=float(obj.get("const", 0.0)),
-        cos_terms=tuple((int(k), float(a)) for k, a in obj.get("cos", [])),
-        sin_terms=tuple((int(k), float(b)) for k, b in obj.get("sin", [])),
+        cos_terms=tuple((_json_int(k, "harmonic index"), float(a))
+                        for k, a in obj.get("cos", [])),
+        sin_terms=tuple((_json_int(k, "harmonic index"), float(b))
+                        for k, b in obj.get("sin", [])),
     )
 
 
@@ -519,8 +525,8 @@ def to_json_dict(family: HamiltonianFamily) -> dict:
 
 def from_json_dict(obj: dict) -> HamiltonianFamily:
     try:
-        n = int(obj["n_qubits"])
-        k_max = int(obj["k_max"])
+        n = _json_int(obj["n_qubits"], "n_qubits")
+        k_max = _json_int(obj["k_max"], "k_max")
         raw_terms = obj["terms"]
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:

@@ -50,8 +50,8 @@ from .circuits import (
 from .dynamics import StateVector
 from .errors import ConfigError
 from .exact import (
-    berry_connection_exact,
     berry_connection_perturbative,
+    berry_connections,
     diagonalize,
     lambda_grid,
     min_gap,
@@ -336,11 +336,8 @@ def _certify_connection_exact(
     the perturbative analysis is written in, so the pointwise sign is
     meaningful.
     """
-    vals = [
-        berry_connection_exact(family, lam, anchor=anchor)
-        for lam in lambda_grid(family, grid_size, offset=0.5)
-    ]
-    return _connection_stats(vals)
+    lams = lambda_grid(family, grid_size, offset=0.5)
+    return _connection_stats(berry_connections(family, lams, anchor=anchor))
 
 
 def _connection_stats(vals: list[float]) -> tuple[float, float, float]:

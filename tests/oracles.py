@@ -9,10 +9,15 @@ Slow and simple on purpose.
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import numpy as np
 import scipy.linalg
 
-from berrylab.hamiltonians import eval_hamiltonian
+from berrylab.angles import circle_distance, wrap_2pi
+from berrylab.hamiltonians import derivative_family, eval_hamiltonian
 
 
 def expm_loop(family, T: float, steps: int, conjugate: bool = False) -> np.ndarray:
@@ -67,6 +72,94 @@ def stepwise_propagate(vec: np.ndarray, family, schedule) -> np.ndarray:
     for V, phases in _stepwise_factors(family, schedule):
         vec = (V * phases) @ (V.conj().T @ vec)
     return vec
+
+
+# Pinned point-by-point scans --------------------------------------------------
+#
+# One eigh(eval_hamiltonian(family, lam)) per lambda, in grid order: the
+# per-point form of the chunked exact.sweep.  Same lambdas, same gauge and
+# stencil rules, same sums in the same order, so every scan along the loop
+# must match these bit for bit.  The sweep CSV re-solves each row's centre,
+# as the point-by-point scan did.
+
+
+def _point(family, lam):
+    return np.linalg.eigh(eval_hamiltonian(family, lam))
+
+
+def pointwise_min_gap(family, lams) -> tuple[float, float]:
+    best_gap, best_lam = math.inf, float(lams[0])
+    for lam in lams:
+        w, _ = _point(family, lam)
+        if float(w[1] - w[0]) < best_gap:
+            best_gap, best_lam = float(w[1] - w[0]), float(lam)
+    return best_gap, best_lam
+
+
+def _chain_angle(states) -> tuple[float, float]:
+    total, min_abs = 0.0, 1.0
+    for j in range(len(states)):
+        o = complex(np.vdot(states[j], states[(j + 1) % len(states)]))
+        min_abs = min(min_abs, abs(o))
+        total += math.atan2(o.imag, o.real)
+    return wrap_2pi(-total), min_abs
+
+
+def pointwise_wilson(family, lams) -> dict:
+    """BerryPhaseResult.to_json_dict() of the Wilson loop over lams."""
+    states = [_point(family, lam)[1][:, 0] for lam in lams]
+    theta, min_overlap = _chain_angle(states)
+    theta_half, _ = _chain_angle(states[::2])
+    est = max(circle_distance(theta, theta_half) / 2.0, 1e-11)
+    return {
+        "theta_B": theta,
+        "grid_size": len(lams),
+        "converged": est <= 1e-5 and min_overlap >= 0.9,
+        "estimated_discretization_error": est,
+        "min_overlap": min_overlap,
+    }
+
+
+def pointwise_connection(family, lam, h: float = 1e-4, anchor=None) -> float:
+    states = [_point(family, x)[1][:, 0] for x in (lam - h, lam, lam + h)]
+    if anchor is None:
+        mags = np.abs(states[1])
+        idx = int(np.argmax(mags >= mags.max() * (1.0 - 1e-6)))
+        projections = [psi[idx] for psi in states]
+    else:
+        projections = [complex(np.vdot(anchor, psi)) for psi in states]
+    rotated = [psi * (abs(p) / p) for psi, p in zip(states, projections)]
+    o_in = complex(np.vdot(rotated[0], rotated[1]))
+    o_out = complex(np.vdot(rotated[1], rotated[2]))
+    value = -(math.atan2(o_in.imag, o_in.real) + math.atan2(o_out.imag, o_out.real))
+    return value / (2.0 * h) + 0.0
+
+
+def pointwise_sweep_csv(family, lams, h: float = 1e-4) -> bytes:
+    """The bytes write_sweep_csv writes for the grid lams."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["lambda", "E0", "E1", "gap", "iA_lambda"])
+    anchor = None
+    for lam in lams:
+        w, V = _point(family, lam)
+        if anchor is None:
+            anchor = np.zeros(w.size, dtype=complex)
+            anchor[int(np.argmax(np.abs(V[:, 0])))] = 1.0
+        conn = pointwise_connection(family, lam, h, anchor)
+        writer.writerow([f"{lam:.10f}", f"{w[0]:.12e}", f"{w[1]:.12e}",
+                         f"{float(w[1] - w[0]):.12e}", f"{conn:.12e}"])
+    return buf.getvalue().encode()
+
+
+def pointwise_phase_lag(family, lams) -> float:
+    dfam = derivative_family(family, 1)
+    total = 0.0
+    for lam in lams:
+        w, V = _point(family, lam)
+        amps = V[:, 1:].conj().T @ (eval_hamiltonian(dfam, lam) @ V[:, 0])
+        total += float(np.sum(np.abs(amps) ** 2 / (w[1:] - w[0]) ** 3))
+    return total / len(lams)
 
 
 def fd_family_derivative(family, lam: float, h: float = 1e-6) -> np.ndarray:

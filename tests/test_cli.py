@@ -222,6 +222,39 @@ BAD_FAMILIES = {
             {"pauli": "Z", "coeff": {"const": 0.5}},
         ],
     },
+    # Counts and harmonics that int() would coerce into a gapped family.
+    "harmonic-not-an-integer": {
+        "n_qubits": 1,
+        "k_max": 1,
+        "terms": [
+            {"pauli": "X", "coeff": {"cos": [[1.5, 1.0]]}},
+            {"pauli": "Z", "coeff": {"const": 0.5}},
+        ],
+    },
+    "harmonic-true": {
+        "n_qubits": 1,
+        "k_max": 1,
+        "terms": [
+            {"pauli": "X", "coeff": {"cos": [[True, 1.0]]}},
+            {"pauli": "Z", "coeff": {"const": 0.5}},
+        ],
+    },
+    "n-qubits-string": {
+        "n_qubits": "1",
+        "k_max": 1,
+        "terms": [
+            {"pauli": "X", "coeff": {"cos": [[1, 1.0]]}},
+            {"pauli": "Z", "coeff": {"const": 0.5}},
+        ],
+    },
+    "k-max-true": {
+        "n_qubits": 1,
+        "k_max": True,
+        "terms": [
+            {"pauli": "X", "coeff": {"cos": [[1, 1.0]]}},
+            {"pauli": "Z", "coeff": {"const": 0.5}},
+        ],
+    },
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from berrylab import dynamics
+from berrylab import exact
 from berrylab.corpus import (
     bqp_yes_circuit,
     constant_z_family,
@@ -144,7 +144,7 @@ def kernel_families():
 @pytest.mark.parametrize("name", ["constant", "equatorial", "random-3q", "bqp"])
 def test_chunked_kernel_matches_stepwise_kernel(kernel_families, name, direction, order):
     fam = kernel_families[name]
-    chunk = max(1, dynamics._CHUNK_BYTES // (16 * fam.dim ** 2))
+    chunk = max(1, exact._CHUNK_BYTES // (16 * fam.dim ** 2))
     steps = 2 * chunk + 3  # two full chunks, then a partial one
     sched = AdiabaticSchedule(T=0.2 * steps / norm_bounds(fam)[0], steps=steps,
                               direction=direction, trotter_order=order)

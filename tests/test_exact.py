@@ -21,6 +21,7 @@ from berrylab.exact import (
 from berrylab.hamiltonians import constant, cosine, make_family, sine
 from berrylab.verifier import energy_distribution
 
+import oracles
 from oracles import (
     EQUATORIAL_THETA_B,
     overlap_product_phase,
@@ -163,27 +164,97 @@ def test_uniform_scans_refuse_an_aliasing_grid(scan, tmp_path):
     min_gap(fam, np.arange(16) / 16)  # an explicit lambda list is taken as given
 
 
-def test_sweep_holds_one_eigensystem_at_a_time(monkeypatch, tmp_path):
-    # Rows are all formed before the file is opened, but no slice may outlive
-    # its row: a sweep needs O(d^2) memory, not O(N d^2).
+def _field_loop(n):
+    """The equatorial loop on qubit 0 plus unequal Z fields on every qubit:
+    a gapped n-qubit family."""
+    fields = [("I" * q + "Z" + "I" * (n - 1 - q), constant(0.5 + 0.1 * q)) for q in range(n)]
+    rest = "I" * (n - 1)
+    return make_family(n, [("X" + rest, cosine(1, 1.0)), ("Y" + rest, sine(1, 1.0)), *fields])
+
+
+def test_sweep_stacks_stay_under_the_cap(monkeypatch, tmp_path):
+    # Memory does not grow with N: a sweep longer than one chunk solves its
+    # stencil points in stacks of at most 256 KiB.
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def spy(a, *args, **kwargs):
+        assert a.nbytes <= 256 * 1024, a.shape
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    write_sweep_csv(_field_loop(4), 33, str(tmp_path / "s.csv"))
+    assert sizes == [64, 35]  # 33 rows of three stencil points at d = 16
+
+
+def test_wilson_loop_keeps_only_the_states_it_needs(monkeypatch):
+    # One point per chunk at 7 qubits: besides the stack being solved, only
+    # the first ground state and the last two may keep their eigenvector
+    # stacks alive, however long the loop.
+    eigh = np.linalg.eigh
+    stacks, most = [], [0]
+
+    def spy(a, *args, **kwargs):
+        most[0] = max(most[0], sum(r() is not None for r in stacks))
+        res = eigh(a, *args, **kwargs)
+        stacks.append(weakref.ref(res.eigenvectors))
+        return res
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    wilson_loop_berry_phase(_field_loop(7), N=16)
+    assert len(stacks) == 16
+    assert most[0] <= 4
+
+
+# -- every scan along the loop vs the pinned point-by-point scans ------------
+
+
+@pytest.fixture(scope="module")
+def scan_families():
+    from berrylab.corpus import bqp_yes_circuit, random_gapped_family
+    from berrylab.hardness import build_bqp_instance, compile_history
+
+    circuit = bqp_yes_circuit()
+    return {
+        "equatorial": (equatorial_loop(), None),
+        "random-3q": (random_gapped_family(3, np.random.default_rng(11)), None),
+        "bqp": (build_bqp_instance(circuit).family,
+                diagonalize(compile_history(circuit), 0.0).ground_state),
+    }
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _grid(n, offset=0.0):
+    return (np.arange(n) + offset) / n
+
+
+@pytest.mark.parametrize("name", ["equatorial", "random-3q", "bqp"])
+def test_sweep_scans_match_pointwise_scans(scan_families, name, tmp_path):
     from berrylab import exact
+    from berrylab.hardness import _certify_connection_exact, _connection_stats
 
-    solve = exact.gapped_slice
-    slices, bases, most = [], [], [0, 0]
+    fam, anchor = scan_families[name]
+    chunk = max(1, exact._CHUNK_BYTES // (16 * fam.dim ** 2))
+    n = 2 * chunk + 3  # two full chunks, then a partial one
+    rows = n // 3 + 1  # stencil scans solve three points per row
 
-    def spy(family, lam):
-        most[0] = max(most[0], sum(r() is not None for r in slices))
-        most[1] = max(most[1], sum(r() is not None for r in bases))
-        s = solve(family, lam)
-        slices.append(weakref.ref(s))
-        bases.append(weakref.ref(s.eigenvectors))
-        return s
-
-    monkeypatch.setattr(exact, "gapped_slice", spy)
-    write_sweep_csv(equatorial_loop(), 16, str(tmp_path / "s.csv"))
-    assert len(slices) == 16 * 4  # each row's slice and its three stencil points
-    assert most[0] <= 1  # the current row's slice
-    assert most[1] <= 3  # ... and the two earlier stencil states
+    assert _bits(*min_gap(fam, n)) == _bits(*oracles.pointwise_min_gap(fam, _grid(n)))
+    got = wilson_loop_berry_phase(fam, n + 1).to_json_dict()
+    want = oracles.pointwise_wilson(fam, _grid(n + 1))
+    assert list(got) == list(want)
+    assert _bits(*got.values()) == _bits(*want.values())
+    write_sweep_csv(fam, rows, str(tmp_path / "s.csv"))
+    assert (tmp_path / "s.csv").read_bytes() == oracles.pointwise_sweep_csv(fam, _grid(rows))
+    assert _bits(phase_lag_scale(fam, n)) == _bits(
+        oracles.pointwise_phase_lag(fam, _grid(n, 0.5))
+    )
+    want_stats = _connection_stats([oracles.pointwise_connection(fam, lam, anchor=anchor)
+                                    for lam in _grid(rows, 0.5)])
+    assert _bits(*_certify_connection_exact(fam, rows, anchor)) == _bits(*want_stats)
 
 
 # -- local connection --------------------------------------------------------

@@ -12,6 +12,7 @@ from berrylab.hamiltonians import (
     TrigCoefficient,
     apply_hamiltonian,
     check_dense_budget,
+    coeff_from_json,
     constant,
     cosine,
     dense_budget,
@@ -282,6 +283,27 @@ def test_from_json_rejects_non_finite_coefficients(coeff):
         from_json_dict(
             {"n_qubits": 1, "k_max": 1, "terms": [{"pauli": "X", "coeff": coeff}]}
         )
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"n_qubits": 1, "k_max": 1, "terms": [{"pauli": "X", "coeff": {"cos": [[1.5, 1.0]]}}]},
+        {"n_qubits": 1, "k_max": 1, "terms": [{"pauli": "X", "coeff": {"sin": [[True, 1.0]]}}]},
+        {"n_qubits": "1", "k_max": 1, "terms": [{"pauli": "X", "coeff": {"const": 1.0}}]},
+        {"n_qubits": 1, "k_max": True, "terms": [{"pauli": "X", "coeff": {"const": 1.0}}]},
+    ],
+    ids=["harmonic-1.5", "harmonic-true", "n-qubits-string", "k-max-true"],
+)
+def test_from_json_refuses_coerced_integers(record):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        from_json_dict(record)
+
+
+@pytest.mark.parametrize("k", [1.5, True, "1", 2.0])
+def test_coeff_from_json_refuses_non_integer_harmonics(k):
+    with pytest.raises(ConfigError, match="harmonic index"):
+        coeff_from_json({"cos": [[k, 1.0]]})
 
 
 # -- stacked evaluation ------------------------------------------------------
