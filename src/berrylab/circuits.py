@@ -56,7 +56,7 @@ class Gate:
                 f"gate {self.name!r} matrix shape {m.shape} does not match "
                 f"{len(self.targets)} targets"
             )
-        if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > 1e-12:
+        if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= 1e-12:  # NaN too
             raise ConfigError(f"gate {self.name!r} is not unitary to 1e-12")
         self.matrix = m
 
@@ -225,6 +225,8 @@ def circuit_from_json_dict(obj: dict) -> GateCircuit:
         gates = []
         for i, rec in enumerate(obj["gates"]):
             name = rec["gate"]
+            if not isinstance(name, str):
+                raise ConfigError(f"malformed circuit record: gate name {name!r}")
             targets = rec["targets"]
             if "matrix" in rec:
                 m = np.array(
@@ -241,7 +243,7 @@ def circuit_from_json_dict(obj: dict) -> GateCircuit:
             output2_qubit=obj.get("output2_qubit"),
             witness_qubits=tuple(obj.get("witness_qubits", ())),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed circuit record (gate entry {exc})") from exc
 
 

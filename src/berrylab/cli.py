@@ -40,6 +40,7 @@ from .hardness import (
     build_duqma_instance,
     history_state,
     load_instance,
+    oracle_tolerance,
     save_instance,
 )
 from .verifier import VerifierConfig, energy_distribution, run_verifier
@@ -102,8 +103,9 @@ def _parse_int(text: str, base: int, what: str) -> int:
 
 
 def cmd_oracle(args) -> int:
-    family, _ = _resolve_target(args.instance)
-    result = wilson_loop_berry_phase(family, args.grid_size)
+    family, instance = _resolve_target(args.instance)
+    tol = oracle_tolerance(0.0 if instance is None else instance.certified_delta)
+    result = wilson_loop_berry_phase(family, args.grid_size, tol)
     gap, gap_lam = min_gap(family, args.gap_grid)
     payload = {
         **result.to_json_dict(),

@@ -30,6 +30,9 @@ DEGENERACY_RTOL = 1e-8
 # Adjacent-point ground-state overlap below this aborts a Wilson loop.
 MIN_LOOP_OVERLAP = 0.5
 
+# Default Wilson-loop convergence tolerance on the error estimate (radians).
+WILSON_TOL = 1e-5
+
 
 @dataclass
 class SpectrumSlice:
@@ -64,16 +67,79 @@ class SpectrumSlice:
 # each point gets the bits of a one-point solve whatever else is in its stack.
 _CHUNK_BYTES = 256 * 1024
 
+# Families below this dimension are solved whole even when H(lambda) is block
+# diagonal, so their eigensystems keep the bits that tests and outputs pin.
+_SPLIT_MIN_DIM = 64
+
 
 def spectra(family: HamiltonianFamily, lams):
     """Yield (lams, eigenvalues, eigenvectors) over consecutive chunks of a
-    lambda sequence: one stack of H(lambda) and one stacked eigh per chunk,
-    no stack above _CHUNK_BYTES unless a single matrix is."""
+    lambda sequence: one stack of H(lambda) per chunk, no stack above
+    _CHUNK_BYTES unless a single matrix is, solved by _eigh_blocks."""
     lams = np.asarray(lams, dtype=float)
     chunk = max(1, _CHUNK_BYTES // (16 * family.dim ** 2))
     for start in range(0, lams.size, chunk):
         part = lams[start:start + chunk]
-        yield (part, *np.linalg.eigh(eval_hamiltonians(family, part)))
+        yield (part, *_eigh_blocks(eval_hamiltonians(family, part)))
+
+
+def _blocks(pattern: np.ndarray) -> np.ndarray:
+    """Connected-component label of each basis index under a symmetric
+    boolean pattern: the smallest index of its component."""
+    rows, cols = np.nonzero(pattern)
+    labels = np.arange(pattern.shape[0])
+    while True:
+        # Take the smallest label among the neighbours, then jump pointers:
+        # labels only fall, and stop once constant on every component.
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _block_groups(H: np.ndarray) -> list:
+    """The decoupled blocks of a stack H, shape (n, d, d): one (count, size)
+    array of basis indices per block size, each block's indices ascending.
+    [None] when H is solved whole: a connected pattern, or d below
+    _SPLIT_MIN_DIM.
+
+    The blocks are the connected components of the entries that are nonzero
+    in any matrix of the stack, so every entry they leave out is exactly 0.0.
+    """
+    if H.shape[-1] < _SPLIT_MIN_DIM:
+        return [None]
+    labels = _blocks((H != 0).any(axis=0))
+    sizes = np.unique(labels, return_counts=True)[1]
+    if sizes.size == 1:
+        return [None]
+    members = np.argsort(labels, kind="stable")  # block by block, ascending
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return [members[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
+
+
+def _eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked eigh of H, shape (n, d, d), with one batched call per block
+    size of _block_groups.  A block's eigenpairs take its own indices as
+    slots, and a stable sort of the slots' eigenvalues orders the columns."""
+    groups = _block_groups(H)
+    solved = [np.linalg.eigh(H if idx is None else H[:, idx[:, :, None], idx[:, None, :]])
+              for idx in groups]
+    if groups[0] is None:
+        return solved[0]
+    n, d, _ = H.shape
+    w = np.empty((n, d))
+    for idx, (bw, _) in zip(groups, solved):
+        w[:, idx] = bw
+    order = np.argsort(w, axis=1, kind="stable")
+    rank = np.empty_like(order)  # rank[p, slot]: the slot's column in V
+    np.put_along_axis(rank, order, np.arange(d)[None, :], axis=1)
+    V = np.zeros((n, d, d), dtype=complex)
+    points = np.arange(n)[:, None, None, None]
+    for idx, (_, bV) in zip(groups, solved):
+        V[points, idx[None, :, :, None], rank[:, idx][:, :, None, :]] = bV
+    return np.take_along_axis(w, order, axis=1), V
 
 
 def _slice(family: HamiltonianFamily, lam, evals, evecs) -> SpectrumSlice:
@@ -205,13 +271,16 @@ def _wilson_angle(overlaps) -> tuple[float, float]:
     return wrap_2pi(-total), min_abs
 
 
-def wilson_loop_berry_phase(family: HamiltonianFamily, N: int = 256) -> BerryPhaseResult:
+def wilson_loop_berry_phase(
+    family: HamiltonianFamily, N: int = 256, tol: float = WILSON_TOL
+) -> BerryPhaseResult:
     """Berry phase of the ground band from an N-point Wilson loop.
 
     The product of adjacent-overlap phases around the closed loop is gauge
     invariant, so arbitrary eigenvector phases from the dense solver do not
     matter.  The discretization error is estimated by comparing against the
-    N/2-point loop built from every other grid point (N must be even).
+    N/2-point loop built from every other grid point (N must be even); the
+    result is converged when that estimate is at most ``tol``.
     """
     if N < 4 or N % 2 != 0:
         raise ConfigError(f"Wilson grid size must be even and >= 4, got {N}")
@@ -236,7 +305,7 @@ def wilson_loop_berry_phase(family: HamiltonianFamily, N: int = 256) -> BerryPha
     # O(1/N^2) convergence: the next doubling moves theta by about a quarter
     # of the last halving step, so half that step is a safe error estimate.
     est = max(circle_distance(theta, theta_half) / 2.0, 1e-11)
-    converged = est <= 1e-5 and min_overlap >= 0.9
+    converged = est <= tol and min_overlap >= 0.9
     return BerryPhaseResult(
         theta_B=theta,
         grid_size=N,

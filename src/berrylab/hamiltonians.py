@@ -33,13 +33,6 @@ _BUDGET_ENV_VAR = "BERRYLAB_MAX_QUBITS"
 
 _VALID_AXES = frozenset("IXYZ")
 
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 def dense_budget() -> int:
     """Largest qubit count for which dense matrices may be materialized."""
@@ -397,10 +390,11 @@ def apply_hamiltonian(family: HamiltonianFamily, lam: float, vec: np.ndarray) ->
 
 
 def dense_pauli(axes: str) -> np.ndarray:
-    """Dense matrix of a Pauli string (test/diagnostic helper)."""
-    out = np.eye(1, dtype=complex)
-    for a in axes:
-        out = np.kron(out, _PAULI_MATRICES[a])
+    """Dense matrix of a Pauli string, scattered from its signed permutation:
+    the local Pauli expansion of the hardness compiler reads one per string."""
+    rows, vals = _string_action(axes)
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    out[rows, np.arange(rows.size)] = vals
     return out
 
 
@@ -502,12 +496,25 @@ def _json_int(value, what: str) -> int:
     return int(value)
 
 
+def _json_float(value, what: str) -> float:
+    """A JSON number as a float; float() would also take true and "1.5",
+    and overflows on an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} {value} is beyond the float range") from None
+
+
 def coeff_from_json(obj: dict) -> TrigCoefficient:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"coefficient must be an object, got {obj!r}")
     return TrigCoefficient(
-        const=float(obj.get("const", 0.0)),
-        cos_terms=tuple((_json_int(k, "harmonic index"), float(a))
+        const=_json_float(obj.get("const", 0.0), "constant term"),
+        cos_terms=tuple((_json_int(k, "harmonic index"), _json_float(a, "amplitude"))
                         for k, a in obj.get("cos", [])),
-        sin_terms=tuple((_json_int(k, "harmonic index"), float(b))
+        sin_terms=tuple((_json_int(k, "harmonic index"), _json_float(b, "amplitude"))
                         for k, b in obj.get("sin", [])),
     )
 
@@ -524,23 +531,29 @@ def to_json_dict(family: HamiltonianFamily) -> dict:
 
 
 def from_json_dict(obj: dict) -> HamiltonianFamily:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"malformed family record: not an object: {obj!r}")
     try:
         n = _json_int(obj["n_qubits"], "n_qubits")
         k_max = _json_int(obj["k_max"], "k_max")
         raw_terms = obj["terms"]
-        metadata = dict(obj.get("metadata", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed family record: {exc}") from exc
-    if not isinstance(raw_terms, list):
-        raise ConfigError("malformed family record: terms must be a list")
+    except KeyError as exc:
+        raise ConfigError(f"malformed family record: missing {exc}") from exc
+    metadata = obj.get("metadata", {})
+    if not isinstance(raw_terms, list) or not isinstance(metadata, dict):
+        raise ConfigError("malformed family record: terms must be a list and "
+                          "metadata an object")
     terms = []
     for i, t in enumerate(raw_terms):
+        pauli = t.get("pauli") if isinstance(t, dict) else None
+        if not isinstance(pauli, str):
+            raise ConfigError(f"malformed family record: term {i} ({t!r}) "
+                              "needs a Pauli string")
         try:
-            terms.append((PauliString(t["pauli"]), coeff_from_json(t["coeff"])))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            terms.append((PauliString(pauli), coeff_from_json(t.get("coeff"))))
+        except (TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(
-                f"malformed family record: term {i} "
-                f"({t.get('pauli', '?') if isinstance(t, dict) else t!r}): {exc}"
+                f"malformed family record: term {i} ({pauli}): {exc}"
             ) from exc
     return make_family(n, terms, metadata=metadata, k_max=k_max)
 

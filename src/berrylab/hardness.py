@@ -50,6 +50,7 @@ from .circuits import (
 from .dynamics import StateVector
 from .errors import ConfigError
 from .exact import (
+    WILSON_TOL,
     berry_connection_perturbative,
     berry_connections,
     diagonalize,
@@ -59,6 +60,7 @@ from .exact import (
 )
 from .hamiltonians import (
     HamiltonianFamily,
+    _json_float,
     apply_hamiltonian,
     check_dense_budget,
     constant,
@@ -340,6 +342,13 @@ def _certify_connection_exact(
     return _connection_stats(berry_connections(family, lams, anchor=anchor))
 
 
+def oracle_tolerance(delta: float) -> float:
+    """Wilson-loop convergence tolerance for an instance with decision
+    margin delta: a tenth of delta, so converged is relative to the phase
+    being decided; the default tolerance when no margin is certified."""
+    return delta / 10.0 if delta > 0 else WILSON_TOL
+
+
 def _connection_stats(vals: list[float]) -> tuple[float, float, float]:
     lo = min(abs(v) for v in vals)
     hi = max(abs(v) for v in vals)
@@ -410,7 +419,8 @@ def build_bqp_instance(
     else:
         conn_lo = conn_hi = conn_sign = 0.0
     delta_cert = CERTIFICATION_SAFETY * conn_lo
-    oracle = wilson_loop_berry_phase(family, oracle_grid)
+    oracle_tol = oracle_tolerance(delta_cert)
+    oracle = wilson_loop_berry_phase(family, oracle_grid, oracle_tol)
 
     hstate = history_state(circuit)
     window = window_guiding_state(circuit)
@@ -427,6 +437,7 @@ def build_bqp_instance(
         "oracle_theta_B": float(oracle.theta_B),
         "oracle_converged": bool(oracle.converged),
         "oracle_grid": oracle_grid,
+        "oracle_tolerance": oracle_tol,
         "oracle_error_estimate": float(oracle.estimated_discretization_error),
         "gap_hist": float(gap_hist),
         "ground_energy_hist": float(s0.eigenvalues[0]),
@@ -558,7 +569,8 @@ def build_duqma_instance(
     else:
         conn_lo = conn_hi = conn_sign = 0.0
     delta_cert = CERTIFICATION_SAFETY * conn_lo
-    oracle = wilson_loop_berry_phase(family, oracle_grid)
+    oracle_tol = oracle_tolerance(delta_cert)
+    oracle = wilson_loop_berry_phase(family, oracle_grid, oracle_tol)
 
     hstate = history_state(circuit, witness)
     residual = float(
@@ -587,6 +599,7 @@ def build_duqma_instance(
         "oracle_theta_B": float(oracle.theta_B),
         "oracle_converged": bool(oracle.converged),
         "oracle_grid": oracle_grid,
+        "oracle_tolerance": oracle_tol,
         "oracle_error_estimate": float(oracle.estimated_discretization_error),
         "delta0": delta0,
         "null_dim": null_dim,
@@ -649,25 +662,41 @@ def load_instance(prefix: str) -> HardnessInstance:
     family = load_family(f"{prefix}.json")
     with open(f"{prefix}.provenance.json") as fh:
         record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ConfigError("provenance record is not an object")
     try:
         raw_circuit = record.get("circuit")
         circuit = None if raw_circuit is None else circuit_from_json_dict(raw_circuit)
         kind = record["kind"]
-        interval = tuple(record["interval"])
-        e_th = record.get("E_th")
+        interval = record["interval"]
+        r = _finite(record["r"], "r")
     except KeyError as exc:
         raise ConfigError(f"provenance record missing field {exc}") from exc
+    if not isinstance(interval, list) or len(interval) != 3:
+        raise ConfigError(f"provenance interval must be [a, b, delta], got {interval!r}")
+    e_th = record.get("E_th")
+    descriptor = record.get("guiding_state_descriptor", "history-window")
+    warnings = record.get("warnings", [])
+    if not (isinstance(kind, str) and isinstance(descriptor, str)
+            and isinstance(warnings, list)):
+        raise ConfigError("provenance kind and guiding_state_descriptor must be "
+                          "strings, and warnings a list")
     return HardnessInstance(
         kind=kind,
         family=family,
         circuit=circuit,
-        r=float(record["r"]),
-        epsilon_penalty=float(record.get("epsilon_penalty", 0.0)),
-        E_th=None if e_th is None else float(e_th),
-        interval=(float(interval[0]), float(interval[1]), float(interval[2])),
-        guiding_state_descriptor=record.get(
-            "guiding_state_descriptor", "history-window"
-        ),
+        r=r,
+        epsilon_penalty=_finite(record.get("epsilon_penalty", 0.0), "epsilon_penalty"),
+        E_th=None if e_th is None else _finite(e_th, "E_th"),
+        interval=tuple(_finite(v, "interval bound") for v in interval),
+        guiding_state_descriptor=descriptor,
         provenance=record,
-        warnings=list(record.get("warnings", [])),
+        warnings=list(warnings),
     )
+
+
+def _finite(value, what: str) -> float:
+    x = _json_float(value, f"provenance {what}")
+    if not math.isfinite(x):
+        raise ConfigError(f"provenance {what} must be finite, got {x}")
+    return x

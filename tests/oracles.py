@@ -162,6 +162,22 @@ def pointwise_phase_lag(family, lams) -> float:
     return total / len(lams)
 
 
+_PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def kron_pauli(axes: str) -> np.ndarray:
+    """Dense Pauli string as a chain of Kronecker products, qubit 0 leftmost."""
+    out = np.eye(1, dtype=complex)
+    for a in axes:
+        out = np.kron(out, _PAULI_MATRICES[a])
+    return out
+
+
 def fd_family_derivative(family, lam: float, h: float = 1e-6) -> np.ndarray:
     """Central-difference d/dlam of the dense Hamiltonian."""
     return (eval_hamiltonian(family, lam + h) - eval_hamiltonian(family, lam - h)) / (

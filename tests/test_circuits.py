@@ -151,3 +151,16 @@ def test_circuit_json_rejects_malformed():
         circuit_from_json_dict(
             {"n_system": 1, "gates": [{"gate": "NOSUCH", "targets": [0]}]}
         )
+
+
+@pytest.mark.parametrize("record", [
+    {"n_system": 1, "gates": [{"gate": 5, "targets": [0]}]},
+    {"n_system": 1, "gates": [{"gate": "X", "targets": ["a"]}]},
+    {"n_system": "one", "gates": [{"gate": "X", "targets": [0]}]},
+    {"n_system": 1, "gates": [{"gate": "U", "targets": [0],
+                               "matrix": [[[math.nan, 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [1.0, 0.0]]]}]},
+], ids=["name-not-a-string", "target-not-a-number", "n-system-not-a-number", "nan-matrix"])
+def test_circuit_json_refuses_unusable_entries(record):
+    with pytest.raises(ConfigError):
+        circuit_from_json_dict(record)

@@ -53,6 +53,20 @@ def test_oracle_equatorial(work):
     assert (work / "oracle.json.sweep.csv").exists()
 
 
+def test_oracle_on_an_instance_converges_relative_to_its_margin(tmp_path):
+    from berrylab.hardness import build_bqp_instance
+
+    instance = build_bqp_instance(bqp_yes_circuit())
+    save_instance(instance, str(tmp_path / "bqp"))
+    out = tmp_path / "oracle.json"
+    p = run_cli("oracle", "--instance", tmp_path / "bqp", "--grid-size", 128,
+                "--out", out)
+    assert p.returncode == 0, p.stderr
+    payload = json.loads(out.read_text())
+    assert 1e-5 < payload["estimated_discretization_error"] <= instance.certified_delta / 10.0
+    assert payload["converged"] is True
+
+
 def test_oracle_manifest_golden(work):
     out = work / "oracle2.json"
     p = run_cli("oracle", "--instance", work / "eq.json", "--out", out)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from berrylab import exact
 from berrylab.angles import circle_distance
 from berrylab.corpus import constant_z_family, equatorial_loop, tilted_loop_family
 from berrylab.dynamics import phase_lag_scale
@@ -18,7 +19,7 @@ from berrylab.exact import (
     wilson_loop_berry_phase,
     write_sweep_csv,
 )
-from berrylab.hamiltonians import constant, cosine, make_family, sine
+from berrylab.hamiltonians import constant, cosine, eval_hamiltonians, make_family, sine
 from berrylab.verifier import energy_distribution
 
 import oracles
@@ -111,6 +112,17 @@ def test_wilson_error_estimate_tracks_grid_doubling():
     assert abs(coarse.theta_B - true) < 8.0 * coarse.estimated_discretization_error
 
 
+def test_wilson_converged_is_relative_to_its_tolerance():
+    fam = tilted_loop_family(math.pi / 3)
+    res = wilson_loop_berry_phase(fam, N=64)
+    est = res.estimated_discretization_error
+    assert est > 1e-5 and not res.converged
+    loose = wilson_loop_berry_phase(fam, N=64, tol=2.0 * est)
+    assert loose.converged
+    assert not wilson_loop_berry_phase(fam, N=64, tol=est / 2.0).converged
+    assert loose.theta_B == res.theta_B
+
+
 def test_wilson_rejects_bad_grid(equatorial):
     with pytest.raises(ConfigError):
         wilson_loop_berry_phase(equatorial, N=7)
@@ -131,14 +143,25 @@ DEGENERATE_SCANS = {
     "write_sweep_csv": lambda fam, tmp: write_sweep_csv(fam, 8, str(tmp / "s.csv")),
     "phase_lag_scale": lambda fam, tmp: phase_lag_scale(fam),
     "energy_distribution": lambda fam, tmp: energy_distribution(
-        SimpleNamespace(family=fam), np.eye(4)[0]
+        SimpleNamespace(family=fam), np.eye(fam.dim)[0]
     ),
 }
 
 
-@pytest.mark.parametrize("scan", DEGENERATE_SCANS.values(), ids=DEGENERATE_SCANS.keys())
-def test_every_scan_refuses_a_degenerate_slice(scan, tmp_path):
-    fam = make_family(2, [("ZI", cosine(1, 1.0))])  # doubly degenerate levels
+DEGENERATE_FAMILIES = {
+    # doubly degenerate levels
+    "": make_family(2, [("ZI", cosine(1, 1.0))]),
+    # 32 identical 2x2 blocks: the ground level is degenerate across blocks
+    "-6q": make_family(6, [("XIIIII", cosine(1, 1.0)), ("YIIIII", sine(1, 1.0))]),
+}
+
+
+@pytest.mark.parametrize(
+    "scan,fam",
+    [(scan, fam) for fam in DEGENERATE_FAMILIES.values() for scan in DEGENERATE_SCANS.values()],
+    ids=[name + suffix for suffix in DEGENERATE_FAMILIES for name in DEGENERATE_SCANS],
+)
+def test_every_scan_refuses_a_degenerate_slice(scan, fam, tmp_path):
     with pytest.raises(DegeneracyError):
         scan(fam, tmp_path)
 
@@ -192,19 +215,91 @@ def test_wilson_loop_keeps_only_the_states_it_needs(monkeypatch):
     # One point per chunk at 7 qubits: besides the stack being solved, only
     # the first ground state and the last two may keep their eigenvector
     # stacks alive, however long the loop.
-    eigh = np.linalg.eigh
+    spectra = exact.spectra
     stacks, most = [], [0]
 
-    def spy(a, *args, **kwargs):
-        most[0] = max(most[0], sum(r() is not None for r in stacks))
-        res = eigh(a, *args, **kwargs)
-        stacks.append(weakref.ref(res.eigenvectors))
-        return res
+    def spy(family, lams):
+        for part, w, V in spectra(family, lams):
+            most[0] = max(most[0], sum(r() is not None for r in stacks))
+            stacks.append(weakref.ref(V))
+            yield part, w, V
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(exact, "spectra", spy)
     wilson_loop_berry_phase(_field_loop(7), N=16)
     assert len(stacks) == 16
     assert most[0] <= 4
+
+
+# -- the block split of the sweep ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def split_families():
+    from berrylab.corpus import duqma_no_circuit, duqma_yes_circuit
+    from berrylab.hardness import build_duqma_instance
+
+    return {
+        "duqma-6q": build_duqma_instance(duqma_no_circuit(), 0).family,
+        "duqma-7q": build_duqma_instance(duqma_yes_circuit(), 0).family,
+        "field-7q": _field_loop(7),
+    }
+
+
+def _dense_sweep(fam, lams):
+    for part, w, V in exact.spectra(fam, lams):
+        H = eval_hamiltonians(fam, part)
+        yield H, w, V, np.linalg.eigh(H)
+
+
+@pytest.mark.parametrize("name", ["duqma-6q", "duqma-7q", "field-7q"])
+def test_split_spectra_match_dense_eigh(split_families, name):
+    fam = split_families[name]
+    lams = np.arange(12) / 12
+    assert exact._block_groups(eval_hamiltonians(fam, lams[:1]))[0] is not None
+    eye = np.eye(fam.dim)
+    for H, w, V, (w_ref, _) in _dense_sweep(fam, lams):
+        scale = max(1.0, float(np.max(np.abs(w_ref))))
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+        assert np.all(np.diff(w, axis=1) >= 0)
+        for Hj, wj, Vj in zip(H, w, V):
+            assert np.linalg.norm(Hj @ Vj - Vj * wj[None, :]) <= 1e-12
+            assert np.linalg.norm(Vj.conj().T @ Vj - eye) <= 1e-12
+    if name.startswith("duqma"):
+        got = wilson_loop_berry_phase(fam, 16).theta_B
+        want = oracles.pointwise_wilson(fam, _grid(16))["theta_B"]
+        assert circle_distance(got, want) <= 1e-12
+
+
+def _connected_family(n, rng):
+    """A transverse field on every qubit couples every basis state."""
+    terms = [("I" * q + a + "I" * (n - 1 - q), constant(rng.uniform(0.3, 1.0)))
+             for q in range(n) for a in "XZ"]
+    rest = "I" * (n - 1)
+    return make_family(n, [("X" + rest, cosine(1, 0.5)), ("Y" + rest, sine(1, 0.5)), *terms])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_whole_spectra_keep_the_dense_bits(rng, n):
+    # Below 64 dimensions every family, split or not, is solved as the one
+    # stack it is; from 64 on, so is a connected one.
+    families = [_connected_family(n, rng)] + ([_field_loop(n)] if 2 ** n < 64 else [])
+    for fam in families:
+        for H, w, V, (w_ref, V_ref) in _dense_sweep(fam, np.arange(10) / 10):
+            assert w.tobytes() == w_ref.tobytes()
+            assert V.tobytes() == V_ref.tobytes()
+
+
+def test_split_survives_a_coupling_that_vanishes_in_the_chunk():
+    # sin(2 pi lambda) drops the X string's entries at lambda = 0: alone in a
+    # chunk that point splits finer than its neighbours.
+    fields = [("I" * q + "Z" + "I" * (5 - q), constant(0.5 + 0.1 * q)) for q in range(6)]
+    fam = make_family(6, [("XIIIII", cosine(1, 0.8)), ("IXIIII", sine(1, 0.6)), *fields])
+    lams = np.arange(8) / 8
+    assert lams[0] == 0.0
+    pieces = list(exact.spectra(fam, lams)) + list(exact.spectra(fam, [0.0]))
+    for part, w, V in pieces:
+        for Hj, wj, Vj in zip(eval_hamiltonians(fam, part), w, V):
+            assert np.max(np.abs((Vj * wj[None, :]) @ Vj.conj().T - Hj)) <= 1e-13
 
 
 # -- every scan along the loop vs the pinned point-by-point scans ------------
@@ -234,7 +329,6 @@ def _grid(n, offset=0.0):
 
 @pytest.mark.parametrize("name", ["equatorial", "random-3q", "bqp"])
 def test_sweep_scans_match_pointwise_scans(scan_families, name, tmp_path):
-    from berrylab import exact
     from berrylab.hardness import _certify_connection_exact, _connection_stats
 
     fam, anchor = scan_families[name]

@@ -30,7 +30,7 @@ from berrylab.hamiltonians import (
     to_json_dict,
 )
 
-from oracles import dense_norm, fd_family_derivative
+from oracles import dense_norm, fd_family_derivative, kron_pauli
 
 
 # -- construction and validation --------------------------------------------
@@ -49,6 +49,15 @@ def test_pauli_anticommutation():
     assert PauliString("X").anticommutes_with(PauliString("Z"))
     assert not PauliString("X").anticommutes_with(PauliString("X"))
     assert not PauliString("XX").anticommutes_with(PauliString("ZZ"))
+
+
+def test_dense_pauli_matches_kron_reference():
+    import itertools
+
+    strings = ["".join(p) for k in range(1, 6) for p in itertools.product("IXYZ", repeat=k)]
+    assert len(strings) == 1364
+    for axes in strings:
+        assert np.array_equal(dense_pauli(axes), kron_pauli(axes)), axes
 
 
 def test_dense_pauli_qubit0_is_most_significant():

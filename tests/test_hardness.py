@@ -72,6 +72,25 @@ def test_null_vector_property_across_corpus():
         assert np.linalg.norm(H @ hs.amplitudes) <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["bqp-yes", "bqp-no", "duqma-yes", "duqma-no", "duqma-yes-m2"])
+def test_compile_history_matches_kron_expansion(monkeypatch, name):
+    # The local Pauli expansion reads dense_pauli once per string; the kron
+    # reference must compile the same family, byte for byte.
+    import json
+
+    import berrylab.hardness as hmod
+    from berrylab.hamiltonians import to_json_dict
+    from oracles import kron_pauli
+
+    circuits = {"bqp-yes": bqp_yes_circuit, "bqp-no": bqp_no_circuit,
+                "duqma-yes": duqma_yes_circuit, "duqma-no": duqma_no_circuit,
+                "duqma-yes-m2": lambda: with_idle_steps(duqma_yes_circuit(), 2)}
+    circuit = circuits[name]()
+    got = json.dumps(to_json_dict(compile_history(circuit)))
+    monkeypatch.setattr(hmod, "dense_pauli", kron_pauli)
+    assert got == json.dumps(to_json_dict(compile_history(circuit)))
+
+
 def test_measured_gap_beats_cubic_floor():
     # witness qubits are exempt from input penalties, so a circuit with w
     # witness qubits has a 2^w-dimensional null space (one history state per
@@ -190,6 +209,16 @@ def test_no_instance_phase_region(no_instance):
     assert no_instance.provenance["connection_sign"] < 0
 
 
+def test_oracle_converges_relative_to_the_margin(yes_instance, no_instance):
+    # The error estimates (about 4e-5) miss the absolute default of 1e-5, but
+    # sit far below the certified margins (about 0.06) the instances decide.
+    for inst in (yes_instance, no_instance):
+        prov = inst.provenance
+        assert prov["oracle_tolerance"] == inst.certified_delta / 10.0
+        assert 1e-5 < prov["oracle_error_estimate"] <= prov["oracle_tolerance"]
+        assert prov["oracle_converged"] is True
+
+
 def test_instances_decide_correctly(yes_instance, no_instance):
     from berrylab.bpe import decide_interval
 
@@ -262,6 +291,25 @@ def test_instance_round_trip(tmp_path, yes_instance):
 
 
 # -- accept operators --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("interval", [0.0, math.pi, math.nan]),
+    ("interval", [0.0, math.pi]),
+    ("r", "0.02"),
+    ("E_th", math.inf),
+    ("kind", ["bqp"]),
+    ("warnings", "none"),
+])
+def test_load_instance_refuses_unusable_fields(tmp_path, yes_instance, field, value):
+    import json
+
+    save_instance(yes_instance, str(tmp_path / "inst"))
+    path = tmp_path / "inst.provenance.json"
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps({**record, field: value}))
+    with pytest.raises(ConfigError):
+        load_instance(str(tmp_path / "inst"))
 
 
 def test_accept_spectrum_unconditional_circuit():
