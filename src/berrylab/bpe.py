@@ -58,6 +58,9 @@ TWO_PI = 2.0 * math.pi
 # fast with a capacity error instead of grinding.
 MAX_TOTAL_STEPS = 2_000_000
 
+GAP_GRID = 64  # lambda points of the gap guard and the phase-lag scale
+GUIDING_FLOOR = 0.25  # least guiding-state fidelity that can be postselected
+
 
 def _check_step_budget(T: float, total_steps: int) -> None:
     """Refuse a run whose propagators need more than MAX_TOTAL_STEPS steps."""
@@ -188,37 +191,36 @@ def reconstruct_phases(m1: float, m_alpha: float, alpha: float,
 
 @dataclass(frozen=True)
 class BpeConfig:
-    """Knobs for a two-runtime estimation run.
+    """The six settings of a two-runtime estimation run, one per CLI flag.
 
-    Unset fields (None) are resolved by the engine: T by a doubling search
-    on measured loop infidelity plus the phase-lag floor 4 G / eps_B, alpha
-    by choose_alpha, m from half the phase budget
-    eps_ph = eps_B (alpha-1)/(alpha+1) (the other half absorbs the residual
-    eigenphase lag), R from the failure budget.
+    The engine derives the rest: alpha by choose_alpha, m from half the
+    phase budget eps_ph = eps_B (alpha-1)/(alpha+1) (the other half absorbs
+    the residual eigenphase lag), R from the failure budget, and, unless T
+    is set, T by a doubling search on measured loop infidelity plus the
+    phase-lag floor 4 G / eps_B.  Every step samples H(lambda) at its
+    midpoint.
     """
 
     epsilon_B: float = 0.05
     eta: float = 0.05
     alpha_mode: str = "integer"
-    alpha: float | None = None
     alpha_cap: float | None = None
     T: float | None = None
-    m: int | None = None
-    R: int | None = None
     oversampling: float = 10.0
-    trotter_order: int = 2
-    gap_grid: int = 64
-    guiding_floor: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("epsilon_B", "oversampling", "T", "alpha_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.epsilon_B <= 0:
             raise ConfigError(f"epsilon_B must be positive, got {self.epsilon_B}")
         if not (0.0 < self.eta < 1.0):
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
         if self.alpha_mode not in ("integer", "formula"):
             raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
-        if self.alpha is not None and self.alpha <= 1.0:
-            raise ConfigError(f"alpha must exceed 1, got {self.alpha}")
+        if self.T is not None and self.T <= 0:
+            raise ConfigError(f"runtime T must be positive, got {self.T}")
 
     @property
     def eta_qpe(self) -> float:
@@ -232,9 +234,7 @@ class BpeConfig:
 
     @property
     def repetitions(self) -> int:
-        """R, or by default an odd count of at least 5 and 4 ln(1/eta_qpe)."""
-        if self.R is not None:
-            return self.R
+        """R: an odd count of at least 5 and 4 ln(1/eta_qpe)."""
         R = max(5, math.ceil(4.0 * math.log(1.0 / self.eta_qpe)))
         return R if R % 2 == 1 else R + 1
 
@@ -255,7 +255,7 @@ def _resolve_runtime(
     calibration records the floor as ``phase_lag_floor``.
     """
     h_max, d1_max, d2_max = norm_bounds(family)
-    gap, gap_argmin = min_gap(family, cfg.gap_grid)  # also the degeneracy guard
+    gap, gap_argmin = min_gap(family, GAP_GRID)  # also the degeneracy guard
     E0, psi0 = ground_state(family, 0.0)
 
     guiding_fidelity = 1.0
@@ -267,22 +267,19 @@ def _resolve_runtime(
                 f"({family.dim},)"
             )
         guiding_fidelity = float(abs(np.vdot(guide, psi0)) ** 2)
-        if guiding_fidelity < cfg.guiding_floor:
+        if guiding_fidelity < GUIDING_FLOOR:
             raise ConfigError(
                 f"guiding-state fidelity {guiding_fidelity:.3f} below "
-                f"the floor {cfg.guiding_floor}; cannot postselect the "
+                f"the floor {GUIDING_FLOOR}; cannot postselect the "
                 "ground state from this input"
             )
 
     T, calibration = cfg.T, None
     if T is None:
         T, calibration = calibrate_runtime(
-            family,
-            cfg.delta_adia,
-            oversampling=cfg.oversampling,
-            trotter_order=cfg.trotter_order,
+            family, cfg.delta_adia, oversampling=cfg.oversampling
         )
-    phase_lag = phase_lag_scale(family, cfg.gap_grid)
+    phase_lag = phase_lag_scale(family, GAP_GRID)
     T_phase_floor = 4.0 * phase_lag / cfg.epsilon_B
     if cfg.T is None and T < T_phase_floor:
         T = T_phase_floor
@@ -330,24 +327,16 @@ class BpeEngine:
         self.T = self.setup["T"]
         self.calibration = self.setup["calibration"]
 
-        if cfg.alpha is not None:
-            self.alpha_nominal = float(cfg.alpha)
-        else:
-            self.alpha_nominal = choose_alpha(
-                self.T, self.setup["H_max"], cfg.epsilon_B, cfg.alpha_mode,
-                cfg.alpha_cap
-            )
+        self.alpha_nominal = choose_alpha(
+            self.T, self.setup["H_max"], cfg.epsilon_B, cfg.alpha_mode,
+            cfg.alpha_cap
+        )
 
         # Shared-step schedules: the alpha run reuses dt exactly, and the
         # realized step ratio is what enters the reconstruction.
         steps = step_count(self.T, self.setup["H_max"], cfg.oversampling)
         if cfg.alpha_mode == "integer":
-            q = round(1.0 / (self.alpha_nominal - 1.0))
-            if abs(1.0 / (self.alpha_nominal - 1.0) - q) > 1e-9 or q < 1:
-                raise ConfigError(
-                    f"integer mode needs 1/(alpha-1) integral, got alpha="
-                    f"{self.alpha_nominal}"
-                )
+            q = round(1.0 / (self.alpha_nominal - 1.0))  # choose_alpha's q
             steps = q * math.ceil(steps / q)
             steps_alpha = steps + steps // q
         else:
@@ -360,13 +349,10 @@ class BpeEngine:
         _check_step_budget(self.T, steps + steps_alpha)
 
         self.eps_ph = cfg.epsilon_B * (self.alpha - 1.0) / (self.alpha + 1.0)
-        self.m = (
-            cfg.m if cfg.m is not None else bits_for_precision(0.5 * self.eps_ph)
-        )
+        self.m = bits_for_precision(0.5 * self.eps_ph)
         self.R = cfg.repetitions
 
-        sched1 = AdiabaticSchedule(T=self.T, steps=steps,
-                                   trotter_order=cfg.trotter_order)
+        sched1 = AdiabaticSchedule(T=self.T, steps=steps)
         sched_a = replace(sched1, T=self.T_alpha, steps=steps_alpha)
         self.dist1 = distribution_for_loop(self.family, sched1, self.psi0, self.m)
         self.dist_alpha = distribution_for_loop(
@@ -467,7 +453,7 @@ def murta_bpe(
     T = setup["T"]
     steps = step_count(T, setup["H_max"], cfg.oversampling)
     _check_step_budget(T, 2 * steps)
-    fwd = AdiabaticSchedule(T=T, steps=steps, trotter_order=cfg.trotter_order)
+    fwd = AdiabaticSchedule(T=T, steps=steps)
     rev = replace(fwd, direction="reversed")
     W_fwd = loop_propagator(family, fwd)
     composite = loop_propagator(family, rev) @ W_fwd
@@ -476,7 +462,7 @@ def murta_bpe(
         overlap = np.vdot(psi0, W_fwd @ psi0)
         setup["calibration"]["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
-    m = cfg.m if cfg.m is not None else bits_for_precision(cfg.epsilon_B)
+    m = bits_for_precision(cfg.epsilon_B)
     R = cfg.repetitions
     dist = distribution_for_unitary(composite, psi0, m)
     est = estimate_from_distribution(dist, R, np.random.default_rng(seed))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
+from .hamiltonians import _json_int
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -220,14 +221,20 @@ def circuit_to_json_dict(circuit: GateCircuit) -> dict:
     return out
 
 
+def _json_qubit(value, what: str) -> int | None:
+    return None if value is None else _json_int(value, what)
+
+
 def circuit_from_json_dict(obj: dict) -> GateCircuit:
+    """Load a circuit record; every count and qubit index must be a JSON
+    integer (int() would also take 1.5, true and "1")."""
     try:
         gates = []
-        for i, rec in enumerate(obj["gates"]):
+        for rec in obj["gates"]:
             name = rec["gate"]
             if not isinstance(name, str):
                 raise ConfigError(f"malformed circuit record: gate name {name!r}")
-            targets = rec["targets"]
+            targets = [_json_int(q, "gate target") for q in rec["targets"]]
             if "matrix" in rec:
                 m = np.array(
                     [[complex(re, im) for re, im in row] for row in rec["matrix"]]
@@ -236,12 +243,14 @@ def circuit_from_json_dict(obj: dict) -> GateCircuit:
             else:
                 gates.append(gate(name, *targets))
         return GateCircuit(
-            n_system=int(obj["n_system"]),
+            n_system=_json_int(obj["n_system"], "n_system"),
             gates=tuple(gates),
-            M=int(obj.get("M", 0)),
-            output1_qubit=obj.get("output1_qubit"),
-            output2_qubit=obj.get("output2_qubit"),
-            witness_qubits=tuple(obj.get("witness_qubits", ())),
+            M=_json_int(obj.get("M", 0), "M"),
+            output1_qubit=_json_qubit(obj.get("output1_qubit"), "output1_qubit"),
+            output2_qubit=_json_qubit(obj.get("output2_qubit"), "output2_qubit"),
+            witness_qubits=tuple(
+                _json_int(q, "witness qubit") for q in obj.get("witness_qubits", ())
+            ),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed circuit record (gate entry {exc})") from exc

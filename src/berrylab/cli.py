@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
         soundness_delta=args.soundness_delta,
         bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta),
     )
-    shared_dist = energy_distribution(instance, witness, config.energy_precision)
+    shared_dist = energy_distribution(instance, witness)
     # The engine is built when a run first passes the energy gate, after
     # run_verifier has checked the decision margin; if every run fails the
     # gate, no loop is propagated.

@@ -2,8 +2,8 @@
 
 The loop schedule is linear, lambda(t) = t/T, discretized into Trotter steps
 that are each applied *exactly* (eigendecomposition of the instantaneous
-Hamiltonian), so the only discretization is in freezing lambda within a step:
-left endpoint for order 1, midpoint for order 2.  The reversed direction
+Hamiltonian), so the only discretization is in freezing lambda within a step
+at the step's midpoint.  The reversed direction
 evolves under -H along the same lambda sequence, which is the partner
 evolution that doubles the geometric phase while cancelling the dynamical
 one.
@@ -29,6 +29,7 @@ from .hamiltonians import (
 )
 
 DEFAULT_OVERSAMPLING = 10.0  # steps per unit of T * H_max
+CALIBRATION_DOUBLINGS = 40  # runtimes 1, 2, 4, ... tried by calibrate_runtime
 
 
 @dataclass
@@ -69,7 +70,6 @@ class AdiabaticSchedule:
     T: float
     steps: int
     direction: str = "forward"
-    trotter_order: int = 2
 
     def __post_init__(self) -> None:
         if self.T <= 0:
@@ -78,8 +78,6 @@ class AdiabaticSchedule:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.direction not in ("forward", "reversed"):
             raise ConfigError(f"unknown direction {self.direction!r}")
-        if self.trotter_order not in (1, 2):
-            raise ConfigError(f"trotter_order must be 1 or 2, got {self.trotter_order}")
 
     @property
     def dt(self) -> float:
@@ -90,16 +88,13 @@ def make_schedule(
     family: HamiltonianFamily,
     T: float,
     oversampling: float = DEFAULT_OVERSAMPLING,
-    trotter_order: int = 2,
     direction: str = "forward",
 ) -> AdiabaticSchedule:
     """Schedule with enough steps that dt * H_max <= 1/oversampling."""
     if oversampling < 2.0:
         raise ConfigError(f"oversampling must be >= 2, got {oversampling}")
     steps = step_count(T, norm_bounds(family)[0], oversampling)
-    return AdiabaticSchedule(
-        T=T, steps=steps, direction=direction, trotter_order=trotter_order
-    )
+    return AdiabaticSchedule(T=T, steps=steps, direction=direction)
 
 
 def step_count(T: float, h_max: float, oversampling: float) -> int:
@@ -117,10 +112,8 @@ def _check_step_size(family: HamiltonianFamily, schedule: AdiabaticSchedule) -> 
 
 
 def _step_lambdas(schedule: AdiabaticSchedule) -> np.ndarray:
-    j = np.arange(schedule.steps, dtype=float)
-    if schedule.trotter_order == 2:
-        return (j + 0.5) / schedule.steps
-    return j / schedule.steps
+    """The midpoint of each step."""
+    return (np.arange(schedule.steps, dtype=float) + 0.5) / schedule.steps
 
 
 def _step_factors(family: HamiltonianFamily, schedule: AdiabaticSchedule):
@@ -251,13 +244,10 @@ def loop_infidelity(
     family: HamiltonianFamily,
     T: float,
     oversampling: float = DEFAULT_OVERSAMPLING,
-    trotter_order: int = 2,
 ) -> float:
     """1 - |<psi0| U(T) |psi0>|^2 for the exact ground state at lambda = 0."""
     _, psi0 = ground_state(family, 0.0)
-    schedule = make_schedule(
-        family, T, oversampling=oversampling, trotter_order=trotter_order
-    )
+    schedule = make_schedule(family, T, oversampling=oversampling)
     out = adiabatic_propagate(psi0, family, schedule)
     return max(0.0, 1.0 - abs(np.vdot(psi0, out)) ** 2)
 
@@ -296,27 +286,18 @@ def phase_lag_scale(family: HamiltonianFamily, grid: int = 64) -> float:
 def calibrate_runtime(
     family: HamiltonianFamily,
     delta_adia: float,
-    infidelity_target: float | None = None,
-    T0: float = 1.0,
-    max_doublings: int = 40,
     oversampling: float = DEFAULT_OVERSAMPLING,
-    trotter_order: int = 2,
 ) -> tuple[float, dict]:
-    """Smallest doubling-search runtime with measured loop infidelity below
-    target (default delta_adia^2).  Desk-scale replacement for the
-    worst-case bound; returns (T, diagnostics)."""
-    if infidelity_target is None:
-        if not (0.0 < delta_adia < 1.0):
-            raise ConfigError(f"delta_adia must be in (0, 1), got {delta_adia}")
-        infidelity_target = delta_adia ** 2
-    if infidelity_target <= 0:
-        raise ConfigError("infidelity target must be positive")
+    """Smallest runtime T = 2^k, k = 0 .. CALIBRATION_DOUBLINGS - 1, with
+    measured loop infidelity at most delta_adia^2.  Desk-scale replacement
+    for the worst-case bound; returns (T, diagnostics)."""
+    if not (0.0 < delta_adia < 1.0):
+        raise ConfigError(f"delta_adia must be in (0, 1), got {delta_adia}")
+    infidelity_target = delta_adia ** 2
     tested = []
-    T = float(T0)
-    for _ in range(max_doublings):
-        infid = loop_infidelity(
-            family, T, oversampling=oversampling, trotter_order=trotter_order
-        )
+    T = 1.0
+    for _ in range(CALIBRATION_DOUBLINGS):
+        infid = loop_infidelity(family, T, oversampling=oversampling)
         tested.append((T, infid))
         if infid <= infidelity_target:
             return T, {"tested": tested, "infidelity": infid,

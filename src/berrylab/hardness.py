@@ -66,7 +66,6 @@ from .hamiltonians import (
     constant,
     cosine,
     dense_pauli,
-    eval_hamiltonian,
     load_family,
     make_family,
     save_family,
@@ -278,23 +277,20 @@ def make_V(output_qubit: int, n_qubits: int) -> HamiltonianFamily:
     )
 
 
-def accept_operator_spectrum(circuit: GateCircuit, witness_register=None) -> np.ndarray:
+def accept_operator_spectrum(circuit: GateCircuit) -> np.ndarray:
     """Eigenvalues (descending) of Q = A^dag Pi_out2=1 A, where A embeds a
-    witness into the circuit with ancillas zeroed and runs it."""
-    wr = tuple(witness_register) if witness_register is not None else circuit.witness_qubits
-    if not wr:
+    witness into the circuit's witness register with ancillas zeroed and
+    runs it."""
+    if not circuit.witness_qubits:
         raise ConfigError("accept operator needs a declared witness register")
     if circuit.output2_qubit is None:
         raise ConfigError("accept operator needs output2_qubit")
-    from dataclasses import replace
-
-    c = replace(circuit, witness_qubits=wr) if wr != circuit.witness_qubits else circuit
-    n = c.n_system
-    w = len(wr)
-    bitpos = n - 1 - c.output2_qubit
+    n = circuit.n_system
+    w = circuit.n_witness
+    bitpos = n - 1 - circuit.output2_qubit
     cols = []
     for idx in range(2 ** w):
-        psi = simulate(c, witness=idx)
+        psi = simulate(circuit, witness=idx)
         mask = ((np.arange(2 ** n) >> bitpos) & 1).astype(bool)
         psi = np.where(mask, psi, 0.0)
         cols.append(psi)
@@ -362,8 +358,6 @@ def build_bqp_instance(
     circuit: GateCircuit,
     r: float | None = None,
     M: int | None = None,
-    connection_grid: int = DEFAULT_CONNECTION_GRID,
-    oracle_grid: int = DEFAULT_ORACLE_GRID,
 ) -> HardnessInstance:
     """H_hist + r V(lambda) on the first output qubit.
 
@@ -405,7 +399,7 @@ def build_bqp_instance(
         )
 
     family = scale_and_add(1.0, hist, r, make_V(circuit.output1_qubit, n + L))
-    gap_full_min, gap_full_argmin = min_gap(family, connection_grid)
+    gap_full_min, gap_full_argmin = min_gap(family, DEFAULT_CONNECTION_GRID)
     if gap_full_min < gap_hist / 2.0:
         warnings.append(
             f"perturbed gap {gap_full_min:.6g} fell below half the bare gap "
@@ -414,13 +408,13 @@ def build_bqp_instance(
 
     if r > 0:
         conn_lo, conn_hi, conn_sign = _certify_connection_exact(
-            family, connection_grid, anchor=s0.ground_state
+            family, DEFAULT_CONNECTION_GRID, anchor=s0.ground_state
         )
     else:
         conn_lo = conn_hi = conn_sign = 0.0
     delta_cert = CERTIFICATION_SAFETY * conn_lo
     oracle_tol = oracle_tolerance(delta_cert)
-    oracle = wilson_loop_berry_phase(family, oracle_grid, oracle_tol)
+    oracle = wilson_loop_berry_phase(family, DEFAULT_ORACLE_GRID, oracle_tol)
 
     hstate = history_state(circuit)
     window = window_guiding_state(circuit)
@@ -436,7 +430,7 @@ def build_bqp_instance(
         "certified_delta": float(delta_cert),
         "oracle_theta_B": float(oracle.theta_B),
         "oracle_converged": bool(oracle.converged),
-        "oracle_grid": oracle_grid,
+        "oracle_grid": DEFAULT_ORACLE_GRID,
         "oracle_tolerance": oracle_tol,
         "oracle_error_estimate": float(oracle.estimated_discretization_error),
         "gap_hist": float(gap_hist),
@@ -448,7 +442,7 @@ def build_bqp_instance(
         "connection_max_abs": float(conn_hi),
         "connection_sign": float(conn_sign),
         "connection_method": "finite-difference",
-        "connection_grid": connection_grid,
+        "connection_grid": DEFAULT_CONNECTION_GRID,
         "acceptance_probability": float(p1),
         "window_overlap": float(
             abs(np.vdot(window.amplitudes, hstate.amplitudes)) ** 2
@@ -477,8 +471,6 @@ def build_duqma_instance(
     r: float | None = None,
     epsilon_penalty: float | None = None,
     M: int | None = None,
-    connection_grid: int = DEFAULT_CONNECTION_GRID,
-    oracle_grid: int = DEFAULT_ORACLE_GRID,
 ) -> HardnessInstance:
     """H_0 + H_1 + r V(lambda) for a two-output circuit with a witness
     register.
@@ -511,7 +503,7 @@ def build_duqma_instance(
         )
 
     hist0 = compile_history(circuit)
-    evals0 = np.linalg.eigvalsh(eval_hamiltonian(hist0, 0.0))
+    evals0 = diagonalize(hist0, 0.0).eigenvalues
     null_dim = int(np.sum(evals0 < 1e-9))
     if null_dim != 2 ** w:
         warnings.append(
@@ -563,14 +555,14 @@ def build_duqma_instance(
     if r > 0:
         vals = [
             berry_connection_perturbative(s01, V, r, lam).value
-            for lam in lambda_grid(V, connection_grid, offset=0.5)
+            for lam in lambda_grid(V, DEFAULT_CONNECTION_GRID, offset=0.5)
         ]
         conn_lo, conn_hi, conn_sign = _connection_stats(vals)
     else:
         conn_lo = conn_hi = conn_sign = 0.0
     delta_cert = CERTIFICATION_SAFETY * conn_lo
     oracle_tol = oracle_tolerance(delta_cert)
-    oracle = wilson_loop_berry_phase(family, oracle_grid, oracle_tol)
+    oracle = wilson_loop_berry_phase(family, DEFAULT_ORACLE_GRID, oracle_tol)
 
     hstate = history_state(circuit, witness)
     residual = float(
@@ -598,7 +590,7 @@ def build_duqma_instance(
         "certified_delta": float(delta_cert),
         "oracle_theta_B": float(oracle.theta_B),
         "oracle_converged": bool(oracle.converged),
-        "oracle_grid": oracle_grid,
+        "oracle_grid": DEFAULT_ORACLE_GRID,
         "oracle_tolerance": oracle_tol,
         "oracle_error_estimate": float(oracle.estimated_discretization_error),
         "delta0": delta0,
@@ -611,7 +603,7 @@ def build_duqma_instance(
         "connection_max_abs": float(conn_hi),
         "connection_sign": float(conn_sign),
         "connection_method": "perturbative",
-        "connection_grid": connection_grid,
+        "connection_grid": DEFAULT_CONNECTION_GRID,
         "witness_accept_probability": float(p2),
         "accepted_history_residual": residual,
         "accept_spectrum_top": [float(v) for v in accept_spec[:2]],

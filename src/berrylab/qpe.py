@@ -34,6 +34,10 @@ TWO_PI = 2.0 * math.pi
 # One grid spacing of slack on each side of the rounded eigenphase.
 PRECISION_SPILLOVER = 1
 
+# A distribution whose largest eigenvector weight is below this is flagged
+# low_fidelity.
+FIDELITY_FLOOR = 0.9
+
 
 def bits_for_precision(eps_ph: float, cap: int = MAX_PHASE_BITS) -> int:
     """Smallest m with reported precision 4 pi / 2^m <= eps_ph."""
@@ -92,12 +96,7 @@ def _fejer_row(phi: float, m: int) -> np.ndarray:
     return row
 
 
-def distribution_from_phases(
-    phases,
-    weights,
-    m: int,
-    fidelity_floor: float = 0.9,
-) -> QpeDistribution:
+def distribution_from_phases(phases, weights, m: int) -> QpeDistribution:
     """Exact m-bit QPE outcome distribution for a spectral mixture."""
     if not (1 <= m <= MAX_PHASE_BITS):
         raise CapacityError(
@@ -124,13 +123,11 @@ def distribution_from_phases(
         weights=weights,
         probs=probs,
         max_weight=max_weight,
-        low_fidelity=max_weight < fidelity_floor,
+        low_fidelity=max_weight < FIDELITY_FLOOR,
     )
 
 
-def distribution_for_unitary(
-    W: np.ndarray, psi: np.ndarray, m: int, fidelity_floor: float = 0.9
-) -> QpeDistribution:
+def distribution_for_unitary(W: np.ndarray, psi: np.ndarray, m: int) -> QpeDistribution:
     """QPE outcome distribution for a dense unitary W and input state psi.
 
     W is unitary, hence normal, so its complex Schur form is diagonal and
@@ -139,7 +136,7 @@ def distribution_for_unitary(
     T, Q = scipy.linalg.schur(W, output="complex")
     phases = np.angle(np.diag(T))
     weights = np.abs(Q.conj().T @ psi) ** 2
-    return distribution_from_phases(phases, weights, m, fidelity_floor)
+    return distribution_from_phases(phases, weights, m)
 
 
 def distribution_for_loop(
@@ -147,7 +144,6 @@ def distribution_for_loop(
     schedule: AdiabaticSchedule,
     input_state,
     m: int,
-    fidelity_floor: float = 0.9,
 ) -> QpeDistribution:
     """QPE outcome distribution for the loop propagator of a schedule."""
     if isinstance(input_state, StateVector):
@@ -157,9 +153,7 @@ def distribution_for_loop(
         raise ConfigError(
             f"input state has shape {psi.shape}, expected ({family.dim},)"
         )
-    return distribution_for_unitary(
-        loop_propagator(family, schedule), psi, m, fidelity_floor
-    )
+    return distribution_for_unitary(loop_propagator(family, schedule), psi, m)
 
 
 def sample_outcomes(dist: QpeDistribution, R: int, rng: np.random.Generator) -> np.ndarray:

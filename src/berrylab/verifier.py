@@ -4,10 +4,12 @@ The verifier receives a witness state for an instance carrying an energy
 threshold E_th and a promise interval (a, b, delta):
 
 1. Energy gate: estimate <H(0)> of the witness by phase estimation on
-   exp(-i H(0) tau) and pass iff the estimate is below E_th + Delta_min/4,
-   where Delta_min is the measured spectral gap at lambda = 0.  tau is
-   fixed at pi / (||H|| + 1) so every eigenphase sits strictly inside
-   (-pi, pi) and no wraparound aliasing can occur.
+   exp(-i H(0) tau) and pass iff the median of ENERGY_REPETITIONS readouts
+   is below E_th + Delta_min/4, where Delta_min is the measured spectral
+   gap at lambda = 0 and E_th the instance's threshold.  Each readout has
+   precision Delta_min/4.  tau is fixed at pi / (||H|| + 1) so every
+   eigenphase sits strictly inside (-pi, pi) and no wraparound aliasing
+   can occur.
 2. If the gate fails, the verifier accepts with probability 1/3 - Delta
    (a seeded coin recorded in the transcript; Delta defaults to 1/12).
 3. If the gate passes, the two-runtime phase algorithm estimates theta_B
@@ -31,17 +33,17 @@ from .errors import ConfigError
 from .exact import gapped_slice
 from .qpe import QpeDistribution, bits_for_precision, distribution_from_phases, sample_outcomes
 
-DEFAULT_ENERGY_REPETITIONS = 15
+ENERGY_REPETITIONS = 15
 DEFAULT_SOUNDNESS_DELTA = 1.0 / 12.0
 
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Knobs for one protocol run."""
+    """The settings of one protocol run: the soundness margin Delta and the
+    estimator's configuration.  The energy gate's repetitions and precision
+    are fixed (ENERGY_REPETITIONS, Delta_min/4)."""
 
     soundness_delta: float = DEFAULT_SOUNDNESS_DELTA
-    energy_repetitions: int = DEFAULT_ENERGY_REPETITIONS
-    energy_precision: float | None = None  # default: Delta_min / 4
     bpe: BpeConfig = field(default_factory=BpeConfig)
 
     def __post_init__(self):
@@ -49,8 +51,6 @@ class VerifierConfig:
             raise ConfigError(
                 f"soundness margin must lie in (0, 1/3], got {self.soundness_delta}"
             )
-        if self.energy_repetitions < 1:
-            raise ConfigError("energy_repetitions must be positive")
 
 
 @dataclass
@@ -95,10 +95,10 @@ def _as_amplitudes(witness_state) -> np.ndarray:
     return vec
 
 
-def energy_distribution(instance, witness_state, precision: float | None = None) -> EnergyDistribution:
+def energy_distribution(instance, witness_state) -> EnergyDistribution:
     """Diagonalize H(0) and build the exact QPE outcome distribution for the
-    witness.  Heavy (one dense eigh); reuse across seeds.  A degenerate
-    ground space at lambda = 0 raises DegeneracyError."""
+    witness, at precision Delta_min/4.  Heavy (one dense eigh); reuse across
+    seeds.  A degenerate ground space at lambda = 0 raises DegeneracyError."""
     psi = _as_amplitudes(witness_state)
     if instance.family.dim != psi.size:
         raise ConfigError(
@@ -108,15 +108,8 @@ def energy_distribution(instance, witness_state, precision: float | None = None)
     s = gapped_slice(instance.family, 0.0)
     evals, vecs = s.eigenvalues, s.eigenvectors
     delta_min = s.gap
-    if precision is None:
-        precision = delta_min / 4.0
-    if precision > delta_min / 4.0 * (1.0 + 1e-9):
-        raise ConfigError(
-            f"energy precision {precision:.3g} exceeds Delta_min/4 = "
-            f"{delta_min / 4.0:.3g}"
-        )
     tau = math.pi / (float(np.max(np.abs(evals))) + 1.0)
-    m = bits_for_precision(tau * precision)
+    m = bits_for_precision(tau * (delta_min / 4.0))
     weights = np.abs(vecs.conj().T @ psi) ** 2
     phases = np.mod(-evals * tau, 2.0 * math.pi)
     dist = distribution_from_phases(phases, weights, m)
@@ -131,31 +124,26 @@ def _energy_from_outcome(outcome: int, m: int, tau: float) -> float:
 def energy_test(
     instance,
     witness_state,
-    E_th: float | None = None,
-    precision: float | None = None,
     *,
     seed=0,
-    repetitions: int = DEFAULT_ENERGY_REPETITIONS,
     distribution: EnergyDistribution | None = None,
 ) -> tuple[float, bool]:
-    """Median-of-repetitions energy estimate and the threshold gate.
+    """Median-of-ENERGY_REPETITIONS energy estimate and the threshold gate.
 
     Returns (estimate, passed) with passed iff
-    estimate < E_th + Delta_min/4.  Pass `distribution` (from
+    estimate < instance.E_th + Delta_min/4.  Pass `distribution` (from
     energy_distribution) to amortize the diagonalization across seeds.
     """
-    if E_th is None:
-        E_th = instance.E_th
-    if E_th is None:
+    if instance.E_th is None:
         raise ConfigError("instance carries no energy threshold")
     if distribution is None:
-        distribution = energy_distribution(instance, witness_state, precision)
+        distribution = energy_distribution(instance, witness_state)
     dist, tau, m, delta_min, _ = distribution
     rng = np.random.default_rng(seed)
-    outcomes = sample_outcomes(dist, repetitions, rng)
+    outcomes = sample_outcomes(dist, ENERGY_REPETITIONS, rng)
     energies = [_energy_from_outcome(j, m, tau) for j in outcomes]
     estimate = float(np.median(energies))
-    passed = estimate < E_th + delta_min / 4.0
+    passed = estimate < instance.E_th + delta_min / 4.0
     return estimate, passed
 
 
@@ -185,15 +173,9 @@ def run_verifier(
     energy_seed, bpe_seed, coin_seed = ss.spawn(3)
 
     if energy_dist is None:
-        energy_dist = energy_distribution(
-            instance, witness_state, config.energy_precision
-        )
+        energy_dist = energy_distribution(instance, witness_state)
     estimate, passed = energy_test(
-        instance,
-        witness_state,
-        seed=energy_seed,
-        repetitions=config.energy_repetitions,
-        distribution=energy_dist,
+        instance, witness_state, seed=energy_seed, distribution=energy_dist
     )
     transcript = [
         {
@@ -201,7 +183,7 @@ def run_verifier(
             "estimate": estimate,
             "threshold": instance.E_th,
             "margin": energy_dist.delta_min / 4.0,
-            "repetitions": config.energy_repetitions,
+            "repetitions": ENERGY_REPETITIONS,
             "pass": passed,
         }
     ]

@@ -52,8 +52,7 @@ def _stepwise_factors(family, schedule):
     if family.is_constant():
         lams, dt = [0.0], schedule.T
     else:
-        shift = 0.5 if schedule.trotter_order == 2 else 0.0
-        lams = [(j + shift) / schedule.steps for j in range(schedule.steps)]
+        lams = [(j + 0.5) / schedule.steps for j in range(schedule.steps)]
         dt = schedule.dt
     for lam in lams:
         w, V = np.linalg.eigh(eval_hamiltonian(family, lam))

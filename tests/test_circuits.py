@@ -160,7 +160,17 @@ def test_circuit_json_rejects_malformed():
     {"n_system": 1, "gates": [{"gate": "U", "targets": [0],
                                "matrix": [[[math.nan, 0.0], [0.0, 0.0]],
                                           [[0.0, 0.0], [1.0, 0.0]]]}]},
-], ids=["name-not-a-string", "target-not-a-number", "n-system-not-a-number", "nan-matrix"])
+    # Counts and qubit indices that int() would coerce.
+    {"n_system": 2.7, "gates": [{"gate": "X", "targets": [0]}]},
+    {"n_system": 2, "gates": [{"gate": "X", "targets": [0]}], "M": 1.5},
+    {"n_system": 2, "gates": [{"gate": "X", "targets": [0.9]}]},
+    {"n_system": 2, "gates": [{"gate": "X", "targets": [0]}], "output1_qubit": True},
+    {"n_system": 2, "gates": [{"gate": "X", "targets": [0]}], "output1_qubit": 0.5},
+    {"n_system": 2, "gates": [{"gate": "X", "targets": [0]}], "output2_qubit": "1"},
+    {"n_system": 2, "gates": [{"gate": "X", "targets": [0]}], "witness_qubits": [1.0]},
+], ids=["name-not-a-string", "target-not-a-number", "n-system-not-a-number", "nan-matrix",
+        "n-system-float", "m-float", "target-float", "output1-true", "output1-half",
+        "output2-string", "witness-float"])
 def test_circuit_json_refuses_unusable_entries(record):
     with pytest.raises(ConfigError):
         circuit_from_json_dict(record)

@@ -190,6 +190,24 @@ def test_estimators_refuse_a_margin_below_epsilon_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--epsilon-b", "--oversampling", "--alpha-cap", "--runtime"])
+@pytest.mark.parametrize("command, estimator", [("bpe", "run_bpe"), ("murta", "murta_bpe")])
+def test_estimators_refuse_non_finite_flags_before_any_work(
+    work, tmp_path, monkeypatch, command, estimator, flag, value
+):
+    from berrylab import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{estimator} ran with {flag} {value}")
+
+    monkeypatch.setattr(cli, estimator, fail)
+    rc = cli.main([command, "--instance", str(work / "eq.json"), f"{flag}={value}",
+                   "--seed", "1", "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert not list(tmp_path.iterdir())
+
+
 def _verify_without_engine(tmp_path, monkeypatch, witness):
     from berrylab import cli
 
@@ -395,6 +413,17 @@ def test_genhard_duqma_needs_witness(work):
     )
     assert p.returncode == 2
     assert "witness" in p.stderr.lower()
+
+
+def test_genhard_refuses_a_non_integer_output_qubit(work, tmp_path):
+    # int() read `true` as qubit 1 and compiled a different instance
+    record = {**circuit_to_json_dict(bqp_yes_circuit()), "output1_qubit": True}
+    circuit = tmp_path / "bool.circuit.json"
+    circuit.write_text(json.dumps(record))
+    p = run_cli("genhard", "--circuit", circuit, "--kind", "bqp", "--out", tmp_path / "g")
+    assert p.returncode == 2, p.stderr
+    assert "Traceback" not in p.stderr
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_genhard_refuses_oversized_r(work):

@@ -1,17 +1,25 @@
-"""Call-site guard: where the package may call a dense eigensolver.
+"""Design guards: solver call sites, settings and the package root.
 
 Every spectrum along the loop comes from the one sweep in ``exact``; the
-two ``eigvalsh`` calls in ``hardness`` (whose bits differ from ``eigh``) and
-the one Schur decomposition in ``qpe`` are the only other solves.  A new
-solver call site shows up here before it can fork the numerics.  The CLI
-also imports no sparse module.
+``eigvalsh`` of the accept operator in ``hardness`` (whose bits differ from
+``eigh``) and the one Schur decomposition in ``qpe`` are the only other
+solves.  A new solver call site shows up here before it can fork the
+numerics.  The CLI also imports no sparse module.  The fields of the
+configuration classes are pinned, and the package root re-exports nothing,
+so a new setting or a second import path for a name shows up here too.
 """
 
 import ast
+import inspect
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import berrylab
+from berrylab import hardness
+from berrylab.bpe import BpeConfig
+from berrylab.dynamics import AdiabaticSchedule
+from berrylab.verifier import VerifierConfig
 
 SOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "eigsh", "eigs", "schur"}
 
@@ -38,10 +46,27 @@ def _solver_sites() -> Counter:
 
 
 def test_eigensolver_call_sites():
-    sites = _solver_sites()
-    eigvalsh = sites.pop(("hardness", "np.linalg.eigvalsh"), 0)
-    assert eigvalsh <= 2
-    assert sites == {("exact", "np.linalg.eigh"): 1, ("qpe", "scipy.linalg.schur"): 1}
+    assert _solver_sites() == {
+        ("exact", "np.linalg.eigh"): 1,
+        ("hardness", "np.linalg.eigvalsh"): 1,
+        ("qpe", "scipy.linalg.schur"): 1,
+    }
+    assert "np.linalg.eigvalsh" in inspect.getsource(hardness.accept_operator_spectrum)
+
+
+def test_configuration_fields():
+    assert [f.name for f in fields(BpeConfig)] == [
+        "epsilon_B", "eta", "alpha_mode", "alpha_cap", "T", "oversampling"
+    ]
+    assert [f.name for f in fields(VerifierConfig)] == ["soundness_delta", "bpe"]
+    assert [f.name for f in fields(AdiabaticSchedule)] == ["T", "steps", "direction"]
+
+
+def test_package_root_has_no_relative_import():
+    tree = ast.parse(Path(berrylab.__file__).read_text())
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []
 
 
 def test_cli_import_loads_no_sparse_module():

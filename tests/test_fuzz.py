@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from berrylab import cli
-from berrylab.circuits import circuit_to_json_dict
-from berrylab.corpus import bqp_yes_circuit, equatorial_loop
+from berrylab.circuits import circuit_from_json_dict, circuit_to_json_dict
+from berrylab.corpus import bqp_yes_circuit, duqma_yes_circuit, equatorial_loop
 from berrylab.errors import ConfigError
 from berrylab.hamiltonians import from_json_dict, to_json_dict
 from berrylab.hardness import HardnessInstance, load_instance
@@ -63,6 +63,29 @@ def test_family_loader_refuses_with_config_error(record):
         from_json_dict(record)
     except ConfigError:
         pass
+
+
+_CIRCUIT = circuit_to_json_dict(duqma_yes_circuit())
+_GATE = _CIRCUIT["gates"][0]
+CIRCUIT_VALUES = st.one_of(
+    _shaped(_CIRCUIT),  # fuzzed top-level fields
+    _shaped(_GATE).map(lambda g: {**_CIRCUIT, "gates": [g]}),  # fuzzed gate fields
+)
+
+
+@_FUZZ
+@given(CIRCUIT_VALUES)
+@example({**_CIRCUIT, "output1_qubit": True})
+@example({**_CIRCUIT, "output2_qubit": 0.5})
+@example({**_CIRCUIT, "witness_qubits": "0"})
+def test_circuit_loader_refuses_or_loads_integers(record):
+    try:
+        c = circuit_from_json_dict(record)
+    except ConfigError:
+        return
+    counts = [c.n_system, c.M, *c.witness_qubits, *(q for g in c.gates for q in g.targets)]
+    counts += [q for q in (c.output1_qubit, c.output2_qubit) if q is not None]
+    assert all(type(v) is int for v in counts), counts
 
 
 PROVENANCE = {

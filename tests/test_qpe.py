@@ -76,8 +76,6 @@ def test_low_fidelity_flag():
     phases = [0.3, 2.0]
     dist = distribution_from_phases(phases, [0.5, 0.5], m)
     assert dist.low_fidelity
-    relaxed = distribution_from_phases(phases, [0.5, 0.5], m, fidelity_floor=0.4)
-    assert not relaxed.low_fidelity
 
 
 def test_distribution_input_validation():

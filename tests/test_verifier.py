@@ -65,13 +65,6 @@ def test_superposition_witness_is_a_coin_flip(yes_instance):
     assert abs(passes / 1000.0 - 0.5) <= 0.05
 
 
-def test_energy_precision_guard(yes_instance):
-    _, V = _eigenstates(yes_instance)
-    dist = energy_distribution(yes_instance, V[:, 0])
-    with pytest.raises(ConfigError):
-        energy_test(yes_instance, V[:, 0], precision=dist.delta_min)
-
-
 def test_energy_test_deterministic_per_seed(yes_instance):
     _, V = _eigenstates(yes_instance)
     a = energy_test(yes_instance, V[:, 0], seed=5)
