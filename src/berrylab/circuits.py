@@ -45,7 +45,7 @@ class Gate:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.targets = tuple(int(q) for q in self.targets)
+        self.targets = tuple(_json_int(q, "gate target") for q in self.targets)
         if len(self.targets) not in (1, 2):
             raise ConfigError(f"gate {self.name!r} must touch 1 or 2 qubits")
         if len(set(self.targets)) != len(self.targets):
@@ -86,6 +86,10 @@ class GateCircuit:
     witness_qubits: tuple = ()
 
     def __post_init__(self) -> None:
+        self.n_system = _json_int(self.n_system, "n_system")
+        self.M = _json_int(self.M, "M")
+        self.output1_qubit = _json_qubit(self.output1_qubit, "output1_qubit")
+        self.output2_qubit = _json_qubit(self.output2_qubit, "output2_qubit")
         if self.n_system < 1:
             raise ConfigError(f"n_system must be >= 1, got {self.n_system}")
         self.gates = tuple(self.gates)
@@ -101,7 +105,7 @@ class GateCircuit:
                     f"gate {g.name!r} targets {g.targets} out of range for "
                     f"{self.n_system} qubits"
                 )
-        self.witness_qubits = tuple(int(q) for q in self.witness_qubits)
+        self.witness_qubits = tuple(_json_int(q, "witness qubit") for q in self.witness_qubits)
         for q in self.witness_qubits:
             if not 0 <= q < self.n_system:
                 raise ConfigError(f"witness qubit {q} out of range")
@@ -226,35 +230,32 @@ def _json_qubit(value, what: str) -> int | None:
 
 
 def circuit_from_json_dict(obj: dict) -> GateCircuit:
-    """Load a circuit record; every count and qubit index must be a JSON
-    integer (int() would also take 1.5, true and "1")."""
+    """Load a circuit record; the constructors refuse a count or qubit index
+    that is not an integer (int() would also take 1.5, true and "1")."""
     try:
         gates = []
         for rec in obj["gates"]:
             name = rec["gate"]
             if not isinstance(name, str):
                 raise ConfigError(f"malformed circuit record: gate name {name!r}")
-            targets = [_json_int(q, "gate target") for q in rec["targets"]]
             if "matrix" in rec:
                 m = np.array(
                     [[complex(re, im) for re, im in row] for row in rec["matrix"]]
                 )
-                gates.append(gate(name, *targets, matrix=m))
+                gates.append(gate(name, *rec["targets"], matrix=m))
             else:
-                gates.append(gate(name, *targets))
+                gates.append(gate(name, *rec["targets"]))
         return GateCircuit(
-            n_system=_json_int(obj["n_system"], "n_system"),
+            n_system=obj["n_system"],
             gates=tuple(gates),
-            M=_json_int(obj.get("M", 0), "M"),
-            output1_qubit=_json_qubit(obj.get("output1_qubit"), "output1_qubit"),
-            output2_qubit=_json_qubit(obj.get("output2_qubit"), "output2_qubit"),
-            witness_qubits=tuple(
-                _json_int(q, "witness qubit") for q in obj.get("witness_qubits", ())
-            ),
+            M=obj.get("M", 0),
+            output1_qubit=obj.get("output1_qubit"),
+            output2_qubit=obj.get("output2_qubit"),
+            witness_qubits=obj.get("witness_qubits", ()),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed circuit record (gate entry {exc})") from exc
 
 
 def with_idle_steps(circuit: GateCircuit, M: int) -> GateCircuit:
-    return replace(circuit, M=int(M))
+    return replace(circuit, M=M)

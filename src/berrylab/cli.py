@@ -128,22 +128,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _bpe_config(args, instance) -> BpeConfig:
+def _bpe_config(args, instance, **alpha) -> BpeConfig:
     if instance is not None:  # refuse an unusable margin before any spectral work
         check_decision_margin(instance.interval[2], args.epsilon_b)
     return BpeConfig(
         epsilon_B=args.epsilon_b,
         eta=args.eta,
-        alpha_mode=args.alpha_mode,
-        alpha_cap=args.alpha_cap,
         T=args.runtime,
         oversampling=args.oversampling,
+        **alpha,
     )
 
 
 def cmd_bpe(args) -> int:
     family, instance = _resolve_target(args.instance)
-    config = _bpe_config(args, instance)
+    config = _bpe_config(args, instance, alpha_mode=args.alpha_mode, alpha_cap=args.alpha_cap)
     theta_B, theta_D, diag = run_bpe(family, config=config, seed=args.seed)
     decision = _maybe_decide(theta_B, instance, args.epsilon_b)
     payload = {
@@ -189,6 +188,8 @@ def cmd_murta(args) -> int:
 
 
 def cmd_genhard(args) -> int:
+    if args.kind == "bqp" and (args.witness is not None or args.epsilon is not None):
+        raise ConfigError("kind=bqp takes neither --witness nor --epsilon")
     with open(args.circuit) as fh:
         circuit = circuit_from_json_dict(json.load(fh))
     if args.kind == "bqp":
@@ -317,8 +318,6 @@ def _int_at_least(low: int):
 def _add_bpe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon-b", type=float, default=0.05, help="target Berry phase error (radians)")
     p.add_argument("--eta", type=float, default=0.05, help="total failure probability budget")
-    p.add_argument("--alpha-mode", choices=["integer", "formula"], default="integer")
-    p.add_argument("--alpha-cap", type=float, default=None, help="integer mode: bound on the wrapped dynamical phase increment")
     p.add_argument("--runtime", type=float, default=None, help="override the calibrated loop runtime T")
     p.add_argument("--oversampling", type=float, default=10.0, help="Trotter steps per unit of T * H_max")
 
@@ -350,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bpe", help="two-runtime Berry phase estimation")
     p.add_argument("--instance", required=True)
     _add_bpe_flags(p)
+    p.add_argument("--alpha-mode", choices=["integer", "formula"], default="integer")
+    p.add_argument("--alpha-cap", type=float, default=None, help="integer mode: bound on the wrapped dynamical phase increment")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bpe)

@@ -205,20 +205,14 @@ def synthetic_verifier_instance(
     else:
         raise ConfigError(f"unknown variant {variant!r}; use 'yes' or 'no'")
     oracle = wilson_loop_berry_phase(family, 256)
-    return HardnessInstance(
-        kind="synthetic",
-        family=family,
-        circuit=None,
-        r=float(family.metadata.get("polar_angle", math.pi / 2.0)),
-        epsilon_penalty=0.0,
-        E_th=0.0,
-        interval=(0.0, math.pi, float(delta)),
-        guiding_state_descriptor="exact-ground",
-        provenance={
-            "kind": "synthetic",
-            "variant": variant,
-            "oracle_theta_B": float(oracle.theta_B),
-            "oracle_converged": bool(oracle.converged),
-        },
-        warnings=[],
-    )
+    return HardnessInstance(family, None, {
+        "kind": "synthetic",
+        "variant": variant,
+        "oracle_theta_B": float(oracle.theta_B),
+        "oracle_converged": bool(oracle.converged),
+        "r": float(family.metadata.get("polar_angle", math.pi / 2.0)),
+        "epsilon_penalty": 0.0,
+        "E_th": 0.0,
+        "interval": [0.0, math.pi, float(delta)],
+        "guiding_state_descriptor": "exact-ground",
+    })

@@ -221,44 +221,42 @@ def _clock_basis_index(t: int, L: int) -> int:
     return sum(1 << (L - j) for j in range(1, t + 1))
 
 
-def _registers(circuit: GateCircuit) -> dict:
+def _clock_state(circuit: GateCircuit, slices: dict) -> StateVector:
+    """sum_t slices[t] (x) |t> over the clock times t given, each with
+    weight 1/sqrt(len(slices))."""
     n = circuit.n_system
     L = circuit.T + circuit.M
-    return {"system": tuple(range(n)), "clock": tuple(range(n, n + L))}
+    amp = np.zeros((2 ** n, 2 ** L), dtype=complex)
+    norm = 1.0 / math.sqrt(len(slices))
+    for t, phi in slices.items():
+        amp[:, _clock_basis_index(t, L)] += norm * phi
+    registers = {"system": tuple(range(n)), "clock": tuple(range(n, n + L))}
+    return StateVector(amp.reshape(-1), registers)
 
 
 def history_state(circuit: GateCircuit, witness=None) -> StateVector:
     """The null vector of compile_history for this circuit (and witness):
     (1/sqrt(T+M+1)) sum_t U_t...U_1 |input> (x) |t>."""
-    n = circuit.n_system
-    L = circuit.T + circuit.M
     phis = partial_states(circuit, witness)
-    amp = np.zeros((2 ** n, 2 ** L), dtype=complex)
-    norm = 1.0 / math.sqrt(L + 1)
-    for t in range(L + 1):
-        amp[:, _clock_basis_index(t, L)] += norm * phis[min(t, circuit.T)]
-    return StateVector(amp.reshape(-1), _registers(circuit))
+    L = circuit.T + circuit.M
+    return _clock_state(circuit, {t: phis[min(t, circuit.T)] for t in range(L + 1)})
 
 
 def window_guiding_state(circuit: GateCircuit, witness=None) -> StateVector:
     """|c> = (final state) (x) uniform clock window over t in [T, T+M]."""
-    n = circuit.n_system
-    L = circuit.T + circuit.M
     phi = simulate(circuit, witness)
-    amp = np.zeros((2 ** n, 2 ** L), dtype=complex)
-    norm = 1.0 / math.sqrt(circuit.M + 1)
-    for t in range(circuit.T, L + 1):
-        amp[:, _clock_basis_index(t, L)] = norm * phi
-    return StateVector(amp.reshape(-1), _registers(circuit))
+    L = circuit.T + circuit.M
+    return _clock_state(circuit, {t: phi for t in range(circuit.T, L + 1)})
 
 
 def product_guiding_state(circuit: GateCircuit) -> StateVector:
     """|0^n> (x) |t=0>: the gate-free guiding alternative."""
-    n = circuit.n_system
-    L = circuit.T + circuit.M
-    amp = np.zeros(2 ** (n + L), dtype=complex)
-    amp[0] = 1.0
-    return StateVector(amp, _registers(circuit))
+    return _clock_state(circuit, {0: np.eye(2 ** circuit.n_system)[0]})
+
+
+def _overlap(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2."""
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def make_V(output_qubit: int, n_qubits: int) -> HamiltonianFamily:
@@ -307,22 +305,33 @@ def accept_operator_spectrum(circuit: GateCircuit) -> np.ndarray:
 
 @dataclass
 class HardnessInstance:
-    """A compiled loop family plus everything needed to use and audit it."""
+    """A compiled loop family plus everything needed to use and audit it.
+    ``provenance`` (the sidecar less its warnings) keeps each value once."""
 
-    kind: str  # 'bqp' | 'duqma' | 'synthetic'
     family: HamiltonianFamily
     circuit: GateCircuit | None
-    r: float
-    epsilon_penalty: float
-    E_th: float | None
-    interval: tuple  # (a, b, certified delta)
-    guiding_state_descriptor: str
     provenance: dict
     warnings: list = field(default_factory=list)
 
     @property
+    def kind(self) -> str:  # 'bqp' | 'duqma' | 'synthetic'
+        return self.provenance["kind"]
+
+    @property
+    def r(self) -> float:
+        return self.provenance["r"]
+
+    @property
+    def E_th(self) -> float | None:
+        return self.provenance["E_th"]
+
+    @property
+    def interval(self) -> tuple:  # (a, b, certified delta)
+        return tuple(self.provenance["interval"])
+
+    @property
     def certified_delta(self) -> float:
-        return float(self.interval[2])
+        return float(self.provenance["interval"][2])
 
 
 def _certify_connection_exact(
@@ -352,6 +361,54 @@ def _connection_stats(vals: list[float]) -> tuple[float, float, float]:
         math.copysign(1.0, v) == math.copysign(1.0, vals[0]) for v in vals
     ) else 0.0
     return lo, hi, sign
+
+
+def _finish_instance(
+    kind: str, circuit: GateCircuit, witness, family: HamiltonianFamily,
+    hstate: StateVector, r: float, method: str, connection, warnings: list[str],
+    *, thresholds: dict, spectrum: dict, checks: dict, tail: dict,
+) -> HardnessInstance:
+    """The step both builders end in: certify the margin delta as 0.9 times
+    the smallest |iA_lambda| that ``connection()`` reports (none when r = 0),
+    run the Wilson-loop oracle and write the provenance.  A builder's own
+    entries go in the slots that keep the sidecar's key order."""
+    conn_lo, conn_hi, conn_sign = connection() if r > 0 else (0.0, 0.0, 0.0)
+    delta_cert = CERTIFICATION_SAFETY * conn_lo
+    oracle_tol = oracle_tolerance(delta_cert)
+    oracle = wilson_loop_berry_phase(family, DEFAULT_ORACLE_GRID, oracle_tol)
+    head = {"kind": kind, "circuit": circuit_to_json_dict(circuit)}
+    if isinstance(witness, (int, np.integer)):
+        head["witness"] = int(witness)
+    elif witness is not None:
+        head["witness"] = [
+            [float(z.real), float(z.imag)] for z in np.asarray(witness, dtype=complex)
+        ]
+    provenance = {
+        **head,
+        "T": circuit.T,
+        "M": circuit.M,
+        "r": float(r),
+        **thresholds,
+        "certified_delta": float(delta_cert),
+        "oracle_theta_B": float(oracle.theta_B),
+        "oracle_converged": bool(oracle.converged),
+        "oracle_grid": DEFAULT_ORACLE_GRID,
+        "oracle_tolerance": oracle_tol,
+        "oracle_error_estimate": float(oracle.estimated_discretization_error),
+        **spectrum,
+        "gap_lambda0": float(diagonalize(family, 0.0).gap),
+        "connection_min_abs": float(conn_lo),
+        "connection_max_abs": float(conn_hi),
+        "connection_sign": float(conn_sign),
+        "connection_method": method,
+        "connection_grid": DEFAULT_CONNECTION_GRID,
+        **checks,
+        "window_overlap": _overlap(window_guiding_state(circuit, witness), hstate),
+        **tail,
+        "interval": [0.0, math.pi, float(delta_cert)],
+        "guiding_state_descriptor": "history-window",
+    }
+    return HardnessInstance(family, circuit, provenance, warnings)
 
 
 def build_bqp_instance(
@@ -406,62 +463,22 @@ def build_bqp_instance(
             f"{gap_hist:.6g}"
         )
 
-    if r > 0:
-        conn_lo, conn_hi, conn_sign = _certify_connection_exact(
-            family, DEFAULT_CONNECTION_GRID, anchor=s0.ground_state
-        )
-    else:
-        conn_lo = conn_hi = conn_sign = 0.0
-    delta_cert = CERTIFICATION_SAFETY * conn_lo
-    oracle_tol = oracle_tolerance(delta_cert)
-    oracle = wilson_loop_berry_phase(family, DEFAULT_ORACLE_GRID, oracle_tol)
-
     hstate = history_state(circuit)
-    window = window_guiding_state(circuit)
-    product = product_guiding_state(circuit)
-    provenance = {
-        "kind": "bqp",
-        "circuit": circuit_to_json_dict(circuit),
-        "T": circuit.T,
-        "M": circuit.M,
-        "r": float(r),
-        "epsilon_penalty": 0.0,
-        "E_th": None,
-        "certified_delta": float(delta_cert),
-        "oracle_theta_B": float(oracle.theta_B),
-        "oracle_converged": bool(oracle.converged),
-        "oracle_grid": DEFAULT_ORACLE_GRID,
-        "oracle_tolerance": oracle_tol,
-        "oracle_error_estimate": float(oracle.estimated_discretization_error),
-        "gap_hist": float(gap_hist),
-        "ground_energy_hist": float(s0.eigenvalues[0]),
-        "gap_full_min": float(gap_full_min),
-        "gap_full_argmin": float(gap_full_argmin),
-        "gap_lambda0": float(diagonalize(family, 0.0).gap),
-        "connection_min_abs": float(conn_lo),
-        "connection_max_abs": float(conn_hi),
-        "connection_sign": float(conn_sign),
-        "connection_method": "finite-difference",
-        "connection_grid": DEFAULT_CONNECTION_GRID,
-        "acceptance_probability": float(p1),
-        "window_overlap": float(
-            abs(np.vdot(window.amplitudes, hstate.amplitudes)) ** 2
+    return _finish_instance(
+        "bqp", circuit, None, family, hstate, r, "finite-difference",
+        lambda: _certify_connection_exact(
+            family, DEFAULT_CONNECTION_GRID, anchor=s0.ground_state
         ),
-        "product_overlap": float(
-            abs(np.vdot(product.amplitudes, hstate.amplitudes)) ** 2
-        ),
-    }
-    return HardnessInstance(
-        kind="bqp",
-        family=family,
-        circuit=circuit,
-        r=float(r),
-        epsilon_penalty=0.0,
-        E_th=None,
-        interval=(0.0, math.pi, float(delta_cert)),
-        guiding_state_descriptor="history-window",
-        provenance=provenance,
-        warnings=warnings,
+        warnings,
+        thresholds={"epsilon_penalty": 0.0, "E_th": None},
+        spectrum={
+            "gap_hist": float(gap_hist),
+            "ground_energy_hist": float(s0.eigenvalues[0]),
+            "gap_full_min": float(gap_full_min),
+            "gap_full_argmin": float(gap_full_argmin),
+        },
+        checks={"acceptance_probability": float(p1)},
+        tail={"product_overlap": _overlap(product_guiding_state(circuit), hstate)},
     )
 
 
@@ -548,80 +565,34 @@ def build_duqma_instance(
 
     V = make_V(circuit.output1_qubit, ntot)
     family = scale_and_add(1.0, h01, r, V)
+    hstate = history_state(circuit, witness)
 
     # The bare coupling is O(r^2 / gap^2) here, far below eigensolver phase
     # noise, so the margin is certified through the perturbative connection
     # on the lambda-independent base spectrum.
-    if r > 0:
-        vals = [
+    return _finish_instance(
+        "duqma", circuit, witness, family, hstate, r, "perturbative",
+        lambda: _connection_stats([
             berry_connection_perturbative(s01, V, r, lam).value
             for lam in lambda_grid(V, DEFAULT_CONNECTION_GRID, offset=0.5)
-        ]
-        conn_lo, conn_hi, conn_sign = _connection_stats(vals)
-    else:
-        conn_lo = conn_hi = conn_sign = 0.0
-    delta_cert = CERTIFICATION_SAFETY * conn_lo
-    oracle_tol = oracle_tolerance(delta_cert)
-    oracle = wilson_loop_berry_phase(family, DEFAULT_ORACLE_GRID, oracle_tol)
-
-    hstate = history_state(circuit, witness)
-    residual = float(
-        np.linalg.norm(apply_hamiltonian(h01, 0.0, hstate.amplitudes))
-    )
-    accept_spec = accept_operator_spectrum(circuit)
-    window = window_guiding_state(circuit, witness)
-
-    if isinstance(witness, (int, np.integer)):
-        witness_record: object = int(witness)
-    else:
-        witness_record = [
-            [float(z.real), float(z.imag)] for z in np.asarray(witness, dtype=complex)
-        ]
-
-    provenance = {
-        "kind": "duqma",
-        "circuit": circuit_to_json_dict(circuit),
-        "witness": witness_record,
-        "T": circuit.T,
-        "M": circuit.M,
-        "r": float(r),
-        "epsilon_penalty": float(eps),
-        "E_th": float(E_th),
-        "certified_delta": float(delta_cert),
-        "oracle_theta_B": float(oracle.theta_B),
-        "oracle_converged": bool(oracle.converged),
-        "oracle_grid": DEFAULT_ORACLE_GRID,
-        "oracle_tolerance": oracle_tol,
-        "oracle_error_estimate": float(oracle.estimated_discretization_error),
-        "delta0": delta0,
-        "null_dim": null_dim,
-        "E0": E0,
-        "E1": E1,
-        "delta01": float(delta01),
-        "gap_lambda0": float(diagonalize(family, 0.0).gap),
-        "connection_min_abs": float(conn_lo),
-        "connection_max_abs": float(conn_hi),
-        "connection_sign": float(conn_sign),
-        "connection_method": "perturbative",
-        "connection_grid": DEFAULT_CONNECTION_GRID,
-        "witness_accept_probability": float(p2),
-        "accepted_history_residual": residual,
-        "accept_spectrum_top": [float(v) for v in accept_spec[:2]],
-        "window_overlap": float(
-            abs(np.vdot(window.amplitudes, hstate.amplitudes)) ** 2
-        ),
-    }
-    return HardnessInstance(
-        kind="duqma",
-        family=family,
-        circuit=circuit,
-        r=float(r),
-        epsilon_penalty=float(eps),
-        E_th=float(E_th),
-        interval=(0.0, math.pi, float(delta_cert)),
-        guiding_state_descriptor="history-window",
-        provenance=provenance,
-        warnings=warnings,
+        ]),
+        warnings,
+        thresholds={"epsilon_penalty": float(eps), "E_th": float(E_th)},
+        spectrum={
+            "delta0": delta0,
+            "null_dim": null_dim,
+            "E0": E0,
+            "E1": E1,
+            "delta01": float(delta01),
+        },
+        checks={
+            "witness_accept_probability": float(p2),
+            "accepted_history_residual": float(
+                np.linalg.norm(apply_hamiltonian(h01, 0.0, hstate.amplitudes))
+            ),
+            "accept_spectrum_top": [float(v) for v in accept_operator_spectrum(circuit)[:2]],
+        },
+        tail={},
     )
 
 
@@ -634,57 +605,41 @@ def save_instance(instance: HardnessInstance, prefix: str) -> tuple[str, str]:
     family_path = f"{prefix}.json"
     prov_path = f"{prefix}.provenance.json"
     save_family(instance.family, family_path)
-    record = {
-        **instance.provenance,
-        "kind": instance.kind,
-        "r": instance.r,
-        "epsilon_penalty": instance.epsilon_penalty,
-        "E_th": instance.E_th,
-        "interval": list(instance.interval),
-        "guiding_state_descriptor": instance.guiding_state_descriptor,
-        "warnings": list(instance.warnings),
-    }
     with open(prov_path, "w") as fh:
-        json.dump(record, fh, indent=2)
+        json.dump({**instance.provenance, "warnings": list(instance.warnings)}, fh, indent=2)
         fh.write("\n")
     return family_path, prov_path
 
 
 def load_instance(prefix: str) -> HardnessInstance:
+    """Validate and normalise the values the record's properties read; a
+    missing epsilon_penalty, E_th or guiding_state_descriptor is appended."""
     family = load_family(f"{prefix}.json")
     with open(f"{prefix}.provenance.json") as fh:
         record = json.load(fh)
     if not isinstance(record, dict):
         raise ConfigError("provenance record is not an object")
+    warnings = record.pop("warnings", [])
     try:
         raw_circuit = record.get("circuit")
         circuit = None if raw_circuit is None else circuit_from_json_dict(raw_circuit)
         kind = record["kind"]
         interval = record["interval"]
-        r = _finite(record["r"], "r")
+        record["r"] = _finite(record["r"], "r")
     except KeyError as exc:
         raise ConfigError(f"provenance record missing field {exc}") from exc
     if not isinstance(interval, list) or len(interval) != 3:
         raise ConfigError(f"provenance interval must be [a, b, delta], got {interval!r}")
     e_th = record.get("E_th")
-    descriptor = record.get("guiding_state_descriptor", "history-window")
-    warnings = record.get("warnings", [])
+    record["epsilon_penalty"] = _finite(record.get("epsilon_penalty", 0.0), "epsilon_penalty")
+    record["E_th"] = None if e_th is None else _finite(e_th, "E_th")
+    record["interval"] = [_finite(v, "interval bound") for v in interval]
+    descriptor = record.setdefault("guiding_state_descriptor", "history-window")
     if not (isinstance(kind, str) and isinstance(descriptor, str)
             and isinstance(warnings, list)):
         raise ConfigError("provenance kind and guiding_state_descriptor must be "
                           "strings, and warnings a list")
-    return HardnessInstance(
-        kind=kind,
-        family=family,
-        circuit=circuit,
-        r=r,
-        epsilon_penalty=_finite(record.get("epsilon_penalty", 0.0), "epsilon_penalty"),
-        E_th=None if e_th is None else _finite(e_th, "E_th"),
-        interval=tuple(_finite(v, "interval bound") for v in interval),
-        guiding_state_descriptor=descriptor,
-        provenance=record,
-        warnings=list(warnings),
-    )
+    return HardnessInstance(family, circuit, record, list(warnings))
 
 
 def _finite(value, what: str) -> float:

@@ -110,6 +110,17 @@ def test_circuit_validation():
         GateCircuit(n_system=1, gates=())  # needs at least one gate
     with pytest.raises(ConfigError):
         GateCircuit(n_system=2, gates=(gate("X", 0),), output1_qubit=7)
+    # counts and qubits must be integers, as the JSON loader requires
+    with pytest.raises(ConfigError):
+        gate("X", 0.9)
+    with pytest.raises(ConfigError):
+        GateCircuit(n_system=2.5, gates=(gate("X", 0),))
+    with pytest.raises(ConfigError):
+        GateCircuit(n_system=2, gates=(gate("X", 0),), witness_qubits=(1.5,))
+    with pytest.raises(ConfigError):
+        GateCircuit(n_system=2, gates=(gate("X", 0),), output1_qubit=True)
+    with pytest.raises(ConfigError):
+        with_idle_steps(GateCircuit(n_system=1, gates=(gate("X", 0),)), 1.7)
 
 
 def test_circuit_json_round_trip():

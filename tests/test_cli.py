@@ -191,8 +191,12 @@ def test_estimators_refuse_a_margin_below_epsilon_before_any_work(
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag", ["--epsilon-b", "--oversampling", "--alpha-cap", "--runtime"])
-@pytest.mark.parametrize("command, estimator", [("bpe", "run_bpe"), ("murta", "murta_bpe")])
+@pytest.mark.parametrize("command, estimator, flag", [
+    (command, estimator, flag)
+    for command, estimator in [("bpe", "run_bpe"), ("murta", "murta_bpe")]
+    for flag in ["--epsilon-b", "--oversampling", "--alpha-cap", "--runtime"]
+    if (command, flag) != ("murta", "--alpha-cap")  # only bpe takes --alpha-cap
+])
 def test_estimators_refuse_non_finite_flags_before_any_work(
     work, tmp_path, monkeypatch, command, estimator, flag, value
 ):
@@ -312,13 +316,18 @@ def test_bad_family_file_exit_code(tmp_path, command, record):
         ["verify", "--instance", "syn", "--witness", "basis:2"],
         ["genhard", "--circuit", "duqma.circuit.json", "--kind", "duqma",
          "--witness", "x"],
+        ["genhard", "--circuit", "yes.circuit.json", "--kind", "bqp",
+         "--epsilon", 0.3, "--witness", 1],
+        ["murta", "--instance", "eq.json", "--alpha-cap", 5, "--seed", 1],
+        ["murta", "--instance", "eq.json", "--alpha-mode", "formula", "--seed", 1],
     ],
     ids=["runs-0", "runs-negative", "seed-negative", "excited-not-int",
-         "basis-not-bits", "genhard-witness-not-bits"],
+         "basis-not-bits", "genhard-witness-not-bits", "genhard-bqp-duqma-flags",
+         "murta-alpha-cap", "murta-alpha-mode"],
 )
 def test_bad_argument_exit_code(work, tmp_path, argv):
-    argv = [work / a if a in ("syn", "eq.json", "duqma.circuit.json") else a
-            for a in argv]
+    argv = [work / a if a in ("syn", "eq.json", "yes.circuit.json", "duqma.circuit.json")
+            else a for a in argv]
     if argv[0] == "verify":
         argv += ["--seed", 1]
     p = run_cli(*argv, "--out", tmp_path / "o.json")

@@ -5,8 +5,9 @@ Every spectrum along the loop comes from the one sweep in ``exact``; the
 ``eigh``) and the one Schur decomposition in ``qpe`` are the only other
 solves.  A new solver call site shows up here before it can fork the
 numerics.  The CLI also imports no sparse module.  The fields of the
-configuration classes are pinned, and the package root re-exports nothing,
-so a new setting or a second import path for a name shows up here too.
+configuration classes and of the instance record are pinned, and the
+package root re-exports nothing, so a new setting, a value kept twice or a
+second import path for a name shows up here too.
 """
 
 import ast
@@ -60,6 +61,13 @@ def test_configuration_fields():
     ]
     assert [f.name for f in fields(VerifierConfig)] == ["soundness_delta", "bpe"]
     assert [f.name for f in fields(AdiabaticSchedule)] == ["T", "steps", "direction"]
+
+
+def test_instance_fields():
+    # kind, r, E_th and the interval are read from the provenance, not kept twice
+    assert [f.name for f in fields(hardness.HardnessInstance)] == [
+        "family", "circuit", "provenance", "warnings"
+    ]
 
 
 def test_package_root_has_no_relative_import():

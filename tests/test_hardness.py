@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from berrylab.corpus import (
     bqp_yes_circuit,
     duqma_no_circuit,
     duqma_yes_circuit,
+    equatorial_loop,
+    synthetic_verifier_instance,
 )
 from berrylab.errors import ConfigError
 from berrylab.exact import berry_connection_exact, diagonalize, wilson_loop_berry_phase
-from berrylab.hamiltonians import eval_hamiltonian, norm_bounds, scale_and_add
+from berrylab.hamiltonians import eval_hamiltonian, norm_bounds, save_family, scale_and_add
 from berrylab.hardness import (
     accept_operator_spectrum,
     build_bqp_instance,
@@ -76,8 +79,6 @@ def test_null_vector_property_across_corpus():
 def test_compile_history_matches_kron_expansion(monkeypatch, name):
     # The local Pauli expansion reads dense_pauli once per string; the kron
     # reference must compile the same family, byte for byte.
-    import json
-
     import berrylab.hardness as hmod
     from berrylab.hamiltonians import to_json_dict
     from oracles import kron_pauli
@@ -290,6 +291,38 @@ def test_instance_round_trip(tmp_path, yes_instance):
     assert len(back.circuit.gates) == len(yes_instance.circuit.gates)
 
 
+@pytest.mark.parametrize("name", ["yes_instance", "duqma_yes_instance", "synthetic"])
+def test_save_load_save_is_byte_identical(tmp_path, request, name):
+    if name == "synthetic":
+        inst = synthetic_verifier_instance("no", delta=0.2)
+    else:
+        inst = request.getfixturevalue(name)
+    save_instance(inst, str(tmp_path / "a"))
+    save_instance(load_instance(str(tmp_path / "a")), str(tmp_path / "b"))
+    for suffix in (".json", ".provenance.json"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_minimal_record_gains_its_defaults_in_order(tmp_path):
+    # numbers come back as floats; the missing keys follow the record's own
+    # keys in this order, and warnings comes last
+    save_family(equatorial_loop(), str(tmp_path / "min.json"))
+    (tmp_path / "min.provenance.json").write_text(
+        json.dumps({"kind": "bqp", "r": 1, "interval": [0, 3.14, 0.05]})
+    )
+    save_instance(load_instance(str(tmp_path / "min")), str(tmp_path / "out"))
+    want = {
+        "kind": "bqp",
+        "r": 1.0,
+        "interval": [0.0, 3.14, 0.05],
+        "epsilon_penalty": 0.0,
+        "E_th": None,
+        "guiding_state_descriptor": "history-window",
+        "warnings": [],
+    }
+    assert (tmp_path / "out.provenance.json").read_text() == json.dumps(want, indent=2) + "\n"
+
+
 # -- accept operators --------------------------------------------------------------
 
 
@@ -302,8 +335,6 @@ def test_instance_round_trip(tmp_path, yes_instance):
     ("warnings", "none"),
 ])
 def test_load_instance_refuses_unusable_fields(tmp_path, yes_instance, field, value):
-    import json
-
     save_instance(yes_instance, str(tmp_path / "inst"))
     path = tmp_path / "inst.provenance.json"
     record = json.loads(path.read_text())
