@@ -35,6 +35,7 @@ import numpy as np
 
 from .angles import circle_distance, wrap_2pi, wrap_pm_pi
 from .dynamics import (
+    MAX_TOTAL_STEPS,
     AdiabaticSchedule,
     calibrate_runtime,
     loop_propagator,
@@ -52,11 +53,6 @@ from .qpe import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# Exact per-step propagators are dense eigendecompositions; cap the total
-# step count per estimation run so pathological (near-gapless) families fail
-# fast with a capacity error instead of grinding.
-MAX_TOTAL_STEPS = 2_000_000
 
 GAP_GRID = 64  # lambda points of the gap guard and the phase-lag scale
 GUIDING_FLOOR = 0.25  # least guiding-state fidelity that can be postselected
@@ -160,7 +156,13 @@ def choose_alpha(T: float, H_max: float, eps_B: float, mode: str = "formula",
         else:
             if cap <= 0:
                 raise ConfigError(f"alpha cap must be positive, got {cap}")
-            q = max(1, math.ceil(T * H_max / cap))
+            ratio = T * H_max / cap  # both runtimes take over 2q steps together
+            if not ratio <= MAX_TOTAL_STEPS:
+                raise CapacityError(
+                    f"alpha cap {cap} needs 1/(alpha-1) = {ratio:.3e}, over the "
+                    f"per-run budget of {MAX_TOTAL_STEPS} steps"
+                )
+            q = max(1, math.ceil(ratio))
         return 1.0 + 1.0 / q
     raise ConfigError(f"unknown alpha mode {mode!r}")
 
@@ -217,6 +219,9 @@ class BpeConfig:
             raise ConfigError(f"epsilon_B must be positive, got {self.epsilon_B}")
         if not (0.0 < self.eta < 1.0):
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
+        if self.eta_qpe == 0.0:
+            raise ConfigError(f"eta={self.eta} is too small to split over a run's "
+                              "four failure opportunities")
         if self.alpha_mode not in ("integer", "formula"):
             raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
         if self.T is not None and self.T <= 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import CapacityError, ConfigError, NumericalError
 from .exact import ground_state, lambda_grid, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
@@ -30,6 +30,11 @@ from .hamiltonians import (
 
 DEFAULT_OVERSAMPLING = 10.0  # steps per unit of T * H_max
 CALIBRATION_DOUBLINGS = 40  # runtimes 1, 2, 4, ... tried by calibrate_runtime
+
+# Exact per-step propagators are dense eigendecompositions; cap the total
+# step count per estimation run so pathological (near-gapless) families fail
+# fast with a capacity error instead of grinding.
+MAX_TOTAL_STEPS = 2_000_000
 
 
 @dataclass
@@ -98,8 +103,15 @@ def make_schedule(
 
 
 def step_count(T: float, h_max: float, oversampling: float) -> int:
-    """Exact Trotter steps keeping dt * H_max <= 1/oversampling."""
-    return max(1, math.ceil(T * max(h_max, 1e-12) * oversampling))
+    """Exact Trotter steps keeping dt * H_max <= 1/oversampling.  A count
+    that is not finite or over MAX_TOTAL_STEPS raises CapacityError."""
+    steps = T * max(h_max, 1e-12) * oversampling
+    if not steps <= MAX_TOTAL_STEPS:
+        raise CapacityError(
+            f"runtime T={T:.3e} needs {steps:.3e} exact Trotter steps, over "
+            f"the per-run budget of {MAX_TOTAL_STEPS}"
+        )
+    return max(1, math.ceil(steps))
 
 
 def _check_step_size(family: HamiltonianFamily, schedule: AdiabaticSchedule) -> None:

@@ -10,12 +10,12 @@ threshold E_th and a promise interval (a, b, delta):
    precision Delta_min/4.  tau is fixed at pi / (||H|| + 1) so every
    eigenphase sits strictly inside (-pi, pi) and no wraparound aliasing
    can occur.
-2. If the gate fails, the verifier accepts with probability 1/3 - Delta
-   (a seeded coin recorded in the transcript; Delta defaults to 1/12).
-3. If the gate passes, the two-runtime phase algorithm estimates theta_B
-   starting from the witness as guiding state, and the interval decision
-   maps output 1 to certain acceptance and output 0 to acceptance with
-   probability exactly 1/3 (again a recorded coin).
+2. Only if the gate passes, the two-runtime phase algorithm estimates
+   theta_B starting from the witness as guiding state.
+3. One decision: accept with probability p = max(1/3 - Delta, 0) on a
+   failed gate (Delta defaults to 1/12), 1 when theta_B lies in the arc
+   and exactly 1/3 outside it.  A seeded coin, recorded in the
+   transcript, is drawn only when 0 < p < 1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import wrap_pm_pi
-from .bpe import BpeConfig, check_decision_margin, decide_interval, run_bpe
+from .bpe import BpeConfig, BpeEngine, check_decision_margin, decide_interval
 from .dynamics import StateVector
 from .errors import ConfigError
 from .exact import gapped_slice
@@ -80,9 +80,7 @@ class EnergyDistribution(NamedTuple):
 
     distribution: QpeDistribution
     tau: float
-    m: int
     delta_min: float
-    ground_energy: float
 
 
 def _as_amplitudes(witness_state) -> np.ndarray:
@@ -113,12 +111,7 @@ def energy_distribution(instance, witness_state) -> EnergyDistribution:
     weights = np.abs(vecs.conj().T @ psi) ** 2
     phases = np.mod(-evals * tau, 2.0 * math.pi)
     dist = distribution_from_phases(phases, weights, m)
-    return EnergyDistribution(dist, tau, m, delta_min, float(evals[0]))
-
-
-def _energy_from_outcome(outcome: int, m: int, tau: float) -> float:
-    theta = 2.0 * math.pi * outcome / 2 ** m
-    return -wrap_pm_pi(theta) / tau
+    return EnergyDistribution(dist, tau, delta_min)
 
 
 def energy_test(
@@ -138,10 +131,10 @@ def energy_test(
         raise ConfigError("instance carries no energy threshold")
     if distribution is None:
         distribution = energy_distribution(instance, witness_state)
-    dist, tau, m, delta_min, _ = distribution
+    dist, tau, delta_min = distribution
     rng = np.random.default_rng(seed)
     outcomes = sample_outcomes(dist, ENERGY_REPETITIONS, rng)
-    energies = [_energy_from_outcome(j, m, tau) for j in outcomes]
+    energies = [-wrap_pm_pi(2.0 * math.pi * j / 2 ** dist.m) / tau for j in outcomes]
     estimate = float(np.median(energies))
     passed = estimate < instance.E_th + delta_min / 4.0
     return estimate, passed
@@ -163,12 +156,7 @@ def run_verifier(
     energy_distribution(...) and BpeEngine(instance.family, config.bpe,
     guiding_state=witness) when sweeping many runs on one instance.
     """
-    if config is None:
-        config = VerifierConfig()
-    a, b, delta = instance.interval
-    if instance.E_th is None:
-        raise ConfigError("instance carries no energy threshold")
-
+    config = config or VerifierConfig()
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     energy_seed, bpe_seed, coin_seed = ss.spawn(3)
 
@@ -188,81 +176,38 @@ def run_verifier(
         }
     ]
 
-    coin_rng = np.random.default_rng(coin_seed)
-    if not passed:
-        p = 1.0 / 3.0 - config.soundness_delta
-        if p <= 0.0:
-            decision, accept, coin = "reject", False, None
-        else:
-            decision = "accept-prob-bounded"
-            coin = float(coin_rng.random())
-            accept = coin < p
-        transcript.append(
-            {
-                "step": "decision",
-                "branch": "energy-fail",
-                "decision": decision,
-                "accept_probability": max(p, 0.0),
-                "coin": coin,
-                "accept": accept,
-            }
-        )
-        return VerifierOutcome(
-            energy_estimate=estimate,
-            energy_pass=False,
-            theta_estimate=None,
-            decision=decision,
-            transcript=transcript,
-            accept=accept,
-            accept_probability=max(p, 0.0),
-        )
-
-    check_decision_margin(delta, config.bpe.epsilon_B)  # before any propagation
-    if bpe_engine is not None:
+    theta_B = None
+    if passed:
+        a, b, delta = instance.interval
+        eps_B = config.bpe.epsilon_B
+        check_decision_margin(delta, eps_B)  # before any propagation
+        if bpe_engine is None:
+            bpe_engine = BpeEngine(
+                instance.family, config.bpe, guiding_state=_as_amplitudes(witness_state)
+            )
         theta_B, theta_D, diagnostics = bpe_engine.run(bpe_seed)
-    else:
-        theta_B, theta_D, diagnostics = run_bpe(
-            instance.family,
-            initial_ground_state=_as_amplitudes(witness_state),
-            config=config.bpe,
-            seed=bpe_seed,
+        transcript.append(
+            {"step": "phase-estimation", "theta_B_hat": theta_B, "theta_D_hat": theta_D,
+             "epsilon_B": eps_B, **{k: diagnostics[k] for k in ("alpha", "T", "m", "R")}}
         )
-    transcript.append(
-        {
-            "step": "phase-estimation",
-            "theta_B_hat": theta_B,
-            "theta_D_hat": theta_D,
-            "epsilon_B": config.bpe.epsilon_B,
-            "alpha": diagnostics["alpha"],
-            "T": diagnostics["T"],
-            "m": diagnostics["m"],
-            "R": diagnostics["R"],
-        }
-    )
-    inside = decide_interval(theta_B, a, b, delta, config.bpe.epsilon_B)
-    if inside == 1:
-        decision, p = "accept-1", 1.0
-        coin = None
-        accept = True
+        inside = decide_interval(theta_B, a, b, delta, eps_B)
+        p = 1.0 if inside == 1 else 1.0 / 3.0
+        branch = {"step": "decision", "branch": "interval-test",
+                  "interval": [a, b, delta], "in_yes_interval": inside}
     else:
-        decision, p = "accept-prob-bounded", 1.0 / 3.0
-        coin = float(coin_rng.random())
-        accept = coin < p
+        p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
+        branch = {"step": "decision", "branch": "energy-fail"}
+
+    # Certain outcomes draw no coin; every other p is one coin from coin_seed.
+    decision = "accept-1" if p == 1.0 else "reject" if p == 0.0 else "accept-prob-bounded"
+    coin = float(np.random.default_rng(coin_seed).random()) if 0.0 < p < 1.0 else None
+    accept = p == 1.0 if coin is None else coin < p
     transcript.append(
-        {
-            "step": "decision",
-            "branch": "interval-test",
-            "interval": [a, b, delta],
-            "in_yes_interval": inside,
-            "decision": decision,
-            "accept_probability": p,
-            "coin": coin,
-            "accept": accept,
-        }
+        {**branch, "decision": decision, "accept_probability": p, "coin": coin, "accept": accept}
     )
     return VerifierOutcome(
         energy_estimate=estimate,
-        energy_pass=True,
+        energy_pass=passed,
         theta_estimate=theta_B,
         decision=decision,
         transcript=transcript,

@@ -212,6 +212,41 @@ def test_estimators_refuse_non_finite_flags_before_any_work(
     assert not list(tmp_path.iterdir())
 
 
+EXTREME_FLAGS = [
+    *[(command, ["--epsilon-b", "1e-320"], 3) for command in ("bpe", "murta", "verify")],
+    *[(command, [flag, value], 3) for command in ("bpe", "murta")
+      for flag, value in [("--runtime", "1e308"), ("--oversampling", "1e12")]],
+    *[(command, ["--eta", "1e-300", *runtime], 2) for command in ("bpe", "murta")
+      for runtime in ([], ["--runtime", "50"])],
+    ("bpe", ["--alpha-cap", "1e-300", "--runtime", "50"], 3),
+]
+
+
+@pytest.mark.parametrize("command, flags, code", EXTREME_FLAGS,
+                         ids=[" ".join([c, *f]) for c, f, _ in EXTREME_FLAGS])
+def test_extreme_flags_are_refused(work, tmp_path, monkeypatch, capsys, command, flags, code):
+    # A runtime, oversampling, eps_B or alpha cap needing more exact steps than
+    # the budget exits 3, and an eta too small to split over four stages exits
+    # 2 naming it, rather than ending in an OverflowError, a huge allocation or
+    # a division by zero.
+    from berrylab import cli, dynamics
+
+    def spy(family, schedule):
+        raise AssertionError(f"propagation started: {schedule}")
+
+    if flags[0] != "--epsilon-b":  # that case calibrates before its floor overflows
+        monkeypatch.setattr(dynamics, "_step_factors", spy)
+    target = ["--instance", str(work / "eq.json")]
+    if command == "verify":
+        target = ["--instance", str(work / "syn"), "--witness", "ground"]
+    rc = cli.main([command, *target, *flags, "--seed", "1",
+                   "--out", str(tmp_path / "o.json")])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert ("per-run budget" if code == 3 else "eta=1e-300") in err
+    assert not list(tmp_path.iterdir())
+
+
 def _verify_without_engine(tmp_path, monkeypatch, witness):
     from berrylab import cli
 

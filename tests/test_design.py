@@ -5,7 +5,8 @@ Every spectrum along the loop comes from the one sweep in ``exact``; the
 ``eigh``) and the one Schur decomposition in ``qpe`` are the only other
 solves.  A new solver call site shows up here before it can fork the
 numerics.  The CLI also imports no sparse module.  The fields of the
-configuration classes and of the instance record are pinned, and the
+configuration classes, of the instance record and of the energy
+distribution are pinned, the verifier builds its outcome at one site, and the
 package root re-exports nothing, so a new setting, a value kept twice or a
 second import path for a name shows up here too.
 """
@@ -20,7 +21,7 @@ import berrylab
 from berrylab import hardness
 from berrylab.bpe import BpeConfig
 from berrylab.dynamics import AdiabaticSchedule
-from berrylab.verifier import VerifierConfig
+from berrylab.verifier import EnergyDistribution, VerifierConfig
 
 SOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "eigsh", "eigs", "schur"}
 
@@ -68,6 +69,22 @@ def test_instance_fields():
     assert [f.name for f in fields(hardness.HardnessInstance)] == [
         "family", "circuit", "provenance", "warnings"
     ]
+
+
+def test_energy_distribution_fields():
+    # m is the distribution's own m; the ground energy is read by nothing
+    assert EnergyDistribution._fields == ("distribution", "tau", "delta_min")
+
+
+def test_one_verifier_outcome_site():
+    # run_verifier makes one decision and builds its outcome in one place
+    sites = [
+        (path.stem, node.lineno)
+        for path in sorted(Path(berrylab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _dotted(node.func) == "VerifierOutcome"
+    ]
+    assert len(sites) == 1, sites
 
 
 def test_package_root_has_no_relative_import():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,3 +198,160 @@ def test_instance_without_threshold_is_refused():
     w, V = np.linalg.eigh(eval_hamiltonian(inst.family, 0.0))
     with pytest.raises(ConfigError):
         run_verifier(inst, V[:, 0], seed=0)
+
+
+# -- pinned outcomes -------------------------------------------------------------
+
+# to_json_dict() of one run per decision, key order included: the energy-fail
+# coin, the saturated reject, certain acceptance and the interval coin.
+PINNED_OUTCOMES = json.loads("""
+{
+ "energy-fail-coin": {
+  "energy_estimate": 1.0,
+  "energy_pass": false,
+  "theta_estimate": null,
+  "decision": "accept-prob-bounded",
+  "accept": true,
+  "accept_probability": 0.25,
+  "transcript": [
+   {
+    "step": "energy-test",
+    "estimate": 1.0,
+    "threshold": 0.0,
+    "margin": 0.5,
+    "repetitions": 15,
+    "pass": false
+   },
+   {
+    "step": "decision",
+    "branch": "energy-fail",
+    "decision": "accept-prob-bounded",
+    "accept_probability": 0.25,
+    "coin": 0.23316830360018304,
+    "accept": true
+   }
+  ]
+ },
+ "reject": {
+  "energy_estimate": 1.0,
+  "energy_pass": false,
+  "theta_estimate": null,
+  "decision": "reject",
+  "accept": false,
+  "accept_probability": 0.0,
+  "transcript": [
+   {
+    "step": "energy-test",
+    "estimate": 1.0,
+    "threshold": 0.0,
+    "margin": 0.5,
+    "repetitions": 15,
+    "pass": false
+   },
+   {
+    "step": "decision",
+    "branch": "energy-fail",
+    "decision": "reject",
+    "accept_probability": 0.0,
+    "coin": null,
+    "accept": false
+   }
+  ]
+ },
+ "accept-1": {
+  "energy_estimate": -1.0,
+  "energy_pass": true,
+  "theta_estimate": 3.163068384620192,
+  "decision": "accept-1",
+  "accept": true,
+  "accept_probability": 1.0,
+  "transcript": [
+   {
+    "step": "energy-test",
+    "estimate": -1.0,
+    "threshold": 0.0,
+    "margin": 0.5,
+    "repetitions": 15,
+    "pass": true
+   },
+   {
+    "step": "phase-estimation",
+    "theta_B_hat": 3.163068384620192,
+    "theta_D_hat": 5.218602640386951,
+    "epsilon_B": 0.05,
+    "alpha": 2.0,
+    "T": 394.78417604357395,
+    "m": 11,
+    "R": 19
+   },
+   {
+    "step": "decision",
+    "branch": "interval-test",
+    "interval": [
+     0.0,
+     3.141592653589793,
+     0.3
+    ],
+    "in_yes_interval": 1,
+    "decision": "accept-1",
+    "accept_probability": 1.0,
+    "coin": null,
+    "accept": true
+   }
+  ]
+ },
+ "interval-coin": {
+  "energy_estimate": -1.0,
+  "energy_pass": true,
+  "theta_estimate": 4.733864711415088,
+  "decision": "accept-prob-bounded",
+  "accept": true,
+  "accept_probability": 0.3333333333333333,
+  "transcript": [
+   {
+    "step": "energy-test",
+    "estimate": -1.0,
+    "threshold": 0.0,
+    "margin": 0.5,
+    "repetitions": 15,
+    "pass": true
+   },
+   {
+    "step": "phase-estimation",
+    "theta_B_hat": 4.733864711415088,
+    "theta_D_hat": 0.770058355518592,
+    "epsilon_B": 0.05,
+    "alpha": 2.0,
+    "T": 296.0881320326804,
+    "m": 11,
+    "R": 19
+   },
+   {
+    "step": "decision",
+    "branch": "interval-test",
+    "interval": [
+     0.0,
+     3.141592653589793,
+     0.3
+    ],
+    "in_yes_interval": 0,
+    "decision": "accept-prob-bounded",
+    "accept_probability": 0.3333333333333333,
+    "coin": 0.23316830360018304,
+    "accept": true
+   }
+  ]
+ }
+}
+""")
+
+
+@pytest.mark.parametrize("case", PINNED_OUTCOMES)
+def test_outcome_is_pinned(yes_instance, no_instance, case):
+    instance = no_instance if case == "interval-coin" else yes_instance
+    _, V = _eigenstates(instance)
+    witness = V[:, 1] if case in ("energy-fail-coin", "reject") else V[:, 0]
+    config = VerifierConfig(soundness_delta=1.0 / 3.0) if case == "reject" else None
+    seed = 1 if case in ("energy-fail-coin", "interval-coin") else 0
+    out = run_verifier(instance, witness, config, seed=seed)
+    assert json.dumps(out.to_json_dict()) == json.dumps(PINNED_OUTCOMES[case])
