@@ -20,6 +20,10 @@ bounds after its milder (alpha+1)/alpha amplification.
 Both runtimes share the same Trotter step dt (the alpha-run simply takes
 proportionally more steps), so step-discretization phase errors that are
 linear in T cancel in the reconstruction exactly like the dynamical phase.
+What is left of the step error spoils theta_B alone, so the step is sized
+by checking theta_B: starting from the commutator guess, the step count
+doubles until the pairs at n and n/2 steps reconstruct theta_B within
+eps_B/100 of each other, never past the H_max cap of dynamics.step_count.
 
 The baseline (phase doubling: estimate on the reversed-then-forward composite
 loop, which accumulates 2 theta_B) is included for comparison; its output is
@@ -38,6 +42,7 @@ from .dynamics import (
     MAX_TOTAL_STEPS,
     AdiabaticSchedule,
     calibrate_runtime,
+    guess_step_count,
     loop_propagator,
     phase_lag_scale,
     step_count,
@@ -56,6 +61,7 @@ TWO_PI = 2.0 * math.pi
 
 GAP_GRID = 64  # lambda points of the gap guard and the phase-lag scale
 GUIDING_FLOOR = 0.25  # least guiding-state fidelity that can be postselected
+STEP_CHECK_FRACTION = 0.01  # the step check's theta_B agreement, as a share of eps_B
 
 
 def _check_step_budget(T: float, total_steps: int) -> None:
@@ -66,6 +72,46 @@ def _check_step_budget(T: float, total_steps: int) -> None:
             f"the per-run budget of {MAX_TOTAL_STEPS}; the family's phase-lag "
             "scale or norm is too large for desk-scale estimation"
         )
+
+
+def _dominant_phase(dist) -> float:
+    """Eigenphase of the propagator component carrying the most weight."""
+    return float(dist.phases[np.argmax(dist.weights)])
+
+
+def _checked_build(family: HamiltonianFamily, T: float, cap: int, unit: int,
+                   tol: float, build, check: bool = True):
+    """Build at the coarsest step count that the a-posteriori check accepts.
+
+    ``build(n)`` makes the estimator's propagators at n steps per runtime T
+    and returns (result, phase), the phase read from dominant eigenphases.
+    A commutator guess of at least half the cap (or ``check`` False, or a
+    lambda-independent family) builds at the cap, unchecked.  Otherwise n
+    starts at the guess rounded up to a multiple of 2 unit and doubles, up
+    to the cap, until the phases at n and at n/2 agree within tol; the
+    accepted n is the finer of the two.  Returns (result, record).
+    """
+    guess = guess_step_count(family, T)
+    record = {"guess": guess, "cap": cap, "tested": [], "converged": False}
+    n = cap
+    if check and not family.is_constant() and 2.0 * guess < cap:
+        n = min(cap, 2 * unit * max(1, math.ceil(guess / (2 * unit))))
+    if n == cap:
+        result, phase = build(n)
+    else:
+        _, previous = build(n // 2)
+        record["tested"].append([n // 2, previous])
+        while True:
+            result, phase = build(n)
+            record["tested"].append([n, phase])
+            if circle_distance(phase, previous) <= tol:
+                record["converged"] = True
+                break
+            if n == cap:
+                break
+            previous, n = phase, min(2 * n, cap)
+    record["phase"] = phase
+    return result, record
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +246,10 @@ class BpeConfig:
     the residual eigenphase lag), R from the failure budget, and, unless T
     is set, T by a doubling search on measured loop infidelity plus the
     phase-lag floor 4 G / eps_B.  Every step samples H(lambda) at its
-    midpoint.
+    midpoint.  ``oversampling`` (at least 2) sets the finest step density,
+    dt * H_max <= 1/oversampling: calibration runs at it, and the estimators
+    take the coarsest step count at or below it that their step check
+    accepts.
     """
 
     epsilon_B: float = 0.05
@@ -226,6 +275,8 @@ class BpeConfig:
             raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
         if self.T is not None and self.T <= 0:
             raise ConfigError(f"runtime T must be positive, got {self.T}")
+        if self.oversampling < 2.0:
+            raise ConfigError(f"oversampling must be >= 2, got {self.oversampling}")
 
     @property
     def eta_qpe(self) -> float:
@@ -257,7 +308,8 @@ def _resolve_runtime(
     and is amplified (alpha+1)/alpha < 2 fold by the reconstruction.  The
     runtime is therefore floored at 4 G / eps_B, which keeps that systematic
     within half of eps_B; QPE readout gets the other half.  A floored
-    calibration records the floor as ``phase_lag_floor``.
+    calibration records the floor as ``phase_lag_floor``.  A set cfg.T is
+    kept even below the floor, with a ``warnings`` entry saying so.
     """
     h_max, d1_max, d2_max = norm_bounds(family)
     gap, gap_argmin = min_gap(family, GAP_GRID)  # also the degeneracy guard
@@ -286,9 +338,15 @@ def _resolve_runtime(
         )
     phase_lag = phase_lag_scale(family, GAP_GRID)
     T_phase_floor = 4.0 * phase_lag / cfg.epsilon_B
+    warnings = []
     if cfg.T is None and T < T_phase_floor:
         T = T_phase_floor
         calibration = dict(calibration, phase_lag_floor=T_phase_floor)
+    elif T < T_phase_floor:
+        warnings.append(
+            f"runtime T={T:.6g} is below the phase-lag floor 4G/eps_B = "
+            f"{T_phase_floor:.6g}; the estimate may miss theta_B by more than eps_B"
+        )
     return psi0, {
         "T": float(T),
         "H_max": h_max,
@@ -301,6 +359,7 @@ def _resolve_runtime(
         "E0": E0,
         "guiding_fidelity": guiding_fidelity,
         "calibration": calibration,
+        "warnings": warnings,
     }
 
 
@@ -337,37 +396,55 @@ class BpeEngine:
             cfg.alpha_cap
         )
 
-        # Shared-step schedules: the alpha run reuses dt exactly, and the
-        # realized step ratio is what enters the reconstruction.
-        steps = step_count(self.T, self.setup["H_max"], cfg.oversampling)
-        if cfg.alpha_mode == "integer":
-            q = round(1.0 / (self.alpha_nominal - 1.0))  # choose_alpha's q
-            steps = q * math.ceil(steps / q)
-            steps_alpha = steps + steps // q
-        else:
-            steps_alpha = max(steps + 1, round(self.alpha_nominal * steps))
-        self.steps = steps
-        self.steps_alpha = steps_alpha
-        self.alpha = steps_alpha / steps  # realized ratio, exact in floats
-        self.dt = self.T / steps
-        self.T_alpha = self.dt * steps_alpha
-        _check_step_budget(self.T, steps + steps_alpha)
-
-        self.eps_ph = cfg.epsilon_B * (self.alpha - 1.0) / (self.alpha + 1.0)
-        self.m = bits_for_precision(0.5 * self.eps_ph)
-        self.R = cfg.repetitions
-
-        sched1 = AdiabaticSchedule(T=self.T, steps=steps)
-        sched_a = replace(sched1, T=self.T_alpha, steps=steps_alpha)
-        self.dist1 = distribution_for_loop(self.family, sched1, self.psi0, self.m)
-        self.dist_alpha = distribution_for_loop(
-            self.family, sched_a, self.psi0, self.m
+        # Shared-step pairs: the alpha run reuses dt exactly, and the realized
+        # step ratio is what enters the reconstruction.  Steps per runtime T
+        # are multiples of step_unit, choose_alpha's q in integer mode.  The
+        # budget is checked at the cap, before any propagation.
+        integer = cfg.alpha_mode == "integer"
+        self.step_unit = round(1.0 / (self.alpha_nominal - 1.0)) if integer else 1
+        cap = step_count(self.T, self.setup["H_max"], cfg.oversampling)
+        cap = self.step_unit * math.ceil(cap / self.step_unit)
+        _check_step_budget(self.T, cap + self._alpha_steps(cap))
+        # Formula mode's realized alpha moves with the step count, and a
+        # coarse pair could break its unwrap window, so it keeps the cap.
+        pair, self.step_check = _checked_build(
+            family, self.T, cap, self.step_unit,
+            STEP_CHECK_FRACTION * cfg.epsilon_B, self._pair, check=integer,
         )
+        vars(self).update(pair)
+        self.R = cfg.repetitions
         if "phase_lag_floor" in (self.calibration or {}):
             # A floored runtime reports its infidelity, read from the propagator
             # just built: <psi0|W(T)|psi0> = sum_k weight_k e^{i phase_k}.
             overlap = np.sum(self.dist1.weights * np.exp(1j * self.dist1.phases))
             self.calibration["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
+
+    def _alpha_steps(self, steps: int) -> int:
+        if self.config.alpha_mode == "integer":
+            return steps + steps // self.step_unit
+        return max(steps + 1, round(self.alpha_nominal * steps))
+
+    def _pair(self, steps: int) -> tuple[dict, float]:
+        """The two-runtime pair at ``steps`` steps per runtime T, as engine
+        attributes, and the theta_B its dominant eigenphases reconstruct."""
+        steps_alpha = self._alpha_steps(steps)
+        alpha = steps_alpha / steps  # realized ratio, exact in floats
+        dt = self.T / steps
+        eps_ph = self.config.epsilon_B * (alpha - 1.0) / (alpha + 1.0)
+        m = bits_for_precision(0.5 * eps_ph)
+        sched1 = AdiabaticSchedule(T=self.T, steps=steps)
+        sched_a = replace(sched1, T=dt * steps_alpha, steps=steps_alpha)
+        dist1 = distribution_for_loop(self.family, sched1, self.psi0, m)
+        dist_alpha = distribution_for_loop(self.family, sched_a, self.psi0, m)
+        _, theta_B = reconstruct_phases(
+            _dominant_phase(dist1), _dominant_phase(dist_alpha), alpha,
+            self.config.alpha_mode,
+        )
+        return {
+            "steps": steps, "steps_alpha": steps_alpha, "alpha": alpha,
+            "dt": dt, "T_alpha": sched_a.T, "eps_ph": eps_ph, "m": m,
+            "dist1": dist1, "dist_alpha": dist_alpha,
+        }, theta_B
 
     def run(self, seed) -> tuple[float, float, dict]:
         """One seeded estimation: returns (theta_B_hat, theta_D_hat,
@@ -396,6 +473,7 @@ class BpeEngine:
             "steps": self.steps,
             "steps_alpha": self.steps_alpha,
             "dt": self.dt,
+            "step_check": self.step_check,
             "m": self.m,
             "R": self.R,
             "eps_ph": self.eps_ph,
@@ -449,27 +527,35 @@ def murta_bpe(
 
     The composite accumulates 2 theta_B with no dynamical component, so a
     single phase estimation suffices — but the halved readout lives in
-    [0, pi) and aliases theta_B - pi whenever theta_B >= pi.
+    [0, pi) and aliases theta_B - pi whenever theta_B >= pi.  Its step count
+    comes from the engine's step check, applied to the doubled phase.
     """
     cfg = config or BpeConfig()
     # Same phase-lag floor as the two-runtime engine: the composite's
     # readout inherits each leg's ~G/T eigenphase lag.
     psi0, setup = _resolve_runtime(family, cfg, initial_ground_state)
     T = setup["T"]
-    steps = step_count(T, setup["H_max"], cfg.oversampling)
-    _check_step_budget(T, 2 * steps)
-    fwd = AdiabaticSchedule(T=T, steps=steps)
-    rev = replace(fwd, direction="reversed")
-    W_fwd = loop_propagator(family, fwd)
-    composite = loop_propagator(family, rev) @ W_fwd
+    cap = step_count(T, setup["H_max"], cfg.oversampling)
+    _check_step_budget(T, 2 * cap)
+    m = bits_for_precision(cfg.epsilon_B)
+
+    def build(steps):
+        fwd = AdiabaticSchedule(T=T, steps=steps)
+        W_fwd = loop_propagator(family, fwd)
+        composite = loop_propagator(family, replace(fwd, direction="reversed")) @ W_fwd
+        dist = distribution_for_unitary(composite, psi0, m)
+        return (steps, W_fwd, dist), _dominant_phase(dist)
+
+    # The check reads the doubled phase 2 theta_B, so its tolerance doubles.
+    (steps, W_fwd, dist), step_check = _checked_build(
+        family, T, cap, 1, 2.0 * STEP_CHECK_FRACTION * cfg.epsilon_B, build
+    )
     if "phase_lag_floor" in (setup["calibration"] or {}):
         # A floored runtime reports its infidelity, read from the forward leg.
         overlap = np.vdot(psi0, W_fwd @ psi0)
         setup["calibration"]["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
-    m = bits_for_precision(cfg.epsilon_B)
     R = cfg.repetitions
-    dist = distribution_for_unitary(composite, psi0, m)
     est = estimate_from_distribution(dist, R, np.random.default_rng(seed))
     theta = est.value / 2.0  # in [0, pi)
 
@@ -478,11 +564,14 @@ def murta_bpe(
     return theta, {
         "seed": seed if isinstance(seed, int) else repr(seed),
         "T": T,
+        "T_phase_floor": setup["T_phase_floor"],
         "steps": steps,
+        "step_check": step_check,
         "m": m,
         "R": R,
         "doubled_phase": est.value,
         "raw_outcomes": est.raw_outcomes,
         "calibration": setup["calibration"],
+        "warnings": setup["warnings"],
         "low_fidelity_warning": est.low_fidelity_warning,
     }

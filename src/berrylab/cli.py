@@ -90,6 +90,15 @@ def _maybe_decide(theta_B: float, instance, epsilon_B: float):
     return decide_interval(theta_B, a, b, delta, epsilon_B)
 
 
+def _flag_short_runtime(payload: dict, diag: dict) -> None:
+    """Mark a payload whose set --runtime lies below the phase-lag floor."""
+    if diag["warnings"]:
+        payload["T_phase_floor"] = diag["T_phase_floor"]
+        payload["warnings"] = diag["warnings"]
+        for w in diag["warnings"]:
+            print(f"warning: {w}", file=sys.stderr)
+
+
 def _parse_int(text: str, base: int, what: str) -> int:
     try:
         return int(text, base)
@@ -112,9 +121,10 @@ def cmd_oracle(args) -> int:
         "min_gap": gap,
         "min_gap_lambda": gap_lam,
     }
-    _write_json(args.out, payload)
+    # The sweep goes first, so a refused sweep grid leaves no payload behind.
     args.sweep_out = args.sweep_out or f"{args.out}.sweep.csv"
     write_sweep_csv(family, args.sweep_grid, args.sweep_out)
+    _write_json(args.out, payload)
     _write_manifest(args)
     print(f"theta_B = {result.theta_B:.12f} (converged={result.converged}); wrote {args.out}")
     return 0
@@ -160,6 +170,7 @@ def cmd_bpe(args) -> int:
     }
     if instance is not None and "oracle_theta_B" in instance.provenance:
         payload["oracle_theta_B"] = instance.provenance["oracle_theta_B"]
+    _flag_short_runtime(payload, diag)
     _write_json(args.out, payload)
     _write_manifest(args)
     print(f"theta_B_hat = {theta_B:.6f}, theta_D_hat = {theta_D:.6f}; wrote {args.out}")
@@ -181,6 +192,7 @@ def cmd_murta(args) -> int:
         "seed": args.seed,
         "decision": decision,
     }
+    _flag_short_runtime(payload, diag)
     _write_json(args.out, payload)
     _write_manifest(args)
     print(f"theta_B_hat = {theta:.6f} (halved readout, [0, pi)); wrote {args.out}")
@@ -319,7 +331,9 @@ def _add_bpe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon-b", type=float, default=0.05, help="target Berry phase error (radians)")
     p.add_argument("--eta", type=float, default=0.05, help="total failure probability budget")
     p.add_argument("--runtime", type=float, default=None, help="override the calibrated loop runtime T")
-    p.add_argument("--oversampling", type=float, default=10.0, help="Trotter steps per unit of T * H_max")
+    p.add_argument("--oversampling", type=float, default=10.0,
+                   help="finest step density, steps per unit of T * H_max (>= 2): the cap "
+                   "on the coarsest step count the phase check accepts")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,14 @@ evolves under -H along the same lambda sequence, which is the partner
 evolution that doubles the geometric phase while cancelling the dynamical
 one.
 
+An exact exponential at the step's midpoint is a second-order Magnus step:
+its error scales with dt^2 ||[H, dH/dlam]||, not with H_max.  step_count
+keeps dt * H_max <= 1/oversampling, which is the finest density a run may
+take (the cap) and the count the step budget is checked against.  The
+estimators in ``bpe`` build coarser: they start from guess_step_count and
+keep the coarsest step count whose Berry phase an a-posteriori check
+accepts.
+
 For a lambda-independent family the step product collapses to a single
 matrix exponential, which is used as an exact shortcut.
 """
@@ -23,12 +31,16 @@ from .errors import CapacityError, ConfigError, NumericalError
 from .exact import ground_state, lambda_grid, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
+    commutator_bound,
     derivative_family,
     eval_hamiltonian,
     norm_bounds,
 )
 
 DEFAULT_OVERSAMPLING = 10.0  # steps per unit of T * H_max
+# guess_step_count's T sqrt(C) per step: an empirical scale at which the
+# estimators' step check mostly accepts its first or second doubling.
+STEP_GUESS_KAPPA = 0.5
 CALIBRATION_DOUBLINGS = 40  # runtimes 1, 2, 4, ... tried by calibrate_runtime
 
 # Exact per-step propagators are dense eigendecompositions; cap the total
@@ -103,8 +115,10 @@ def make_schedule(
 
 
 def step_count(T: float, h_max: float, oversampling: float) -> int:
-    """Exact Trotter steps keeping dt * H_max <= 1/oversampling.  A count
-    that is not finite or over MAX_TOTAL_STEPS raises CapacityError."""
+    """Exact Trotter steps keeping dt * H_max <= 1/oversampling: the finest
+    density, which calibration uses and the estimators' step check never
+    exceeds.  A count that is not finite or over MAX_TOTAL_STEPS raises
+    CapacityError."""
     steps = T * max(h_max, 1e-12) * oversampling
     if not steps <= MAX_TOTAL_STEPS:
         raise CapacityError(
@@ -114,13 +128,12 @@ def step_count(T: float, h_max: float, oversampling: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _check_step_size(family: HamiltonianFamily, schedule: AdiabaticSchedule) -> None:
-    h_max = norm_bounds(family)[0]
-    if schedule.dt * h_max > 0.5:
-        raise ConfigError(
-            f"step too coarse: dt * H_max = {schedule.dt * h_max:.3f} > 0.5; "
-            "increase steps or reduce T"
-        )
+def guess_step_count(family: HamiltonianFamily, T: float) -> float:
+    """Commutator guess T sqrt(C) / STEP_GUESS_KAPPA for the steps a loop of
+    runtime T needs, C = commutator_bound(family): the phase error of the
+    midpoint rule over the loop scales as (T sqrt(C) / steps)^2.  A float,
+    unrounded, so a huge guess compares with the cap without overflow."""
+    return T * math.sqrt(commutator_bound(family)) / STEP_GUESS_KAPPA
 
 
 def _step_lambdas(schedule: AdiabaticSchedule) -> np.ndarray:
@@ -133,7 +146,6 @@ def _step_factors(family: HamiltonianFamily, schedule: AdiabaticSchedule):
     steps, U_j = (V[j] * phases[j]) @ V[j]^dagger; a lambda-independent
     family is one step of length T at lambda = 0.  The unitaries still
     multiply one at a time, in step order."""
-    _check_step_size(family, schedule)
     sign = 1.0 if schedule.direction == "forward" else -1.0
     if family.is_constant():
         lams, dt = np.zeros(1), schedule.T

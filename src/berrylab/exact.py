@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import circle_distance, wrap_2pi
-from .errors import ConfigError, DegeneracyError, NumericalError
+from .errors import CapacityError, ConfigError, DegeneracyError, NumericalError
 from .hamiltonians import HamiltonianFamily, eval_hamiltonian, eval_hamiltonians
 
 # A gap below this relative threshold is treated as an exact degeneracy.
@@ -32,6 +32,10 @@ MIN_LOOP_OVERLAP = 0.5
 
 # Default Wilson-loop convergence tolerance on the error estimate (radians).
 WILSON_TOL = 1e-5
+
+# Each grid point costs one eigensolve, as an exact step does, so a grid is
+# held to the same budget as a run's steps (dynamics.MAX_TOTAL_STEPS).
+MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass
@@ -210,11 +214,16 @@ def min_gap(family: HamiltonianFamily, grid) -> tuple[float, float]:
 def lambda_grid(family: HamiltonianFamily, grid, offset: float = 0.0) -> np.ndarray:
     """The lambdas of a grid.  A point count n gives the uniform grid
     (j + offset) / n on [0, 1); it is refused when n <= 2 k for the family's
-    highest harmonic k, since such a grid aliases that harmonic.  An explicit
-    sequence of lambdas is taken as given."""
+    highest harmonic k, since such a grid aliases that harmonic, and above
+    MAX_GRID_POINTS.  An explicit sequence of lambdas is taken as given."""
     if isinstance(grid, (int, np.integer)):
         if grid < 2:
             raise ConfigError(f"grid must have at least 2 points, got {grid}")
+        if grid > MAX_GRID_POINTS:
+            raise CapacityError(
+                f"a {grid}-point lambda grid is over the budget of "
+                f"{MAX_GRID_POINTS} points"
+            )
         k = max((j for _, c in family.terms for j, _ in c.cos_terms + c.sin_terms),
                 default=0)
         if grid <= 2 * k:

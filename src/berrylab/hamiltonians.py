@@ -458,6 +458,19 @@ def norm_bounds(family: HamiltonianFamily) -> tuple[float, float, float]:
     )
 
 
+def commutator_bound(family: HamiltonianFamily) -> float:
+    """Upper bound on sup_lambda ||[H, dH/dlam]||.  Two Pauli strings commute
+    or anticommute, and [P, Q] = 2 P Q for an anticommuting pair, so the
+    bound is 2 * sum over anticommuting pairs of bound(c_P) * bound(c'_Q)."""
+    d1 = derivative_family(family, 1)
+    return 2.0 * sum(
+        c.bound() * c1.bound()
+        for p, c in family.terms
+        for q, c1 in d1.terms
+        if p.anticommutes_with(q)
+    )
+
+
 def scale_and_add(
     a: float, fam1: HamiltonianFamily, b: float, fam2: HamiltonianFamily
 ) -> HamiltonianFamily:

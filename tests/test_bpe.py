@@ -17,9 +17,19 @@ from berrylab.bpe import (
     reconstruct_phases,
     run_bpe,
 )
-from berrylab.corpus import constant_z_family, equatorial_loop, tilted_loop_family
+from berrylab.corpus import (
+    bqp_yes_circuit,
+    constant_z_family,
+    equatorial_loop,
+    random_gapped_family,
+    tilted_loop_family,
+)
+from berrylab.dynamics import AdiabaticSchedule, loop_propagator
 from berrylab.errors import CapacityError, ConfigError
+from berrylab.exact import ground_state
 from berrylab.hamiltonians import constant, cosine, make_family, sine
+from berrylab.hardness import build_bqp_instance
+from berrylab.qpe import distribution_for_unitary
 
 from oracles import EQUATORIAL_THETA_B, tilted_theta_B
 
@@ -360,6 +370,75 @@ def test_unfloored_calibration_keeps_its_own_infidelity(equatorial, alpha_mode):
     for calibration in (engine.calibration, diag["calibration"]):
         assert "phase_lag_floor" not in calibration
         assert calibration["infidelity"] == calibration["tested"][-1][1]
+
+
+# -- the step check -----------------------------------------------------------------
+
+# The equatorial loop at oversampling 40 plants a check: its guess is a
+# quarter of that cap.  The 3-qubit random family guesses below half the cap.
+STEP_CHECK_CASES = {
+    "equatorial-40": (equatorial_loop(), BpeConfig(oversampling=40.0)),
+    "random-3-qubit": (random_gapped_family(3, np.random.default_rng(1103)), BpeConfig()),
+}
+
+
+def _accepted(check, steps):
+    """The check ran, and its last comparison accepted the final step count."""
+    return check["converged"] and check["tested"][-1][0] == steps
+
+
+def _murta_phase_at(family, T, steps):
+    """Dominant eigenphase of the composite loop built at ``steps`` steps."""
+    _, psi0 = ground_state(family, 0.0)
+    composite = (loop_propagator(family, AdiabaticSchedule(T, steps, "reversed"))
+                 @ loop_propagator(family, AdiabaticSchedule(T, steps)))
+    dist = distribution_for_unitary(composite, psi0, 8)
+    return dist.phases[np.argmax(dist.weights)]
+
+
+@pytest.mark.parametrize("name", STEP_CHECK_CASES)
+def test_engine_ends_at_an_accepted_step(name):
+    family, cfg = STEP_CHECK_CASES[name]
+    engine = BpeEngine(family, cfg)
+    check = engine.step_check
+    assert check["tested"], "the check did not run"
+    assert _accepted(check, engine.steps), check
+    assert engine.steps < check["cap"]
+    # the accepted theta_B lies within eps_B/100 of a pair built at the cap
+    _, at_cap = engine._pair(check["cap"])
+    assert circle_distance(check["phase"], at_cap) <= cfg.epsilon_B / 100
+
+
+@pytest.mark.parametrize("name", STEP_CHECK_CASES)
+def test_murta_ends_at_an_accepted_step(name):
+    family, cfg = STEP_CHECK_CASES[name]
+    _, diag = murta_bpe(family, config=cfg, return_diagnostics=True)
+    check = diag["step_check"]
+    assert check["tested"], "the check did not run"
+    assert _accepted(check, diag["steps"]), check
+    assert diag["steps"] < check["cap"]
+    # the doubled phase, halved, lies within eps_B/100 of the cap's
+    at_cap = _murta_phase_at(family, diag["T"], check["cap"])
+    assert circle_distance(check["phase"], at_cap) / 2 <= cfg.epsilon_B / 100
+
+
+def test_one_qubit_loops_build_at_the_cap(equatorial):
+    # a guess of at least half the cap builds there unchecked, as before the check
+    engine = BpeEngine(equatorial)
+    _, diag = murta_bpe(equatorial, return_diagnostics=True)
+    for check, steps in ((engine.step_check, engine.steps), (diag["step_check"], diag["steps"])):
+        assert check["tested"] == [] and not check["converged"]
+        assert steps == check["cap"] == 3948
+
+
+def test_bqp_steps_at_most_a_sixteenth_of_the_cap():
+    family = build_bqp_instance(bqp_yes_circuit()).family
+    engine = BpeEngine(family)
+    _, diag = murta_bpe(family, return_diagnostics=True)
+    assert _accepted(engine.step_check, engine.steps)
+    assert _accepted(diag["step_check"], diag["steps"])
+    assert 16 * engine.steps <= engine.step_check["cap"]
+    assert 16 * diag["steps"] <= diag["step_check"]["cap"]
 
 
 def test_decide_needs_margin_vs_certified_delta(equatorial):

@@ -18,7 +18,7 @@ from berrylab.corpus import (
     synthetic_verifier_instance,
 )
 from berrylab.hamiltonians import constant, cosine, make_family, save_family
-from berrylab.hardness import save_instance
+from berrylab.hardness import build_bqp_instance, save_instance
 
 
 def run_cli(*argv, env=None):
@@ -355,10 +355,13 @@ def test_bad_family_file_exit_code(tmp_path, command, record):
          "--epsilon", 0.3, "--witness", 1],
         ["murta", "--instance", "eq.json", "--alpha-cap", 5, "--seed", 1],
         ["murta", "--instance", "eq.json", "--alpha-mode", "formula", "--seed", 1],
+        ["bpe", "--instance", "eq.json", "--runtime", 50, "--oversampling", 1, "--seed", 1],
+        ["murta", "--instance", "eq.json", "--runtime", 50, "--oversampling", 1, "--seed", 1],
     ],
     ids=["runs-0", "runs-negative", "seed-negative", "excited-not-int",
          "basis-not-bits", "genhard-witness-not-bits", "genhard-bqp-duqma-flags",
-         "murta-alpha-cap", "murta-alpha-mode"],
+         "murta-alpha-cap", "murta-alpha-mode", "bpe-oversampling-1",
+         "murta-oversampling-1"],
 )
 def test_bad_argument_exit_code(work, tmp_path, argv):
     argv = [work / a if a in ("syn", "eq.json", "yes.circuit.json", "duqma.circuit.json")
@@ -367,6 +370,51 @@ def test_bad_argument_exit_code(work, tmp_path, argv):
         argv += ["--seed", 1]
     p = run_cli(*argv, "--out", tmp_path / "o.json")
     assert p.returncode == 2, p.stderr
+    assert "Traceback" not in p.stderr
+    assert not (tmp_path / "o.json").exists()
+
+
+BAD_INPUTS = {
+    "truncated-family": ({"eq.json": '{"n_qubits": 1, "terms": ['},
+                         ["bpe", "--instance", "eq.json", "--seed", 1]),
+    "family-with-string-coefficient": (
+        {"eq.json": json.dumps({"n_qubits": 1, "k_max": 1,
+                                "terms": [{"pauli": "X", "coeff": {"const": "1"}}]})},
+        ["murta", "--instance", "eq.json", "--seed", 1]),
+    "instance-with-bad-interval": (
+        {"eq.json": "bqp.json", "eq.provenance.json": json.dumps({"kind": "bqp", "interval": 5})},
+        ["bpe", "--instance", "eq", "--seed", 1]),
+    "instance-without-threshold": (
+        {"eq.json": "bqp.json", "eq.provenance.json": "bqp.provenance.json"},
+        ["verify", "--instance", "eq", "--witness", "ground", "--seed", 1]),
+    "oversampling-1e12": ({"eq.json": "eq.json"},
+                          ["bpe", "--instance", "eq.json", "--oversampling", "1e12", "--seed", 1]),
+    "runtime-1e308": ({"eq.json": "eq.json"},
+                      ["murta", "--instance", "eq.json", "--runtime", "1e308", "--seed", 1]),
+    "epsilon-b-1e-320": ({"eq.json": "eq.json"},
+                         ["bpe", "--instance", "eq.json", "--epsilon-b", "1e-320", "--seed", 1]),
+    "grid-size-huge": ({"eq.json": "eq.json"},
+                       ["oracle", "--instance", "eq.json", "--grid-size", 10**12]),
+    "sweep-grid-huge": ({"eq.json": "eq.json"},
+                        ["oracle", "--instance", "eq.json", "--sweep-grid", 10**12]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_in_a_subprocess(work, tmp_path, name):
+    # A typed exit, never a traceback or a crash below Python, in a fresh
+    # interpreter.  A file given by name, not by its JSON text, is copied
+    # from the shared fixtures.
+    files, argv = BAD_INPUTS[name]
+    if not (work / "bqp.json").exists():
+        save_instance(build_bqp_instance(bqp_yes_circuit()), str(work / "bqp"))
+    for fname, text in files.items():
+        if not text.startswith("{"):
+            text = (work / text).read_text()
+        (tmp_path / fname).write_text(text)
+    argv = [tmp_path / a if a in ("eq.json", "eq") else a for a in argv]
+    p = run_cli(*argv, "--out", tmp_path / "o.json")
+    assert p.returncode in (2, 3), (p.returncode, p.stderr)
     assert "Traceback" not in p.stderr
     assert not (tmp_path / "o.json").exists()
 
@@ -430,6 +478,26 @@ def test_murta_subcommand(work):
     payload = json.loads(out.read_text())
     est = payload["theta_B_hat"]
     assert min(est, 2 * math.pi - est) <= 0.1  # aliased to 0, not pi
+
+
+@pytest.mark.parametrize("command", ["bpe", "murta"])
+def test_short_runtime_is_flagged_not_refused(work, tmp_path, command):
+    # T = 5 lies far below the equatorial loop's phase-lag floor of 394.8:
+    # the run exits 0, and the payload and stderr say so.
+    out = tmp_path / "short.json"
+    p = run_cli(command, "--instance", work / "eq.json", "--runtime", 5, "--seed", 1,
+                "--out", out)
+    assert p.returncode == 0, p.stderr
+    payload = json.loads(out.read_text())
+    assert payload["T"] == 5.0
+    assert payload["T_phase_floor"] == pytest.approx(394.78, abs=0.01)
+    assert len(payload["warnings"]) == 1 and "phase-lag floor" in payload["warnings"][0]
+    assert "warning: runtime T=5 is below the phase-lag floor" in p.stderr
+    # a calibrated run keeps its payload's keys
+    p = run_cli(command, "--instance", work / "eq.json", "--seed", 1, "--out", out)
+    assert p.returncode == 0, p.stderr
+    assert not {"T_phase_floor", "warnings"} & json.loads(out.read_text()).keys()
+    assert "warning" not in p.stderr
 
 
 # -- genhard ------------------------------------------------------------------------

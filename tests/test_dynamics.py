@@ -18,15 +18,26 @@ from berrylab.dynamics import (
     adiabatic_propagate,
     calibrate_runtime,
     controlled_power_apply,
+    guess_step_count,
     loop_infidelity,
     loop_propagator,
     make_schedule,
     phase_lag_scale,
     required_runtime,
+    step_count,
 )
 from berrylab.errors import ConfigError, NumericalError
 from berrylab.exact import ground_state
-from berrylab.hamiltonians import constant, cosine, make_family, norm_bounds, sine
+from berrylab.hamiltonians import (
+    commutator_bound,
+    constant,
+    cosine,
+    derivative_family,
+    eval_hamiltonian,
+    make_family,
+    norm_bounds,
+    sine,
+)
 from berrylab.hardness import build_bqp_instance
 
 from oracles import (
@@ -68,10 +79,33 @@ def test_make_schedule_rejects_low_oversampling(equatorial):
         make_schedule(equatorial, T=1.0, oversampling=1.0)
 
 
-def test_coarse_schedule_rejected(equatorial):
-    sched = AdiabaticSchedule(T=10.0, steps=3)
-    with pytest.raises(ConfigError):
-        loop_propagator(equatorial, sched)
+def test_commutator_bound_covers_the_loop(rng):
+    # sup ||[H, dH/dlam]|| measured on a fine grid never exceeds the bound
+    for fam in (equatorial_loop(), tilted_loop_family(1.0), random_gapped_family(3, rng),
+                build_bqp_instance(bqp_yes_circuit()).family):
+        d1 = derivative_family(fam, 1)
+        worst = 0.0
+        for lam in np.arange(128) / 128:
+            H, D = eval_hamiltonian(fam, lam), eval_hamiltonian(d1, lam)
+            worst = max(worst, np.linalg.norm(H @ D - D @ H, 2))
+        assert worst <= commutator_bound(fam) * (1 + 1e-12)
+    assert commutator_bound(constant_z_family()) == 0.0
+
+
+@pytest.mark.parametrize("family, near_cap", [
+    (equatorial_loop(), True),
+    (tilted_loop_family(math.pi / 3), True),
+    (tilted_loop_family(2 * math.pi / 3), True),
+    (build_bqp_instance(bqp_yes_circuit()).family, False),
+], ids=["equatorial", "tilted-third", "tilted-two-thirds", "bqp-yes"])
+def test_step_guess_against_the_cap(family, near_cap):
+    # The 1-qubit loops guess at least half the H_max cap, so the estimators
+    # build them at the cap unchecked; a compiled instance guesses far below.
+    T = 100.0
+    ratio = guess_step_count(family, T) / step_count(T, norm_bounds(family)[0], 10.0)
+    assert (ratio >= 0.5) == near_cap
+    if not near_cap:
+        assert ratio <= 1 / 16
 
 
 # -- propagation vs the expm oracle ------------------------------------------
