@@ -2,8 +2,9 @@
 
 Every reported phase in this package is a point on [0, 2pi); the half-open
 branch (-pi, pi] appears only inside phase reconstruction, where a difference
-of two measured phases has to be unwrapped before rescaling.  Keeping these
-three-line maps in one place avoids the classic off-by-2pi bugs.
+of two measured phases has to be unwrapped before rescaling, and in the
+verifier's energy readouts.  Keeping these three-line maps in one place
+avoids the classic off-by-2pi bugs.
 """
 
 from __future__ import annotations

@@ -52,9 +52,11 @@ from .exact import ground_state, min_gap
 from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
     bits_for_precision,
+    circular_median,
     distribution_for_loop,
     distribution_for_unitary,
     estimate_from_distribution,
+    sample_outcomes,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -446,23 +448,27 @@ class BpeEngine:
             "dist1": dist1, "dist_alpha": dist_alpha,
         }, theta_B
 
+    def readouts(self, seeds) -> tuple[list, list, np.ndarray, np.ndarray]:
+        """Both runtimes' QPE readouts for a list of seeds: the circular
+        medians m1 and m_alpha, one per seed, and the raw outcomes behind
+        them, one row of R per seed.  Each seed's SeedSequence spawns one
+        child per runtime, whose default_rng draws that runtime's row."""
+        children = [
+            (s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)).spawn(2)
+            for s in seeds
+        ]
+        dists = (self.dist1, self.dist_alpha)
+        raw = [sample_outcomes(d, self.R, [np.random.default_rng(c[k]) for c in children])
+               for k, d in enumerate(dists)]
+        m1, m_alpha = (circular_median(d.angles(r)).tolist() for d, r in zip(dists, raw))
+        return m1, m_alpha, *raw
+
     def run(self, seed) -> tuple[float, float, dict]:
         """One seeded estimation: returns (theta_B_hat, theta_D_hat,
         diagnostics)."""
-        ss = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        child1, child2 = ss.spawn(2)
-        est1 = estimate_from_distribution(
-            self.dist1, self.R, np.random.default_rng(child1)
-        )
-        est_a = estimate_from_distribution(
-            self.dist_alpha, self.R, np.random.default_rng(child2)
-        )
+        (m1,), (m_alpha,), (raw1,), (raw_alpha,) = self.readouts([seed])
         theta_D, theta_B = reconstruct_phases(
-            est1.value, est_a.value, self.alpha, self.config.alpha_mode
+            m1, m_alpha, self.alpha, self.config.alpha_mode
         )
         diagnostics = {
             "seed": seed if isinstance(seed, int) else repr(seed),
@@ -482,12 +488,12 @@ class BpeEngine:
             "eta_qpe": self.config.eta_qpe,
             "delta_adia": self.config.delta_adia,
             **self.setup,
-            "m1": est1.value,
-            "m_alpha": est_a.value,
-            "raw_outcomes_1": est1.raw_outcomes,
-            "raw_outcomes_alpha": est_a.raw_outcomes,
+            "m1": m1,
+            "m_alpha": m_alpha,
+            "raw_outcomes_1": tuple(raw1.tolist()),
+            "raw_outcomes_alpha": tuple(raw_alpha.tolist()),
             "low_fidelity_warning": bool(
-                est1.low_fidelity_warning or est_a.low_fidelity_warning
+                self.dist1.low_fidelity or self.dist_alpha.low_fidelity
             ),
         }
         return theta_B, theta_D, diagnostics

@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .bpe import BpeConfig, BpeEngine, check_decision_margin, decide_interval, murta_bpe, run_bpe
+from .bpe import BpeConfig, check_decision_margin, decide_interval, murta_bpe, run_bpe
 from .circuits import circuit_from_json_dict
 from .errors import CapacityError, ConfigError, NumericalError
 from .exact import diagonalize, ground_state, min_gap, wilson_loop_berry_phase, write_sweep_csv
@@ -43,7 +41,7 @@ from .hardness import (
     oracle_tolerance,
     save_instance,
 )
-from .verifier import VerifierConfig, energy_distribution, run_verifier
+from .verifier import MAX_VERIFY_RUNS, VerifierConfig, run_verifier
 
 
 def _write_json(path: str, obj) -> None:
@@ -260,6 +258,8 @@ def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
+    if args.runs > MAX_VERIFY_RUNS:  # before any seed is spawned
+        raise CapacityError(f"--runs {args.runs} is over the budget of {MAX_VERIFY_RUNS} runs")
     _, instance = _resolve_target(args.instance)
     if instance is None:
         raise ConfigError(
@@ -273,18 +273,10 @@ def cmd_verify(args) -> int:
         soundness_delta=args.soundness_delta,
         bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta),
     )
-    shared_dist = energy_distribution(instance, witness)
-    # The engine is built when a run first passes the energy gate, after
-    # run_verifier has checked the decision margin; if every run fails the
-    # gate, no loop is propagated.
-    build = functools.cache(lambda: BpeEngine(instance.family, config.bpe, guiding_state=witness))
-    engine = SimpleNamespace(run=lambda seed: build().run(seed))
-    children = np.random.SeedSequence(args.seed).spawn(args.runs)
-    outcomes = [
-        run_verifier(instance, witness, config, seed=child,
-                     energy_dist=shared_dist, bpe_engine=engine)
-        for child in children
-    ]
+    # Child i of --seed seeds run i; they are spawned as run_verifier reads them.
+    parent = np.random.SeedSequence(args.seed)
+    children = (parent.spawn(1)[0] for _ in range(args.runs))
+    outcomes = run_verifier(instance, witness, config, seed=children)
     accept_rate = float(np.mean([o.accept for o in outcomes]))
     energy_pass_rate = float(np.mean([o.energy_pass for o in outcomes]))
     payload = {

@@ -82,6 +82,10 @@ class QpeDistribution:
             self._cdf[-1] = 1.0
         return self._cdf
 
+    def angles(self, outcomes) -> np.ndarray:
+        """Readout angles 2 pi j / 2^m of outcomes j, in [0, 2 pi)."""
+        return TWO_PI * outcomes / 2 ** self.m
+
 
 def _fejer_row(phi: float, m: int) -> np.ndarray:
     """F_m(phi - 2 pi j / 2^m) for j = 0 .. 2^m - 1; rows sum to 1 exactly
@@ -156,10 +160,12 @@ def distribution_for_loop(
     return distribution_for_unitary(loop_propagator(family, schedule), psi, m)
 
 
-def sample_outcomes(dist: QpeDistribution, R: int, rng: np.random.Generator) -> np.ndarray:
+def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
+    """R outcomes drawn from a Generator; from a list of Generators, one row
+    of R per Generator, each row what that Generator alone would give."""
     if R < 1:
         raise ConfigError(f"repetitions must be >= 1, got {R}")
-    u = rng.random(R)
+    u = np.stack([g.random(R) for g in rng]) if isinstance(rng, list) else rng.random(R)
     return np.searchsorted(dist.cdf(), u, side="right")
 
 
@@ -167,8 +173,7 @@ def estimate_from_distribution(
     dist: QpeDistribution, R: int, rng: np.random.Generator
 ) -> PhaseEstimate:
     outcomes = sample_outcomes(dist, R, rng)
-    angles = TWO_PI * outcomes / (2 ** dist.m)
-    value = circular_median(angles)
+    value = circular_median(dist.angles(outcomes))
     return PhaseEstimate(
         value=value,
         precision=(1 + PRECISION_SPILLOVER) * TWO_PI / (2 ** dist.m),
@@ -194,16 +199,18 @@ def qpe_run(
     return estimate_from_distribution(dist, R, rng)
 
 
-def circular_median(angles) -> float:
+def circular_median(angles):
     """Frechet median on the circle: the sample point minimizing the summed
     circle distance to all samples; ties break to the smallest angle in
-    [0, 2 pi)."""
+    [0, 2 pi).  A 2-d sample gives an array of one median per row, each
+    equal to the 1-d call on that row."""
     a = np.asarray(angles, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ConfigError("circular_median needs a non-empty 1-d sample")
+    if a.ndim not in (1, 2) or a.size == 0:
+        raise ConfigError("circular_median needs a non-empty 1-d or 2-d sample")
     w = np.mod(a, TWO_PI)
-    diff = w[:, None] - w[None, :]
+    diff = w[..., :, None] - w[..., None, :]
     dist = np.abs((diff + math.pi) % TWO_PI - math.pi)
-    cost = dist.sum(axis=1)
-    order = np.lexsort((w, cost))
-    return float(w[order[0]])
+    cost = dist.sum(axis=-1)
+    first = np.lexsort((w, cost))[..., :1]
+    median = np.take_along_axis(w, first, axis=-1)[..., 0]
+    return float(median) if a.ndim == 1 else median

@@ -16,18 +16,25 @@ threshold E_th and a promise interval (a, b, delta):
    failed gate (Delta defaults to 1/12), 1 when theta_B lies in the arc
    and exactly 1/3 outside it.  A seeded coin, recorded in the
    transcript, is drawn only when 0 < p < 1.
+
+run_verifier is one batch path, a single run being its one-seed case: it
+takes the seeds BLOCK_RUNS at a time and makes each block's runs as arrays.
+Each run keeps its own SeedSequence tree (the run's seed spawns energy, bpe
+and coin seeds; BpeEngine.readouts spawns one child per runtime from the bpe
+seed), so a batch equals its runs made singly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .angles import wrap_pm_pi
-from .bpe import BpeConfig, BpeEngine, check_decision_margin, decide_interval
+from .angles import TWO_PI
+from .bpe import BpeConfig, BpeEngine, check_decision_margin, decide_interval, reconstruct_phases
 from .dynamics import StateVector
 from .errors import ConfigError
 from .exact import gapped_slice
@@ -35,6 +42,10 @@ from .qpe import QpeDistribution, bits_for_precision, distribution_from_phases, 
 
 ENERGY_REPETITIONS = 15
 DEFAULT_SOUNDNESS_DELTA = 1.0 / 12.0
+BLOCK_RUNS = 256  # runs per block: bounds the (runs, R, R) temporaries and the live seeds
+# Like MAX_GRID_POINTS and MAX_TOTAL_STEPS: the most protocol runs one
+# verify command makes, refused before any seed is spawned.
+MAX_VERIFY_RUNS = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,11 +131,12 @@ def energy_test(
     *,
     seed=0,
     distribution: EnergyDistribution | None = None,
-) -> tuple[float, bool]:
+):
     """Median-of-ENERGY_REPETITIONS energy estimate and the threshold gate.
 
     Returns (estimate, passed) with passed iff
-    estimate < instance.E_th + Delta_min/4.  Pass `distribution` (from
+    estimate < instance.E_th + Delta_min/4; for a list of seeds, an array of
+    each, one entry per seed.  Pass `distribution` (from
     energy_distribution) to amortize the diagonalization across seeds.
     """
     if instance.E_th is None:
@@ -132,12 +144,15 @@ def energy_test(
     if distribution is None:
         distribution = energy_distribution(instance, witness_state)
     dist, tau, delta_min = distribution
-    rng = np.random.default_rng(seed)
-    outcomes = sample_outcomes(dist, ENERGY_REPETITIONS, rng)
-    energies = [-wrap_pm_pi(2.0 * math.pi * j / 2 ** dist.m) / tau for j in outcomes]
-    estimate = float(np.median(energies))
-    passed = estimate < instance.E_th + delta_min / 4.0
-    return estimate, passed
+    rngs = [np.random.default_rng(s) for s in (seed if isinstance(seed, list) else [seed])]
+    readouts = dist.angles(sample_outcomes(dist, ENERGY_REPETITIONS, rngs))
+    # wrap_pm_pi, bit for bit, on readouts in [0, 2 pi)
+    energies = -np.where(readouts > math.pi, readouts - TWO_PI, readouts) / tau
+    estimates = np.median(energies, axis=1)
+    passed = estimates < instance.E_th + delta_min / 4.0
+    if isinstance(seed, list):
+        return estimates, passed
+    return float(estimates[0]), bool(passed[0])
 
 
 def run_verifier(
@@ -145,72 +160,70 @@ def run_verifier(
     witness_state,
     config: VerifierConfig | None = None,
     seed=0,
-    *,
-    energy_dist: EnergyDistribution | None = None,
-    bpe_engine=None,
-) -> VerifierOutcome:
-    """One full protocol run: energy gate, phase estimation, decision.
-
-    ``energy_dist`` and ``bpe_engine`` amortize the dense diagonalization and
-    the loop-propagator construction across seeds: pass the outputs of
-    energy_distribution(...) and BpeEngine(instance.family, config.bpe,
-    guiding_state=witness) when sweeping many runs on one instance.
-    """
+):
+    """Protocol runs: one VerifierOutcome for a seed (an int or a
+    SeedSequence), a list of them for an iterable of seeds, which is read
+    BLOCK_RUNS at a time.  The first run to pass the gate builds the
+    estimator, after the decision margin is checked; if none does, no loop
+    is propagated."""
     config = config or VerifierConfig()
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    energy_seed, bpe_seed, coin_seed = ss.spawn(3)
+    single = isinstance(seed, (int, np.integer, np.random.SeedSequence))
+    seeds = iter([seed] if single else seed)
+    energy_dist = energy_distribution(instance, witness_state)
+    engine, outcomes = None, []
+    while block := [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+                    for s in itertools.islice(seeds, BLOCK_RUNS)]:
+        energy_seeds, bpe_seeds, coin_seeds = zip(*(ss.spawn(3) for ss in block))
+        estimates, passed = energy_test(instance, witness_state, seed=list(energy_seeds),
+                                        distribution=energy_dist)
+        gated = np.flatnonzero(passed).tolist()
+        if gated:
+            a, b, delta = instance.interval
+            eps_B = config.bpe.epsilon_B
+            check_decision_margin(delta, eps_B)  # before any propagation
+            if engine is None:
+                engine = BpeEngine(
+                    instance.family, config.bpe, guiding_state=_as_amplitudes(witness_state)
+                )
+            m1, m_alpha, _, _ = engine.readouts([bpe_seeds[i] for i in gated])
+            readouts = dict(zip(gated, zip(m1, m_alpha)))
+        for i, (estimate, passed_i) in enumerate(zip(estimates.tolist(), passed.tolist())):
+            transcript = [{"step": "energy-test", "estimate": estimate, "threshold": instance.E_th,
+                           "margin": energy_dist.delta_min / 4.0,
+                           "repetitions": ENERGY_REPETITIONS, "pass": passed_i}]
+            theta_B = None
+            if passed_i:
+                theta_D, theta_B = reconstruct_phases(
+                    *readouts[i], engine.alpha, engine.config.alpha_mode
+                )
+                transcript.append(
+                    {"step": "phase-estimation", "theta_B_hat": theta_B, "theta_D_hat": theta_D,
+                     "epsilon_B": eps_B, "alpha": engine.alpha, "T": engine.T, "m": engine.m,
+                     "R": engine.R}
+                )
+                inside = decide_interval(theta_B, a, b, delta, eps_B)
+                p = 1.0 if inside == 1 else 1.0 / 3.0
+                branch = {"step": "decision", "branch": "interval-test",
+                          "interval": [a, b, delta], "in_yes_interval": inside}
+            else:
+                p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
+                branch = {"step": "decision", "branch": "energy-fail"}
 
-    if energy_dist is None:
-        energy_dist = energy_distribution(instance, witness_state)
-    estimate, passed = energy_test(
-        instance, witness_state, seed=energy_seed, distribution=energy_dist
-    )
-    transcript = [
-        {
-            "step": "energy-test",
-            "estimate": estimate,
-            "threshold": instance.E_th,
-            "margin": energy_dist.delta_min / 4.0,
-            "repetitions": ENERGY_REPETITIONS,
-            "pass": passed,
-        }
-    ]
-
-    theta_B = None
-    if passed:
-        a, b, delta = instance.interval
-        eps_B = config.bpe.epsilon_B
-        check_decision_margin(delta, eps_B)  # before any propagation
-        if bpe_engine is None:
-            bpe_engine = BpeEngine(
-                instance.family, config.bpe, guiding_state=_as_amplitudes(witness_state)
+            # Certain outcomes draw no coin; every other p is one coin from its coin seed.
+            decision = "accept-1" if p == 1.0 else "reject" if p == 0.0 else "accept-prob-bounded"
+            coin = float(np.random.default_rng(coin_seeds[i]).random()) if 0.0 < p < 1.0 else None
+            accept = p == 1.0 if coin is None else coin < p
+            transcript.append(
+                {**branch, "decision": decision, "accept_probability": p, "coin": coin,
+                 "accept": accept}
             )
-        theta_B, theta_D, diagnostics = bpe_engine.run(bpe_seed)
-        transcript.append(
-            {"step": "phase-estimation", "theta_B_hat": theta_B, "theta_D_hat": theta_D,
-             "epsilon_B": eps_B, **{k: diagnostics[k] for k in ("alpha", "T", "m", "R")}}
-        )
-        inside = decide_interval(theta_B, a, b, delta, eps_B)
-        p = 1.0 if inside == 1 else 1.0 / 3.0
-        branch = {"step": "decision", "branch": "interval-test",
-                  "interval": [a, b, delta], "in_yes_interval": inside}
-    else:
-        p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
-        branch = {"step": "decision", "branch": "energy-fail"}
-
-    # Certain outcomes draw no coin; every other p is one coin from coin_seed.
-    decision = "accept-1" if p == 1.0 else "reject" if p == 0.0 else "accept-prob-bounded"
-    coin = float(np.random.default_rng(coin_seed).random()) if 0.0 < p < 1.0 else None
-    accept = p == 1.0 if coin is None else coin < p
-    transcript.append(
-        {**branch, "decision": decision, "accept_probability": p, "coin": coin, "accept": accept}
-    )
-    return VerifierOutcome(
-        energy_estimate=estimate,
-        energy_pass=passed,
-        theta_estimate=theta_B,
-        decision=decision,
-        transcript=transcript,
-        accept=accept,
-        accept_probability=p,
-    )
+            outcomes.append(VerifierOutcome(
+                energy_estimate=estimate,
+                energy_pass=passed_i,
+                theta_estimate=theta_B,
+                decision=decision,
+                transcript=transcript,
+                accept=accept,
+                accept_probability=p,
+            ))
+    return outcomes[0] if single else outcomes

@@ -1,5 +1,6 @@
 import argparse
 import filecmp
+import hashlib
 import json
 import math
 import subprocess
@@ -155,13 +156,13 @@ def test_failed_sweep_leaves_no_csv(tmp_path):
 
 
 def test_verify_refuses_missing_threshold_before_any_work(tmp_path, monkeypatch):
-    from berrylab import cli
+    from berrylab import cli, verifier
     from berrylab.hardness import build_bqp_instance
 
     def engine(*args, **kwargs):
         raise AssertionError("BpeEngine built for an instance without E_th")
 
-    monkeypatch.setattr(cli, "BpeEngine", engine)
+    monkeypatch.setattr(verifier, "BpeEngine", engine)
     instance = build_bqp_instance(bqp_yes_circuit())
     assert instance.E_th is None
     save_instance(instance, str(tmp_path / "bqp"))
@@ -248,12 +249,12 @@ def test_extreme_flags_are_refused(work, tmp_path, monkeypatch, capsys, command,
 
 
 def _verify_without_engine(tmp_path, monkeypatch, witness):
-    from berrylab import cli
+    from berrylab import cli, verifier
 
     def engine(*args, **kwargs):
         raise AssertionError("BpeEngine built")
 
-    monkeypatch.setattr(cli, "BpeEngine", engine)
+    monkeypatch.setattr(verifier, "BpeEngine", engine)
     save_instance(synthetic_verifier_instance("yes", delta=0.3), str(tmp_path / "syn"))
     out = tmp_path / "o.json"
     rc = cli.main(["verify", "--instance", str(tmp_path / "syn"), "--witness", witness,
@@ -276,6 +277,24 @@ def test_verify_builds_no_engine_when_every_run_fails_the_gate(tmp_path, monkeyp
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["energy_pass_rate"] == 0.0
+
+
+def test_verify_builds_one_engine_across_blocks(work, tmp_path, monkeypatch):
+    # 300 runs span two blocks, and the first passing run builds the one engine
+    from berrylab import cli, verifier
+
+    made = []
+
+    class Counted(verifier.BpeEngine):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "BpeEngine", Counted)
+    rc = cli.main(["verify", "--instance", str(work / "syn"), "--witness", "ground",
+                   "--runs", "300", "--seed", "2", "--out", str(tmp_path / "o.json")])
+    assert rc == 0
+    assert len(made) == 1
 
 
 BAD_FAMILIES = {
@@ -376,27 +395,33 @@ def test_bad_argument_exit_code(work, tmp_path, argv):
 
 BAD_INPUTS = {
     "truncated-family": ({"eq.json": '{"n_qubits": 1, "terms": ['},
-                         ["bpe", "--instance", "eq.json", "--seed", 1]),
+                         ["bpe", "--instance", "eq.json", "--seed", 1], 2),
     "family-with-string-coefficient": (
         {"eq.json": json.dumps({"n_qubits": 1, "k_max": 1,
                                 "terms": [{"pauli": "X", "coeff": {"const": "1"}}]})},
-        ["murta", "--instance", "eq.json", "--seed", 1]),
+        ["murta", "--instance", "eq.json", "--seed", 1], 2),
     "instance-with-bad-interval": (
         {"eq.json": "bqp.json", "eq.provenance.json": json.dumps({"kind": "bqp", "interval": 5})},
-        ["bpe", "--instance", "eq", "--seed", 1]),
+        ["bpe", "--instance", "eq", "--seed", 1], 2),
     "instance-without-threshold": (
         {"eq.json": "bqp.json", "eq.provenance.json": "bqp.provenance.json"},
-        ["verify", "--instance", "eq", "--witness", "ground", "--seed", 1]),
+        ["verify", "--instance", "eq", "--witness", "ground", "--seed", 1], 2),
     "oversampling-1e12": ({"eq.json": "eq.json"},
-                          ["bpe", "--instance", "eq.json", "--oversampling", "1e12", "--seed", 1]),
+                          ["bpe", "--instance", "eq.json", "--oversampling", "1e12", "--seed", 1],
+                          3),
     "runtime-1e308": ({"eq.json": "eq.json"},
-                      ["murta", "--instance", "eq.json", "--runtime", "1e308", "--seed", 1]),
+                      ["murta", "--instance", "eq.json", "--runtime", "1e308", "--seed", 1], 3),
     "epsilon-b-1e-320": ({"eq.json": "eq.json"},
-                         ["bpe", "--instance", "eq.json", "--epsilon-b", "1e-320", "--seed", 1]),
+                         ["bpe", "--instance", "eq.json", "--epsilon-b", "1e-320", "--seed", 1],
+                         3),
     "grid-size-huge": ({"eq.json": "eq.json"},
-                       ["oracle", "--instance", "eq.json", "--grid-size", 10**12]),
+                       ["oracle", "--instance", "eq.json", "--grid-size", 10**12], 3),
     "sweep-grid-huge": ({"eq.json": "eq.json"},
-                        ["oracle", "--instance", "eq.json", "--sweep-grid", 10**12]),
+                        ["oracle", "--instance", "eq.json", "--sweep-grid", 10**12], 3),
+    # Refused before a SeedSequence is spawned for any of the 10^8 runs.
+    "verify-runs-huge": ({"eq.json": "syn.json", "eq.provenance.json": "syn.provenance.json"},
+                         ["verify", "--instance", "eq", "--witness", "ground",
+                          "--runs", 10**8, "--seed", 1], 3),
 }
 
 
@@ -405,7 +430,7 @@ def test_bad_input_in_a_subprocess(work, tmp_path, name):
     # A typed exit, never a traceback or a crash below Python, in a fresh
     # interpreter.  A file given by name, not by its JSON text, is copied
     # from the shared fixtures.
-    files, argv = BAD_INPUTS[name]
+    files, argv, code = BAD_INPUTS[name]
     if not (work / "bqp.json").exists():
         save_instance(build_bqp_instance(bqp_yes_circuit()), str(work / "bqp"))
     for fname, text in files.items():
@@ -414,7 +439,7 @@ def test_bad_input_in_a_subprocess(work, tmp_path, name):
         (tmp_path / fname).write_text(text)
     argv = [tmp_path / a if a in ("eq.json", "eq") else a for a in argv]
     p = run_cli(*argv, "--out", tmp_path / "o.json")
-    assert p.returncode in (2, 3), (p.returncode, p.stderr)
+    assert p.returncode == code, (p.returncode, p.stderr)
     assert "Traceback" not in p.stderr
     assert not (tmp_path / "o.json").exists()
 
@@ -573,6 +598,41 @@ def test_verify_rerun_bit_identical(work):
         )
         assert p.returncode == 0
     assert a.read_text() == b.read_text()
+
+
+# SHA-256 of the payload and the rates CSV of `verify --runs 300 --seed 12`,
+# recorded before the runs went through as arrays.  Together the cases take
+# every decision: certain acceptance, the interval coin, the energy-fail coin
+# and the saturated reject; 300 runs cross a block boundary.
+PINNED_VERIFY = {
+    ("syn-yes", "ground", ()): (
+        "ff2741d63fa63ad3bc99e6237f93b2906220e3963fe0c031b4d5545b09399f87",
+        "8a141864c967ced43bc4833221041a6365f2c88e23bfa246bb77a10ae8383ff2"),
+    ("syn-no", "ground", ()): (
+        "f0a5c59ae3c41dd9e2f81b66e0a17eacb2647907190569a476d1c3908c3d2b7f",
+        "ab4c2a12ca9b862a0afa94edc5bf99d0df3f0767aca1e9833c931a5eb6f65e5e"),
+    ("syn-yes", "excited:1", ()): (
+        "b93802bf5e1806f029a9d7d28d0d300874d144cdb0dcdf40054b8572b3be2bb2",
+        "3cf20963e50da13f6670dce56aae876a2746ae4378713504f2e16fcbf1312c21"),
+    ("syn-yes", "excited:1", ("--soundness-delta", "0.3333333333333333")): (
+        "7e10cf4071dd83bb1c4f0ae19e67ba802e7efa62cd95b695766bf656fbdfa5e5",
+        "6a23d40b8c05a9d8ac8744771534c98fc98301e1c985f32578138d5d57f04b16"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_VERIFY, ids=lambda c: " ".join([c[0], c[1], *c[2]]))
+def test_verify_bytes_are_pinned(tmp_path, case):
+    from berrylab import cli
+
+    name, witness, flags = case
+    save_instance(synthetic_verifier_instance(name.removeprefix("syn-")), str(tmp_path / name))
+    out = tmp_path / "o.json"
+    rc = cli.main(["verify", "--instance", str(tmp_path / name), "--witness", witness,
+                   "--runs", "300", "--seed", "12", *flags, "--out", str(out)])
+    assert rc == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, tmp_path / "o.json.rates.csv"))
+    assert digests == PINNED_VERIFY[case]
 
 
 def test_verify_excited_witness_rejects_often(work):

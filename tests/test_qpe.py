@@ -136,6 +136,20 @@ def test_circular_median_single_and_errors():
         circular_median([])
 
 
+@pytest.mark.parametrize("m, R", [(2, 2), (3, 4), (3, 19), (5, 6), (11, 19), (11, 1)])
+def test_circular_median_rows_match_the_1d_call(m, R):
+    # Seeded QPE readouts 2 pi j / 2^m.  Coarse grids and even R give exact
+    # cost ties, which must break to the smallest angle in each row as well.
+    rng = np.random.default_rng(1000 * m + R)
+    angles = TWO_PI * rng.integers(0, 2**m, size=(300, R)) / 2**m
+    rows = circular_median(angles)
+    assert rows.shape == (300,)
+    assert [v.hex() for v in rows.tolist()] == [circular_median(a).hex() for a in angles]
+    if (m, R) == (2, 2):  # two points, equal cost: the smaller one wins
+        assert any(len(set(a)) == 2 for a in angles)
+        assert all(v == min(a) for v, a in zip(rows.tolist(), angles.tolist()))
+
+
 def test_circular_median_is_a_sample_point(rng):
     samples = list(TWO_PI * rng.random(9))
     med = circular_median(samples)

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from berrylab.angles import wrap_pm_pi
 from berrylab.bpe import BpeEngine
 from berrylab.corpus import duqma_yes_circuit, synthetic_verifier_instance
 from berrylab.errors import ConfigError
 from berrylab.hamiltonians import eval_hamiltonian
 from berrylab.hardness import build_bqp_instance, build_duqma_instance, history_state
+from berrylab.qpe import sample_outcomes
 from berrylab.verifier import (
+    ENERGY_REPETITIONS,
     VerifierConfig,
     energy_distribution,
     energy_test,
@@ -96,13 +99,8 @@ def test_unique_passing_basis_witness():
 def test_completeness_on_yes(yes_instance):
     _, V = _eigenstates(yes_instance)
     witness = V[:, 0]
-    dist = energy_distribution(yes_instance, witness)
-    engine = BpeEngine(yes_instance.family, VerifierConfig().bpe, guiding_state=witness)
     accepts = 0
-    for seed in range(50):
-        out = run_verifier(
-            yes_instance, witness, seed=seed, energy_dist=dist, bpe_engine=engine
-        )
+    for out in run_verifier(yes_instance, witness, seed=list(range(50))):
         accepts += out.accept
         assert out.energy_pass
         assert out.theta_estimate is not None
@@ -114,13 +112,8 @@ def test_completeness_on_yes(yes_instance):
 def test_soundness_on_no(no_instance):
     _, V = _eigenstates(no_instance)
     witness = V[:, 0]
-    dist = energy_distribution(no_instance, witness)
-    engine = BpeEngine(no_instance.family, VerifierConfig().bpe, guiding_state=witness)
     accepts = 0
-    for seed in range(200):
-        out = run_verifier(
-            no_instance, witness, seed=seed, energy_dist=dist, bpe_engine=engine
-        )
+    for out in run_verifier(no_instance, witness, seed=list(range(200))):
         accepts += out.accept
         assert out.decision in ("accept-prob-bounded", "accept-1")
     # the phase lands in the complement arc, so acceptance is the bounded coin
@@ -130,10 +123,8 @@ def test_soundness_on_no(no_instance):
 def test_orthogonal_witness_fails_energy_gate(yes_instance):
     _, V = _eigenstates(yes_instance)
     bogus = V[:, -1]
-    dist = energy_distribution(yes_instance, bogus)
     accepts = 0
-    for seed in range(200):
-        out = run_verifier(yes_instance, bogus, seed=seed, energy_dist=dist)
+    for out in run_verifier(yes_instance, bogus, seed=list(range(200))):
         assert not out.energy_pass
         assert out.theta_estimate is None
         accepts += out.accept
@@ -145,20 +136,9 @@ def test_completeness_soundness_gap(yes_instance):
     _, V = _eigenstates(yes_instance)
     good = V[:, 0]
     bad = V[:, -1]
-    dist_good = energy_distribution(yes_instance, good)
-    dist_bad = energy_distribution(yes_instance, bad)
-    engine = BpeEngine(yes_instance.family, VerifierConfig().bpe, guiding_state=good)
     n = 500
-    acc_good = sum(
-        run_verifier(
-            yes_instance, good, seed=s, energy_dist=dist_good, bpe_engine=engine
-        ).accept
-        for s in range(n)
-    )
-    acc_bad = sum(
-        run_verifier(yes_instance, bad, seed=s, energy_dist=dist_bad).accept
-        for s in range(n)
-    )
+    acc_good = sum(o.accept for o in run_verifier(yes_instance, good, seed=list(range(n))))
+    acc_bad = sum(o.accept for o in run_verifier(yes_instance, bad, seed=list(range(n))))
     assert acc_good / n - acc_bad / n >= 1.0 / 3.0
 
 
@@ -198,6 +178,49 @@ def test_instance_without_threshold_is_refused():
     w, V = np.linalg.eigh(eval_hamiltonian(inst.family, 0.0))
     with pytest.raises(ConfigError):
         run_verifier(inst, V[:, 0], seed=0)
+
+
+@pytest.mark.parametrize("case", ["yes-int-seeds", "no-seed-sequences"])
+def test_batch_equals_single_runs(yes_instance, no_instance, monkeypatch, case):
+    # 300 runs cross a block boundary; the superposition witness passes the
+    # gate about half the time, so a block mixes both branches.
+    from berrylab import verifier
+
+    instance = yes_instance if case.startswith("yes") else no_instance
+    _, V = _eigenstates(instance)
+    witness = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
+    if "int" in case:
+        batch_seeds, single_seeds, tree_seeds = list(range(300)), list(range(300)), range(300)
+    else:  # a spawned SeedSequence is spent by its run, so spawn once per use
+        batch_seeds, single_seeds, tree_seeds = (
+            np.random.SeedSequence(7).spawn(300) for _ in range(3)
+        )
+    batch = run_verifier(instance, witness, seed=batch_seeds)
+    assert {o.energy_pass for o in batch} == {True, False}
+
+    # The singles share one energy distribution and one engine, as the batch does.
+    dist = energy_distribution(instance, witness)
+    engine = BpeEngine(instance.family, VerifierConfig().bpe, guiding_state=witness)
+    monkeypatch.setattr(verifier, "energy_distribution", lambda *args: dist)
+    monkeypatch.setattr(verifier, "BpeEngine", lambda *args, **kwargs: engine)
+    single = [run_verifier(instance, witness, seed=s) for s in single_seeds]
+    assert [json.dumps(o.to_json_dict()) for o in batch] == [
+        json.dumps(o.to_json_dict()) for o in single
+    ]
+
+    # The seed tree, rebuilt outside the batch code: each run's energy seed
+    # draws its readouts through the scalar wrap_pm_pi, and its bpe seed
+    # gives the engine's own run.
+    for out, s in zip(batch, tree_seeds):
+        energy_seed, bpe_seed, _ = (
+            s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+        ).spawn(3)
+        qpe = dist.distribution
+        js = sample_outcomes(qpe, ENERGY_REPETITIONS, np.random.default_rng(energy_seed))
+        energies = [-wrap_pm_pi(2.0 * math.pi * j / 2 ** qpe.m) / dist.tau for j in js]
+        assert out.energy_estimate == float(np.median(energies))
+        if out.energy_pass:
+            assert out.theta_estimate == engine.run(bpe_seed)[0]
 
 
 # -- pinned outcomes -------------------------------------------------------------
