@@ -39,15 +39,15 @@ import numpy as np
 
 from .angles import circle_distance, wrap_2pi, wrap_pm_pi
 from .dynamics import (
-    MAX_TOTAL_STEPS,
     AdiabaticSchedule,
     calibrate_runtime,
+    check_step_budget,
     guess_step_count,
     loop_propagator,
     phase_lag_scale,
     step_count,
 )
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError
 from .exact import ground_state, min_gap
 from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
@@ -59,26 +59,18 @@ from .qpe import (
     sample_outcomes,
 )
 
-TWO_PI = 2.0 * math.pi
-
 GAP_GRID = 64  # lambda points of the gap guard and the phase-lag scale
 GUIDING_FLOOR = 0.25  # least guiding-state fidelity that can be postselected
 STEP_CHECK_FRACTION = 0.01  # the step check's theta_B agreement, as a share of eps_B
-
-
-def _check_step_budget(T: float, total_steps: int) -> None:
-    """Refuse a run whose propagators need more than MAX_TOTAL_STEPS steps."""
-    if total_steps > MAX_TOTAL_STEPS:
-        raise CapacityError(
-            f"runtime T={T:.3e} needs {total_steps} exact Trotter steps, over "
-            f"the per-run budget of {MAX_TOTAL_STEPS}; the family's phase-lag "
-            "scale or norm is too large for desk-scale estimation"
-        )
+DOMINANT_TIE = 1e-9  # weights this close to the largest tie for the dominant phase
 
 
 def _dominant_phase(dist) -> float:
-    """Eigenphase of the propagator component carrying the most weight."""
-    return float(dist.phases[np.argmax(dist.weights)])
+    """Eigenphase of the component carrying the most weight.  Weights within
+    DOMINANT_TIE of the largest tie, and the phase smallest in [0, 2 pi) wins:
+    an even split must not hang on the solver's rounding or order."""
+    tied = dist.phases[dist.weights >= dist.weights.max() - DOMINANT_TIE]
+    return float(min(tied, key=wrap_2pi))
 
 
 def _checked_build(family: HamiltonianFamily, T: float, cap: int, unit: int,
@@ -145,13 +137,6 @@ class WrappedInterval:
             return 0.0
         return min(circle_distance(theta, self.a), circle_distance(theta, self.b))
 
-    def shrink(self, delta: float) -> "WrappedInterval":
-        return WrappedInterval(self.a + delta, self.b - delta)
-
-    def promise_complement(self, delta: float) -> "WrappedInterval":
-        """The opposing promise arc [b + delta, a - delta]."""
-        return WrappedInterval(self.b + delta, self.a - delta)
-
 
 def check_decision_margin(delta: float, eps_B: float) -> None:
     """Refuse eps_B >= 2 delta, where no estimate can be decided.  It needs
@@ -204,12 +189,8 @@ def choose_alpha(T: float, H_max: float, eps_B: float, mode: str = "formula",
         else:
             if cap <= 0:
                 raise ConfigError(f"alpha cap must be positive, got {cap}")
-            ratio = T * H_max / cap  # both runtimes take over 2q steps together
-            if not ratio <= MAX_TOTAL_STEPS:
-                raise CapacityError(
-                    f"alpha cap {cap} needs 1/(alpha-1) = {ratio:.3e}, over the "
-                    f"per-run budget of {MAX_TOTAL_STEPS} steps"
-                )
+            ratio = T * H_max / cap
+            check_step_budget(T, ratio)  # both runtimes take over 2q steps together
             q = max(1, math.ceil(ratio))
         return 1.0 + 1.0 / q
     raise ConfigError(f"unknown alpha mode {mode!r}")
@@ -406,7 +387,7 @@ class BpeEngine:
         self.step_unit = round(1.0 / (self.alpha_nominal - 1.0)) if integer else 1
         cap = step_count(self.T, self.setup["H_max"], cfg.oversampling)
         cap = self.step_unit * math.ceil(cap / self.step_unit)
-        _check_step_budget(self.T, cap + self._alpha_steps(cap))
+        check_step_budget(self.T, cap + self._alpha_steps(cap))
         # Formula mode's realized alpha moves with the step count, and a
         # coarse pair could break its unwrap window, so it keeps the cap.
         pair, self.step_check = _checked_build(
@@ -542,7 +523,7 @@ def murta_bpe(
     psi0, setup = _resolve_runtime(family, cfg, initial_ground_state)
     T = setup["T"]
     cap = step_count(T, setup["H_max"], cfg.oversampling)
-    _check_step_budget(T, 2 * cap)
+    check_step_budget(T, 2 * cap)
     m = bits_for_precision(cfg.epsilon_B)
 
     def build(steps):

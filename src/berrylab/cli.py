@@ -258,8 +258,6 @@ def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
-    if args.runs > MAX_VERIFY_RUNS:  # before any seed is spawned
-        raise CapacityError(f"--runs {args.runs} is over the budget of {MAX_VERIFY_RUNS} runs")
     _, instance = _resolve_target(args.instance)
     if instance is None:
         raise ConfigError(
@@ -268,6 +266,9 @@ def cmd_verify(args) -> int:
         )
     if instance.E_th is None:  # refuse before any spectral work
         raise ConfigError("instance carries no energy threshold")
+    # checked after the instance (a bad one exits 2), before any seed is spawned
+    if args.runs > MAX_VERIFY_RUNS:
+        raise CapacityError(f"--runs {args.runs} is over the budget of {MAX_VERIFY_RUNS} runs")
     witness = _resolve_witness(instance, args.witness)
     config = VerifierConfig(
         soundness_delta=args.soundness_delta,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError
-from .exact import ground_state, lambda_grid, spectra, sweep
+from .exact import ground_state, lambda_grid, min_gap, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
     commutator_bound,
@@ -114,17 +114,21 @@ def make_schedule(
     return AdiabaticSchedule(T=T, steps=steps, direction=direction)
 
 
-def step_count(T: float, h_max: float, oversampling: float) -> int:
-    """Exact Trotter steps keeping dt * H_max <= 1/oversampling: the finest
-    density, which calibration uses and the estimators' step check never
-    exceeds.  A count that is not finite or over MAX_TOTAL_STEPS raises
-    CapacityError."""
-    steps = T * max(h_max, 1e-12) * oversampling
+def check_step_budget(T: float, steps: float) -> None:
+    """Refuse more than MAX_TOTAL_STEPS exact steps per run, or a count that is not finite."""
     if not steps <= MAX_TOTAL_STEPS:
         raise CapacityError(
             f"runtime T={T:.3e} needs {steps:.3e} exact Trotter steps, over "
             f"the per-run budget of {MAX_TOTAL_STEPS}"
         )
+
+
+def step_count(T: float, h_max: float, oversampling: float) -> int:
+    """Exact Trotter steps keeping dt * H_max <= 1/oversampling: the finest
+    density, which calibration uses and the estimators' step check never
+    exceeds.  The count is held to the per-run budget."""
+    steps = T * max(h_max, 1e-12) * oversampling
+    check_step_budget(T, steps)
     return max(1, math.ceil(steps))
 
 
@@ -255,8 +259,6 @@ def required_runtime(
     if not (0.0 < delta_adia < 1.0):
         raise ConfigError(f"delta_adia must be in (0, 1), got {delta_adia}")
     if gap is None:
-        from .exact import min_gap
-
         gap, _ = min_gap(family, grid)
     if gap <= 0:
         raise ConfigError(f"gap must be positive, got {gap}")

@@ -6,7 +6,7 @@ construction) with a discretization error estimate, and the local Berry
 connection both exactly (finite differences in an explicitly anchored gauge)
 and to leading order in a perturbation strength r.  Every scan along the
 loop, and the step kernel in dynamics, takes its eigensystems from one
-chunked sweep (spectra, sweep).
+chunked sweep (spectra, sweep); qpe uses its block solver, eigh_blocks.
 
 All reported angles live in [0, 2 pi).
 """
@@ -79,12 +79,12 @@ _SPLIT_MIN_DIM = 64
 def spectra(family: HamiltonianFamily, lams):
     """Yield (lams, eigenvalues, eigenvectors) over consecutive chunks of a
     lambda sequence: one stack of H(lambda) per chunk, no stack above
-    _CHUNK_BYTES unless a single matrix is, solved by _eigh_blocks."""
+    _CHUNK_BYTES unless a single matrix is, solved by eigh_blocks."""
     lams = np.asarray(lams, dtype=float)
     chunk = max(1, _CHUNK_BYTES // (16 * family.dim ** 2))
     for start in range(0, lams.size, chunk):
         part = lams[start:start + chunk]
-        yield (part, *_eigh_blocks(eval_hamiltonians(family, part)))
+        yield (part, *eigh_blocks(eval_hamiltonians(family, part)))
 
 
 def _blocks(pattern: np.ndarray) -> np.ndarray:
@@ -123,7 +123,7 @@ def _block_groups(H: np.ndarray) -> list:
     return [members[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-def _eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked eigh of H, shape (n, d, d), with one batched call per block
     size of _block_groups.  A block's eigenpairs take its own indices as
     slots, and a stable sort of the slots' eigenvalues orders the columns."""

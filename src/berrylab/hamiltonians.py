@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .angles import TWO_PI
 from .errors import CapacityError, ConfigError
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_DENSE_BUDGET = 14  # qubits; 2**14 x 2**14 complex is ~4 GiB worst case
 _BUDGET_ENV_VAR = "BERRYLAB_MAX_QUBITS"

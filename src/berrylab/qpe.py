@@ -9,7 +9,8 @@ where W|w_l> = e^{i phi_l}|w_l> and F_m is the Fejer-type kernel
 |2^-m sum_k e^{i k theta}|^2.  We compute this distribution exactly from the
 dense eigensystem of W and sample outcomes from it, which is statistically
 identical to running the circuit with exact controlled powers, but lets a
-single propagator build serve many seeds.
+single propagator build serve many seeds.  unitary_eigensystem finds W's
+eigensystem with Hermitian solves alone, through a Cayley transform.
 
 Repetitions are aggregated by the circular median, which concentrates at the
 true eigenphase because a single shot lands within two grid spacings with
@@ -22,14 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .angles import TWO_PI
 from .dynamics import AdiabaticSchedule, StateVector, loop_propagator
 from .errors import CapacityError, ConfigError
+from .exact import eigh_blocks
 from .hamiltonians import HamiltonianFamily
 
 MAX_PHASE_BITS = 20
-TWO_PI = 2.0 * math.pi
 
 # One grid spacing of slack on each side of the rounded eigenphase.
 PRECISION_SPILLOVER = 1
@@ -131,16 +132,31 @@ def distribution_from_phases(phases, weights, m: int) -> QpeDistribution:
     )
 
 
-def distribution_for_unitary(W: np.ndarray, psi: np.ndarray, m: int) -> QpeDistribution:
-    """QPE outcome distribution for a dense unitary W and input state psi.
+def unitary_eigensystem(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phases on (-pi, pi], orthonormal eigenvectors as columns) of a dense
+    unitary W, from two solves of exact.eigh_blocks.
 
-    W is unitary, hence normal, so its complex Schur form is diagonal and
-    yields an orthonormal eigenbasis.
-    """
-    T, Q = scipy.linalg.schur(W, output="complex")
-    phases = np.angle(np.diag(T))
-    weights = np.abs(Q.conj().T @ psi) ** 2
-    return distribution_from_phases(phases, weights, m)
+    The eigenvalues c of (W + W^dag)/2 are cos phi, so the eigenphases lie
+    among +-arccos c.  R = e^{-i phi0} W puts -1 midway across the widest gap
+    of that set, at least pi/d wide.  R's Cayley transform i(I - R)(I + R)^-1
+    is 2iX - iI, X = (I + R)^-1, with the Hermitian part i(X - X^dag): its
+    eigenvectors are W's, also when W is degenerate, and X keeps W's block
+    pattern.  Each phase is the angle of v^dag W v for its eigenvector v."""
+    cos = eigh_blocks(0.5 * (W + W.conj().T)[None])[0][0]
+    arc = np.arccos(np.clip(cos, -1.0, 1.0))
+    ring = np.sort(np.concatenate((arc, TWO_PI - arc)))
+    gaps = np.diff(ring, append=ring[0] + TWO_PI)
+    k = int(np.argmax(gaps))
+    phi0 = ring[k] + 0.5 * gaps[k] - math.pi
+    X = np.linalg.inv(np.eye(W.shape[0]) + np.exp(-1j * phi0) * W)
+    V = eigh_blocks((1j * (X - X.conj().T))[None])[1][0]
+    return np.angle(np.einsum("ij,ij->j", V.conj(), W @ V)), V
+
+
+def distribution_for_unitary(W: np.ndarray, psi: np.ndarray, m: int) -> QpeDistribution:
+    """QPE outcome distribution for a dense unitary W and input state psi."""
+    phases, V = unitary_eigensystem(W)
+    return distribution_from_phases(phases, np.abs(V.conj().T @ psi) ** 2, m)
 
 
 def distribution_for_loop(

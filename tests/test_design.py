@@ -1,10 +1,11 @@
 """Design guards: solver call sites, settings and the package root.
 
-Every spectrum along the loop comes from the one sweep in ``exact``; the
+Every spectrum along the loop, and the eigensystem of a loop unitary in
+``qpe``, comes from the one Hermitian block solver in ``exact``; the
 ``eigvalsh`` of the accept operator in ``hardness`` (whose bits differ from
-``eigh``) and the one Schur decomposition in ``qpe`` are the only other
-solves.  A new solver call site shows up here before it can fork the
-numerics.  The CLI also imports no sparse module.  The fields of the
+``eigh``) is the only other solve.  A new solver call site shows up here
+before it can fork the numerics.  The CLI loads no scipy module, neither on
+import nor while it runs.  The fields of the
 configuration classes, of the instance record and of the energy
 distribution are pinned, the verifier builds its outcome at one site, and the
 package root re-exports nothing, so a new setting, a value kept twice or a
@@ -51,7 +52,6 @@ def test_eigensolver_call_sites():
     assert _solver_sites() == {
         ("exact", "np.linalg.eigh"): 1,
         ("hardness", "np.linalg.eigvalsh"): 1,
-        ("qpe", "scipy.linalg.schur"): 1,
     }
     assert "np.linalg.eigvalsh" in inspect.getsource(hardness.accept_operator_spectrum)
 
@@ -94,13 +94,29 @@ def test_package_root_has_no_relative_import():
     assert relative == []
 
 
-def test_cli_import_loads_no_sparse_module():
-    # The block split finds its blocks with numpy alone: scipy.sparse (and
-    # its csgraph) would add to every command's start-up and memory.
+def test_cli_import_loads_no_sparse_module(tmp_path):
+    # The lab runs on numpy alone: scipy (its sparse module and csgraph, or
+    # its linalg) would add to every command's start-up and memory.  Checked
+    # after the import, and again after bpe, murta and verify run in process.
     import subprocess
     import sys
 
-    code = "import sys, berrylab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    code = """if True:
+        import sys, berrylab.cli
+        from berrylab import corpus, hamiltonians, hardness
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(loaded())
+        hamiltonians.save_family(corpus.equatorial_loop(), "eq.json")
+        hardness.save_instance(corpus.synthetic_verifier_instance("yes"), "syn")
+        for argv in (["bpe", "--instance", "eq.json", "--seed", "1"],
+                     ["murta", "--instance", "eq.json", "--seed", "1"],
+                     ["verify", "--instance", "syn", "--witness", "ground",
+                      "--runs", "3", "--seed", "1"]):
+            assert berrylab.cli.main([*argv, "--out", "o.json"]) == 0, argv
+        print(loaded())
+    """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+                         cwd=tmp_path, timeout=300, check=True).stdout
+    assert out.splitlines()[0] == "[]"
+    assert out.splitlines()[-1] == "[]"

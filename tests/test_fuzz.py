@@ -126,6 +126,7 @@ COMMANDS = {
 @_FUZZ
 @given(flag=st.sampled_from(sorted(COMMANDS)), value=JSON_VALUES,
        family=FAMILY_VALUES, record=JSON_VALUES)
+@example(flag="--runs", value=100001, family=None, record=None)  # over budget, bad instance
 def test_cli_refuses_with_exit_2(tmp_path, capsys, flag, value, family, record):
     _write(tmp_path / "inst.json", family)
     _write(tmp_path / "inst.provenance.json", record)

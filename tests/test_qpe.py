@@ -11,10 +11,12 @@ from berrylab.qpe import (
     bits_for_precision,
     circular_median,
     distribution_for_loop,
+    distribution_for_unitary,
     distribution_from_phases,
     estimate_from_distribution,
     qpe_run,
     sample_outcomes,
+    unitary_eigensystem,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -174,3 +176,98 @@ def test_qpe_input_validation(equatorial):
     sched = make_schedule(equatorial, T=2.0)
     with pytest.raises(ConfigError):
         distribution_for_loop(equatorial, sched, np.array([1.0, 0.0, 0.0]), m=4)
+
+
+# -- the eigensystem of a unitary ------------------------------------------------
+
+
+def _unitary(d, phases, rng):
+    """A seeded random eigenbasis (Haar, by QR of a Gaussian) with the given
+    eigenphases."""
+    Q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    Q = Q * (np.diag(r) / np.abs(np.diag(r)))
+    return (Q * np.exp(1j * np.asarray(phases))) @ Q.conj().T
+
+
+SPECTRA = {
+    "random": lambda d, rng: rng.uniform(-math.pi, math.pi, d),
+    "degenerate-half": lambda d, rng: np.repeat(rng.uniform(-math.pi, math.pi, 2), [d // 2, d - d // 2]),
+    "cluster": lambda d, rng: 0.3 + 1e-9 * rng.standard_normal(d),
+    "phase-at-pi": lambda d, rng: np.r_[math.pi, rng.uniform(-math.pi, math.pi, d - 1)],
+    "identity": lambda d, rng: np.zeros(d),
+    "minus-identity": lambda d, rng: np.full(d, math.pi),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 64, 128])
+@pytest.mark.parametrize("spectrum", SPECTRA)
+def test_unitary_eigensystem_is_orthonormal_and_exact(d, spectrum):
+    rng = np.random.default_rng([d, list(SPECTRA).index(spectrum)])
+    want = SPECTRA[spectrum](d, rng)
+    W = np.diag(np.exp(1j * want)) if spectrum.endswith("identity") else _unitary(d, want, rng)
+    phases, V = unitary_eigensystem(W)
+    assert np.all((-math.pi < phases) & (phases <= math.pi))
+    assert np.abs(W @ V - V * np.exp(1j * phases)).max() <= 1e-12
+    assert np.abs(V.conj().T @ V - np.eye(d)).max() <= 1e-12
+    got = np.sort(np.mod(phases + 1e-6, TWO_PI))  # keep phases near 0 off the cut
+    assert np.abs(got - np.sort(np.mod(want + 1e-6, TWO_PI))).max() <= 1e-12
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    weights = distribution_for_unitary(W, psi / np.linalg.norm(psi), 4).weights
+    assert abs(weights.sum() - 1.0) <= 1e-12
+
+
+def _weight_near(phases, weights, at):
+    """Weight on the eigenphases within 1e-9 of each angle in ``at``: a
+    degenerate eigenspace has no preferred basis, its total weight does."""
+    apart = np.abs(np.angle(np.exp(1j * (phases[None, :] - np.asarray(at)[:, None]))))
+    return (weights[None, :] * (apart < 1e-9)).sum(axis=1)
+
+
+def _propagators():
+    from berrylab.corpus import (
+        bqp_yes_circuit,
+        constant_z_family,
+        duqma_yes_circuit,
+        equatorial_loop,
+    )
+    from berrylab.hardness import build_bqp_instance, build_duqma_instance
+
+    yield "equatorial", equatorial_loop(), AdiabaticSchedule(T=40.0, steps=400)
+    yield "constant-z-2", constant_z_family(2, 1.0), AdiabaticSchedule(T=2.0, steps=1)
+    yield "bqp-yes", build_bqp_instance(bqp_yes_circuit()).family, AdiabaticSchedule(100.0, 200)
+    duqma = build_duqma_instance(duqma_yes_circuit(), 0).family
+    yield "duqma-yes", duqma, AdiabaticSchedule(T=573.6, steps=80)
+
+
+def test_unitary_eigensystem_matches_schur_on_loop_propagators():
+    # scipy is a test-only dependency; its complex Schur form of a unitary is
+    # diagonal and was the lab's eigensystem before the Hermitian one
+    import scipy.linalg
+
+    from berrylab.dynamics import loop_propagator
+
+    rng = np.random.default_rng(1309)
+    for name, family, schedule in _propagators():
+        W = loop_propagator(family, schedule)
+        T, Q = scipy.linalg.schur(W, output="complex")
+        ref_phases = np.angle(np.diag(T))
+        _, ground = ground_state(family, 0.0)
+        mixed = rng.standard_normal(family.dim) + 1j * rng.standard_normal(family.dim)
+        # Any solver fixes the eigenvectors of two phases delta apart only to
+        # about eps/delta, so a spread input's weights are held to 1e-13 on
+        # loops with phases 1e-3 apart, and to 1e-13 * 1e-3/delta below that
+        # (duqma-yes: delta = 1e-5, the instance's own promise gap).
+        ring = np.sort(np.mod(ref_phases, TWO_PI))
+        delta = np.diff(ring)[np.diff(ring) > 1e-9].min(initial=math.pi)
+        for psi, tol in ((ground, 1e-13),
+                         (mixed / np.linalg.norm(mixed), 1e-13 * max(1.0, 1e-3 / delta))):
+            ref = np.abs(Q.conj().T @ psi) ** 2
+            dist = distribution_for_unitary(W, psi, 8)
+            assert np.abs(_weight_near(dist.phases, dist.weights, ref_phases)
+                          - _weight_near(ref_phases, ref, ref_phases)).max() <= tol, name
+        # the ground state's dominant component is nondegenerate on every loop
+        dist = distribution_for_unitary(W, ground, 8)
+        ref = np.abs(Q.conj().T @ ground) ** 2
+        assert circle_distance(dist.phases[np.argmax(dist.weights)],
+                               ref_phases[np.argmax(ref)]) <= 1e-14, name
+        assert abs(dist.max_weight - ref.max()) <= 1e-13, name
