@@ -39,6 +39,7 @@ import numpy as np
 
 from .angles import circle_distance, wrap_2pi, wrap_pm_pi
 from .dynamics import (
+    DEFAULT_OVERSAMPLING,
     AdiabaticSchedule,
     calibrate_runtime,
     check_step_budget,
@@ -240,7 +241,7 @@ class BpeConfig:
     alpha_mode: str = "integer"
     alpha_cap: float | None = None
     T: float | None = None
-    oversampling: float = 10.0
+    oversampling: float = DEFAULT_OVERSAMPLING
 
     def __post_init__(self) -> None:
         for name in ("epsilon_B", "oversampling", "T", "alpha_cap"):

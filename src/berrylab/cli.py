@@ -320,11 +320,15 @@ def _int_at_least(low: int):
     return integer
 
 
+def _add_accuracy_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--epsilon-b", type=float, default=BpeConfig.epsilon_B, help="target Berry phase error (radians)")
+    p.add_argument("--eta", type=float, default=BpeConfig.eta, help="total failure probability budget")
+
+
 def _add_bpe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon-b", type=float, default=0.05, help="target Berry phase error (radians)")
-    p.add_argument("--eta", type=float, default=0.05, help="total failure probability budget")
+    _add_accuracy_flags(p)
     p.add_argument("--runtime", type=float, default=None, help="override the calibrated loop runtime T")
-    p.add_argument("--oversampling", type=float, default=10.0,
+    p.add_argument("--oversampling", type=float, default=BpeConfig.oversampling,
                    help="finest step density, steps per unit of T * H_max (>= 2): the cap "
                    "on the coarsest step count the phase check accepts")
 
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bpe", help="two-runtime Berry phase estimation")
     p.add_argument("--instance", required=True)
     _add_bpe_flags(p)
-    p.add_argument("--alpha-mode", choices=["integer", "formula"], default="integer")
+    p.add_argument("--alpha-mode", choices=["integer", "formula"], default=BpeConfig.alpha_mode)
     p.add_argument("--alpha-cap", type=float, default=None, help="integer mode: bound on the wrapped dynamical phase increment")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
@@ -383,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, help="instance prefix (family + provenance)")
     p.add_argument("--witness", required=True, help="ground | excited:<k> | basis:<bits> | history:<bits>")
     p.add_argument("--runs", type=_int_at_least(1), default=1)
-    p.add_argument("--epsilon-b", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--soundness-delta", type=float, default=1.0 / 12.0)
+    _add_accuracy_flags(p)
+    p.add_argument("--soundness-delta", type=float, default=VerifierConfig.soundness_delta)
     p.add_argument("--rates-csv", default=None, help="accept-rate CSV path (default: <out>.rates.csv)")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)

@@ -107,7 +107,8 @@ class TrigCoefficient:
     """Real trigonometric polynomial in lambda with period 1.
 
     Stored canonically: harmonics sorted, duplicates merged, exact zeros
-    dropped, so equal polynomials compare equal as dataclasses.
+    dropped, so equal polynomials compare equal as dataclasses.  The norm
+    bounds square a coefficient through its Fourier coefficients (_fourier).
     """
 
     const: float = 0.0
@@ -174,53 +175,6 @@ class TrigCoefficient:
             self.cos_terms + other.cos_terms,
             self.sin_terms + other.sin_terms,
         )
-
-    def multiply(self, other: "TrigCoefficient") -> "TrigCoefficient":
-        """Exact product via product-to-sum identities (class is closed)."""
-        const = self.const * other.const
-        cos_acc: dict[int, float] = {}
-        sin_acc: dict[int, float] = {}
-
-        def put_cos(k: int, a: float) -> None:
-            nonlocal const
-            k = abs(k)  # cos is even
-            if k == 0:
-                const += a
-            else:
-                cos_acc[k] = cos_acc.get(k, 0.0) + a
-
-        def put_sin(k: int, b: float) -> None:
-            if k == 0:
-                return  # sin(0) = 0
-            if k < 0:  # sin is odd
-                k, b = -k, -b
-            sin_acc[k] = sin_acc.get(k, 0.0) + b
-
-        for k, a in other.cos_terms:
-            put_cos(k, self.const * a)
-        for k, b in other.sin_terms:
-            put_sin(k, self.const * b)
-        for k, a in self.cos_terms:
-            put_cos(k, other.const * a)
-        for k, b in self.sin_terms:
-            put_sin(k, other.const * b)
-
-        for k, a in self.cos_terms:
-            for l, c in other.cos_terms:
-                put_cos(k - l, 0.5 * a * c)
-                put_cos(k + l, 0.5 * a * c)
-            for l, s in other.sin_terms:
-                put_sin(k + l, 0.5 * a * s)
-                put_sin(l - k, 0.5 * a * s)
-        for k, b in self.sin_terms:
-            for l, c in other.cos_terms:
-                put_sin(k + l, 0.5 * b * c)
-                put_sin(k - l, 0.5 * b * c)
-            for l, s in other.sin_terms:
-                put_cos(k - l, 0.5 * b * s)
-                put_cos(k + l, -0.5 * b * s)
-
-        return TrigCoefficient(const, tuple(cos_acc.items()), tuple(sin_acc.items()))
 
     def is_zero(self) -> bool:
         return self.const == 0.0 and not self.cos_terms and not self.sin_terms
@@ -417,13 +371,29 @@ def derivative_family(family: HamiltonianFamily, order: int = 1) -> HamiltonianF
     )
 
 
+def _fourier(c: TrigCoefficient) -> dict[int, complex]:
+    """Complex Fourier coefficients z_k of c(lambda) = sum_k z_k e^{2 pi i k lambda}
+    over the harmonics present: z_0 = const, z_{+-k} = a_k/2 for a cosine
+    and -+i b_k/2 for a sine."""
+    z = {0: complex(c.const)}
+    for k, a in c.cos_terms:
+        z[k] = z[-k] = complex(0.5 * a)
+    for k, b in c.sin_terms:
+        z[k] = z.get(k, 0.0) - 0.5j * b
+        z[-k] = z.get(-k, 0.0) + 0.5j * b
+    return z
+
+
 def _grouped_norm_bound(terms) -> float:
     """Upper bound on sup_lambda || sum c_i(lambda) P_i ||.
 
     Strings are greedily packed into pairwise-anticommuting groups.  Within a
     group, (sum c_i P_i)^2 = (sum c_i^2) I exactly, so the group norm is
-    sqrt(sum c_i^2); the sum-of-squares polynomial is bounded by |const| plus
-    its harmonic amplitudes.  Groups combine by the triangle inequality.
+    sqrt(sum c_i^2).  Each c_i^2 is the autoconvolution w_k = sum_{j+l=k}
+    z_j z_l of its Fourier coefficients, summed over the group in one dict
+    over the harmonics present (a harmonic of 10^8 costs nothing), and the
+    real polynomial w_0 + sum_{k>0} 2 Re w_k cos - 2 Im w_k sin is bounded
+    by |w_0| plus its amplitudes.  Groups combine by the triangle inequality.
     This is never below the true sup over lambda and is exact for a single
     group of anticommuting strings with a constant sum of squares.
     """
@@ -438,10 +408,19 @@ def _grouped_norm_bound(terms) -> float:
             groups.append([(p, c)])
     total = 0.0
     for g in groups:
-        sq = TrigCoefficient()
+        sq: dict[int, complex] = {}
         for _, c in g:
-            sq = sq.add(c.multiply(c))
-        total += math.sqrt(max(sq.bound(), 0.0))
+            z = _fourier(c)
+            for j, zj in z.items():  # k = j + l >= 0 only: w_{-k} is conj(w_k)
+                for l, zl in z.items():
+                    if j <= l and j + l >= 0:
+                        sq[j + l] = sq.get(j + l, 0.0) + (zj * zl if j == l else 2.0 * zj * zl)
+        harmonics = sorted(k for k in sq if k > 0)
+        bound = (abs(sq[0].real) + sum(2.0 * abs(sq[k].real) for k in harmonics)
+                 + sum(2.0 * abs(sq[k].imag) for k in harmonics))
+        if not math.isfinite(bound):
+            raise ConfigError(f"the squared coefficients of a term group overflow: {bound}")
+        total += math.sqrt(bound)
     return total
 
 

@@ -54,6 +54,7 @@ from .exact import (
     berry_connection_perturbative,
     berry_connections,
     diagonalize,
+    eigh_blocks,
     lambda_grid,
     min_gap,
     wilson_loop_berry_phase,
@@ -278,24 +279,16 @@ def make_V(output_qubit: int, n_qubits: int) -> HamiltonianFamily:
 def accept_operator_spectrum(circuit: GateCircuit) -> np.ndarray:
     """Eigenvalues (descending) of Q = A^dag Pi_out2=1 A, where A embeds a
     witness into the circuit's witness register with ancillas zeroed and
-    runs it."""
+    runs it; solved by exact.eigh_blocks, like every spectrum in the lab."""
     if not circuit.witness_qubits:
         raise ConfigError("accept operator needs a declared witness register")
     if circuit.output2_qubit is None:
         raise ConfigError("accept operator needs output2_qubit")
     n = circuit.n_system
-    w = circuit.n_witness
-    bitpos = n - 1 - circuit.output2_qubit
-    cols = []
-    for idx in range(2 ** w):
-        psi = simulate(circuit, witness=idx)
-        mask = ((np.arange(2 ** n) >> bitpos) & 1).astype(bool)
-        psi = np.where(mask, psi, 0.0)
-        cols.append(psi)
-    A = np.stack(cols, axis=1)
-    Q = A.conj().T @ A
-    evals = np.linalg.eigvalsh(Q)
-    return evals[::-1]
+    out2 = ((np.arange(2 ** n) >> (n - 1 - circuit.output2_qubit)) & 1).astype(bool)
+    A = np.stack([np.where(out2, simulate(circuit, witness=idx), 0.0)
+                  for idx in range(2 ** circuit.n_witness)], axis=1)
+    return eigh_blocks((A.conj().T @ A)[None])[0][0][::-1]
 
 
 # ---------------------------------------------------------------------------

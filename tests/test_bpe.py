@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from berrylab import bpe
 from berrylab.angles import circle_distance, wrap_2pi
 from berrylab.bpe import (
     BpeConfig,
@@ -421,6 +422,19 @@ def test_murta_ends_at_an_accepted_step(name):
     # the doubled phase, halved, lies within eps_B/100 of the cap's
     at_cap = _murta_phase_at(family, diag["T"], check["cap"])
     assert circle_distance(check["phase"], at_cap) / 2 <= cfg.epsilon_B / 100
+
+
+def test_a_check_that_cannot_agree_stops_at_the_cap(monkeypatch):
+    # a zero tolerance accepts no pair, so both estimators double up to the
+    # cap and build there, unconverged
+    monkeypatch.setattr(bpe, "STEP_CHECK_FRACTION", 0.0)
+    family = random_gapped_family(3, np.random.default_rng(11))
+    engine = BpeEngine(family)
+    _, diag = murta_bpe(family, return_diagnostics=True)
+    for check, steps in ((engine.step_check, engine.steps), (diag["step_check"], diag["steps"])):
+        assert [n for n, _ in check["tested"]] == [273, 546, 1092, 2184, 3793]
+        assert steps == check["cap"] == 3793
+        assert not check["converged"]
 
 
 def test_one_qubit_loops_build_at_the_cap(equatorial):

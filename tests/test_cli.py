@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import berrylab
+from berrylab.bpe import BpeConfig
 from berrylab.circuits import circuit_to_json_dict
 from berrylab.cli import build_parser
 from berrylab.corpus import (
@@ -18,8 +19,10 @@ from berrylab.corpus import (
     equatorial_loop,
     synthetic_verifier_instance,
 )
+from berrylab.dynamics import DEFAULT_OVERSAMPLING
 from berrylab.hamiltonians import constant, cosine, make_family, save_family
 from berrylab.hardness import build_bqp_instance, save_instance
+from berrylab.verifier import VerifierConfig
 
 
 def run_cli(*argv, env=None):
@@ -479,6 +482,22 @@ def test_manifest_records_every_flag(work, command):
     if command == "genhard":
         assert manifest["parameters"]["r"] is None
         assert manifest["parameters"]["idle_steps"] == 2
+
+
+@pytest.mark.parametrize("command", ["bpe", "murta", "verify"])
+def test_flag_defaults_are_the_config_defaults(command):
+    witness = ["--witness", "ground"] if command == "verify" else []
+    args = build_parser().parse_args(
+        [command, "--instance", "x", *witness, "--seed", "1", "--out", "o.json"])
+    bpe = BpeConfig()
+    assert (args.epsilon_b, args.eta) == (bpe.epsilon_B, bpe.eta)
+    if command == "verify":
+        assert args.soundness_delta == VerifierConfig().soundness_delta
+    else:
+        assert (args.runtime, args.oversampling) == (bpe.T, bpe.oversampling)
+        assert bpe.oversampling == DEFAULT_OVERSAMPLING
+    if command == "bpe":
+        assert (args.alpha_mode, args.alpha_cap) == (bpe.alpha_mode, bpe.alpha_cap)
 
 
 # -- bpe / murta ------------------------------------------------------------------

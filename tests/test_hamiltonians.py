@@ -10,6 +10,7 @@ from berrylab.hamiltonians import (
     HamiltonianFamily,
     PauliString,
     TrigCoefficient,
+    _grouped_norm_bound,
     apply_hamiltonian,
     check_dense_budget,
     coeff_from_json,
@@ -184,7 +185,7 @@ def test_constant_family_has_zero_derivative():
 
 
 def test_norm_bounds_are_upper_bounds(rng):
-    fam = make_family(
+    separate = make_family(
         2,
         [
             ("XZ", cosine(1, 0.6)),
@@ -192,14 +193,73 @@ def test_norm_bounds_are_upper_bounds(rng):
             ("IZ", constant(-1.2)),
         ],
     )
-    h_max, d1_max, d2_max = norm_bounds(fam)
-    d1 = derivative_family(fam, 1)
-    d2 = derivative_family(fam, 2)
-    for lam in rng.random(8):
-        lam = float(lam)
-        assert dense_norm(fam, lam) <= h_max + 1e-12
-        assert dense_norm(d1, lam) <= d1_max + 1e-12
-        assert dense_norm(d2, lam) <= d2_max + 1e-12
+    # cosines and sines mixed on one string, at shared and distinct harmonics
+    mixed = make_family(
+        2,
+        [
+            ("XZ", TrigCoefficient(0.3, ((1, 0.6), (3, -0.2)), ((1, -0.4), (2, 0.25)))),
+            ("YI", TrigCoefficient(0.0, ((2, 0.5),), ((1, 0.3), (2, 0.8)))),
+            ("ZX", TrigCoefficient(-0.7, ((1, 0.15),), ((3, 0.45),))),
+            ("IZ", TrigCoefficient(-1.2, (), ((1, 0.1),))),
+        ],
+    )
+    for fam in (separate, mixed):
+        h_max, d1_max, d2_max = norm_bounds(fam)
+        d1 = derivative_family(fam, 1)
+        d2 = derivative_family(fam, 2)
+        for lam in rng.random(16):
+            lam = float(lam)
+            assert dense_norm(fam, lam) <= h_max + 1e-12
+            assert dense_norm(d1, lam) <= d1_max + 1e-12
+            assert dense_norm(d2, lam) <= d2_max + 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 3, 10**8])
+def test_square_of_one_harmonic_is_bounded_in_closed_form(k):
+    # c = a cos + b sin squares to (a^2+b^2)/2 + (a^2-b^2)/2 cos 2k + ab sin 2k
+    a, b = np.random.default_rng(k).normal(size=2)
+    c = TrigCoefficient(0.0, ((k, a),), ((k, b),))
+    expected = math.sqrt((a * a + b * b) / 2 + abs(a * a - b * b) / 2 + abs(a * b))
+    got = _grouped_norm_bound([(PauliString("X"), c)])
+    assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_square_that_overflows_is_refused():
+    fam = make_family(1, [("X", cosine(1, 1e200)), ("Z", constant(0.5))])
+    with pytest.raises(ConfigError):  # exit 2, as a family that fails to load
+        norm_bounds(fam)
+
+
+# H_max sets every step cap, so a moved bit moves outputs.
+PINNED_H_MAX = {
+    "equatorial": "0x1.0000000000000p+0",
+    "tilted-pi/3": "0x1.0000000000000p+0",
+    "tilted-2pi/3": "0x1.fffffffffffffp-1",
+    "bqp-yes": "0x1.13aa0a7ab5755p+2",
+    "bqp-no": "0x1.13aa0a7ab5755p+2",
+    "duqma-yes": "0x1.da585138317acp+2",
+    "duqma-no": "0x1.8243fe9dc20bbp+2",
+}
+
+
+def _corpus_family(name: str) -> HamiltonianFamily:
+    from berrylab import corpus
+    from berrylab.hardness import build_bqp_instance, build_duqma_instance
+
+    return {
+        "equatorial": corpus.equatorial_loop,
+        "tilted-pi/3": lambda: corpus.tilted_loop_family(math.pi / 3.0),
+        "tilted-2pi/3": lambda: corpus.tilted_loop_family(2.0 * math.pi / 3.0),
+        "bqp-yes": lambda: build_bqp_instance(corpus.bqp_yes_circuit()).family,
+        "bqp-no": lambda: build_bqp_instance(corpus.bqp_no_circuit()).family,
+        "duqma-yes": lambda: build_duqma_instance(corpus.duqma_yes_circuit(), 0).family,
+        "duqma-no": lambda: build_duqma_instance(corpus.duqma_no_circuit(), 0).family,
+    }[name]()
+
+
+@pytest.mark.parametrize("name", PINNED_H_MAX)
+def test_h_max_is_pinned_on_the_corpus(name):
+    assert norm_bounds(_corpus_family(name))[0].hex() == PINNED_H_MAX[name]
 
 
 def test_norm_bound_tight_for_single_pauli():

@@ -15,7 +15,13 @@ from berrylab.corpus import (
 )
 from berrylab.errors import ConfigError
 from berrylab.exact import berry_connection_exact, diagonalize, wilson_loop_berry_phase
-from berrylab.hamiltonians import eval_hamiltonian, norm_bounds, save_family, scale_and_add
+from berrylab.hamiltonians import (
+    eval_hamiltonian,
+    norm_bounds,
+    save_family,
+    scale_and_add,
+    to_json_dict,
+)
 from berrylab.hardness import (
     accept_operator_spectrum,
     build_bqp_instance,
@@ -430,3 +436,16 @@ def test_duqma_round_trip(tmp_path, duqma_yes_instance):
     assert back.E_th == pytest.approx(duqma_yes_instance.E_th)
     assert back.kind == "duqma"
     assert back.provenance["witness"] == duqma_yes_instance.provenance["witness"]
+
+
+def test_vector_witness_round_trips(tmp_path):
+    # an amplitude vector on the witness register builds the basis witness's
+    # family bit for bit, and the provenance records the vector itself
+    by_index = build_duqma_instance(duqma_yes_circuit(), 0)
+    by_vector = build_duqma_instance(duqma_yes_circuit(), np.array([1.0, 0.0]))
+    assert json.dumps(to_json_dict(by_vector.family)) == json.dumps(to_json_dict(by_index.family))
+    assert by_vector.provenance == {**by_index.provenance,
+                                    "witness": [[1.0, 0.0], [0.0, 0.0]]}
+    save_instance(by_vector, str(tmp_path / "vec"))
+    back = load_instance(str(tmp_path / "vec"))
+    assert back.provenance["witness"] == [[1.0, 0.0], [0.0, 0.0]]
