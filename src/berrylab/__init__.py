@@ -19,9 +19,4 @@ Each name is imported from its module (``from berrylab.bpe import
 run_bpe``); the package root holds only ``__version__``.
 """
 
-from importlib import metadata as _metadata
-
-try:
-    __version__ = _metadata.version("artifact")
-except _metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0"
+__version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Phase estimation on loop propagators, simulated at the distribution level.
+"""Phase estimation on loop propagators, simulated from the spectral mixture.
 
 Textbook QPE with m ancilla bits on a unitary W and input |psi> produces
 outcome j with probability
@@ -6,11 +6,12 @@ outcome j with probability
     P(j) = sum_l |<w_l|psi>|^2 * F_m(phi_l - 2 pi j / 2^m),
 
 where W|w_l> = e^{i phi_l}|w_l> and F_m is the Fejer-type kernel
-|2^-m sum_k e^{i k theta}|^2.  We compute this distribution exactly from the
-dense eigensystem of W and sample outcomes from it, which is statistically
-identical to running the circuit with exact controlled powers, but lets a
-single propagator build serve many seeds.  unitary_eigensystem finds W's
-eigensystem with Hermitian solves alone, through a Cayley transform.
+|2^-m sum_k e^{i k theta}|^2 (Cleve, Ekert, Macchiavello & Mosca, Proc. R.
+Soc. A 454, 339, 1998).  A distribution is that mixture (phi_l, w_l), from
+the dense eigensystem of W; sample_outcomes reads it out bit by bit, which is
+statistically identical to running the circuit with exact controlled powers,
+but lets a single propagator build serve many seeds.  unitary_eigensystem
+finds W's eigensystem with Hermitian solves alone, through a Cayley transform.
 
 Repetitions are aggregated by the circular median, which concentrates at the
 true eigenphase because a single shot lands within two grid spacings with
@@ -30,7 +31,9 @@ from .errors import CapacityError, ConfigError
 from .exact import eigh_blocks
 from .hamiltonians import HamiltonianFamily
 
-MAX_PHASE_BITS = 20
+# The readout bits are exact in float64 up to m = 53; bins narrower than
+# 2 pi / 2^48 (2.2e-14 rad) would only resolve eigenphase rounding.
+MAX_PHASE_BITS = 48
 
 # One grid spacing of slack on each side of the rounded eigenphase.
 PRECISION_SPILLOVER = 1
@@ -40,15 +43,15 @@ PRECISION_SPILLOVER = 1
 FIDELITY_FLOOR = 0.9
 
 
-def bits_for_precision(eps_ph: float, cap: int = MAX_PHASE_BITS) -> int:
+def bits_for_precision(eps_ph: float) -> int:
     """Smallest m with reported precision 4 pi / 2^m <= eps_ph."""
     if eps_ph <= 0:
         raise ConfigError(f"phase precision must be positive, got {eps_ph}")
     m = max(1, math.ceil(math.log2(4.0 * math.pi / eps_ph)))
-    if m > cap:
+    if m > MAX_PHASE_BITS:
         raise CapacityError(
             f"phase precision {eps_ph:.3e} needs m={m} ancilla bits, over the "
-            f"budget of {cap}"
+            f"budget of {MAX_PHASE_BITS}"
         )
     return m
 
@@ -67,38 +70,18 @@ class PhaseEstimate:
 
 @dataclass
 class QpeDistribution:
-    """Exact outcome distribution for one (unitary, input state) pair."""
+    """Exact m-bit outcome distribution for one (unitary, input state) pair,
+    held as its spectral mixture: eigenphases and their weights."""
 
     m: int
     phases: np.ndarray
     weights: np.ndarray
-    probs: np.ndarray
     max_weight: float
     low_fidelity: bool
-    _cdf: np.ndarray | None = None
-
-    def cdf(self) -> np.ndarray:
-        if self._cdf is None:
-            self._cdf = np.cumsum(self.probs)
-            self._cdf[-1] = 1.0
-        return self._cdf
 
     def angles(self, outcomes) -> np.ndarray:
         """Readout angles 2 pi j / 2^m of outcomes j, in [0, 2 pi)."""
         return TWO_PI * outcomes / 2 ** self.m
-
-
-def _fejer_row(phi: float, m: int) -> np.ndarray:
-    """F_m(phi - 2 pi j / 2^m) for j = 0 .. 2^m - 1; rows sum to 1 exactly
-    in the analytic limit."""
-    M = 2 ** m
-    theta = phi - TWO_PI * np.arange(M) / M
-    half = 0.5 * theta
-    s = np.sin(half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row = (np.sin(M * half) / (M * s)) ** 2
-    row[np.abs(s) < 1e-12] = 1.0
-    return row
 
 
 def distribution_from_phases(phases, weights, m: int) -> QpeDistribution:
@@ -114,19 +97,11 @@ def distribution_from_phases(phases, weights, m: int) -> QpeDistribution:
     total = float(weights.sum())
     if not (0.999999 <= total <= 1.000001):
         raise ConfigError(f"weights must sum to 1, got {total:.6f}")
-    keep = weights > 1e-14
-    M = 2 ** m
-    probs = np.zeros(M)
-    for phi, w in zip(phases[keep], weights[keep]):
-        probs += w * _fejer_row(float(phi), m)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
     max_weight = float(weights.max()) if weights.size else 0.0
     return QpeDistribution(
         m=m,
         phases=phases,
         weights=weights,
-        probs=probs,
         max_weight=max_weight,
         low_fidelity=max_weight < FIDELITY_FLOOR,
     )
@@ -178,11 +153,29 @@ def distribution_for_loop(
 
 def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
     """R outcomes drawn from a Generator; from a list of Generators, one row
-    of R per Generator, each row what that Generator alone would give."""
+    of R per Generator, each row what that Generator alone would give.
+
+    Each readout takes m + 1 uniforms.  The first picks a component among
+    the weights above 1e-14.  The others measure the inverse QFT
+    semiclassically, least significant bit first (Griffiths & Niu, PRL 76,
+    3228, 1996): with j the value of the bits already read, bit b is 1 with
+    probability sin^2(pi (frac(2^(m-1-b) phi / 2 pi) - j / 2^(b+1))), and the
+    product is F_m exactly.  The fractions are exact in float64, so an
+    on-grid phase reads exactly."""
     if R < 1:
         raise ConfigError(f"repetitions must be >= 1, got {R}")
-    u = np.stack([g.random(R) for g in rng]) if isinstance(rng, list) else rng.random(R)
-    return np.searchsorted(dist.cdf(), u, side="right")
+    m = dist.m
+    u = (np.stack([g.random((R, m + 1)) for g in rng]) if isinstance(rng, list)
+         else rng.random((R, m + 1)))
+    keep = np.flatnonzero(dist.weights > 1e-14)
+    cum = np.cumsum(dist.weights[keep])
+    pick = np.minimum(np.searchsorted(cum, u[..., 0] * cum[-1], side="right"), keep.size - 1)
+    frac = np.mod(np.outer(2.0 ** np.arange(m - 1, -1, -1), dist.phases[keep] / TWO_PI), 1.0)
+    j = np.zeros(pick.shape)
+    for b in range(m):
+        one = np.sin(math.pi * (frac[b][pick] - j / 2.0 ** (b + 1))) ** 2  # P(bit b = 1)
+        j += (u[..., b + 1] < one) * 2.0 ** b
+    return j.astype(np.int64)
 
 
 def estimate_from_distribution(

@@ -237,3 +237,16 @@ def equatorial_phase_lag_coefficient() -> float:
 def tilted_theta_B(polar_angle: float) -> float:
     """Solid-angle phase pi (1 - cos a) for a loop at fixed polar angle."""
     return float(np.mod(np.pi * (1.0 - np.cos(polar_angle)), 2.0 * np.pi))
+
+
+def fejer_row(phi: float, m: int) -> np.ndarray:
+    """F_m(phi - 2 pi j / 2^m) for j = 0 .. 2^m - 1, the textbook m-bit QPE
+    outcome probabilities of one eigenphase, tabulated densely."""
+    M = 2 ** m
+    theta = phi - 2.0 * np.pi * np.arange(M) / M
+    half = 0.5 * theta
+    s = np.sin(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row = (np.sin(M * half) / (M * s)) ** 2
+    row[np.abs(s) < 1e-12] = 1.0
+    return row

@@ -21,6 +21,8 @@ from berrylab.bpe import (
 from berrylab.corpus import (
     bqp_yes_circuit,
     constant_z_family,
+    duqma_no_circuit,
+    duqma_yes_circuit,
     equatorial_loop,
     random_gapped_family,
     tilted_loop_family,
@@ -29,7 +31,7 @@ from berrylab.dynamics import MAX_TOTAL_STEPS, AdiabaticSchedule, loop_propagato
 from berrylab.errors import CapacityError, ConfigError
 from berrylab.exact import ground_state
 from berrylab.hamiltonians import constant, cosine, make_family, sine
-from berrylab.hardness import build_bqp_instance
+from berrylab.hardness import build_bqp_instance, build_duqma_instance
 from berrylab.qpe import distribution_for_unitary, distribution_from_phases
 
 from oracles import EQUATORIAL_THETA_B, tilted_theta_B
@@ -461,6 +463,27 @@ def test_decide_needs_margin_vs_certified_delta(equatorial):
     # be decided honestly at this accuracy; the decision must refuse
     with pytest.raises(ConfigError):
         decide_interval(1.0, 0.0, math.pi, delta=0.02, eps_B=0.05)
+
+
+@pytest.fixture(scope="module")
+def duqma_instances():
+    return {"yes": build_duqma_instance(duqma_yes_circuit(), 0),
+            "no": build_duqma_instance(duqma_no_circuit(), 0)}
+
+
+@pytest.mark.parametrize("name, want", [("yes", 1), ("no", 0)])
+def test_duqma_decided_at_half_the_promise_gap(duqma_instances, name, want):
+    # eps_ph = eps_B (alpha - 1)/(alpha + 1) at eps_B = delta/2 needs 24
+    # readout bits, past what a dense outcome table of 2^m bins could hold
+    instance = duqma_instances[name]
+    a, b, delta = instance.interval
+    eps_B = 0.5 * delta
+    engine = BpeEngine(instance.family, BpeConfig(epsilon_B=eps_B))
+    assert engine.m == 24
+    for seed in range(5):
+        theta_B = engine.run(seed)[0]
+        assert decide_interval(theta_B, a, b, delta, eps_B) == want
+        assert circle_distance(theta_B, instance.provenance["oracle_theta_B"]) <= eps_B
 
 
 # -- phase-doubled baseline -------------------------------------------------------

@@ -21,7 +21,7 @@ from berrylab.corpus import (
 )
 from berrylab.dynamics import DEFAULT_OVERSAMPLING
 from berrylab.hamiltonians import constant, cosine, make_family, save_family
-from berrylab.hardness import build_bqp_instance, save_instance
+from berrylab.hardness import build_bqp_instance, build_duqma_instance, save_instance
 from berrylab.verifier import VerifierConfig
 
 
@@ -544,6 +544,26 @@ def test_short_runtime_is_flagged_not_refused(work, tmp_path, command):
     assert "warning" not in p.stderr
 
 
+@pytest.fixture(scope="module")
+def duqma_yes(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("duqma") / "duqma-yes"
+    save_instance(build_duqma_instance(duqma_yes_circuit(), 0), str(prefix))
+    return prefix
+
+
+def test_bpe_decides_duqma_yes_at_half_the_promise_gap(duqma_yes, tmp_path):
+    # epsilon_B = 5e-6 < delta/2 = 5.016e-6 needs m = 24 readout bits
+    from berrylab import cli
+
+    out = tmp_path / "bpe.json"
+    rc = cli.main(["bpe", "--instance", str(duqma_yes), "--epsilon-b", "5e-6",
+                   "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["decision"] == 1
+    assert payload["m"] == 24
+
+
 # -- genhard ------------------------------------------------------------------------
 
 
@@ -608,6 +628,16 @@ def test_verify_on_synthetic_instance(work):
     assert (work / "verify.json.rates.csv").exists()
 
 
+def test_verify_history_witness_accepts_duqma_yes(duqma_yes, tmp_path):
+    from berrylab import cli
+
+    out = tmp_path / "verify.json"
+    rc = cli.main(["verify", "--instance", str(duqma_yes), "--witness", "history:0",
+                   "--epsilon-b", "5e-6", "--runs", "50", "--seed", "2", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["accept_rate"] == 1.0
+
+
 def test_verify_rerun_bit_identical(work):
     a, b = work / "ver_a.json", work / "ver_b.json"
     for out in (a, b):
@@ -625,10 +655,10 @@ def test_verify_rerun_bit_identical(work):
 # and the saturated reject; 300 runs cross a block boundary.
 PINNED_VERIFY = {
     ("syn-yes", "ground", ()): (
-        "ff2741d63fa63ad3bc99e6237f93b2906220e3963fe0c031b4d5545b09399f87",
+        "76d3ac36ece8cbdc5ddb08750327aeab253c3d4e62ccbd72fe79afa17a08d84d",
         "8a141864c967ced43bc4833221041a6365f2c88e23bfa246bb77a10ae8383ff2"),
     ("syn-no", "ground", ()): (
-        "f0a5c59ae3c41dd9e2f81b66e0a17eacb2647907190569a476d1c3908c3d2b7f",
+        "49c7a2e8602940a11a97c7f94159666e73e1d6f04c621c6bc30dae4fd185cf30",
         "ab4c2a12ca9b862a0afa94edc5bf99d0df3f0767aca1e9833c931a5eb6f65e5e"),
     ("syn-yes", "excited:1", ()): (
         "b93802bf5e1806f029a9d7d28d0d300874d144cdb0dcdf40054b8572b3be2bb2",

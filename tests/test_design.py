@@ -4,13 +4,15 @@ Every spectrum along the loop, the eigensystem of a loop unitary in ``qpe``
 and the accept operator's spectrum in ``hardness`` come from the one
 Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
 only solve.  A new solver call site shows up here before it can fork the
-numerics.  The CLI loads no scipy module, neither on import nor while it
-runs.  The fields of the configuration classes, of the instance record and
-of the energy distribution are pinned, the verifier builds its outcome at
-one site, and the package root re-exports nothing, so a new setting, a value
-kept twice or a second import path for a name shows up here too.  The
-benchmark's tracer still binds every function it lists, so a rename that
-would stop a traced pass shows up here as well.
+numerics.  The CLI loads no scipy module and no importlib.metadata, neither
+on import nor while it runs.  The fields of the configuration classes, of the
+instance record, of the energy distribution and of the QPE distribution are
+pinned, the verifier builds its outcome at one site, and the package root
+re-exports nothing, so a new setting, a value kept twice or a second import
+path for a name shows up here too.  A QPE distribution draws readouts at the
+top bit count in well under a megabyte.  The benchmark's tracer still binds
+every function it lists, so a rename that would stop a traced pass shows up
+here as well.
 """
 
 import ast
@@ -22,6 +24,7 @@ import berrylab
 from berrylab import hardness
 from berrylab.bpe import BpeConfig
 from berrylab.dynamics import AdiabaticSchedule
+from berrylab.qpe import MAX_PHASE_BITS, QpeDistribution, distribution_from_phases, sample_outcomes
 from berrylab.verifier import EnergyDistribution, VerifierConfig
 
 SOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "eigsh", "eigs", "schur"}
@@ -72,6 +75,34 @@ def test_energy_distribution_fields():
     assert EnergyDistribution._fields == ("distribution", "tau", "delta_min")
 
 
+def test_qpe_distribution_is_its_spectral_mixture():
+    # no outcome table: the eigenphases and weights are the distribution
+    assert [f.name for f in fields(QpeDistribution)] == [
+        "m", "phases", "weights", "max_weight", "low_fidelity"
+    ]
+
+
+def test_top_bit_count_samples_in_small_memory():
+    # 1,000 readouts at m = MAX_PHASE_BITS over 128 components: a table of
+    # 2^m outcomes would need 2 PB, the readouts need well under 1 MB
+    import tracemalloc
+
+    import numpy as np
+
+    rng = np.random.default_rng(48)
+    weights = rng.random(128)
+    tracemalloc.start()
+    try:
+        dist = distribution_from_phases(rng.uniform(-3.0, 3.0, 128), weights / weights.sum(),
+                                        MAX_PHASE_BITS)
+        draws = sample_outcomes(dist, 1000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (1000,) and 0 <= draws.min() and draws.max() < 2**MAX_PHASE_BITS
+    assert peak < 1 << 20, peak
+
+
 def test_one_verifier_outcome_site():
     # run_verifier makes one decision and builds its outcome in one place
     sites = [
@@ -92,8 +123,10 @@ def test_package_root_has_no_relative_import():
 
 def test_cli_import_loads_no_sparse_module(tmp_path):
     # The lab runs on numpy alone: scipy (its sparse module and csgraph, or
-    # its linalg) would add to every command's start-up and memory.  Checked
-    # after the import, and again after bpe, murta and verify run in process.
+    # its linalg) would add to every command's start-up and memory, and so
+    # would importlib.metadata, with the email and zipfile modules it pulls
+    # in; the package version is a literal.  Checked after the import,
+    # and again after bpe, murta and verify run in process.
     import subprocess
     import sys
 
@@ -101,7 +134,8 @@ def test_cli_import_loads_no_sparse_module(tmp_path):
         import sys, berrylab.cli
         from berrylab import corpus, hamiltonians, hardness
         def loaded():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] == "scipy" or m == "importlib.metadata")
         print(loaded())
         hamiltonians.save_family(corpus.equatorial_loop(), "eq.json")
         hardness.save_instance(corpus.synthetic_verifier_instance("yes"), "syn")

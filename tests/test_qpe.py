@@ -8,6 +8,7 @@ from berrylab.dynamics import AdiabaticSchedule, make_schedule
 from berrylab.errors import CapacityError, ConfigError
 from berrylab.exact import ground_state
 from berrylab.qpe import (
+    MAX_PHASE_BITS,
     bits_for_precision,
     circular_median,
     distribution_for_loop,
@@ -18,6 +19,8 @@ from berrylab.qpe import (
     sample_outcomes,
     unitary_eigensystem,
 )
+
+from oracles import fejer_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,43 +37,83 @@ def test_bits_for_precision_values():
 def test_bits_for_precision_errors():
     with pytest.raises(ConfigError):
         bits_for_precision(0.0)
+    assert bits_for_precision(1e-5) == 21
+    edge = 4.0 * math.pi / 2**MAX_PHASE_BITS  # exact: a power-of-two quotient
+    assert bits_for_precision(edge) == MAX_PHASE_BITS
     with pytest.raises(CapacityError):
-        bits_for_precision(1e-5)  # needs 21 bits, cap is 20
-    assert bits_for_precision(1e-5, cap=21) == 21
+        bits_for_precision(0.5 * edge)  # needs MAX_PHASE_BITS + 1
 
 
 # -- outcome distributions -----------------------------------------------------
+
+
+def _band(count, n, p, sigmas=5.0):
+    """|count - n p| within `sigmas` binomial standard deviations, plus one."""
+    return abs(count - n * p) <= sigmas * math.sqrt(n * p * (1.0 - p)) + 1.0
 
 
 def test_on_grid_phase_is_read_exactly():
     m = 4
     phi = TWO_PI * 5 / 2**m
     dist = distribution_from_phases([phi], [1.0], m)
-    assert dist.probs[5] > 1.0 - 1e-12
+    assert set(sample_outcomes(dist, 10_000, np.random.default_rng(1)).tolist()) == {5}
     assert not dist.low_fidelity
 
 
 def test_off_grid_phase_spills_to_neighbours(rng):
-    m = 6
+    m, n = 6, 4000
     for _ in range(10):
         phi = TWO_PI * float(rng.random())
         dist = distribution_from_phases([phi], [1.0], m)
-        j = int(np.argmax(dist.probs))
-        # nearest bin keeps at least 4/pi^2 of the mass, the two bins
+        draws = sample_outcomes(dist, n, rng)
+        x = phi / TWO_PI * 2**m
+        floor = 5.0 * math.sqrt(n / 4)  # five binomial standard deviations, at most
+        # the nearest bin keeps at least 4/pi^2 of the mass, the two bins
         # bracketing the true phase together at least 8/pi^2
-        assert dist.probs[j] >= 4.0 / math.pi**2 - 1e-9
-        neighbour_mass = dist.probs[j] + max(
-            dist.probs[(j - 1) % 2**m], dist.probs[(j + 1) % 2**m]
-        )
-        assert neighbour_mass >= 8.0 / math.pi**2 - 1e-9
+        assert np.count_nonzero(draws == round(x) % 2**m) >= n * 4.0 / math.pi**2 - floor
+        bracket = np.isin(draws, [math.floor(x) % 2**m, math.ceil(x) % 2**m])
+        assert np.count_nonzero(bracket) >= n * 8.0 / math.pi**2 - floor
 
 
 def test_mixture_weights_split_the_mass():
-    m = 6
+    m, n = 6, 20_000
     phases = [TWO_PI * 8 / 2**m, TWO_PI * 40 / 2**m]
     dist = distribution_from_phases(phases, [0.7, 0.3], m)
-    assert abs(dist.probs[8] - 0.7) < 1e-10
-    assert abs(dist.probs[40] - 0.3) < 1e-10
+    draws = sample_outcomes(dist, n, np.random.default_rng(3))
+    assert set(draws.tolist()) == {8, 40}
+    assert _band(np.count_nonzero(draws == 8), n, 0.7)
+
+
+class _LastUniform:
+    """A Generator stand-in whose every uniform is the largest below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_sampled_frequencies_match_the_fejer_mixture(m):
+    # phases on both branches, (-pi, pi] and [0, 2 pi), and one component of
+    # weight 1e-15 on a bin of its own, after the others
+    phases = [-2.9, 0.4, 4.0, 5.5, TWO_PI * (2**m - 1) / 2**m]
+    weights = [0.4, 0.3, 0.2, 0.1 - 1e-15, 1e-15]
+    dist = distribution_from_phases(phases, weights, m)
+    n = 200_000
+    counts = np.bincount(sample_outcomes(dist, n, np.random.default_rng(m)), minlength=2**m)
+    want = sum(w * fejer_row(phi, m) for phi, w in zip(phases[:4], weights[:4]))
+    assert all(_band(c, n, p) for c, p in zip(counts, want))
+    # Uniforms just below 1 pick the last component kept and read as 0 every
+    # bit whose probability is below 1.  Were the 1e-15 component not cut,
+    # they would pick it, and its bits, each of probability 1, read 2^m - 1.
+    assert sample_outcomes(dist, 1, _LastUniform())[0] != 2**m - 1
+
+
+def test_rows_of_a_generator_list_match_each_generator():
+    dist = distribution_from_phases([-2.9, 0.4, 4.0], [0.5, 0.3, 0.2], 9)
+    rows = sample_outcomes(dist, 15, [np.random.default_rng(s) for s in range(40)])
+    assert rows.shape == (40, 15)
+    for s, row in enumerate(rows):
+        assert np.array_equal(row, sample_outcomes(dist, 15, np.random.default_rng(s)))
 
 
 def test_low_fidelity_flag():
@@ -86,7 +129,7 @@ def test_distribution_input_validation():
     with pytest.raises(ConfigError):
         distribution_from_phases([0.1, 0.2], [1.0], 4)  # shape mismatch
     with pytest.raises(CapacityError):
-        distribution_from_phases([0.1], [1.0], 25)
+        distribution_from_phases([0.1], [1.0], MAX_PHASE_BITS + 1)
 
 
 # -- sampling ------------------------------------------------------------------
