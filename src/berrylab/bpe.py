@@ -24,6 +24,9 @@ What is left of the step error spoils theta_B alone, so the step is sized
 by checking theta_B: starting from the commutator guess, the step count
 doubles until the pairs at n and n/2 steps reconstruct theta_B within
 eps_B/100 of each other, never past the H_max cap of dynamics.step_count.
+Both alpha rules run this check.  The alpha-run takes
+n + floor((alpha - 1) n) steps, so its realized ratio never exceeds the
+nominal alpha and the formula rule's unwrap window holds at every level.
 
 The baseline (phase doubling: estimate on the reversed-then-forward composite
 loop, which accumulates 2 theta_B) is included for comparison; its output is
@@ -74,23 +77,24 @@ def _dominant_phase(dist) -> float:
     return float(min(tied, key=wrap_2pi))
 
 
-def _checked_build(family: HamiltonianFamily, T: float, cap: int, unit: int,
-                   tol: float, build, check: bool = True):
+def _checked_build(family: HamiltonianFamily, T: float, cap: int, low: int,
+                   tol: float, build):
     """Build at the coarsest step count that the a-posteriori check accepts.
 
     ``build(n)`` makes the estimator's propagators at n steps per runtime T
     and returns (result, phase), the phase read from dominant eigenphases.
-    A commutator guess of at least half the cap (or ``check`` False, or a
-    lambda-independent family) builds at the cap, unchecked.  Otherwise n
-    starts at the guess rounded up to a multiple of 2 unit and doubles, up
-    to the cap, until the phases at n and at n/2 agree within tol; the
-    accepted n is the finer of the two.  Returns (result, record).
+    A commutator guess of at least half the cap, or a lambda-independent
+    family, builds at the cap unchecked and leaves ``tested`` empty.
+    Otherwise n starts at twice the larger of ``low`` and half the guess,
+    rounded up, and doubles, up to the cap, until the phases at n and at
+    n/2 agree within tol; the accepted n is the finer of the two.  Returns
+    (result, record).
     """
     guess = guess_step_count(family, T)
     record = {"guess": guess, "cap": cap, "tested": [], "converged": False}
     n = cap
-    if check and not family.is_constant() and 2.0 * guess < cap:
-        n = min(cap, 2 * unit * max(1, math.ceil(guess / (2 * unit))))
+    if not family.is_constant() and 2.0 * guess < cap:
+        n = min(cap, 2 * max(low, math.ceil(guess / 2)))
     if n == cap:
         result, phase = build(n)
     else:
@@ -166,17 +170,14 @@ def decide_interval(theta_hat: float, a: float, b: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def choose_alpha(T: float, H_max: float, eps_B: float, mode: str = "formula",
-                 cap: float | None = None) -> float:
+def choose_alpha(T: float, H_max: float, eps_B: float, mode: str = "formula") -> float:
     """Second-runtime ratio alpha.
 
     formula mode: alpha = 1 + pi/(T H_max + 2 eps_B), which keeps
     |theta_D (alpha-1)| < pi - 2 eps_ph so the difference unwraps uniquely.
 
-    integer mode: alpha = 1 + 1/q with q the smallest positive integer
-    keeping (alpha - 1) T H_max below ``cap`` (q = 1, i.e. alpha = 2, when no
-    cap is given).  Reconstruction is then exact for arbitrary dynamical
-    phase, no unwrap condition needed.
+    integer mode: alpha = 2, so 1/(alpha - 1) = 1 and the reconstruction is
+    exact for arbitrary dynamical phase, no unwrap condition needed.
     """
     if T < 0 or H_max < 0:
         raise ConfigError("T and H_max must be non-negative")
@@ -185,15 +186,7 @@ def choose_alpha(T: float, H_max: float, eps_B: float, mode: str = "formula",
     if mode == "formula":
         return 1.0 + math.pi / (T * H_max + 2.0 * eps_B)
     if mode == "integer":
-        if cap is None or T * H_max == 0.0:
-            q = 1
-        else:
-            if cap <= 0:
-                raise ConfigError(f"alpha cap must be positive, got {cap}")
-            ratio = T * H_max / cap
-            check_step_budget(T, ratio)  # both runtimes take over 2q steps together
-            q = max(1, math.ceil(ratio))
-        return 1.0 + 1.0 / q
+        return 2.0
     raise ConfigError(f"unknown alpha mode {mode!r}")
 
 
@@ -223,7 +216,7 @@ def reconstruct_phases(m1: float, m_alpha: float, alpha: float,
 
 @dataclass(frozen=True)
 class BpeConfig:
-    """The six settings of a two-runtime estimation run, one per CLI flag.
+    """The five settings of a two-runtime estimation run, one per CLI flag.
 
     The engine derives the rest: alpha by choose_alpha, m from half the
     phase budget eps_ph = eps_B (alpha-1)/(alpha+1) (the other half absorbs
@@ -239,12 +232,11 @@ class BpeConfig:
     epsilon_B: float = 0.05
     eta: float = 0.05
     alpha_mode: str = "integer"
-    alpha_cap: float | None = None
     T: float | None = None
     oversampling: float = DEFAULT_OVERSAMPLING
 
     def __post_init__(self) -> None:
-        for name in ("epsilon_B", "oversampling", "T", "alpha_cap"):
+        for name in ("epsilon_B", "oversampling", "T"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -376,24 +368,18 @@ class BpeEngine:
         self.calibration = self.setup["calibration"]
 
         self.alpha_nominal = choose_alpha(
-            self.T, self.setup["H_max"], cfg.epsilon_B, cfg.alpha_mode,
-            cfg.alpha_cap
+            self.T, self.setup["H_max"], cfg.epsilon_B, cfg.alpha_mode
         )
 
         # Shared-step pairs: the alpha run reuses dt exactly, and the realized
-        # step ratio is what enters the reconstruction.  Steps per runtime T
-        # are multiples of step_unit, choose_alpha's q in integer mode.  The
-        # budget is checked at the cap, before any propagation.
-        integer = cfg.alpha_mode == "integer"
-        self.step_unit = round(1.0 / (self.alpha_nominal - 1.0)) if integer else 1
+        # step ratio is what enters the reconstruction.  The step check starts
+        # where the half level still gets one extra alpha step.  The budget is
+        # checked at the cap, before any propagation.
         cap = step_count(self.T, self.setup["H_max"], cfg.oversampling)
-        cap = self.step_unit * math.ceil(cap / self.step_unit)
         check_step_budget(self.T, cap + self._alpha_steps(cap))
-        # Formula mode's realized alpha moves with the step count, and a
-        # coarse pair could break its unwrap window, so it keeps the cap.
         pair, self.step_check = _checked_build(
-            family, self.T, cap, self.step_unit,
-            STEP_CHECK_FRACTION * cfg.epsilon_B, self._pair, check=integer,
+            family, self.T, cap, math.ceil(1.0 / (self.alpha_nominal - 1.0)),
+            STEP_CHECK_FRACTION * cfg.epsilon_B, self._pair,
         )
         vars(self).update(pair)
         self.R = cfg.repetitions
@@ -404,9 +390,9 @@ class BpeEngine:
             self.calibration["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
     def _alpha_steps(self, steps: int) -> int:
-        if self.config.alpha_mode == "integer":
-            return steps + steps // self.step_unit
-        return max(steps + 1, round(self.alpha_nominal * steps))
+        """Alpha-run steps: twice ``steps`` in integer mode, and a ratio of at
+        most alpha_nominal whenever (alpha_nominal - 1) steps >= 1."""
+        return steps + max(1, math.floor((self.alpha_nominal - 1.0) * steps))
 
     def _pair(self, steps: int) -> tuple[dict, float]:
         """The two-runtime pair at ``steps`` steps per runtime T, as engine

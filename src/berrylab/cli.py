@@ -45,9 +45,9 @@ from .verifier import MAX_VERIFY_RUNS, VerifierConfig, run_verifier
 
 
 def _write_json(path: str, obj) -> None:
+    # json.dumps with no indent runs the C encoder; json.dump never does.
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_manifest(args) -> None:
@@ -150,7 +150,7 @@ def _bpe_config(args, instance, **alpha) -> BpeConfig:
 
 def cmd_bpe(args) -> int:
     family, instance = _resolve_target(args.instance)
-    config = _bpe_config(args, instance, alpha_mode=args.alpha_mode, alpha_cap=args.alpha_cap)
+    config = _bpe_config(args, instance, alpha_mode=args.alpha_mode)
     theta_B, theta_D, diag = run_bpe(family, config=config, seed=args.seed)
     decision = _maybe_decide(theta_B, instance, args.epsilon_b)
     payload = {
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     _add_bpe_flags(p)
     p.add_argument("--alpha-mode", choices=["integer", "formula"], default=BpeConfig.alpha_mode)
-    p.add_argument("--alpha-cap", type=float, default=None, help="integer mode: bound on the wrapped dynamical phase increment")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bpe)

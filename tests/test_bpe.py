@@ -19,6 +19,7 @@ from berrylab.bpe import (
     run_bpe,
 )
 from berrylab.corpus import (
+    bqp_no_circuit,
     bqp_yes_circuit,
     constant_z_family,
     duqma_no_circuit,
@@ -127,11 +128,6 @@ def test_choose_alpha_formula_values():
 
 def test_choose_alpha_integer_mode():
     assert choose_alpha(100.0, 1.0, 0.05, mode="integer") == 2.0
-    # with a cap on the extra evolution time the ratio tightens to 1 + 1/q
-    assert choose_alpha(100.0, 1.0, 0.05, mode="integer", cap=10.0) == pytest.approx(1.1)
-    assert choose_alpha(100.0, 1.0, 0.05, mode="integer", cap=7.0) == pytest.approx(
-        1.0 + 1.0 / 15.0
-    )
 
 
 def test_choose_alpha_validation():
@@ -139,8 +135,6 @@ def test_choose_alpha_validation():
         choose_alpha(-1.0, 1.0, 0.05)
     with pytest.raises(ConfigError):
         choose_alpha(1.0, 1.0, 0.0)
-    with pytest.raises(ConfigError):
-        choose_alpha(1.0, 1.0, 0.05, mode="integer", cap=-2.0)
     with pytest.raises(ConfigError):
         choose_alpha(1.0, 1.0, 0.05, mode="golden")
 
@@ -368,10 +362,13 @@ def test_unfloored_calibration_keeps_its_own_infidelity(equatorial, alpha_mode):
 # -- the step check -----------------------------------------------------------------
 
 # The equatorial loop at oversampling 40 plants a check: its guess is a
-# quarter of that cap.  The 3-qubit random family guesses below half the cap.
+# quarter of that cap.  The 3-qubit random family guesses below half the cap,
+# and so does the compiled bqp-yes loop, here with the formula alpha.
 STEP_CHECK_CASES = {
     "equatorial-40": (equatorial_loop(), BpeConfig(oversampling=40.0)),
     "random-3-qubit": (random_gapped_family(3, np.random.default_rng(1103)), BpeConfig()),
+    "bqp-yes-formula": (build_bqp_instance(bqp_yes_circuit()).family,
+                        BpeConfig(alpha_mode="formula")),
 }
 
 
@@ -440,12 +437,29 @@ def test_a_check_that_cannot_agree_stops_at_the_cap(monkeypatch):
 
 
 def test_one_qubit_loops_build_at_the_cap(equatorial):
-    # a guess of at least half the cap builds there unchecked, as before the check
-    engine = BpeEngine(equatorial)
+    # a guess of at least half the cap builds there unchecked, as before the
+    # check, with either alpha rule
+    engines = [BpeEngine(equatorial, BpeConfig(alpha_mode=mode))
+               for mode in ("integer", "formula")]
     _, diag = murta_bpe(equatorial, return_diagnostics=True)
-    for check, steps in ((engine.step_check, engine.steps), (diag["step_check"], diag["steps"])):
+    for check, steps in (*((e.step_check, e.steps) for e in engines),
+                         (diag["step_check"], diag["steps"])):
         assert check["tested"] == [] and not check["converged"]
         assert steps == check["cap"] == 3948
+
+
+@pytest.mark.parametrize("circuit", [bqp_yes_circuit, bqp_no_circuit], ids=["yes", "no"])
+def test_formula_alpha_runs_the_step_check(circuit):
+    # each tested level's alpha run stays within the nominal ratio, so the
+    # unwrap window |theta_D (alpha - 1)| < pi holds at the coarse levels too
+    instance, cfg = build_bqp_instance(circuit()), BpeConfig(alpha_mode="formula")
+    engine = BpeEngine(instance.family, cfg)
+    check = engine.step_check
+    assert _accepted(check, engine.steps)
+    assert 8 * engine.steps <= check["cap"]
+    assert all(engine._alpha_steps(n) / n <= engine.alpha_nominal for n, _ in check["tested"])
+    theta_B = engine.run(1)[0]
+    assert circle_distance(theta_B, instance.provenance["oracle_theta_B"]) <= cfg.epsilon_B
 
 
 def test_bqp_steps_at_most_a_sixteenth_of_the_cap():

@@ -7,14 +7,16 @@ only solve.  A new solver call site shows up here before it can fork the
 numerics.  The CLI loads no scipy module and no importlib.metadata, neither
 on import nor while it runs.  The fields of the configuration classes, of the
 instance record, of the energy distribution and of the QPE distribution are
-pinned, the verifier builds its outcome at one site, and the package root
-re-exports nothing, so a new setting, a value kept twice or a second import
-path for a name shows up here too.  A QPE distribution draws readouts at the
+pinned, and so are the flags of the estimators and of ``verify``.  The
+verifier builds its outcome at one site, and the package root re-exports
+nothing, so a new setting, a value kept twice or a second import path for a
+name shows up here too.  A QPE distribution draws readouts at the
 top bit count in well under a megabyte.  The benchmark's tracer still binds
 every function it lists, so a rename that would stop a traced pass shows up
 here as well.
 """
 
+import argparse
 import ast
 from collections import Counter
 from dataclasses import fields
@@ -23,6 +25,7 @@ from pathlib import Path
 import berrylab
 from berrylab import hardness
 from berrylab.bpe import BpeConfig
+from berrylab.cli import build_parser
 from berrylab.dynamics import AdiabaticSchedule
 from berrylab.qpe import MAX_PHASE_BITS, QpeDistribution, distribution_from_phases, sample_outcomes
 from berrylab.verifier import EnergyDistribution, VerifierConfig
@@ -57,10 +60,24 @@ def test_eigensolver_call_sites():
 
 def test_configuration_fields():
     assert [f.name for f in fields(BpeConfig)] == [
-        "epsilon_B", "eta", "alpha_mode", "alpha_cap", "T", "oversampling"
+        "epsilon_B", "eta", "alpha_mode", "T", "oversampling"
     ]
     assert [f.name for f in fields(VerifierConfig)] == ["soundness_delta", "bpe"]
     assert [f.name for f in fields(AdiabaticSchedule)] == ["T", "steps", "direction"]
+
+
+def test_cli_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {command: [o for a in sub.choices[command]._actions for o in a.option_strings]
+             for command in ("bpe", "murta", "verify")}
+    estimator = ["-h", "--help", "--instance", "--epsilon-b", "--eta", "--runtime",
+                 "--oversampling"]
+    assert flags == {
+        "bpe": [*estimator, "--alpha-mode", "--seed", "--out"],
+        "murta": [*estimator, "--seed", "--out"],
+        "verify": ["-h", "--help", "--instance", "--witness", "--runs", "--epsilon-b", "--eta",
+                   "--soundness-delta", "--rates-csv", "--seed", "--out"],
+    }
 
 
 def test_instance_fields():
