@@ -6,7 +6,11 @@ construction) with a discretization error estimate, and the local Berry
 connection both exactly (finite differences in an explicitly anchored gauge)
 and to leading order in a perturbation strength r.  Every scan along the
 loop, and the step kernel in dynamics, takes its eigensystems from one
-chunked sweep (spectra, sweep); qpe uses its block solver, eigh_blocks.
+chunked sweep (spectra, sweep).  A family whose H(lambda) decouples into
+sectors has them found once and cached on it; the sweep solves each block
+size over a solve chunk of many lambdas, sized by the block stacks, and
+yields dense eigensystems in output chunks sized by d^2.  Matrices that come
+from no family (qpe's W, hardness's A^dagger A) go through eigh_blocks.
 
 All reported angles live in [0, 2 pi).
 """
@@ -22,7 +26,14 @@ import numpy as np
 
 from .angles import circle_distance, wrap_2pi
 from .errors import CapacityError, ConfigError, DegeneracyError, NumericalError
-from .hamiltonians import HamiltonianFamily, eval_hamiltonian, eval_hamiltonians
+from .hamiltonians import (
+    HamiltonianFamily,
+    _actions_for,
+    _group_entries,
+    check_dense_budget,
+    eval_hamiltonian,
+    eval_hamiltonians,
+)
 
 # A gap below this relative threshold is treated as an exact degeneracy.
 DEGENERACY_RTOL = 1e-8
@@ -66,32 +77,124 @@ class SpectrumSlice:
         return self.eigenvectors[:, 0]
 
 
-# Bytes per stacked complex (n, d, d) array of a sweep: 64 points at d = 16,
-# one point from d = 128 on.  Larger chunks raise peak memory and gain little;
-# each point gets the bits of a one-point solve whatever else is in its stack.
+# Bytes per stacked complex array of a sweep.  An output chunk holds as many
+# dense (d, d) eigenvector matrices as fit: 64 points at d = 16, one point from
+# d = 128 on.  A solve chunk of a family with sectors holds as many points as
+# its block stacks fit, a whole number of output chunks.  Larger chunks raise
+# peak memory and gain little; each point gets the bits of a one-point solve
+# whatever else is in its stack.
 _CHUNK_BYTES = 256 * 1024
 
 # Families below this dimension are solved whole even when H(lambda) is block
 # diagonal, so their eigensystems keep the bits that tests and outputs pin.
+# Connected families are solved whole at any dimension.
 _SPLIT_MIN_DIM = 64
+
+
+class _Sectors(NamedTuple):
+    """A family's decoupled blocks in _block_groups' form ([None]: solved
+    whole), and where its group entries go: entry src of one point's
+    (groups, d) entries, flattened, is entry dst of its block-size stacks,
+    flattened and concatenated in the order of groups."""
+
+    groups: list
+    src: np.ndarray | None = None
+    dst: np.ndarray | None = None
 
 
 def spectra(family: HamiltonianFamily, lams):
     """Yield (lams, eigenvalues, eigenvectors) over consecutive chunks of a
-    lambda sequence: one stack of H(lambda) per chunk, no stack above
-    _CHUNK_BYTES unless a single matrix is, solved by eigh_blocks."""
+    lambda sequence, with no eigenvector stack above _CHUNK_BYTES unless a
+    single matrix is.  A family with sectors fills its block-size stacks
+    straight from its group entries, with no dense H(lambda), and solves each
+    size once per solve chunk; any other family solves one stack of dense
+    H(lambda) per chunk."""
+    check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
     lams = np.asarray(lams, dtype=float)
-    chunk = max(1, _CHUNK_BYTES // (16 * family.dim ** 2))
-    for start in range(0, lams.size, chunk):
-        part = lams[start:start + chunk]
-        yield (part, *eigh_blocks(eval_hamiltonians(family, part)))
+    d = family.dim
+    per_out = max(1, _CHUNK_BYTES // (16 * d ** 2))
+    sectors = _sectors_for(family)
+    if sectors.groups[0] is None:
+        for start in range(0, lams.size, per_out):
+            part = lams[start:start + per_out]
+            yield (part, *_eigh([eval_hamiltonians(family, part)])[0])
+        return
+    # Each block-size stack holds count * s^2 entries per point; ends[-1] in all.
+    ends = np.cumsum([idx.size * idx.shape[1] for idx in sectors.groups])
+    per_solve = per_out * max(1, _CHUNK_BYTES // (16 * ends[-1]) // per_out)
+    for start in range(0, lams.size, per_solve):
+        part = lams[start:start + per_solve]
+        flat = np.zeros((part.size, ends[-1]), dtype=complex)
+        entries = _group_entries(family, part).transpose(1, 0, 2).reshape(part.size, -1)
+        flat[:, sectors.dst] = entries[:, sectors.src]
+        solved = _eigh([a.reshape(part.size, *idx.shape, -1) for a, idx
+                        in zip(np.split(flat, ends[:-1], axis=1), sectors.groups)])
+        for a in range(0, part.size, per_out):
+            out = [(w[a:a + per_out], V[a:a + per_out]) for w, V in solved]
+            yield (part[a:a + per_out], *_scatter(sectors.groups, out, d))
 
 
-def _blocks(pattern: np.ndarray) -> np.ndarray:
-    """Connected-component label of each basis index under a symmetric
-    boolean pattern: the smallest index of its component."""
-    rows, cols = np.nonzero(pattern)
-    labels = np.arange(pattern.shape[0])
+def _sectors_for(family: HamiltonianFamily) -> _Sectors:
+    """The family's sectors, found once and cached on it: the connected
+    components of the entries of H(lambda) that are not identically zero in
+    lambda.  [None] below _SPLIT_MIN_DIM and for a connected family."""
+    if family._sectors is None:
+        family._sectors = _find_sectors(family)
+    return family._sectors
+
+
+def _find_sectors(family: HamiltonianFamily) -> _Sectors:
+    d = family.dim
+    if d < _SPLIT_MIN_DIM:
+        return _Sectors([None])
+    actions = _actions_for(family)
+    rows = np.array([r for r, _ in actions], dtype=np.int64).reshape(-1, d)  # (groups, d)
+    cols = np.broadcast_to(np.arange(d), rows.shape)
+    coupled = np.array([_coupled(family, m) if r[0] else np.zeros(d, bool)  # r[0]: the flip
+                        for r, m in actions], dtype=bool).reshape(rows.shape)
+    labels = _blocks(rows[coupled], cols[coupled], d)
+    groups = _groups_of(labels)
+    if groups[0] is None:
+        return _Sectors(groups)
+    # Each basis index's block: the block's offset in the flat stacks, its
+    # size, and the index's slot in it.
+    start, size, slot = np.empty(d, int), np.empty(d, int), np.empty(d, int)
+    offset = 0
+    for idx in groups:
+        count, s = idx.shape
+        start[idx] = offset + s * s * np.arange(count)[:, None]
+        size[idx] = s
+        slot[idx] = np.arange(s)
+        offset += count * s * s
+    g, x = np.nonzero(labels[rows] == labels)  # entry (rows[g, x], x) lies in x's block
+    return _Sectors(groups, g * d + x, start[x] + slot[rows[g, x]] * size[x] + slot[x])
+
+
+def _coupled(family: HamiltonianFamily, members) -> np.ndarray:
+    """The columns x on which a group's entry sum_i c_i(lambda) vals_i[x] is
+    not identically zero: on which the constants, or some harmonic's
+    amplitudes, weighted by vals_i[x] (+-1 or +-i), sum to nonzero in the
+    real or the imaginary part.  The sums are exact (math.fsum); columns
+    with the same vals share one test."""
+    m = len(members)
+    amps: dict = {}  # harmonic -> each member's amplitude
+    for i, (k, _) in enumerate(members):
+        c = family.terms[k][1]
+        for key, a in [(0, c.const), *c.cos_terms, *[(-j, b) for j, b in c.sin_terms]]:
+            amps.setdefault(key, [0.0] * m)[i] = a
+    vals = np.array([v for _, v in members])
+    signs, where = np.unique(np.concatenate([vals.real, vals.imag]).T.astype(np.int8),
+                             axis=0, return_inverse=True)
+    live = [any(math.fsum(a * w for a, w in zip(amp, part)) != 0.0
+                for amp in amps.values() for part in (row[:m], row[m:]))
+            for row in signs.tolist()]
+    return np.array(live)[where.reshape(-1)]
+
+
+def _blocks(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
+    """Connected-component label of each of d basis indices under the
+    symmetric edges (rows[e], cols[e]): the smallest index of its component."""
+    labels = np.arange(d)
     while True:
         # Take the smallest label among the neighbours, then jump pointers:
         # labels only fall, and stop once constant on every component.
@@ -103,18 +206,9 @@ def _blocks(pattern: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _block_groups(H: np.ndarray) -> list:
-    """The decoupled blocks of a stack H, shape (n, d, d): one (count, size)
-    array of basis indices per block size, each block's indices ascending.
-    [None] when H is solved whole: a connected pattern, or d below
-    _SPLIT_MIN_DIM.
-
-    The blocks are the connected components of the entries that are nonzero
-    in any matrix of the stack, so every entry they leave out is exactly 0.0.
-    """
-    if H.shape[-1] < _SPLIT_MIN_DIM:
-        return [None]
-    labels = _blocks((H != 0).any(axis=0))
+def _groups_of(labels: np.ndarray) -> list:
+    """One (count, size) array of basis indices per block size of a
+    labelling, each block's indices ascending; [None] for one block."""
     sizes = np.unique(labels, return_counts=True)[1]
     if sizes.size == 1:
         return [None]
@@ -123,16 +217,33 @@ def _block_groups(H: np.ndarray) -> list:
     return [members[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-def eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked eigh of H, shape (n, d, d), with one batched call per block
-    size of _block_groups.  A block's eigenpairs take its own indices as
-    slots, and a stable sort of the slots' eigenvalues orders the columns."""
-    groups = _block_groups(H)
-    solved = [np.linalg.eigh(H if idx is None else H[:, idx[:, :, None], idx[:, None, :]])
-              for idx in groups]
+def _block_groups(H: np.ndarray) -> list:
+    """The decoupled blocks of a stack H, shape (n, d, d), in _groups_of's
+    form; [None] when H is solved whole: a connected pattern, or d below
+    _SPLIT_MIN_DIM.
+
+    The blocks are the connected components of the entries that are nonzero
+    in any matrix of the stack, so every entry they leave out is exactly 0.0.
+    """
+    d = H.shape[-1]
+    if d < _SPLIT_MIN_DIM:
+        return [None]
+    return _groups_of(_blocks(*np.nonzero((H != 0).any(axis=0)), d))
+
+
+def _eigh(stacks) -> list:
+    """Stacked eigh of each array: the lab's one eigensolver call."""
+    return [np.linalg.eigh(a) for a in stacks]
+
+
+def _scatter(groups, solved, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (w, V) of a stack from the eigensystems of its blocks, solved
+    per size of groups (_groups_of's form).  A block's eigenpairs take its
+    own indices as slots, and a stable sort of the slots' eigenvalues orders
+    the columns."""
     if groups[0] is None:
         return solved[0]
-    n, d, _ = H.shape
+    n = solved[0][0].shape[0]
     w = np.empty((n, d))
     for idx, (bw, _) in zip(groups, solved):
         w[:, idx] = bw
@@ -144,6 +255,14 @@ def eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for idx, (_, bV) in zip(groups, solved):
         V[points, idx[None, :, :, None], rank[:, idx][:, :, None, :]] = bV
     return np.take_along_axis(w, order, axis=1), V
+
+
+def eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked eigh of H, shape (n, d, d), with one batched call per block
+    size of _block_groups: for matrices that come from no family."""
+    groups = _block_groups(H)
+    stacks = [H if idx is None else H[:, idx[:, :, None], idx[:, None, :]] for idx in groups]
+    return _scatter(groups, _eigh(stacks), H.shape[-1])
 
 
 def _slice(family: HamiltonianFamily, lam, evals, evecs) -> SpectrumSlice:
@@ -444,8 +563,9 @@ def berry_connection_perturbative(
     Vm = eval_hamiltonian(V, lam)
     dVm = eval_hamiltonian(derivative_family(V), lam)
     # Components of V|psi0> and dV|psi0> in the excited eigenbasis.
-    w = base.eigenvectors.conj().T @ (Vm @ psi0)
-    u = base.eigenvectors.conj().T @ (dVm @ psi0)
+    Vh = base.eigenvectors.conj().T
+    w = Vh @ (Vm @ psi0)
+    u = Vh @ (dVm @ psi0)
     denom = (evals - evals[0]) ** 2
     s = 0.0
     for k in range(1, evals.size):

@@ -212,6 +212,7 @@ class HamiltonianFamily:
     _actions: list | None = field(
         default=None, repr=False, compare=False, init=False
     )
+    _sectors: tuple | None = field(default=None, repr=False, compare=False, init=False)
 
     @property
     def dim(self) -> int:
@@ -298,8 +299,15 @@ def _string_action(axes: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _actions_for(family: HamiltonianFamily) -> list:
+    """The family's strings grouped by the basis permutation they make (same
+    X/Y letters): [(rows, [(term index, vals), ...]), ...], groups in order of
+    first appearance and members in term order.  Built once per family."""
     if family._actions is None:
-        family._actions = [_string_action(p.axes) for p, _ in family.terms]
+        groups: dict[int, tuple] = {}
+        for k, (p, _) in enumerate(family.terms):
+            rows, vals = _string_action(p.axes)
+            groups.setdefault(int(rows[0]), (rows, []))[1].append((k, vals))
+        family._actions = list(groups.values())
     return family._actions
 
 
@@ -308,36 +316,43 @@ def eval_hamiltonian(family: HamiltonianFamily, lam: float) -> np.ndarray:
     return eval_hamiltonians(family, np.array([float(lam)]))[0]
 
 
-def eval_hamiltonians(family: HamiltonianFamily, lams: np.ndarray) -> np.ndarray:
-    """Stack of dense H(lambda_j), shape (len(lams), d, d).
+def _group_entries(family: HamiltonianFamily, lams: np.ndarray) -> np.ndarray:
+    """The entries each group of _actions_for fills, shape (groups, len(lams),
+    d): group g puts entries[g, :, x] at (rows_g[x], x), and no other group
+    touches that entry.  Each group sums its terms in term order, from zero.
+    Every product c_i * vals is exact (vals are +-1 and +-i), so an entry
+    carries the same bits whatever else is in the stack."""
+    lams = np.asarray(lams, dtype=float)
+    groups = _actions_for(family)
+    out = np.zeros((len(groups), lams.size, family.dim), dtype=complex)
+    for entries, (_, members) in zip(out, groups):
+        for k, vals in members:
+            entries += family.terms[k][1].values(lams)[:, None] * vals
+    return out
 
-    Strings that permute the basis alike (same X/Y letters) fill the same
-    entries, and no others do; each such group sums its terms in term order,
-    from zero.  Every product c_i * vals is exact (vals are +-1 and +-i), so
-    a slice carries the same bits whatever else is in the stack.
-    """
+
+def eval_hamiltonians(family: HamiltonianFamily, lams: np.ndarray) -> np.ndarray:
+    """Stack of dense H(lambda_j), shape (len(lams), d, d), scattered from
+    _group_entries."""
     check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
     lams = np.asarray(lams, dtype=float)
     d = family.dim
-    groups: dict[int, tuple] = {}
-    for (rows, vals), (_, coeff) in zip(_actions_for(family), family.terms):
-        groups.setdefault(int(rows[0]), (rows, []))[1].append((vals, coeff))
     H = np.zeros((lams.size, d, d), dtype=complex)
     cols = np.arange(d, dtype=np.int64)
-    for rows, members in groups.values():
-        entries = np.zeros((lams.size, d), dtype=complex)
-        for vals, coeff in members:
-            entries += coeff.values(lams)[:, None] * vals
+    for (rows, _), entries in zip(_actions_for(family), _group_entries(family, lams)):
         H[:, rows, cols] = entries
     return H
 
 
 def apply_hamiltonian(family: HamiltonianFamily, lam: float, vec: np.ndarray) -> np.ndarray:
-    """H(lambda) @ vec without materializing the matrix."""
+    """H(lambda) @ vec without materializing the matrix, summed in term order."""
+    actions = {k: (rows, vals) for rows, members in _actions_for(family)
+               for k, vals in members}
     out = np.zeros_like(vec, dtype=complex)
-    for (rows, vals), (_, coeff) in zip(_actions_for(family), family.terms):
+    for k, (_, coeff) in enumerate(family.terms):
         c = coeff.value(lam)
         if c != 0.0:
+            rows, vals = actions[k]
             out[rows] += c * vals * vec
     return out
 

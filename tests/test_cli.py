@@ -125,14 +125,24 @@ def test_missing_file(tmp_path):
     assert "nope.json" in p.stderr
 
 
-def test_capacity_exit_code(tmp_path, monkeypatch):
+@pytest.mark.parametrize("case", ["whole", "split"])
+def test_capacity_exit_code(tmp_path, case):
+    # The split case is the compiled 6-qubit duqma-no family, which the sweep
+    # solves by sectors: the budget holds there before any block is filled.
     import os
 
-    fam = make_family(3, [("ZXI", constant(1.0)), ("IXZ", constant(0.4))])
-    save_family(fam, str(tmp_path / "big.json"))
-    env = dict(os.environ, BERRYLAB_MAX_QUBITS="2")
+    from berrylab.corpus import duqma_no_circuit
+
+    if case == "whole":
+        fam = make_family(3, [("ZXI", constant(1.0)), ("IXZ", constant(0.4))])
+        save_family(fam, str(tmp_path / "big.json"))
+        instance, budget = tmp_path / "big.json", "2"
+    else:
+        save_instance(build_duqma_instance(duqma_no_circuit(), 0), str(tmp_path / "no"))
+        instance, budget = tmp_path / "no", "5"
+    env = dict(os.environ, BERRYLAB_MAX_QUBITS=budget)
     p = run_cli(
-        "oracle", "--instance", tmp_path / "big.json", "--out", tmp_path / "o.json",
+        "oracle", "--instance", instance, "--out", tmp_path / "o.json",
         env=env,
     )
     assert p.returncode == 3

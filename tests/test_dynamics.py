@@ -200,13 +200,13 @@ def test_step_kernel_stacks_stay_under_the_cap(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    for n, steps, chunks in ((1, 130, [130]), (4, 130, [64, 64, 2]), (7, 3, [1, 1, 1])):
+    for n, steps, chunks in ((1, 130, [130]), (4, 130, [64, 64, 2]), (7, 3, [3])):
         fam = make_family(n, [("X" + "I" * (n - 1), cosine(1, 1.0)), ("Z" * n, constant(0.5))])
         shapes.clear()
         loop_propagator(fam, AdiabaticSchedule(T=0.1 * steps, steps=steps))
         assert [s[0] for s in shapes] == chunks
-        if n == 7:  # 64 decoupled 2x2 blocks, solved in one batched call
-            assert all(s == (1, 64, 2, 2) for s in shapes)
+        if n == 7:  # 64 decoupled 2x2 blocks of all three steps, in one batched call
+            assert all(s == (3, 64, 2, 2) for s in shapes)
         else:
             assert all(s[1:] == (fam.dim, fam.dim) for s in shapes)
 

@@ -242,7 +242,18 @@ def split_families():
         "duqma-6q": build_duqma_instance(duqma_no_circuit(), 0).family,
         "duqma-7q": build_duqma_instance(duqma_yes_circuit(), 0).family,
         "field-7q": _field_loop(7),
+        "cancel-6q": _cancelling_loop(),
     }
+
+
+def _cancelling_loop():
+    """XIIIII + XIIIIZ cancels on every column whose last qubit is 1, so the
+    sectors there are the pairs IXIIII couples (16 of 2 states); on the other
+    half all four states that the X strings and IXIIII connect (8 of 4).  The
+    sine vanishes at lambda = 0."""
+    fields = [("I" * q + "Z" + "I" * (5 - q), constant(0.5 + 0.13 * q)) for q in range(6)]
+    return make_family(6, [("XIIIII", cosine(1, 0.8)), ("XIIIIZ", cosine(1, 0.8)),
+                           ("IXIIII", sine(1, 0.6)), *fields])
 
 
 def _dense_sweep(fam, lams):
@@ -251,11 +262,17 @@ def _dense_sweep(fam, lams):
         yield H, w, V, np.linalg.eigh(H)
 
 
-@pytest.mark.parametrize("name", ["duqma-6q", "duqma-7q", "field-7q"])
+@pytest.mark.parametrize("name", ["duqma-6q", "duqma-7q", "field-7q", "cancel-6q"])
 def test_split_spectra_match_dense_eigh(split_families, name):
     fam = split_families[name]
     lams = np.arange(12) / 12
     assert exact._block_groups(eval_hamiltonians(fam, lams[:1]))[0] is not None
+    # The cached sectors are the blocks of the pattern at a generic lambda.
+    sectors = exact._sectors_for(fam).groups
+    generic = exact._block_groups(eval_hamiltonians(fam, [0.2137]))
+    assert [s.tolist() for s in sectors] == [g.tolist() for g in generic]
+    if name == "cancel-6q":
+        assert [s.shape for s in sectors] == [(16, 2), (8, 4)]
     eye = np.eye(fam.dim)
     for H, w, V, (w_ref, _) in _dense_sweep(fam, lams):
         scale = max(1.0, float(np.max(np.abs(w_ref))))
