@@ -61,6 +61,8 @@ from .qpe import (
     distribution_for_unitary,
     estimate_from_distribution,
     sample_outcomes,
+    seed_row,
+    stream_uniforms,
 )
 
 GAP_GRID = 64  # lambda points of the gap guard and the phase-lag scale
@@ -419,14 +421,14 @@ class BpeEngine:
     def readouts(self, seeds) -> tuple[list, list, np.ndarray, np.ndarray]:
         """Both runtimes' QPE readouts for a list of seeds: the circular
         medians m1 and m_alpha, one per seed, and the raw outcomes behind
-        them, one row of R per seed.  Each seed's SeedSequence spawns one
-        child per runtime, whose default_rng draws that runtime's row."""
-        children = [
-            (s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)).spawn(2)
-            for s in seeds
-        ]
+        them, one row of R per seed.  A seed is an int, a SeedSequence or an
+        (entropy, spawn key) row.  Runtime k's row is what default_rng of the
+        seed's child seed.spawn(2)[k] draws: the seed tree is numpy's, but
+        the children are not spawned, and all seeds' rows come from one
+        stream_uniforms array, bit for bit."""
         dists = (self.dist1, self.dist_alpha)
-        raw = [sample_outcomes(d, self.R, [np.random.default_rng(c[k]) for c in children])
+        raw = [sample_outcomes(d, self.R, stream_uniforms([seed_row(s, k) for s in seeds],
+                                                          (self.R, d.m + 1)))
                for k, d in enumerate(dists)]
         m1, m_alpha = (circular_median(d.angles(r)).tolist() for d, r in zip(dists, raw))
         return m1, m_alpha, *raw

@@ -266,7 +266,7 @@ def cmd_verify(args) -> int:
         )
     if instance.E_th is None:  # refuse before any spectral work
         raise ConfigError("instance carries no energy threshold")
-    # checked after the instance (a bad one exits 2), before any seed is spawned
+    # checked after the instance (a bad one exits 2), before any seed is drawn
     if args.runs > MAX_VERIFY_RUNS:
         raise CapacityError(f"--runs {args.runs} is over the budget of {MAX_VERIFY_RUNS} runs")
     witness = _resolve_witness(instance, args.witness)
@@ -274,10 +274,9 @@ def cmd_verify(args) -> int:
         soundness_delta=args.soundness_delta,
         bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta),
     )
-    # Child i of --seed seeds run i; they are spawned as run_verifier reads them.
-    parent = np.random.SeedSequence(args.seed)
-    children = (parent.spawn(1)[0] for _ in range(args.runs))
-    outcomes = run_verifier(instance, witness, config, seed=children)
+    # Run i is seeded by child i of SeedSequence(--seed), as the row (--seed, (i,)).
+    rows = ((args.seed, (i,)) for i in range(args.runs))
+    outcomes = run_verifier(instance, witness, config, seed=rows)
     accept_rate = float(np.mean([o.accept for o in outcomes]))
     energy_pass_rate = float(np.mean([o.energy_pass for o in outcomes]))
     payload = {

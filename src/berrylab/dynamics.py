@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError
-from .exact import ground_state, lambda_grid, min_gap, spectra, sweep
+from .exact import _CHUNK_BYTES, ground_state, lambda_grid, min_gap, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
     commutator_bound,
     derivative_family,
-    eval_hamiltonian,
+    eval_hamiltonians,
     norm_bounds,
 )
 
@@ -298,14 +298,18 @@ def phase_lag_scale(family: HamiltonianFamily, grid: int = 64) -> float:
     if family.is_constant():
         return 0.0
     dfam = derivative_family(family, 1)
+    lams = lambda_grid(family, grid, offset=0.5)
     total = 0.0
     # The sweep refuses a degenerate slice: no finite adiabatic runtime
-    # without a gap.
-    for s in sweep(family, lambda_grid(family, grid, offset=0.5)):
-        V = s.eigenvectors
-        denom = s.eigenvalues[1:] - s.eigenvalues[0]
-        amps = V[:, 1:].conj().T @ (eval_hamiltonian(dfam, s.lam) @ V[:, 0])
-        total += float(np.sum(np.abs(amps) ** 2 / denom ** 3))
+    # without a gap.  dH/dlam comes in stacks of the sweep's chunk budget.
+    slices = sweep(family, lams)
+    per = max(1, _CHUNK_BYTES // (16 * family.dim ** 2))
+    for start in range(0, lams.size, per):
+        for dH, s in zip(eval_hamiltonians(dfam, lams[start:start + per]), slices):
+            V = s.eigenvectors
+            denom = s.eigenvalues[1:] - s.eigenvalues[0]
+            amps = V[:, 1:].conj().T @ (dH @ V[:, 0])
+            total += float(np.sum(np.abs(amps) ** 2 / denom ** 3))
     return total / grid
 
 

@@ -12,6 +12,8 @@ the dense eigensystem of W; sample_outcomes reads it out bit by bit, which is
 statistically identical to running the circuit with exact controlled powers,
 but lets a single propagator build serve many seeds.  unitary_eigensystem
 finds W's eigensystem with Hermitian solves alone, through a Cayley transform.
+stream_uniforms draws many seeds' streams at once, bit for bit the uniforms
+numpy's default_rng of each would give.
 
 Repetitions are aggregated by the circular median, which concentrates at the
 true eigenphase because a single shot lands within two grid spacings with
@@ -20,6 +22,7 @@ probability >= 8/pi^2 > 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,9 +154,132 @@ def distribution_for_loop(
     return distribution_for_unitary(loop_propagator(family, schedule), psi, m)
 
 
+# numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64
+# (O'Neill, HMC-CS-2014-0905, 2014); NEP 19 keeps both streams fixed.
+_M32, _M64 = 2**32 - 1, 2**64 - 1
+_HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_M = 0x2360ED051FC65DA44385DF649FCCF645
+_JUMP = 256  # draws per jump block
+
+
+def seed_row(seed, *path) -> tuple:
+    """(entropy, spawn key) of the stream default_rng(seed) draws, for an
+    int, a SeedSequence or such a row; with a path (c, k, ...), of the child
+    seed.spawn would make c-th, then its k-th child, and so on, without
+    spawning anything."""
+    if isinstance(seed, np.random.SeedSequence):
+        if seed.pool_size != 4:
+            raise ConfigError(f"SeedSequence pool size {seed.pool_size} is not 4")
+        entropy, key, spawned = seed.entropy, seed.spawn_key, seed.n_children_spawned
+    elif isinstance(seed, tuple):
+        (entropy, key), spawned = seed, 0
+    else:
+        entropy, key, spawned = seed, (), 0
+    return (entropy, (*key, spawned + path[0], *path[1:])) if path else (entropy, tuple(key))
+
+
+def _words(x) -> list:
+    """numpy's uint32 words of an int, or of a sequence of ints, low first."""
+    if isinstance(x, (int, np.integer)):
+        if 0 <= x <= _M32:
+            return [int(x)]
+        if x < 0:
+            raise ConfigError(f"seed entropy must be non-negative, got {x}")
+        return [int(x) >> s & _M32 for s in range(0, int(x).bit_length(), 32)]
+    return [w for v in x for w in ([v] if type(v) is int and 0 <= v <= _M32 else _words(v))]
+
+
+def _mul(ah, al, bh, bl):
+    """(a * b) mod 2^128 of (high, low) uint64 words."""
+    a1, a0, b1, b0 = al >> 32, al & _M32, bl >> 32, bl & _M32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    mid2 = a0 * b1 + (mid & _M32)
+    return a1 * b1 + (mid >> 32) + (mid2 >> 32) + al * bh + ah * bl, al * bl
+
+
+def _add(ah, al, bh, bl):
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+@functools.cache
+def _jump() -> tuple:
+    """(M^j, sum_{i<j} M^i) for j = 1 .. _JUMP, as high and low words."""
+    terms, a, b = [], 1, 0
+    for _ in range(_JUMP):
+        a, b = a * _PCG_M & 2**128 - 1, (b * _PCG_M + 1) & 2**128 - 1
+        terms.append((a >> 64, a & _M64, b >> 64, b & _M64))
+    return tuple(np.array(c, dtype=np.uint64) for c in zip(*terms))
+
+
+def _pcg64_seeds(words: np.ndarray) -> tuple:
+    """PCG64's state before its first draw and its increment, as (n, 1) high
+    and low words, seeded by SeedSequence's pool of rows of assembled entropy
+    words (n, L)."""
+    n, L = words.shape
+    a = np.array([_HASH_A * _MULT_A ** i & _M32 for i in range(17 + 4 * max(0, L - 4))],
+                 dtype=np.uint32)
+    t = 0
+
+    def hashmix(v, k):  # the next k hash calls, one per column
+        nonlocal t
+        v, t = (v ^ a[t:t + k]) * a[t + 1:t + k + 1], t + k
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    ent = np.zeros((n, max(4, L)), dtype=np.uint32)
+    ent[:, :L] = words
+    pool = hashmix(ent[:, :4], 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src:src + 1], 3))
+    for src in range(4, L):
+        pool = mix(pool, hashmix(ent[:, src:src + 1], 4))
+    b = np.array([_HASH_B * _MULT_B ** i & _M32 for i in range(9)], dtype=np.uint32)
+    s = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:8]) * b[1:]  # generate_state(4, uint64)
+    s = (s ^ s >> 16).astype(np.uint64)
+    v = s[:, 0::2] | s[:, 1::2] << 32
+    inc = (v[:, 2:3] << 1 | v[:, 3:] >> 63, v[:, 3:] << 1 | 1)
+    M = (np.uint64(_PCG_M >> 64), np.uint64(_PCG_M & _M64))
+    return (*_add(*_mul(*_add(*inc, v[:, :1], v[:, 1:2]), *M), *inc), *inc)
+
+
+def stream_uniforms(rows, shape) -> np.ndarray:
+    """np.stack([default_rng(SeedSequence(entropy, spawn_key=key)).random(shape)
+    for entropy, key in rows]), bit for bit, as array arithmetic.
+
+    Rows of one assembled entropy length share each step: SeedSequence's
+    pool, PCG64's seeding, then its 128-bit LCG x -> M x + c read out by
+    XSL-RR and (x >> 11) 2^-53.  Draw j = 1 .. J of a jump block is
+    M^j x + (sum_{i<j} M^i) c from the state x before the block, so each
+    block is two array products, and its last state starts the next."""
+    draws = math.prod(shape)
+    words = []
+    for entropy, key in rows:
+        w = _words(entropy)
+        words.append(w + [0] * (4 - len(w)) + _words(key) if key else w)
+    out = np.empty((len(words), draws))
+    Ah, Al, Bh, Bl = _jump()
+    lengths = [len(w) for w in words]
+    for size in set(lengths):
+        idx = [i for i, length in enumerate(lengths) if length == size]
+        xh, xl, ch, cl = _pcg64_seeds(np.array([words[i] for i in idx], dtype=np.uint32))
+        for start in range(0, draws, _JUMP):
+            J = min(_JUMP, draws - start)
+            hi, lo = _add(*_mul(xh, xl, Ah[:J], Al[:J]), *_mul(ch, cl, Bh[:J], Bl[:J]))
+            xh, xl, x, rot = hi[:, -1:], lo[:, -1:], hi ^ lo, hi >> 58
+            out[idx, start:start + J] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
+    return out.reshape(len(words), *shape)
+
+
 def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
-    """R outcomes drawn from a Generator; from a list of Generators, one row
-    of R per Generator, each row what that Generator alone would give.
+    """R outcomes drawn from a Generator; from an array of uniforms of shape
+    (..., R, m + 1), such as stream_uniforms gives, one row of R per leading
+    index, each row what its stream's Generator alone would give.
 
     Each readout takes m + 1 uniforms.  The first picks a component among
     the weights above 1e-14.  The others measure the inverse QFT
@@ -165,8 +291,9 @@ def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
     if R < 1:
         raise ConfigError(f"repetitions must be >= 1, got {R}")
     m = dist.m
-    u = (np.stack([g.random((R, m + 1)) for g in rng]) if isinstance(rng, list)
-         else rng.random((R, m + 1)))
+    u = rng if isinstance(rng, np.ndarray) else rng.random((R, m + 1))
+    if u.shape[-2:] != (R, m + 1):
+        raise ConfigError(f"uniforms of shape {u.shape} do not end in ({R}, {m + 1})")
     keep = np.flatnonzero(dist.weights > 1e-14)
     cum = np.cumsum(dist.weights[keep])
     pick = np.minimum(np.searchsorted(cum, u[..., 0] * cum[-1], side="right"), keep.size - 1)

@@ -19,9 +19,12 @@ threshold E_th and a promise interval (a, b, delta):
 
 run_verifier is one batch path, a single run being its one-seed case: it
 takes the seeds BLOCK_RUNS at a time and makes each block's runs as arrays.
-Each run keeps its own SeedSequence tree (the run's seed spawns energy, bpe
-and coin seeds; BpeEngine.readouts spawns one child per runtime from the bpe
-seed), so a batch equals its runs made singly.
+Each run keeps its own SeedSequence tree, unchanged: the run's seed has
+energy, bpe and coin children, and the bpe child one child per runtime.
+Nothing is spawned: qpe.seed_row names each child by its entropy and spawn
+key, and qpe.stream_uniforms draws a block's streams as one array, bit for
+bit what default_rng of each child draws.  So outputs stay byte-identical,
+and a batch equals its runs made singly.
 """
 
 from __future__ import annotations
@@ -34,17 +37,24 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import TWO_PI
-from .bpe import BpeConfig, BpeEngine, check_decision_margin, decide_interval, reconstruct_phases
+from .bpe import BpeConfig, BpeEngine, WrappedInterval, check_decision_margin, reconstruct_phases
 from .dynamics import StateVector
 from .errors import ConfigError
 from .exact import gapped_slice
-from .qpe import QpeDistribution, bits_for_precision, distribution_from_phases, sample_outcomes
+from .qpe import (
+    QpeDistribution,
+    bits_for_precision,
+    distribution_from_phases,
+    sample_outcomes,
+    seed_row,
+    stream_uniforms,
+)
 
 ENERGY_REPETITIONS = 15
 DEFAULT_SOUNDNESS_DELTA = 1.0 / 12.0
 BLOCK_RUNS = 256  # runs per block: bounds the (runs, R, R) temporaries and the live seeds
 # Like MAX_GRID_POINTS and MAX_TOTAL_STEPS: the most protocol runs one
-# verify command makes, refused before any seed is spawned.
+# verify command makes, refused before any seed is drawn.
 MAX_VERIFY_RUNS = 100_000
 
 
@@ -136,16 +146,19 @@ def energy_test(
 
     Returns (estimate, passed) with passed iff
     estimate < instance.E_th + Delta_min/4; for a list of seeds, an array of
-    each, one entry per seed.  Pass `distribution` (from
-    energy_distribution) to amortize the diagonalization across seeds.
+    each, one entry per seed.  A seed is an int, a SeedSequence or an
+    (entropy, spawn key) row, and its readouts are what its default_rng
+    would draw.  Pass `distribution` (from energy_distribution) to amortize
+    the diagonalization across seeds.
     """
     if instance.E_th is None:
         raise ConfigError("instance carries no energy threshold")
     if distribution is None:
         distribution = energy_distribution(instance, witness_state)
     dist, tau, delta_min = distribution
-    rngs = [np.random.default_rng(s) for s in (seed if isinstance(seed, list) else [seed])]
-    readouts = dist.angles(sample_outcomes(dist, ENERGY_REPETITIONS, rngs))
+    rows = [seed_row(s) for s in (seed if isinstance(seed, list) else [seed])]
+    u = stream_uniforms(rows, (ENERGY_REPETITIONS, dist.m + 1))
+    readouts = dist.angles(sample_outcomes(dist, ENERGY_REPETITIONS, u))
     # wrap_pm_pi, bit for bit, on readouts in [0, 2 pi)
     energies = -np.where(readouts > math.pi, readouts - TWO_PI, readouts) / tau
     estimates = np.median(energies, axis=1)
@@ -162,56 +175,60 @@ def run_verifier(
     seed=0,
 ):
     """Protocol runs: one VerifierOutcome for a seed (an int or a
-    SeedSequence), a list of them for an iterable of seeds, which is read
-    BLOCK_RUNS at a time.  The first run to pass the gate builds the
-    estimator, after the decision margin is checked; if none does, no loop
+    SeedSequence), a list of them for an iterable of seeds (ints,
+    SeedSequences or (entropy, spawn key) rows), which is read BLOCK_RUNS at
+    a time.  The first run to pass the gate builds the estimator and the
+    promise arc, after the decision margin is checked; if none does, no loop
     is propagated."""
     config = config or VerifierConfig()
     single = isinstance(seed, (int, np.integer, np.random.SeedSequence))
     seeds = iter([seed] if single else seed)
     energy_dist = energy_distribution(instance, witness_state)
+    eps_B = config.bpe.epsilon_B
+    fail_p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
     engine, outcomes = None, []
-    while block := [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-                    for s in itertools.islice(seeds, BLOCK_RUNS)]:
-        energy_seeds, bpe_seeds, coin_seeds = zip(*(ss.spawn(3) for ss in block))
-        estimates, passed = energy_test(instance, witness_state, seed=list(energy_seeds),
+    while block := list(itertools.islice(seeds, BLOCK_RUNS)):
+        estimates, passed = energy_test(instance, witness_state,
+                                        seed=[seed_row(s, 0) for s in block],
                                         distribution=energy_dist)
         gated = np.flatnonzero(passed).tolist()
+        phases, inside = {}, {}
         if gated:
-            a, b, delta = instance.interval
-            eps_B = config.bpe.epsilon_B
-            check_decision_margin(delta, eps_B)  # before any propagation
             if engine is None:
+                a, b, delta = instance.interval
+                check_decision_margin(delta, eps_B)  # before any propagation
                 engine = BpeEngine(
                     instance.family, config.bpe, guiding_state=_as_amplitudes(witness_state)
                 )
-            m1, m_alpha, _, _ = engine.readouts([bpe_seeds[i] for i in gated])
-            readouts = dict(zip(gated, zip(m1, m_alpha)))
+                arc, reach = WrappedInterval(a, b), delta - eps_B  # decide_interval's test
+            m1, m_alpha, _, _ = engine.readouts([seed_row(block[i], 1) for i in gated])
+            for i, readouts in zip(gated, zip(m1, m_alpha)):
+                phases[i] = reconstruct_phases(*readouts, engine.alpha, engine.config.alpha_mode)
+                inside[i] = int(arc.distance(phases[i][1]) <= reach)
+        probabilities = [(1.0 if inside[i] else 1.0 / 3.0) if i in inside else fail_p
+                         for i in range(len(block))]
+        # Certain outcomes draw no coin; every other p is one coin from its coin seed.
+        tossed = [i for i, p in enumerate(probabilities) if 0.0 < p < 1.0]
+        coins = dict(zip(tossed, stream_uniforms([seed_row(block[i], 2) for i in tossed],
+                                                 ()).tolist()))
         for i, (estimate, passed_i) in enumerate(zip(estimates.tolist(), passed.tolist())):
             transcript = [{"step": "energy-test", "estimate": estimate, "threshold": instance.E_th,
                            "margin": energy_dist.delta_min / 4.0,
                            "repetitions": ENERGY_REPETITIONS, "pass": passed_i}]
             theta_B = None
             if passed_i:
-                theta_D, theta_B = reconstruct_phases(
-                    *readouts[i], engine.alpha, engine.config.alpha_mode
-                )
+                theta_D, theta_B = phases[i]
                 transcript.append(
                     {"step": "phase-estimation", "theta_B_hat": theta_B, "theta_D_hat": theta_D,
                      "epsilon_B": eps_B, "alpha": engine.alpha, "T": engine.T, "m": engine.m,
                      "R": engine.R}
                 )
-                inside = decide_interval(theta_B, a, b, delta, eps_B)
-                p = 1.0 if inside == 1 else 1.0 / 3.0
                 branch = {"step": "decision", "branch": "interval-test",
-                          "interval": [a, b, delta], "in_yes_interval": inside}
+                          "interval": [a, b, delta], "in_yes_interval": inside[i]}
             else:
-                p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
                 branch = {"step": "decision", "branch": "energy-fail"}
-
-            # Certain outcomes draw no coin; every other p is one coin from its coin seed.
+            p, coin = probabilities[i], coins.get(i)
             decision = "accept-1" if p == 1.0 else "reject" if p == 0.0 else "accept-prob-bounded"
-            coin = float(np.random.default_rng(coin_seeds[i]).random()) if 0.0 < p < 1.0 else None
             accept = p == 1.0 if coin is None else coin < p
             transcript.append(
                 {**branch, "decision": decision, "accept_probability": p, "coin": coin,

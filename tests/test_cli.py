@@ -429,7 +429,7 @@ BAD_INPUTS = {
                        ["oracle", "--instance", "eq.json", "--grid-size", 10**12], 3),
     "sweep-grid-huge": ({"eq.json": "eq.json"},
                         ["oracle", "--instance", "eq.json", "--sweep-grid", 10**12], 3),
-    # Refused before a SeedSequence is spawned for any of the 10^8 runs.
+    # Refused before a seed is drawn for any of the 10^8 runs.
     "verify-runs-huge": ({"eq.json": "syn.json", "eq.provenance.json": "syn.provenance.json"},
                          ["verify", "--instance", "eq", "--witness", "ground",
                           "--runs", 10**8, "--seed", 1], 3),

@@ -4,7 +4,9 @@ Every spectrum along the loop, the eigensystem of a loop unitary in ``qpe``
 and the accept operator's spectrum in ``hardness`` come from the one
 Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
 only solve.  A new solver call site shows up here before it can fork the
-numerics.  The CLI loads no scipy module and no importlib.metadata, neither
+numerics.  Nothing spawns a SeedSequence, and numpy's default_rng draws a
+stream only where one unspawned seed draws one, so per-run Generator
+construction cannot come back unseen.  The CLI loads no scipy module and no importlib.metadata, neither
 on import nor while it runs.  The fields of the configuration classes, of the
 instance record, of the energy distribution and of the QPE distribution are
 pinned, and so are the flags of the estimators and of ``verify``.  The
@@ -43,19 +45,42 @@ def _dotted(node) -> str | None:
     return ".".join([node.id, *reversed(parts)])
 
 
-def _solver_sites() -> Counter:
+def _call_sites(tails) -> Counter:
+    """(module, outermost enclosing function or None, dotted name) of every
+    call whose name ends in one of ``tails``."""
     sites = Counter()
     for path in sorted(Path(berrylab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions come first
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn) if node not in owner)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = _dotted(node.func)
-                if name is not None and name.rsplit(".", 1)[-1] in SOLVERS:
-                    sites[(path.stem, name)] += 1
+                if name is not None and name.rsplit(".", 1)[-1] in tails:
+                    sites[(path.stem, owner.get(node), name)] += 1
+    return sites
+
+
+def _solver_sites() -> Counter:
+    sites = Counter()
+    for (module, _, name), count in _call_sites(SOLVERS).items():
+        sites[(module, name)] += count
     return sites
 
 
 def test_eigensolver_call_sites():
     assert _solver_sites() == {("exact", "np.linalg.eigh"): 1}
+
+
+def test_seeding_call_sites():
+    # Nothing spawns, and numpy draws a stream only where one unspawned seed
+    # draws one; every other stream comes from qpe.stream_uniforms.
+    assert _call_sites({"spawn", "default_rng"}) == {
+        ("bpe", "murta_bpe", "np.random.default_rng"): 1,
+        ("qpe", "qpe_run", "np.random.default_rng"): 1,
+    }
 
 
 def test_configuration_fields():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berrylab.angles import circle_distance
 from berrylab.dynamics import AdiabaticSchedule, make_schedule
@@ -17,6 +19,8 @@ from berrylab.qpe import (
     estimate_from_distribution,
     qpe_run,
     sample_outcomes,
+    seed_row,
+    stream_uniforms,
     unitary_eigensystem,
 )
 
@@ -108,12 +112,54 @@ def test_sampled_frequencies_match_the_fejer_mixture(m):
     assert sample_outcomes(dist, 1, _LastUniform())[0] != 2**m - 1
 
 
-def test_rows_of_a_generator_list_match_each_generator():
+def test_rows_of_stream_uniforms_match_each_generator():
     dist = distribution_from_phases([-2.9, 0.4, 4.0], [0.5, 0.3, 0.2], 9)
-    rows = sample_outcomes(dist, 15, [np.random.default_rng(s) for s in range(40)])
+    uniforms = stream_uniforms([seed_row(s) for s in range(40)], (15, 10))
+    rows = sample_outcomes(dist, 15, uniforms)
     assert rows.shape == (40, 15)
     for s, row in enumerate(rows):
         assert np.array_equal(row, sample_outcomes(dist, 15, np.random.default_rng(s)))
+    with pytest.raises(ConfigError):
+        sample_outcomes(dist, 14, uniforms)
+
+
+# Entropy of one and of two words, at and past each boundary, and sequences.
+ENTROPY = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 12345]),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entropy=ENTROPY,
+    key=st.lists(st.integers(0, 2**33), max_size=3),
+    spawned=st.integers(0, 2),
+    path=st.lists(st.integers(0, 2), max_size=2),
+    bits=st.integers(2, 49),
+    R=st.integers(1, 30),
+    many=st.booleans(),
+)
+def test_stream_uniforms_equal_numpy_bit_for_bit(entropy, key, spawned, path, bits, R, many):
+    # Row 0 is a descendant of a SeedSequence that has already spawned
+    # children; with `many`, 300 more rows follow, whose entropy, one past
+    # the last, can take one word more, so rows of two lengths share a call.
+    parent = np.random.SeedSequence(entropy, spawn_key=key)
+    parent.spawn(spawned)
+    rows = [seed_row(parent, *path)]
+    child = parent
+    for c in path:
+        child = child.spawn(c + 1)[c]
+    seeds = [child]
+    if many:
+        R = min(R, 3)
+        for j in range(1, 301):
+            e = entropy + j if isinstance(entropy, int) else [*entropy, j]
+            rows.append((e, tuple(key)))
+            seeds.append(np.random.SeedSequence(e, spawn_key=key))
+    want = np.stack([np.random.default_rng(s).random((R, bits)) for s in seeds])
+    got = stream_uniforms(rows, (R, bits))
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_low_fidelity_flag():
