@@ -52,13 +52,13 @@ from .dynamics import (
     step_count,
 )
 from .errors import ConfigError
-from .exact import ground_state, min_gap
+from .exact import _sectors_for, ground_state, min_gap
 from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
+    _distribution,
     bits_for_precision,
     circular_median,
     distribution_for_loop,
-    distribution_for_unitary,
     estimate_from_distribution,
     sample_outcomes,
     seed_row,
@@ -519,7 +519,7 @@ def murta_bpe(
         fwd = AdiabaticSchedule(T=T, steps=steps)
         W_fwd = loop_propagator(family, fwd)
         composite = loop_propagator(family, replace(fwd, direction="reversed")) @ W_fwd
-        dist = distribution_for_unitary(composite, psi0, m)
+        dist = _distribution(composite, psi0, m, _sectors_for(family).groups)
         return (steps, W_fwd, dist), _dominant_phase(dist)
 
     # The check reads the doubled phase 2 theta_B, so its tolerance doubles.

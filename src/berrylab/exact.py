@@ -6,11 +6,11 @@ construction) with a discretization error estimate, and the local Berry
 connection both exactly (finite differences in an explicitly anchored gauge)
 and to leading order in a perturbation strength r.  Every scan along the
 loop, and the step kernel in dynamics, takes its eigensystems from one
-chunked sweep (spectra, sweep).  A family whose H(lambda) decouples into
-sectors has them found once and cached on it; the sweep solves each block
-size over a solve chunk of many lambdas, sized by the block stacks, and
-yields dense eigensystems in output chunks sized by d^2.  Matrices that come
-from no family (qpe's W, hardness's A^dagger A) go through eigh_blocks.
+chunked sweep (spectra, sweep).  A family's sectors, the blocks H(lambda)
+decouples into, are found once, cached on it and are the lab's one block
+structure: the sweep solves each block size over many lambdas per call and
+yields dense eigensystems in chunks sized by d^2, and qpe solves a loop
+unitary in its family's sectors.  A matrix from no family is one block.
 
 All reported angles live in [0, 2 pi).
 """
@@ -32,7 +32,6 @@ from .hamiltonians import (
     _group_entries,
     check_dense_budget,
     eval_hamiltonian,
-    eval_hamiltonians,
 )
 
 # A gap below this relative threshold is treated as an exact degeneracy.
@@ -79,65 +78,59 @@ class SpectrumSlice:
 
 # Bytes per stacked complex array of a sweep.  An output chunk holds as many
 # dense (d, d) eigenvector matrices as fit: 64 points at d = 16, one point from
-# d = 128 on.  A solve chunk of a family with sectors holds as many points as
-# its block stacks fit, a whole number of output chunks.  Larger chunks raise
+# d = 128 on.  A solve chunk holds as many points as the family's block
+# stacks fit, a whole number of output chunks.  Larger chunks raise
 # peak memory and gain little; each point gets the bits of a one-point solve
 # whatever else is in its stack.
 _CHUNK_BYTES = 256 * 1024
 
-# Families below this dimension are solved whole even when H(lambda) is block
+# Families below this dimension are one block even when H(lambda) is block
 # diagonal, so their eigensystems keep the bits that tests and outputs pin.
-# Connected families are solved whole at any dimension.
+# A connected family is one block at any dimension.
 _SPLIT_MIN_DIM = 64
 
 
 class _Sectors(NamedTuple):
-    """A family's decoupled blocks in _block_groups' form ([None]: solved
-    whole), and where its group entries go: entry src of one point's
-    (groups, d) entries, flattened, is entry dst of its block-size stacks,
-    flattened and concatenated in the order of groups."""
+    """A family's decoupled blocks in _groups_of's form, the ends of its
+    block-size stacks (count * s^2 entries per point each, concatenated in
+    the order of groups), and where its group entries go: entry src of one
+    point's (groups, d) entries, flattened, is entry dst of those stacks.  A
+    family that is one block has its dense H(lambda) as its one stack."""
 
     groups: list
-    src: np.ndarray | None = None
-    dst: np.ndarray | None = None
+    ends: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
 
 def spectra(family: HamiltonianFamily, lams):
     """Yield (lams, eigenvalues, eigenvectors) over consecutive chunks of a
     lambda sequence, with no eigenvector stack above _CHUNK_BYTES unless a
-    single matrix is.  A family with sectors fills its block-size stacks
-    straight from its group entries, with no dense H(lambda), and solves each
-    size once per solve chunk; any other family solves one stack of dense
-    H(lambda) per chunk."""
+    single matrix is.  The family's block-size stacks are filled straight
+    from its group entries, with no dense H(lambda), and each size is solved
+    once per solve chunk."""
     check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
     lams = np.asarray(lams, dtype=float)
     d = family.dim
     per_out = max(1, _CHUNK_BYTES // (16 * d ** 2))
-    sectors = _sectors_for(family)
-    if sectors.groups[0] is None:
-        for start in range(0, lams.size, per_out):
-            part = lams[start:start + per_out]
-            yield (part, *_eigh([eval_hamiltonians(family, part)])[0])
-        return
-    # Each block-size stack holds count * s^2 entries per point; ends[-1] in all.
-    ends = np.cumsum([idx.size * idx.shape[1] for idx in sectors.groups])
+    groups, ends, src, dst = _sectors_for(family)
     per_solve = per_out * max(1, _CHUNK_BYTES // (16 * ends[-1]) // per_out)
     for start in range(0, lams.size, per_solve):
         part = lams[start:start + per_solve]
         flat = np.zeros((part.size, ends[-1]), dtype=complex)
         entries = _group_entries(family, part).transpose(1, 0, 2).reshape(part.size, -1)
-        flat[:, sectors.dst] = entries[:, sectors.src]
+        flat[:, dst] = entries[:, src]
         solved = _eigh([a.reshape(part.size, *idx.shape, -1) for a, idx
-                        in zip(np.split(flat, ends[:-1], axis=1), sectors.groups)])
+                        in zip(np.split(flat, ends[:-1], axis=1), groups)])
         for a in range(0, part.size, per_out):
             out = [(w[a:a + per_out], V[a:a + per_out]) for w, V in solved]
-            yield (part[a:a + per_out], *_scatter(sectors.groups, out, d))
+            yield (part[a:a + per_out], *_scatter(groups, out, d))
 
 
 def _sectors_for(family: HamiltonianFamily) -> _Sectors:
     """The family's sectors, found once and cached on it: the connected
     components of the entries of H(lambda) that are not identically zero in
-    lambda.  [None] below _SPLIT_MIN_DIM and for a connected family."""
+    lambda.  One block below _SPLIT_MIN_DIM."""
     if family._sectors is None:
         family._sectors = _find_sectors(family)
     return family._sectors
@@ -145,29 +138,21 @@ def _sectors_for(family: HamiltonianFamily) -> _Sectors:
 
 def _find_sectors(family: HamiltonianFamily) -> _Sectors:
     d = family.dim
-    if d < _SPLIT_MIN_DIM:
-        return _Sectors([None])
     actions = _actions_for(family)
     rows = np.array([r for r, _ in actions], dtype=np.int64).reshape(-1, d)  # (groups, d)
-    cols = np.broadcast_to(np.arange(d), rows.shape)
-    coupled = np.array([_coupled(family, m) if r[0] else np.zeros(d, bool)  # r[0]: the flip
-                        for r, m in actions], dtype=bool).reshape(rows.shape)
-    labels = _blocks(rows[coupled], cols[coupled], d)
+    labels = np.zeros(d, dtype=int)  # one block below _SPLIT_MIN_DIM
+    if d >= _SPLIT_MIN_DIM:
+        coupled = np.array([_coupled(family, m) if r[0] else np.zeros(d, bool)  # r[0]: the flip
+                            for r, m in actions], dtype=bool).reshape(rows.shape)
+        labels = _blocks(rows[coupled], np.nonzero(coupled)[1], d)
     groups = _groups_of(labels)
-    if groups[0] is None:
-        return _Sectors(groups)
-    # Each basis index's block: the block's offset in the flat stacks, its
-    # size, and the index's slot in it.
-    start, size, slot = np.empty(d, int), np.empty(d, int), np.empty(d, int)
-    offset = 0
-    for idx in groups:
-        count, s = idx.shape
-        start[idx] = offset + s * s * np.arange(count)[:, None]
-        size[idx] = s
-        slot[idx] = np.arange(s)
-        offset += count * s * s
-    g, x = np.nonzero(labels[rows] == labels)  # entry (rows[g, x], x) lies in x's block
-    return _Sectors(groups, g * d + x, start[x] + slot[rows[g, x]] * size[x] + slot[x])
+    ends = np.cumsum([idx.size * idx.shape[1] for idx in groups])
+    place = np.full((d, d), -1, dtype=np.int32)  # each in-block entry's place in the stacks
+    for idx, end in zip(groups, ends):
+        span = np.arange(end - idx.size * idx.shape[1], end)
+        place[idx[:, :, None], idx[:, None, :]] = span.reshape(*idx.shape, -1)
+    at = place[rows, np.arange(d)]  # group g's entry (rows[g, x], x)
+    return _Sectors(groups, ends, np.flatnonzero(at >= 0), at[at >= 0])
 
 
 def _coupled(family: HamiltonianFamily, members) -> np.ndarray:
@@ -208,27 +193,11 @@ def _blocks(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
 
 def _groups_of(labels: np.ndarray) -> list:
     """One (count, size) array of basis indices per block size of a
-    labelling, each block's indices ascending; [None] for one block."""
+    labelling, each block's indices ascending."""
     sizes = np.unique(labels, return_counts=True)[1]
-    if sizes.size == 1:
-        return [None]
     members = np.argsort(labels, kind="stable")  # block by block, ascending
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     return [members[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
-
-
-def _block_groups(H: np.ndarray) -> list:
-    """The decoupled blocks of a stack H, shape (n, d, d), in _groups_of's
-    form; [None] when H is solved whole: a connected pattern, or d below
-    _SPLIT_MIN_DIM.
-
-    The blocks are the connected components of the entries that are nonzero
-    in any matrix of the stack, so every entry they leave out is exactly 0.0.
-    """
-    d = H.shape[-1]
-    if d < _SPLIT_MIN_DIM:
-        return [None]
-    return _groups_of(_blocks(*np.nonzero((H != 0).any(axis=0)), d))
 
 
 def _eigh(stacks) -> list:
@@ -241,8 +210,6 @@ def _scatter(groups, solved, d: int) -> tuple[np.ndarray, np.ndarray]:
     per size of groups (_groups_of's form).  A block's eigenpairs take its
     own indices as slots, and a stable sort of the slots' eigenvalues orders
     the columns."""
-    if groups[0] is None:
-        return solved[0]
     n = solved[0][0].shape[0]
     w = np.empty((n, d))
     for idx, (bw, _) in zip(groups, solved):
@@ -257,11 +224,11 @@ def _scatter(groups, solved, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(w, order, axis=1), V
 
 
-def eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_blocks(H: np.ndarray, groups: list) -> tuple[np.ndarray, np.ndarray]:
     """Stacked eigh of H, shape (n, d, d), with one batched call per block
-    size of _block_groups: for matrices that come from no family."""
-    groups = _block_groups(H)
-    stacks = [H if idx is None else H[:, idx[:, :, None], idx[:, None, :]] for idx in groups]
+    size of groups (_groups_of's form), outside whose blocks every entry of
+    H is exactly 0: a family's sectors, or [np.arange(d)[None]], one block."""
+    stacks = [H[:, idx[:, :, None], idx[:, None, :]] for idx in groups]
     return _scatter(groups, _eigh(stacks), H.shape[-1])
 
 

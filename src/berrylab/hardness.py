@@ -279,7 +279,7 @@ def make_V(output_qubit: int, n_qubits: int) -> HamiltonianFamily:
 def accept_operator_spectrum(circuit: GateCircuit) -> np.ndarray:
     """Eigenvalues (descending) of Q = A^dag Pi_out2=1 A, where A embeds a
     witness into the circuit's witness register with ancillas zeroed and
-    runs it; solved by exact.eigh_blocks, like every spectrum in the lab."""
+    runs it; solved as one block by exact.eigh_blocks, like every spectrum."""
     if not circuit.witness_qubits:
         raise ConfigError("accept operator needs a declared witness register")
     if circuit.output2_qubit is None:
@@ -288,7 +288,7 @@ def accept_operator_spectrum(circuit: GateCircuit) -> np.ndarray:
     out2 = ((np.arange(2 ** n) >> (n - 1 - circuit.output2_qubit)) & 1).astype(bool)
     A = np.stack([np.where(out2, simulate(circuit, witness=idx), 0.0)
                   for idx in range(2 ** circuit.n_witness)], axis=1)
-    return eigh_blocks((A.conj().T @ A)[None])[0][0][::-1]
+    return eigh_blocks((A.conj().T @ A)[None], [np.arange(A.shape[1])[None]])[0][0][::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from .angles import TWO_PI
 from .dynamics import AdiabaticSchedule, StateVector, loop_propagator
 from .errors import CapacityError, ConfigError
-from .exact import eigh_blocks
+from .exact import _sectors_for, eigh_blocks
 from .hamiltonians import HamiltonianFamily
 
 # The readout bits are exact in float64 up to m = 53; bins narrower than
@@ -112,28 +112,39 @@ def distribution_from_phases(phases, weights, m: int) -> QpeDistribution:
 
 def unitary_eigensystem(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(phases on (-pi, pi], orthonormal eigenvectors as columns) of a dense
-    unitary W, from two solves of exact.eigh_blocks.
+    unitary W, solved as one block: _eigensystem."""
+    return _eigensystem(W, [np.arange(len(W))[None]])
+
+
+def _eigensystem(W: np.ndarray, groups: list) -> tuple[np.ndarray, np.ndarray]:
+    """unitary_eigensystem of a W that is block diagonal in groups, from two
+    solves of exact.eigh_blocks in those blocks.
 
     The eigenvalues c of (W + W^dag)/2 are cos phi, so the eigenphases lie
     among +-arccos c.  R = e^{-i phi0} W puts -1 midway across the widest gap
     of that set, at least pi/d wide.  R's Cayley transform i(I - R)(I + R)^-1
     is 2iX - iI, X = (I + R)^-1, with the Hermitian part i(X - X^dag): its
-    eigenvectors are W's, also when W is degenerate, and X keeps W's block
-    pattern.  Each phase is the angle of v^dag W v for its eigenvector v."""
-    cos = eigh_blocks(0.5 * (W + W.conj().T)[None])[0][0]
+    eigenvectors are W's, also when W is degenerate, and X is block diagonal
+    where W is.  Each phase is the angle of v^dag W v for its eigenvector v."""
+    cos = eigh_blocks(0.5 * (W + W.conj().T)[None], groups)[0][0]
     arc = np.arccos(np.clip(cos, -1.0, 1.0))
     ring = np.sort(np.concatenate((arc, TWO_PI - arc)))
     gaps = np.diff(ring, append=ring[0] + TWO_PI)
     k = int(np.argmax(gaps))
     phi0 = ring[k] + 0.5 * gaps[k] - math.pi
     X = np.linalg.inv(np.eye(W.shape[0]) + np.exp(-1j * phi0) * W)
-    V = eigh_blocks((1j * (X - X.conj().T))[None])[1][0]
+    V = eigh_blocks((1j * (X - X.conj().T))[None], groups)[1][0]
     return np.angle(np.einsum("ij,ij->j", V.conj(), W @ V)), V
 
 
 def distribution_for_unitary(W: np.ndarray, psi: np.ndarray, m: int) -> QpeDistribution:
     """QPE outcome distribution for a dense unitary W and input state psi."""
-    phases, V = unitary_eigensystem(W)
+    return _distribution(W, psi, m, [np.arange(len(W))[None]])
+
+
+def _distribution(W: np.ndarray, psi: np.ndarray, m: int, groups: list) -> QpeDistribution:
+    """distribution_for_unitary of a W block diagonal in groups (_eigensystem)."""
+    phases, V = _eigensystem(W, groups)
     return distribution_from_phases(phases, np.abs(V.conj().T @ psi) ** 2, m)
 
 
@@ -151,7 +162,7 @@ def distribution_for_loop(
         raise ConfigError(
             f"input state has shape {psi.shape}, expected ({family.dim},)"
         )
-    return distribution_for_unitary(loop_propagator(family, schedule), psi, m)
+    return _distribution(loop_propagator(family, schedule), psi, m, _sectors_for(family).groups)
 
 
 # numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64
@@ -167,26 +178,29 @@ def seed_row(seed, *path) -> tuple:
     """(entropy, spawn key) of the stream default_rng(seed) draws, for an
     int, a SeedSequence or such a row; with a path (c, k, ...), of the child
     seed.spawn would make c-th, then its k-th child, and so on, without
-    spawning anything."""
+    spawning anything.  Any other seed, or a negative one, is refused."""
     if isinstance(seed, np.random.SeedSequence):
         if seed.pool_size != 4:
             raise ConfigError(f"SeedSequence pool size {seed.pool_size} is not 4")
         entropy, key, spawned = seed.entropy, seed.spawn_key, seed.n_children_spawned
     elif isinstance(seed, tuple):
-        (entropy, key), spawned = seed, 0
+        (entropy, key), spawned = seed if len(seed) == 2 else (None, None), 0
     else:
         entropy, key, spawned = seed, (), 0
+    if not isinstance(key, tuple) or not (isinstance(entropy, (int, np.integer)) and entropy >= 0
+                                          or isinstance(entropy, (list, tuple, np.ndarray))):
+        raise ConfigError(f"{seed!r} is not an int >= 0, a SeedSequence or an (entropy, key) row")
     return (entropy, (*key, spawned + path[0], *path[1:])) if path else (entropy, tuple(key))
 
 
 def _words(x) -> list:
     """numpy's uint32 words of an int, or of a sequence of ints, low first."""
-    if isinstance(x, (int, np.integer)):
-        if 0 <= x <= _M32:
-            return [int(x)]
-        if x < 0:
-            raise ConfigError(f"seed entropy must be non-negative, got {x}")
+    if isinstance(x, (int, np.integer)) and 0 <= x <= _M32:
+        return [int(x)]
+    if isinstance(x, (int, np.integer)) and x > _M32:
         return [int(x) >> s & _M32 for s in range(0, int(x).bit_length(), 32)]
+    if not isinstance(x, (list, tuple, np.ndarray)):
+        raise ConfigError(f"seed entropy and spawn keys must be ints >= 0, got {x!r}")
     return [w for v in x for w in ([v] if type(v) is int and 0 <= v <= _M32 else _words(v))]
 
 
@@ -339,10 +353,10 @@ def circular_median(angles):
     """Frechet median on the circle: the sample point minimizing the summed
     circle distance to all samples; ties break to the smallest angle in
     [0, 2 pi).  A 2-d sample gives an array of one median per row, each
-    equal to the 1-d call on that row."""
+    equal to the 1-d call on that row; no rows give no medians."""
     a = np.asarray(angles, dtype=float)
-    if a.ndim not in (1, 2) or a.size == 0:
-        raise ConfigError("circular_median needs a non-empty 1-d or 2-d sample")
+    if a.ndim not in (1, 2) or a.shape[-1] == 0:
+        raise ConfigError("circular_median needs a non-empty 1-d sample or rows of one")
     w = np.mod(a, TWO_PI)
     diff = w[..., :, None] - w[..., None, :]
     dist = np.abs((diff + math.pi) % TWO_PI - math.pi)

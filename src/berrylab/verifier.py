@@ -174,14 +174,13 @@ def run_verifier(
     config: VerifierConfig | None = None,
     seed=0,
 ):
-    """Protocol runs: one VerifierOutcome for a seed (an int or a
-    SeedSequence), a list of them for an iterable of seeds (ints,
-    SeedSequences or (entropy, spawn key) rows), which is read BLOCK_RUNS at
-    a time.  The first run to pass the gate builds the estimator and the
-    promise arc, after the decision margin is checked; if none does, no loop
-    is propagated."""
+    """Protocol runs: one VerifierOutcome for a seed (an int, a SeedSequence
+    or an (entropy, spawn key) row), a list of them for an iterable of
+    seeds, which is read BLOCK_RUNS at a time.  The first run to pass the
+    gate builds the estimator and the promise arc, after the decision margin
+    is checked; if none does, no loop is propagated."""
     config = config or VerifierConfig()
-    single = isinstance(seed, (int, np.integer, np.random.SeedSequence))
+    single = isinstance(seed, tuple) or not hasattr(seed, "__iter__")
     seeds = iter([seed] if single else seed)
     energy_dist = energy_distribution(instance, witness_state)
     eps_B = config.bpe.epsilon_B

@@ -213,6 +213,20 @@ def dense_norm(family, lam: float) -> float:
     return float(np.linalg.norm(eval_hamiltonian(family, lam), 2))
 
 
+def pattern_sectors(family, lam: float = 0.2137) -> list:
+    """The connected components of H(lam)'s nonzero pattern, from
+    scipy.sparse.csgraph: one (count, size) array of basis indices per block
+    size, sizes ascending, blocks by their smallest index, each ascending."""
+    import scipy.sparse
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = scipy.sparse.csr_matrix(eval_hamiltonian(family, lam) != 0)
+    n, labels = connected_components(pattern, directed=False)
+    blocks = sorted(np.flatnonzero(labels == c).tolist() for c in range(n))
+    return [np.array([b for b in blocks if len(b) == s])
+            for s in sorted({len(b) for b in blocks})]
+
+
 # Closed forms for the single-qubit reference loops -------------------------
 #
 # H(lam) = -(cos 2 pi lam X + sin 2 pi lam Y) traces the equator of the

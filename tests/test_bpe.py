@@ -265,6 +265,13 @@ def test_engine_reuse_matches_one_shot(equatorial):
         assert one_shot[1] == cached[1]
 
 
+def test_engine_readouts_of_no_seeds_are_empty(equatorial):
+    engine = BpeEngine(equatorial)
+    m1, m_alpha, raw1, raw_alpha = engine.readouts([])
+    assert m1 == [] and m_alpha == []
+    assert raw1.shape == raw_alpha.shape == (0, engine.R)
+
+
 def test_engine_budget_identity(equatorial):
     # eps_ph * (1 + 2/(alpha-1)) must equal the half of eps_B given to the
     # readout... i.e. the full reconstruction amplification of the

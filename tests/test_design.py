@@ -3,8 +3,9 @@
 Every spectrum along the loop, the eigensystem of a loop unitary in ``qpe``
 and the accept operator's spectrum in ``hardness`` come from the one
 Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
-only solve.  A new solver call site shows up here before it can fork the
-numerics.  Nothing spawns a SeedSequence, and numpy's default_rng draws a
+only solve, and its blocks come from one place: a family's sectors.  A new
+solver call site or a second block finder shows up here before it can fork
+the numerics.  Nothing spawns a SeedSequence, and numpy's default_rng draws a
 stream only where one unspawned seed draws one, so per-run Generator
 construction cannot come back unseen.  The CLI loads no scipy module and no importlib.metadata, neither
 on import nor while it runs.  The fields of the configuration classes, of the
@@ -72,6 +73,19 @@ def _solver_sites() -> Counter:
 
 def test_eigensolver_call_sites():
     assert _solver_sites() == {("exact", "np.linalg.eigh"): 1}
+
+
+def test_block_solver_call_sites():
+    # A family's sectors are the one block structure: the sweep and the loop
+    # unitaries of qpe and murta read them, and a matrix from no family is
+    # solved as one block.  A second block finder would show up here.
+    assert _call_sites({"eigh_blocks", "_sectors_for"}) == {
+        ("exact", "spectra", "_sectors_for"): 1,
+        ("qpe", "distribution_for_loop", "_sectors_for"): 1,
+        ("bpe", "murta_bpe", "_sectors_for"): 1,
+        ("qpe", "_eigensystem", "eigh_blocks"): 2,
+        ("hardness", "accept_operator_spectrum", "eigh_blocks"): 1,
+    }
 
 
 def test_seeding_call_sites():

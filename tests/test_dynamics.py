@@ -208,7 +208,7 @@ def test_step_kernel_stacks_stay_under_the_cap(monkeypatch):
         if n == 7:  # 64 decoupled 2x2 blocks of all three steps, in one batched call
             assert all(s == (3, 64, 2, 2) for s in shapes)
         else:
-            assert all(s[1:] == (fam.dim, fam.dim) for s in shapes)
+            assert all(s[1:] == (1, fam.dim, fam.dim) for s in shapes)
 
 
 # -- loop eigenphase physics --------------------------------------------------

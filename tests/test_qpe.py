@@ -360,3 +360,46 @@ def test_unitary_eigensystem_matches_schur_on_loop_propagators():
         assert circle_distance(dist.phases[np.argmax(dist.weights)],
                                ref_phases[np.argmax(ref)]) <= 1e-14, name
         assert abs(dist.max_weight - ref.max()) <= 1e-13, name
+
+
+# -- a loop unitary inherits its family's sectors -------------------------------
+
+
+@pytest.fixture(scope="module")
+def sector_families():
+    from berrylab.corpus import duqma_no_circuit, duqma_yes_circuit
+    from berrylab.hardness import build_duqma_instance
+
+    return {
+        "duqma-no": build_duqma_instance(duqma_no_circuit(), 0).family,
+        "duqma-yes": build_duqma_instance(duqma_yes_circuit(), 0).family,
+        "duqma-M2": build_duqma_instance(duqma_yes_circuit(), 0, M=2).family,
+    }
+
+
+@pytest.mark.parametrize("steps", [7, 40])
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+@pytest.mark.parametrize("name", ["duqma-no", "duqma-yes", "duqma-M2"])
+def test_loop_unitary_and_cayley_vanish_off_the_family_sectors(
+    sector_families, monkeypatch, name, direction, steps
+):
+    # qpe solves W and its Cayley X = (I + e^{-i phi0} W)^-1 in the sectors of
+    # W's family, so every entry outside them must be exactly 0.0.
+    from berrylab import qpe
+    from berrylab.dynamics import loop_propagator
+    from berrylab.exact import _sectors_for
+
+    fam = sector_families[name]
+    groups = _sectors_for(fam).groups
+    assert sum(idx.shape[0] for idx in groups) > 1  # the family splits
+    off = np.ones((fam.dim, fam.dim), dtype=bool)
+    for idx in groups:
+        off[idx[:, :, None], idx[:, None, :]] = False
+    W = loop_propagator(fam, AdiabaticSchedule(T=50.0, steps=steps, direction=direction))
+    inverses = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(inv(a)) or inverses[-1])
+    qpe._eigensystem(W, groups)
+    (X,) = inverses
+    assert np.all(W[off] == 0.0)
+    assert np.all(X[off] == 0.0)

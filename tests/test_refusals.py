@@ -1,0 +1,86 @@
+"""Constructors and helpers refuse what they cannot use with ConfigError.
+
+One table of in-process calls, each of which must end in ConfigError (exit 2
+at the CLI) from the check it names, and in nothing else.
+"""
+
+import numpy as np
+import pytest
+
+from berrylab.bpe import BpeConfig, reconstruct_phases
+from berrylab.circuits import Gate, GateCircuit, gate
+from berrylab.corpus import equatorial_loop
+from berrylab.dynamics import AdiabaticSchedule, StateVector
+from berrylab.errors import ConfigError
+from berrylab.hamiltonians import constant, derivative_family, make_family
+from berrylab.qpe import seed_row, stream_uniforms
+
+PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+ZERO2 = np.array([1.0, 0.0, 0.0, 0.0])
+
+REFUSALS = {  # case: (the refusal's message, the call)
+    "schedule-T-zero": ("runtime must be positive", lambda: AdiabaticSchedule(T=0.0, steps=4)),
+    "schedule-T-negative": ("runtime must be positive",
+                            lambda: AdiabaticSchedule(T=-1.0, steps=4)),
+    "schedule-no-steps": ("steps must be", lambda: AdiabaticSchedule(T=1.0, steps=0)),
+    "schedule-direction": ("unknown direction",
+                           lambda: AdiabaticSchedule(T=1.0, steps=4, direction="sideways")),
+    "state-length-3": (r"length 2\*\*n", lambda: StateVector(np.ones(3) / np.sqrt(3.0))),
+    "state-unnormalized": ("not normalized", lambda: StateVector(np.array([1.0, 1.0]))),
+    "state-registers-overlap": ("registers overlap",
+                                lambda: StateVector(ZERO2, {"a": (0,), "b": (0, 1)})),
+    "state-register-out-of-range": ("out of range", lambda: StateVector(ZERO2, {"a": (2,)})),
+    "gate-three-targets": ("1 or 2 qubits", lambda: Gate("X3", (0, 1, 2), np.eye(8))),
+    "gate-repeated-target": ("repeated targets", lambda: Gate("CX", (1, 1), np.eye(4))),
+    "gate-matrix-shape": ("matrix shape", lambda: Gate("X", (0,), np.eye(4))),
+    "circuit-no-system": ("n_system", lambda: GateCircuit(0, (gate("H", 0),))),
+    "circuit-negative-M": ("M must be", lambda: GateCircuit(1, (gate("H", 0),), M=-1)),
+    "circuit-non-gate": ("Gate instances", lambda: GateCircuit(1, ("H",))),
+    "circuit-witness-out-of-range": (
+        "witness qubit 2 out of range",
+        lambda: GateCircuit(2, (gate("H", 0),), witness_qubits=(2,)),
+    ),
+    "circuit-output-on-witness": (
+        "overlaps the witness",
+        lambda: GateCircuit(2, (gate("H", 0),), output2_qubit=1, witness_qubits=(1,)),
+    ),
+    "bpe-epsilon-zero": ("epsilon_B", lambda: BpeConfig(epsilon_B=0.0)),
+    "bpe-eta-zero": ("eta must be in", lambda: BpeConfig(eta=0.0)),
+    "bpe-eta-one": ("eta must be in", lambda: BpeConfig(eta=1.0)),
+    "bpe-T-zero": ("runtime T", lambda: BpeConfig(T=0.0)),
+    "bpe-oversampling": ("oversampling", lambda: BpeConfig(oversampling=1.5)),
+    "reconstruct-mode": ("unknown alpha mode",
+                         lambda: reconstruct_phases(0.1, 0.2, 2.0, "halving")),
+    "seed-pool-size": ("pool size",
+                       lambda: seed_row(np.random.SeedSequence(1, pool_size=8))),
+    "seed-negative-entropy": ("is not an int >= 0", lambda: seed_row(-1)),
+    "seed-float-entropy": ("is not an int >= 0", lambda: seed_row(1.5)),
+    "seed-row-too-short": ("is not an int >= 0", lambda: seed_row((1,))),
+    "seed-row-key-not-tuple": ("is not an int >= 0", lambda: seed_row((3, 4))),
+    "seed-row-negative-key": ("ints >= 0",
+                              lambda: stream_uniforms([seed_row((3, (-1,)))], (1,))),
+    "derivative-order": ("derivative order",
+                         lambda: derivative_family(equatorial_loop(), order=-1)),
+    "family-k-max": ("k_max", lambda: make_family(2, [("XX", constant(1.0))], k_max=1)),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_with_config_error(case):
+    message, call = REFUSALS[case]
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
+def test_a_valid_call_of_each_kind_passes():
+    # The table's calls fail on their one bad argument, not on the set-up.
+    AdiabaticSchedule(T=1.0, steps=4, direction="reversed")
+    StateVector(ZERO2, {"a": (0,), "b": (1,)})
+    StateVector(PLUS)
+    Gate("CX", (0, 1), np.eye(4))
+    GateCircuit(2, (gate("H", 0),), output2_qubit=0, witness_qubits=(1,))
+    BpeConfig(epsilon_B=0.1, eta=0.5, T=1.0, oversampling=2.0)
+    reconstruct_phases(0.1, 0.2, 2.0, "integer")
+    assert seed_row((3, (1,))) == (3, (1,))
+    derivative_family(equatorial_loop(), order=0)
+    make_family(2, [("XX", constant(1.0))], k_max=2)

@@ -161,6 +161,36 @@ def test_run_verifier_deterministic_per_seed(yes_instance):
     assert a.theta_estimate == b.theta_estimate
 
 
+def test_a_seed_row_is_one_run(yes_instance):
+    # an (entropy, spawn key) row is one seed, as energy_test and
+    # BpeEngine.run take it: the run of that SeedSequence
+    _, V = _eigenstates(yes_instance)
+    row = run_verifier(yes_instance, V[:, 0], seed=(12, (3,)))
+    listed = run_verifier(yes_instance, V[:, 0], seed=[(12, (3,))])
+    tree = run_verifier(yes_instance, V[:, 0], seed=np.random.SeedSequence(12, spawn_key=(3,)))
+    assert len(listed) == 1
+    assert (json.dumps(row.to_json_dict()) == json.dumps(listed[0].to_json_dict())
+            == json.dumps(tree.to_json_dict()))
+
+
+@pytest.mark.parametrize("seed", [1.5, (1,), (3, 4), (1.0, ()), -2, (1, (1.5,)), (1, ("a",)),
+                                  ([1, -2], ())])
+def test_malformed_seeds_are_config_errors(yes_instance, seed):
+    _, V = _eigenstates(yes_instance)
+    dist = energy_distribution(yes_instance, V[:, 0])
+    with pytest.raises(ConfigError):
+        energy_test(yes_instance, V[:, 0], seed=seed, distribution=dist)
+    with pytest.raises(ConfigError):
+        run_verifier(yes_instance, V[:, 0], seed=seed)
+
+
+def test_no_seeds_give_no_results(yes_instance):
+    _, V = _eigenstates(yes_instance)
+    estimates, passed = energy_test(yes_instance, V[:, 0], seed=[])
+    assert estimates.shape == passed.shape == (0,)
+    assert run_verifier(yes_instance, V[:, 0], seed=[]) == []
+
+
 def test_transcript_records_both_steps(yes_instance):
     _, V = _eigenstates(yes_instance)
     out = run_verifier(yes_instance, V[:, 0], seed=2)
