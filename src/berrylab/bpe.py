@@ -52,13 +52,13 @@ from .dynamics import (
     step_count,
 )
 from .errors import ConfigError
-from .exact import _sectors_for, ground_state, min_gap
+from .exact import ground_state, min_gap
 from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
-    _distribution,
     bits_for_precision,
     circular_median,
     distribution_for_loop,
+    distribution_for_unitary,
     estimate_from_distribution,
     sample_outcomes,
     seed_row,
@@ -519,7 +519,7 @@ def murta_bpe(
         fwd = AdiabaticSchedule(T=T, steps=steps)
         W_fwd = loop_propagator(family, fwd)
         composite = loop_propagator(family, replace(fwd, direction="reversed")) @ W_fwd
-        dist = _distribution(composite, psi0, m, _sectors_for(family).groups)
+        dist = distribution_for_unitary(composite, psi0, m, family)
         return (steps, W_fwd, dist), _dominant_phase(dist)
 
     # The check reads the doubled phase 2 theta_B, so its tolerance doubles.
@@ -532,7 +532,7 @@ def murta_bpe(
         setup["calibration"]["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
     R = cfg.repetitions
-    est = estimate_from_distribution(dist, R, np.random.default_rng(seed))
+    est = estimate_from_distribution(dist, R, stream_uniforms([seed_row(seed)], (R, m + 1))[0])
     theta = est.value / 2.0  # in [0, pi)
 
     if not return_diagnostics:

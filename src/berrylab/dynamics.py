@@ -89,8 +89,8 @@ class AdiabaticSchedule:
     direction: str = "forward"
 
     def __post_init__(self) -> None:
-        if self.T <= 0:
-            raise ConfigError(f"runtime must be positive, got {self.T}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ConfigError(f"runtime must be positive and finite, got {self.T}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.direction not in ("forward", "reversed"):

@@ -8,9 +8,11 @@ and to leading order in a perturbation strength r.  Every scan along the
 loop, and the step kernel in dynamics, takes its eigensystems from one
 chunked sweep (spectra, sweep).  A family's sectors, the blocks H(lambda)
 decouples into, are found once, cached on it and are the lab's one block
-structure: the sweep solves each block size over many lambdas per call and
-yields dense eigensystems in chunks sized by d^2, and qpe solves a loop
-unitary in its family's sectors.  A matrix from no family is one block.
+structure, and only this module looks them up: the sweep solves each block
+size over many lambdas per call and yields dense eigensystems in chunks
+sized by d^2, and eigh_blocks solves a loop unitary's Hermitian forms in its
+family's sectors for qpe.  A matrix from no family is one block, and a stack
+of one block is handed out as eigh returned it.
 
 All reported angles live in [0, 2 pi).
 """
@@ -111,6 +113,8 @@ def spectra(family: HamiltonianFamily, lams):
     once per solve chunk."""
     check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
     lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ConfigError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
     d = family.dim
     per_out = max(1, _CHUNK_BYTES // (16 * d ** 2))
     groups, ends, src, dst = _sectors_for(family)
@@ -207,9 +211,11 @@ def _eigh(stacks) -> list:
 
 def _scatter(groups, solved, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense (w, V) of a stack from the eigensystems of its blocks, solved
-    per size of groups (_groups_of's form).  A block's eigenpairs take its
-    own indices as slots, and a stable sort of the slots' eigenvalues orders
-    the columns."""
+    per size of groups (_groups_of's form).  One block of all d states is
+    eigh's own ascending (w, V).  Otherwise a block's eigenpairs take its
+    indices as slots, and a stable sort of their eigenvalues orders columns."""
+    if groups[0].shape == (1, d):
+        return solved[0][0][:, 0], solved[0][1][:, 0]
     n = solved[0][0].shape[0]
     w = np.empty((n, d))
     for idx, (bw, _) in zip(groups, solved):
@@ -224,10 +230,11 @@ def _scatter(groups, solved, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(w, order, axis=1), V
 
 
-def eigh_blocks(H: np.ndarray, groups: list) -> tuple[np.ndarray, np.ndarray]:
+def eigh_blocks(H: np.ndarray, family=None) -> tuple[np.ndarray, np.ndarray]:
     """Stacked eigh of H, shape (n, d, d), with one batched call per block
-    size of groups (_groups_of's form), outside whose blocks every entry of
-    H is exactly 0: a family's sectors, or [np.arange(d)[None]], one block."""
+    size of the family's sectors, outside which every entry of H is exactly
+    0, as in a loop unitary of the family; with no family, H is one block."""
+    groups = [np.arange(H.shape[-1])[None]] if family is None else _sectors_for(family).groups
     stacks = [H[:, idx[:, :, None], idx[:, None, :]] for idx in groups]
     return _scatter(groups, _eigh(stacks), H.shape[-1])
 

@@ -288,7 +288,7 @@ def accept_operator_spectrum(circuit: GateCircuit) -> np.ndarray:
     out2 = ((np.arange(2 ** n) >> (n - 1 - circuit.output2_qubit)) & 1).astype(bool)
     A = np.stack([np.where(out2, simulate(circuit, witness=idx), 0.0)
                   for idx in range(2 ** circuit.n_witness)], axis=1)
-    return eigh_blocks((A.conj().T @ A)[None], [np.arange(A.shape[1])[None]])[0][0][::-1]
+    return eigh_blocks((A.conj().T @ A)[None])[0][0][::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ Soc. A 454, 339, 1998).  A distribution is that mixture (phi_l, w_l), from
 the dense eigensystem of W; sample_outcomes reads it out bit by bit, which is
 statistically identical to running the circuit with exact controlled powers,
 but lets a single propagator build serve many seeds.  unitary_eigensystem
-finds W's eigensystem with Hermitian solves alone, through a Cayley transform.
-stream_uniforms draws many seeds' streams at once, bit for bit the uniforms
-numpy's default_rng of each would give.
+finds W's eigensystem with Hermitian solves alone, through a Cayley transform,
+in the sectors of W's family if given.  stream_uniforms draws every stream,
+bit for bit the uniforms numpy's default_rng of each seed would give.
 
 Repetitions are aggregated by the circular median, which concentrates at the
 true eigenphase because a single shot lands within two grid spacings with
@@ -31,7 +31,7 @@ import numpy as np
 from .angles import TWO_PI
 from .dynamics import AdiabaticSchedule, StateVector, loop_propagator
 from .errors import CapacityError, ConfigError
-from .exact import _sectors_for, eigh_blocks
+from .exact import eigh_blocks
 from .hamiltonians import HamiltonianFamily
 
 # The readout bits are exact in float64 up to m = 53; bins narrower than
@@ -48,8 +48,8 @@ FIDELITY_FLOOR = 0.9
 
 def bits_for_precision(eps_ph: float) -> int:
     """Smallest m with reported precision 4 pi / 2^m <= eps_ph."""
-    if eps_ph <= 0:
-        raise ConfigError(f"phase precision must be positive, got {eps_ph}")
+    if not (eps_ph > 0 and math.isfinite(eps_ph)):
+        raise ConfigError(f"phase precision must be positive and finite, got {eps_ph}")
     m = max(1, math.ceil(math.log2(4.0 * math.pi / eps_ph)))
     if m > MAX_PHASE_BITS:
         raise CapacityError(
@@ -110,15 +110,10 @@ def distribution_from_phases(phases, weights, m: int) -> QpeDistribution:
     )
 
 
-def unitary_eigensystem(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eigensystem(W: np.ndarray, family=None) -> tuple[np.ndarray, np.ndarray]:
     """(phases on (-pi, pi], orthonormal eigenvectors as columns) of a dense
-    unitary W, solved as one block: _eigensystem."""
-    return _eigensystem(W, [np.arange(len(W))[None]])
-
-
-def _eigensystem(W: np.ndarray, groups: list) -> tuple[np.ndarray, np.ndarray]:
-    """unitary_eigensystem of a W that is block diagonal in groups, from two
-    solves of exact.eigh_blocks in those blocks.
+    unitary W, from two solves of exact.eigh_blocks: in the sectors of the
+    family whose loop W propagates, or as one block with no family.
 
     The eigenvalues c of (W + W^dag)/2 are cos phi, so the eigenphases lie
     among +-arccos c.  R = e^{-i phi0} W puts -1 midway across the widest gap
@@ -126,25 +121,21 @@ def _eigensystem(W: np.ndarray, groups: list) -> tuple[np.ndarray, np.ndarray]:
     is 2iX - iI, X = (I + R)^-1, with the Hermitian part i(X - X^dag): its
     eigenvectors are W's, also when W is degenerate, and X is block diagonal
     where W is.  Each phase is the angle of v^dag W v for its eigenvector v."""
-    cos = eigh_blocks(0.5 * (W + W.conj().T)[None], groups)[0][0]
+    cos = eigh_blocks(0.5 * (W + W.conj().T)[None], family)[0][0]
     arc = np.arccos(np.clip(cos, -1.0, 1.0))
     ring = np.sort(np.concatenate((arc, TWO_PI - arc)))
     gaps = np.diff(ring, append=ring[0] + TWO_PI)
     k = int(np.argmax(gaps))
     phi0 = ring[k] + 0.5 * gaps[k] - math.pi
     X = np.linalg.inv(np.eye(W.shape[0]) + np.exp(-1j * phi0) * W)
-    V = eigh_blocks((1j * (X - X.conj().T))[None], groups)[1][0]
+    V = eigh_blocks((1j * (X - X.conj().T))[None], family)[1][0]
     return np.angle(np.einsum("ij,ij->j", V.conj(), W @ V)), V
 
 
-def distribution_for_unitary(W: np.ndarray, psi: np.ndarray, m: int) -> QpeDistribution:
-    """QPE outcome distribution for a dense unitary W and input state psi."""
-    return _distribution(W, psi, m, [np.arange(len(W))[None]])
-
-
-def _distribution(W: np.ndarray, psi: np.ndarray, m: int, groups: list) -> QpeDistribution:
-    """distribution_for_unitary of a W block diagonal in groups (_eigensystem)."""
-    phases, V = _eigensystem(W, groups)
+def distribution_for_unitary(W, psi, m: int, family=None) -> QpeDistribution:
+    """QPE outcome distribution for a dense unitary W and input state psi;
+    W is solved in the sectors of family, as unitary_eigensystem does."""
+    phases, V = unitary_eigensystem(W, family)
     return distribution_from_phases(phases, np.abs(V.conj().T @ psi) ** 2, m)
 
 
@@ -162,7 +153,7 @@ def distribution_for_loop(
         raise ConfigError(
             f"input state has shape {psi.shape}, expected ({family.dim},)"
         )
-    return _distribution(loop_propagator(family, schedule), psi, m, _sectors_for(family).groups)
+    return distribution_for_unitary(loop_propagator(family, schedule), psi, m, family)
 
 
 # numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64
@@ -320,7 +311,7 @@ def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
 
 
 def estimate_from_distribution(
-    dist: QpeDistribution, R: int, rng: np.random.Generator
+    dist: QpeDistribution, R: int, rng: np.random.Generator | np.ndarray
 ) -> PhaseEstimate:
     outcomes = sample_outcomes(dist, R, rng)
     value = circular_median(dist.angles(outcomes))
@@ -345,8 +336,7 @@ def qpe_run(
     """End-to-end QPE: build the loop propagator, sample R outcomes, take the
     circular median."""
     dist = distribution_for_loop(family, schedule, input_state, m)
-    rng = np.random.default_rng(seed)
-    return estimate_from_distribution(dist, R, rng)
+    return estimate_from_distribution(dist, R, stream_uniforms([seed_row(seed)], (R, m + 1))[0])
 
 
 def circular_median(angles):

@@ -5,10 +5,11 @@ and the accept operator's spectrum in ``hardness`` come from the one
 Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
 only solve, and its blocks come from one place: a family's sectors.  A new
 solver call site or a second block finder shows up here before it can fork
-the numerics.  Nothing spawns a SeedSequence, and numpy's default_rng draws a
-stream only where one unspawned seed draws one, so per-run Generator
-construction cannot come back unseen.  The CLI loads no scipy module and no importlib.metadata, neither
-on import nor while it runs.  The fields of the configuration classes, of the
+the numerics, and so does a module reaching into another's private names
+beyond a short list.  Nothing spawns a SeedSequence or calls numpy's
+default_rng, so per-run Generator construction cannot come back unseen.  The
+CLI loads no scipy module and no importlib.metadata, neither on import nor
+while it runs.  The fields of the configuration classes, of the
 instance record, of the energy distribution and of the QPE distribution are
 pinned, and so are the flags of the estimators and of ``verify``.  The
 verifier builds its outcome at one site, and the package root re-exports
@@ -76,25 +77,45 @@ def test_eigensolver_call_sites():
 
 
 def test_block_solver_call_sites():
-    # A family's sectors are the one block structure: the sweep and the loop
-    # unitaries of qpe and murta read them, and a matrix from no family is
-    # solved as one block.  A second block finder would show up here.
+    # A family's sectors are the one block structure, and only exact looks
+    # them up: the sweep, and eigh_blocks for the loop unitaries that qpe and
+    # murta solve with their family.  A matrix from no family is solved as
+    # one block.  A second block finder would show up here.
     assert _call_sites({"eigh_blocks", "_sectors_for"}) == {
         ("exact", "spectra", "_sectors_for"): 1,
-        ("qpe", "distribution_for_loop", "_sectors_for"): 1,
-        ("bpe", "murta_bpe", "_sectors_for"): 1,
-        ("qpe", "_eigensystem", "eigh_blocks"): 2,
+        ("exact", "eigh_blocks", "_sectors_for"): 1,
+        ("qpe", "unitary_eigensystem", "eigh_blocks"): 2,
         ("hardness", "accept_operator_spectrum", "eigh_blocks"): 1,
     }
 
 
+# Private names one module may import from another: the group entries exact
+# fills its stacks from, the shared JSON validators, and the chunk budget
+# that phase_lag_scale sizes its dH stacks by.
+SHARED_PRIVATE = {
+    ("hamiltonians", "_actions_for"), ("hamiltonians", "_group_entries"),
+    ("hamiltonians", "_json_int"), ("hamiltonians", "_json_float"),
+    ("exact", "_CHUNK_BYTES"),
+}
+
+
+def test_no_module_imports_another_modules_private_names():
+    reach_ins = [
+        (path.stem, node.module, alias.name)
+        for path in sorted(Path(berrylab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+        and (node.module, alias.name) not in SHARED_PRIVATE
+    ]
+    assert reach_ins == []
+
+
 def test_seeding_call_sites():
-    # Nothing spawns, and numpy draws a stream only where one unspawned seed
-    # draws one; every other stream comes from qpe.stream_uniforms.
-    assert _call_sites({"spawn", "default_rng"}) == {
-        ("bpe", "murta_bpe", "np.random.default_rng"): 1,
-        ("qpe", "qpe_run", "np.random.default_rng"): 1,
-    }
+    # Nothing spawns and nothing calls numpy's default_rng: every stream comes
+    # from qpe.stream_uniforms, bit for bit what default_rng would draw.
+    assert _call_sites({"spawn", "default_rng"}) == {}
 
 
 def test_configuration_fields():

@@ -399,7 +399,42 @@ def test_loop_unitary_and_cayley_vanish_off_the_family_sectors(
     inverses = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(inv(a)) or inverses[-1])
-    qpe._eigensystem(W, groups)
+    qpe.unitary_eigensystem(W, fam)
     (X,) = inverses
     assert np.all(W[off] == 0.0)
     assert np.all(X[off] == 0.0)
+
+
+@pytest.mark.parametrize("T, steps", [(50.0, 40), (573.6, 80)])
+def test_a_family_solve_matches_the_one_block_solve(sector_families, T, steps):
+    # W solved in its family's sectors has the spectral mixture of W solved as
+    # one block.  Phases 1e-15 apart may come out in either order, so phases
+    # are compared sorted and weights by the eigenphase they sit on.
+    from berrylab.dynamics import loop_propagator
+
+    fam = sector_families["duqma-no"]
+    W = loop_propagator(fam, AdiabaticSchedule(T=T, steps=steps))
+    assert np.abs(np.sort(unitary_eigensystem(W, fam)[0])
+                  - np.sort(unitary_eigensystem(W)[0])).max() <= 1e-12
+    _, ground = ground_state(fam, 0.0)
+    mixed = [1.0, 1j] @ np.random.default_rng(2010).standard_normal((2, fam.dim))
+    for psi in (ground, mixed / np.linalg.norm(mixed)):
+        split, whole = (distribution_for_unitary(W, psi, 8, f) for f in (fam, None))
+        assert np.abs(np.sort(split.phases) - np.sort(whole.phases)).max() <= 1e-12
+        assert np.abs(_weight_near(split.phases, split.weights, whole.phases)
+                      - _weight_near(whole.phases, whole.weights, whole.phases)).max() <= 1e-12
+
+
+def test_a_one_block_family_solve_is_the_one_block_solve():
+    # bqp-yes (16 states) is one block, so naming its family changes no bit
+    from berrylab.corpus import bqp_yes_circuit
+    from berrylab.dynamics import loop_propagator
+    from berrylab.hardness import build_bqp_instance
+
+    fam = build_bqp_instance(bqp_yes_circuit()).family
+    W = loop_propagator(fam, AdiabaticSchedule(T=100.0, steps=200))
+    _, psi = ground_state(fam, 0.0)
+    split, whole = (distribution_for_unitary(W, psi, 8, f) for f in (fam, None))
+    for a, b in [*zip(unitary_eigensystem(W, fam), unitary_eigensystem(W)),
+                 (split.phases, whole.phases), (split.weights, whole.weights)]:
+        assert a.tobytes() == b.tobytes()

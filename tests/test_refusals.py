@@ -12,8 +12,9 @@ from berrylab.circuits import Gate, GateCircuit, gate
 from berrylab.corpus import equatorial_loop
 from berrylab.dynamics import AdiabaticSchedule, StateVector
 from berrylab.errors import ConfigError
+from berrylab.exact import diagonalize, min_gap
 from berrylab.hamiltonians import constant, derivative_family, make_family
-from berrylab.qpe import seed_row, stream_uniforms
+from berrylab.qpe import bits_for_precision, seed_row, stream_uniforms
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 ZERO2 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -22,6 +23,10 @@ REFUSALS = {  # case: (the refusal's message, the call)
     "schedule-T-zero": ("runtime must be positive", lambda: AdiabaticSchedule(T=0.0, steps=4)),
     "schedule-T-negative": ("runtime must be positive",
                             lambda: AdiabaticSchedule(T=-1.0, steps=4)),
+    "schedule-T-nan": ("runtime must be positive and finite",
+                       lambda: AdiabaticSchedule(T=float("nan"), steps=4)),
+    "schedule-T-inf": ("runtime must be positive and finite",
+                       lambda: AdiabaticSchedule(T=float("inf"), steps=4)),
     "schedule-no-steps": ("steps must be", lambda: AdiabaticSchedule(T=1.0, steps=0)),
     "schedule-direction": ("unknown direction",
                            lambda: AdiabaticSchedule(T=1.0, steps=4, direction="sideways")),
@@ -59,6 +64,14 @@ REFUSALS = {  # case: (the refusal's message, the call)
     "seed-row-key-not-tuple": ("is not an int >= 0", lambda: seed_row((3, 4))),
     "seed-row-negative-key": ("ints >= 0",
                               lambda: stream_uniforms([seed_row((3, (-1,)))], (1,))),
+    "diagonalize-lambda-nan": ("lambda must be finite",
+                               lambda: diagonalize(equatorial_loop(), float("nan"))),
+    "min-gap-lambda-nan": ("lambda must be finite",
+                           lambda: min_gap(equatorial_loop(), [float("nan"), 0.5])),
+    "precision-inf": ("phase precision must be positive and finite",
+                      lambda: bits_for_precision(float("inf"))),
+    "precision-nan": ("phase precision must be positive and finite",
+                      lambda: bits_for_precision(float("nan"))),
     "derivative-order": ("derivative order",
                          lambda: derivative_family(equatorial_loop(), order=-1)),
     "family-k-max": ("k_max", lambda: make_family(2, [("XX", constant(1.0))], k_max=1)),
@@ -83,4 +96,7 @@ def test_a_valid_call_of_each_kind_passes():
     reconstruct_phases(0.1, 0.2, 2.0, "integer")
     assert seed_row((3, (1,))) == (3, (1,))
     derivative_family(equatorial_loop(), order=0)
+    diagonalize(equatorial_loop(), 0.5)
+    min_gap(equatorial_loop(), [0.0, 0.5])
+    assert bits_for_precision(0.05) == 8
     make_family(2, [("XX", constant(1.0))], k_max=2)
