@@ -61,7 +61,7 @@ from .qpe import (
     distribution_for_unitary,
     estimate_from_distribution,
     sample_outcomes,
-    seed_row,
+    seed_words,
     stream_uniforms,
 )
 
@@ -422,13 +422,12 @@ class BpeEngine:
         """Both runtimes' QPE readouts for a list of seeds: the circular
         medians m1 and m_alpha, one per seed, and the raw outcomes behind
         them, one row of R per seed.  A seed is an int, a SeedSequence or an
-        (entropy, spawn key) row.  Runtime k's row is what default_rng of the
-        seed's child seed.spawn(2)[k] draws: the seed tree is numpy's, but
-        the children are not spawned, and all seeds' rows come from one
-        stream_uniforms array, bit for bit."""
-        dists = (self.dist1, self.dist_alpha)
-        raw = [sample_outcomes(d, self.R, stream_uniforms([seed_row(s, k) for s in seeds],
-                                                          (self.R, d.m + 1)))
+        (entropy, spawn key) row, or the seeds are SeedWords.  Runtime k's
+        row is what default_rng of the seed's child seed.spawn(2)[k] draws:
+        the seed tree is numpy's, but the children are not spawned, and all
+        seeds' rows come from one stream_uniforms call, bit for bit."""
+        dists, words = (self.dist1, self.dist_alpha), seed_words(seeds)
+        raw = [sample_outcomes(d, self.R, stream_uniforms(words.child(k), (self.R, d.m + 1)))
                for k, d in enumerate(dists)]
         m1, m_alpha = (circular_median(d.angles(r)).tolist() for d, r in zip(dists, raw))
         return m1, m_alpha, *raw
@@ -532,7 +531,7 @@ def murta_bpe(
         setup["calibration"]["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
 
     R = cfg.repetitions
-    est = estimate_from_distribution(dist, R, stream_uniforms([seed_row(seed)], (R, m + 1))[0])
+    est = estimate_from_distribution(dist, R, stream_uniforms([seed], (R, m + 1))[0])
     theta = est.value / 2.0  # in [0, pi)
 
     if not return_diagnostics:

@@ -13,18 +13,22 @@ statistically identical to running the circuit with exact controlled powers,
 but lets a single propagator build serve many seeds.  unitary_eigensystem
 finds W's eigensystem with Hermitian solves alone, through a Cayley transform,
 in the sectors of W's family if given.  stream_uniforms draws every stream,
-bit for bit the uniforms numpy's default_rng of each seed would give.
+bit for bit the uniforms numpy's default_rng of each seed would give: the
+seeds' SeedSequence words (seed_words, children as appended columns) are
+hashed as array arithmetic, PCG64's seeding follows row by row, and numpy's
+own PCG64 draws each row from the state so found.
 
 Repetitions are aggregated by the circular median, which concentrates at the
 true eigenphase because a single shot lands within two grid spacings with
-probability >= 8/pi^2 > 1/2.
+probability >= 8/pi^2 > 1/2.  It is read from each row's sorted samples and
+prefix sums (Storath & Weinmann, IEEE TPAMI 40, 639, 2018).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,13 +160,12 @@ def distribution_for_loop(
     return distribution_for_unitary(loop_propagator(family, schedule), psi, m, family)
 
 
-# numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64
-# (O'Neill, HMC-CS-2014-0905, 2014); NEP 19 keeps both streams fixed.
-_M32, _M64 = 2**32 - 1, 2**64 - 1
+# numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64's
+# seeding (O'Neill, HMC-CS-2014-0905, 2014); NEP 19 keeps both streams fixed.
+_M32, _M128 = 2**32 - 1, 2**128 - 1
 _HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_M = 0x2360ED051FC65DA44385DF649FCCF645
-_JUMP = 256  # draws per jump block
 
 
 def seed_row(seed, *path) -> tuple:
@@ -195,36 +198,51 @@ def _words(x) -> list:
     return [w for v in x for w in ([v] if type(v) is int and 0 <= v <= _M32 else _words(v))]
 
 
-def _mul(ah, al, bh, bl):
-    """(a * b) mod 2^128 of (high, low) uint64 words."""
-    a1, a0, b1, b0 = al >> 32, al & _M32, bl >> 32, bl & _M32
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    mid2 = a0 * b1 + (mid & _M32)
-    return a1 * b1 + (mid >> 32) + (mid2 >> 32) + al * bh + ah * bl, al * bl
+class SeedWords(NamedTuple):
+    """The uint32 words SeedSequence hashes for each of a list of seeds, one
+    row each, left-aligned in its first `lengths` columns, and the number of
+    children each seed has spawned already."""
+
+    words: np.ndarray
+    lengths: np.ndarray
+    spawned: np.ndarray
+
+    def child(self, c: int, rows=slice(None)) -> SeedWords:
+        """The words of the child seed.spawn would make c-th, of each seed
+        or of the seeds at `rows`: the index appended as a column."""
+        n, length = self.spawned[rows] + c, self.lengths[rows]
+        if (n > _M32).any():  # numpy's SeedSequence counts no further either
+            raise ConfigError(f"child {c} needs a spawn count past 2^32 - 1")
+        words = np.zeros((len(n), self.words.shape[1] + 1), dtype=np.uint32)
+        words[:, :-1] = self.words[rows]
+        words[np.arange(len(n)), length] = n
+        return SeedWords(words, length + 1, np.zeros_like(n))
 
 
-def _add(ah, al, bh, bl):
-    lo = al + bl
-    return ah + bh + (lo < al), lo
+def seed_words(seeds) -> SeedWords:
+    """SeedWords of a list of seeds (ints, SeedSequences or (entropy, key)
+    rows), each refused or named by one seed_row call: its entropy words,
+    zero-padded to SeedSequence's pool of 4 (which hashes as no padding
+    does), then its spawn key's.  SeedWords are returned as they are."""
+    if isinstance(seeds, SeedWords):
+        return seeds
+    rows, spawned = [], []
+    for s in seeds:
+        entropy, (*key, n) = seed_row(s, 0)
+        w = _words(entropy)
+        rows.append(w + [0] * (4 - len(w)) + _words(key))
+        spawned.append(n)
+    L = max(map(len, rows), default=4)
+    words = np.array([r + [0] * (L - len(r)) for r in rows], dtype=np.uint32).reshape(-1, L)
+    lengths = np.array([len(r) for r in rows], dtype=int)
+    return SeedWords(words, lengths, np.array(spawned, dtype=np.int64))
 
 
-@functools.cache
-def _jump() -> tuple:
-    """(M^j, sum_{i<j} M^i) for j = 1 .. _JUMP, as high and low words."""
-    terms, a, b = [], 1, 0
-    for _ in range(_JUMP):
-        a, b = a * _PCG_M & 2**128 - 1, (b * _PCG_M + 1) & 2**128 - 1
-        terms.append((a >> 64, a & _M64, b >> 64, b & _M64))
-    return tuple(np.array(c, dtype=np.uint64) for c in zip(*terms))
-
-
-def _pcg64_seeds(words: np.ndarray) -> tuple:
-    """PCG64's state before its first draw and its increment, as (n, 1) high
-    and low words, seeded by SeedSequence's pool of rows of assembled entropy
-    words (n, L)."""
-    n, L = words.shape
-    a = np.array([_HASH_A * _MULT_A ** i & _M32 for i in range(17 + 4 * max(0, L - 4))],
-                 dtype=np.uint32)
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of the SeedSequence of each row of words
+    (n, L >= 4), as an (n, 4) array."""
+    L = words.shape[1]
+    a = np.multiply.accumulate(np.array([_HASH_A] + [_MULT_A] * 4 * L, np.uint32), dtype=np.uint32)
     t = 0
 
     def hashmix(v, k):  # the next k hash calls, one per column
@@ -236,49 +254,40 @@ def _pcg64_seeds(words: np.ndarray) -> tuple:
         r = _MIX_L * x - _MIX_R * y
         return r ^ r >> 16
 
-    ent = np.zeros((n, max(4, L)), dtype=np.uint32)
-    ent[:, :L] = words
-    pool = hashmix(ent[:, :4], 4)
+    pool = hashmix(words[:, :4], 4)
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src:src + 1], 3))
     for src in range(4, L):
-        pool = mix(pool, hashmix(ent[:, src:src + 1], 4))
-    b = np.array([_HASH_B * _MULT_B ** i & _M32 for i in range(9)], dtype=np.uint32)
+        pool = mix(pool, hashmix(words[:, src:src + 1], 4))
+    b = np.multiply.accumulate(np.array([_HASH_B] + [_MULT_B] * 8, np.uint32), dtype=np.uint32)
     s = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:8]) * b[1:]  # generate_state(4, uint64)
     s = (s ^ s >> 16).astype(np.uint64)
-    v = s[:, 0::2] | s[:, 1::2] << 32
-    inc = (v[:, 2:3] << 1 | v[:, 3:] >> 63, v[:, 3:] << 1 | 1)
-    M = (np.uint64(_PCG_M >> 64), np.uint64(_PCG_M & _M64))
-    return (*_add(*_mul(*_add(*inc, v[:, :1], v[:, 1:2]), *M), *inc), *inc)
+    return s[:, 0::2] | s[:, 1::2] << 32
 
 
-def stream_uniforms(rows, shape) -> np.ndarray:
-    """np.stack([default_rng(SeedSequence(entropy, spawn_key=key)).random(shape)
-    for entropy, key in rows]), bit for bit, as array arithmetic.
+def stream_uniforms(seeds, shape) -> np.ndarray:
+    """np.stack([default_rng(s).random(shape) for s in seeds]), bit for bit,
+    for a list of seeds or their SeedWords.
 
-    Rows of one assembled entropy length share each step: SeedSequence's
-    pool, PCG64's seeding, then its 128-bit LCG x -> M x + c read out by
-    XSL-RR and (x >> 11) 2^-53.  Draw j = 1 .. J of a jump block is
-    M^j x + (sum_{i<j} M^i) c from the state x before the block, so each
-    block is two array products, and its last state starts the next."""
-    draws = math.prod(shape)
-    words = []
-    for entropy, key in rows:
-        w = _words(entropy)
-        words.append(w + [0] * (4 - len(w)) + _words(key) if key else w)
-    out = np.empty((len(words), draws))
-    Ah, Al, Bh, Bl = _jump()
-    lengths = [len(w) for w in words]
-    for size in set(lengths):
-        idx = [i for i, length in enumerate(lengths) if length == size]
-        xh, xl, ch, cl = _pcg64_seeds(np.array([words[i] for i in idx], dtype=np.uint32))
-        for start in range(0, draws, _JUMP):
-            J = min(_JUMP, draws - start)
-            hi, lo = _add(*_mul(xh, xl, Ah[:J], Al[:J]), *_mul(ch, cl, Bh[:J], Bl[:J]))
-            xh, xl, x, rot = hi[:, -1:], lo[:, -1:], hi ^ lo, hi >> 58
-            out[idx, start:start + J] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
-    return out.reshape(len(words), *shape)
+    SeedSequence's hash is array arithmetic over the rows of one word
+    length.  PCG64's seeding follows on each row's four words: its LCG
+    steps from 0 by the increment, adds the seed and steps again.  That
+    state and increment are written into one PCG64, whose Generator fills
+    the row."""
+    w = seed_words(seeds)
+    out = np.empty((len(w.lengths), math.prod(shape)))
+    bits, pcg = np.random.PCG64(), {}
+    gen, state = np.random.Generator(bits), {"bit_generator": "PCG64", "state": pcg,
+                                             "has_uint32": 0, "uinteger": 0}
+    for L in np.unique(w.lengths).tolist():
+        idx = np.flatnonzero(w.lengths == L)
+        for i, (s0, s1, c0, c1) in zip(idx.tolist(), _seed_states(w.words[idx, :L]).tolist()):
+            c = (c0 << 65 | c1 << 1 | 1) & _M128
+            pcg["state"], pcg["inc"] = ((s0 << 64 | s1) + c) * _PCG_M + c & _M128, c
+            bits.state = state
+            gen.random(out=out[i])
+    return out.reshape(len(out), *shape)
 
 
 def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
@@ -336,21 +345,40 @@ def qpe_run(
     """End-to-end QPE: build the loop propagator, sample R outcomes, take the
     circular median."""
     dist = distribution_for_loop(family, schedule, input_state, m)
-    return estimate_from_distribution(dist, R, stream_uniforms([seed_row(seed)], (R, m + 1))[0])
+    return estimate_from_distribution(dist, R, stream_uniforms([seed], (R, m + 1))[0])
 
 
 def circular_median(angles):
-    """Frechet median on the circle: the sample point minimizing the summed
-    circle distance to all samples; ties break to the smallest angle in
-    [0, 2 pi).  A 2-d sample gives an array of one median per row, each
-    equal to the 1-d call on that row; no rows give no medians."""
+    """Frechet median on the circle: the sample point whose float64 sum of
+    circle distances |(x - y + pi) mod 2 pi - pi| to all samples is least;
+    equal sums go to the smallest angle in [0, 2 pi], so sums equal in exact
+    arithmetic break by rounding.  A 2-d sample gives one median per row,
+    each equal to the 1-d call on that row; no rows give no medians.
+
+    Each row is sorted and every sample's cost read from prefix sums over the
+    doubled ring, in O(R log R); a row whose costs within 1e-9 R pi of its
+    least hold two distinct angles or more is settled by those float sums."""
     a = np.asarray(angles, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] == 0:
         raise ConfigError("circular_median needs a non-empty 1-d sample or rows of one")
-    w = np.mod(a, TWO_PI)
-    diff = w[..., :, None] - w[..., None, :]
-    dist = np.abs((diff + math.pi) % TWO_PI - math.pi)
-    cost = dist.sum(axis=-1)
-    first = np.lexsort((w, cost))[..., :1]
-    median = np.take_along_axis(w, first, axis=-1)[..., 0]
-    return float(median) if a.ndim == 1 else median
+    w = np.mod(a, TWO_PI).reshape(-1, a.shape[-1])
+    R, i = w.shape[1], np.arange(w.shape[1])
+    s = np.sort(w, axis=-1)
+    ring = np.concatenate((s, s + TWO_PI), axis=-1)
+    prefix = np.concatenate((np.zeros((len(s), 1)), np.cumsum(ring, axis=-1)), axis=-1)
+    # ahead[:, i] counts the ring points <= s[i] + pi: the stable rank of
+    # s[i] + pi among the ring and the shifted samples, less the i before it.
+    # So ring[i:ahead] lie up to pi ahead of s[i], ring[ahead:i + R] behind.
+    merged = np.argsort(np.concatenate((ring, s + math.pi), axis=-1), axis=-1, kind="stable")
+    ahead = np.argsort(merged, axis=-1)[:, 2 * R:] - i
+    middle = np.take_along_axis(prefix, ahead, -1)
+    cost = (middle - prefix[:, :R] - (ahead - i) * s
+            + (i + R - ahead) * (TWO_PI + s) - (prefix[:, R:2 * R] - middle))
+    close = cost <= cost.min(axis=-1, keepdims=True) + 1e-9 * R * math.pi
+    median = np.where(close, s, np.inf).min(axis=-1)
+    tie = median != np.where(close, s, -np.inf).max(axis=-1)
+    if tie.any():
+        t = w[tie]
+        cube = np.abs((t[:, :, None] - t[:, None, :] + math.pi) % TWO_PI - math.pi).sum(axis=-1)
+        median[tie] = np.take_along_axis(t, np.lexsort((t, cube))[:, :1], axis=-1)[:, 0]
+    return float(median[0]) if a.ndim == 1 else median

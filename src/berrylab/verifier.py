@@ -21,10 +21,11 @@ run_verifier is one batch path, a single run being its one-seed case: it
 takes the seeds BLOCK_RUNS at a time and makes each block's runs as arrays.
 Each run keeps its own SeedSequence tree, unchanged: the run's seed has
 energy, bpe and coin children, and the bpe child one child per runtime.
-Nothing is spawned: qpe.seed_row names each child by its entropy and spawn
-key, and qpe.stream_uniforms draws a block's streams as one array, bit for
-bit what default_rng of each child draws.  So outputs stay byte-identical,
-and a batch equals its runs made singly.
+Nothing is spawned: qpe.seed_words assembles each run's seed words once
+per block, a child's words append its index as a column, and
+qpe.stream_uniforms draws a block's streams from those rows, bit for bit
+what default_rng of each child draws.  So outputs stay byte-identical, and
+a batch equals its runs made singly.
 """
 
 from __future__ import annotations
@@ -43,16 +44,17 @@ from .errors import ConfigError
 from .exact import gapped_slice
 from .qpe import (
     QpeDistribution,
+    SeedWords,
     bits_for_precision,
     distribution_from_phases,
     sample_outcomes,
-    seed_row,
+    seed_words,
     stream_uniforms,
 )
 
 ENERGY_REPETITIONS = 15
 DEFAULT_SOUNDNESS_DELTA = 1.0 / 12.0
-BLOCK_RUNS = 256  # runs per block: bounds the (runs, R, R) temporaries and the live seeds
+BLOCK_RUNS = 256  # runs per block: bounds the live seeds and each block's word and uniform arrays
 # Like MAX_GRID_POINTS and MAX_TOTAL_STEPS: the most protocol runs one
 # verify command makes, refused before any seed is drawn.
 MAX_VERIFY_RUNS = 100_000
@@ -146,24 +148,24 @@ def energy_test(
 
     Returns (estimate, passed) with passed iff
     estimate < instance.E_th + Delta_min/4; for a list of seeds, an array of
-    each, one entry per seed.  A seed is an int, a SeedSequence or an
-    (entropy, spawn key) row, and its readouts are what its default_rng
-    would draw.  Pass `distribution` (from energy_distribution) to amortize
-    the diagonalization across seeds.
+    each, one entry per seed, and so for SeedWords.  A seed is an int, a
+    SeedSequence or an (entropy, spawn key) row, and its readouts are what
+    its default_rng would draw.  Pass `distribution` (from
+    energy_distribution) to amortize the diagonalization across seeds.
     """
     if instance.E_th is None:
         raise ConfigError("instance carries no energy threshold")
     if distribution is None:
         distribution = energy_distribution(instance, witness_state)
     dist, tau, delta_min = distribution
-    rows = [seed_row(s) for s in (seed if isinstance(seed, list) else [seed])]
-    u = stream_uniforms(rows, (ENERGY_REPETITIONS, dist.m + 1))
+    many = isinstance(seed, (list, SeedWords))
+    u = stream_uniforms(seed if many else [seed], (ENERGY_REPETITIONS, dist.m + 1))
     readouts = dist.angles(sample_outcomes(dist, ENERGY_REPETITIONS, u))
     # wrap_pm_pi, bit for bit, on readouts in [0, 2 pi)
     energies = -np.where(readouts > math.pi, readouts - TWO_PI, readouts) / tau
     estimates = np.median(energies, axis=1)
     passed = estimates < instance.E_th + delta_min / 4.0
-    if isinstance(seed, list):
+    if many:
         return estimates, passed
     return float(estimates[0]), bool(passed[0])
 
@@ -187,8 +189,8 @@ def run_verifier(
     fail_p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
     engine, outcomes = None, []
     while block := list(itertools.islice(seeds, BLOCK_RUNS)):
-        estimates, passed = energy_test(instance, witness_state,
-                                        seed=[seed_row(s, 0) for s in block],
+        runs = seed_words(block)
+        estimates, passed = energy_test(instance, witness_state, seed=runs.child(0),
                                         distribution=energy_dist)
         gated = np.flatnonzero(passed).tolist()
         phases, inside = {}, {}
@@ -200,7 +202,7 @@ def run_verifier(
                     instance.family, config.bpe, guiding_state=_as_amplitudes(witness_state)
                 )
                 arc, reach = WrappedInterval(a, b), delta - eps_B  # decide_interval's test
-            m1, m_alpha, _, _ = engine.readouts([seed_row(block[i], 1) for i in gated])
+            m1, m_alpha, _, _ = engine.readouts(runs.child(1, gated))
             for i, readouts in zip(gated, zip(m1, m_alpha)):
                 phases[i] = reconstruct_phases(*readouts, engine.alpha, engine.config.alpha_mode)
                 inside[i] = int(arc.distance(phases[i][1]) <= reach)
@@ -208,8 +210,7 @@ def run_verifier(
                          for i in range(len(block))]
         # Certain outcomes draw no coin; every other p is one coin from its coin seed.
         tossed = [i for i, p in enumerate(probabilities) if 0.0 < p < 1.0]
-        coins = dict(zip(tossed, stream_uniforms([seed_row(block[i], 2) for i in tossed],
-                                                 ()).tolist()))
+        coins = dict(zip(tossed, stream_uniforms(runs.child(2, tossed), ()).tolist()))
         for i, (estimate, passed_i) in enumerate(zip(estimates.tolist(), passed.tolist())):
             transcript = [{"step": "energy-test", "estimate": estimate, "threshold": instance.E_th,
                            "margin": energy_dist.delta_min / 4.0,

@@ -264,3 +264,14 @@ def fejer_row(phi: float, m: int) -> np.ndarray:
         row = (np.sin(M * half) / (M * s)) ** 2
     row[np.abs(s) < 1e-12] = 1.0
     return row
+
+
+def cube_circular_median(angles):
+    """The circle-distance cube form of qpe.circular_median: every sample's
+    summed |(x - y + pi) mod 2 pi - pi| to all samples, and the least sum,
+    exact float ties to the smallest angle in [0, 2 pi]; one per row."""
+    w = np.mod(np.asarray(angles, dtype=float), 2.0 * np.pi)
+    diff = w[..., :, None] - w[..., None, :]
+    cost = np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi).sum(axis=-1)
+    first = np.lexsort((w, cost))[..., :1]
+    return np.take_along_axis(w, first, axis=-1)[..., 0]

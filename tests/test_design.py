@@ -7,7 +7,8 @@ only solve, and its blocks come from one place: a family's sectors.  A new
 solver call site or a second block finder shows up here before it can fork
 the numerics, and so does a module reaching into another's private names
 beyond a short list.  Nothing spawns a SeedSequence or calls numpy's
-default_rng, so per-run Generator construction cannot come back unseen.  The
+default_rng, and one PCG64 and one Generator are made per stream_uniforms
+call, so per-run Generator construction cannot come back unseen.  The
 CLI loads no scipy module and no importlib.metadata, neither on import nor
 while it runs.  The fields of the configuration classes, of the
 instance record, of the energy distribution and of the QPE distribution are
@@ -114,8 +115,12 @@ def test_no_module_imports_another_modules_private_names():
 
 def test_seeding_call_sites():
     # Nothing spawns and nothing calls numpy's default_rng: every stream comes
-    # from qpe.stream_uniforms, bit for bit what default_rng would draw.
-    assert _call_sites({"spawn", "default_rng"}) == {}
+    # from qpe.stream_uniforms, bit for bit what default_rng would draw, and
+    # only there are a PCG64 and its Generator made.
+    assert _call_sites({"spawn", "default_rng", "PCG64", "Generator"}) == {
+        ("qpe", "stream_uniforms", "np.random.PCG64"): 1,
+        ("qpe", "stream_uniforms", "np.random.Generator"): 1,
+    }
 
 
 def test_configuration_fields():

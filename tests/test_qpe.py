@@ -20,11 +20,12 @@ from berrylab.qpe import (
     qpe_run,
     sample_outcomes,
     seed_row,
+    seed_words,
     stream_uniforms,
     unitary_eigensystem,
 )
 
-from oracles import fejer_row
+from oracles import cube_circular_median, fejer_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,6 +163,36 @@ def test_stream_uniforms_equal_numpy_bit_for_bit(entropy, key, spawned, path, bi
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", [
+    7,
+    (12, (3, 2**40)),
+    np.random.SeedSequence(5, spawn_key=(1,), n_children_spawned=3),
+    2**70 + 5,
+    ([2**33, 9, 0, 4, 1], ()),
+])
+def test_child_words_equal_the_row_path(seed):
+    # A run's words once, its children as columns: the words, the lengths
+    # and the streams equal those of seed_row's child rows, and numpy's.
+    runs = seed_words([seed, 4])
+    for c, k in [(0, None), (1, 0), (1, 1), (2, None)]:
+        words = runs.child(c, [0])
+        path = (c,)
+        if k is not None:
+            words, path = words.child(k), (c, k)
+        rows = seed_words([seed_row(seed, *path)])
+        assert words.lengths.tolist() == rows.lengths.tolist()
+        L = int(rows.lengths[0])
+        assert words.words[:, :L].tolist() == rows.words[:, :L].tolist()
+        entropy, key = seed_row(seed)
+        tree = np.random.SeedSequence(entropy, spawn_key=key, n_children_spawned=getattr(
+            seed, "n_children_spawned", 0))
+        for j in path:
+            tree = tree.spawn(j + 1)[j]
+        want = np.random.default_rng(tree).random((3, 4))
+        assert np.array_equal(stream_uniforms(words, (3, 4))[0], want)
+        assert np.array_equal(stream_uniforms(rows, (3, 4))[0], want)
+
+
 def test_low_fidelity_flag():
     m = 4
     phases = [0.3, 2.0]
@@ -239,6 +270,31 @@ def test_circular_median_rows_match_the_1d_call(m, R):
     if (m, R) == (2, 2):  # two points, equal cost: the smaller one wins
         assert any(len(set(a)) == 2 for a in angles)
         assert all(v == min(a) for v, a in zip(rows.tolist(), angles.tolist()))
+
+
+@st.composite
+def _median_rows(draw):
+    # Readouts 2 pi j / 2^m: uniform over the grid, or a few bins around one
+    # centre (across 0 too), where exact and rounding-level ties occur; or
+    # uniform floats, on and off [0, 2 pi).
+    R, n = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind, m = draw(st.sampled_from(["grid", "near", "float"])), draw(st.integers(2, 48))
+    if kind == "float":
+        return rng.uniform(-7.0, 14.0, size=(n, R))
+    j = rng.integers(0, 2**m, size=(n, R))
+    if kind == "near":
+        width = draw(st.integers(1, 4))
+        j = rng.integers(0, 2**m, size=(n, 1)) + rng.integers(-width, width + 1, size=(n, R))
+    return TWO_PI * (j % 2**m) / 2**m
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_median_rows())
+def test_circular_median_equals_the_cube_form(rows):
+    want = [v.hex() for v in cube_circular_median(rows).tolist()]
+    assert [v.hex() for v in circular_median(rows).tolist()] == want
+    assert [circular_median(row).hex() for row in rows] == want
 
 
 def test_circular_median_is_a_sample_point(rng):

@@ -14,7 +14,7 @@ from berrylab.dynamics import AdiabaticSchedule, StateVector
 from berrylab.errors import ConfigError
 from berrylab.exact import diagonalize, min_gap
 from berrylab.hamiltonians import constant, derivative_family, make_family
-from berrylab.qpe import bits_for_precision, seed_row, stream_uniforms
+from berrylab.qpe import bits_for_precision, seed_row, seed_words, stream_uniforms
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 ZERO2 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -64,6 +64,8 @@ REFUSALS = {  # case: (the refusal's message, the call)
     "seed-row-key-not-tuple": ("is not an int >= 0", lambda: seed_row((3, 4))),
     "seed-row-negative-key": ("ints >= 0",
                               lambda: stream_uniforms([seed_row((3, (-1,)))], (1,))),
+    "seed-child-past-2^32": ("past 2\\^32 - 1", lambda: seed_words(
+        [np.random.SeedSequence(1, n_children_spawned=2**32 - 1)]).child(1)),
     "diagonalize-lambda-nan": ("lambda must be finite",
                                lambda: diagonalize(equatorial_loop(), float("nan"))),
     "min-gap-lambda-nan": ("lambda must be finite",
