@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-oracle   exact Berry phase + minimum gap for a family file
+oracle   exact Berry phase + minimum gap (one Wilson grid) for a family file
 sweep    spectral sweep CSV (lambda, E0, E1, gap, iA_lambda)
 bpe      two-runtime Berry phase estimation on a family/instance
 murta    phase-doubling baseline estimator
@@ -30,7 +30,7 @@ from . import __version__
 from .bpe import BpeConfig, check_decision_margin, decide_interval, murta_bpe, run_bpe
 from .circuits import circuit_from_json_dict
 from .errors import CapacityError, ConfigError, NumericalError
-from .exact import diagonalize, ground_state, min_gap, wilson_loop_berry_phase, write_sweep_csv
+from .exact import diagonalize, ground_state, wilson_loop_berry_phase, write_sweep_csv
 from .hamiltonians import load_family
 from .hardness import (
     HardnessInstance,
@@ -113,16 +113,10 @@ def cmd_oracle(args) -> int:
     family, instance = _resolve_target(args.instance)
     tol = oracle_tolerance(0.0 if instance is None else instance.certified_delta)
     result = wilson_loop_berry_phase(family, args.grid_size, tol)
-    gap, gap_lam = min_gap(family, args.gap_grid)
-    payload = {
-        **result.to_json_dict(),
-        "min_gap": gap,
-        "min_gap_lambda": gap_lam,
-    }
     # The sweep goes first, so a refused sweep grid leaves no payload behind.
     args.sweep_out = args.sweep_out or f"{args.out}.sweep.csv"
     write_sweep_csv(family, args.sweep_grid, args.sweep_out)
-    _write_json(args.out, payload)
+    _write_json(args.out, result.to_json_dict())
     _write_manifest(args)
     print(f"theta_B = {result.theta_B:.12f} (converged={result.converged}); wrote {args.out}")
     return 0
@@ -344,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact Berry phase and minimum gap")
     p.add_argument("--instance", required=True, help="family JSON file or instance prefix")
     p.add_argument("--grid-size", type=int, default=256)
-    p.add_argument("--gap-grid", type=int, default=64)
     p.add_argument("--sweep-grid", type=int, default=33)
     p.add_argument("--sweep-out", default=None, help="sweep CSV path (default: <out>.sweep.csv)")
     p.add_argument("--out", required=True)

@@ -14,6 +14,9 @@ sized by d^2, and eigh_blocks solves a loop unitary's Hermitian forms in its
 family's sectors for qpe.  A matrix from no family is one block, and a stack
 of one block is handed out as eigh returned it.
 
+The Wilson loop reads the minimum gap on its grid from the slices it
+solves, so the oracle's two numbers come from one scan of the loop.
+
 All reported angles live in [0, 2 pi).
 """
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -295,13 +298,8 @@ def min_gap(family: HamiltonianFamily, grid) -> tuple[float, float]:
     sequence of lambdas.  Raises DegeneracyError naming the offending lambda
     if any slice is degenerate.
     """
-    lams = lambda_grid(family, grid)
-    best_gap = math.inf
-    best_lam = float(lams[0])
-    for s in sweep(family, lams):
-        if s.gap < best_gap:
-            best_gap, best_lam = s.gap, s.lam
-    return best_gap, best_lam
+    slices = sweep(family, lambda_grid(family, grid))
+    return min(((s.gap, s.lam) for s in slices), key=lambda t: t[0])  # the first minimum
 
 
 def lambda_grid(family: HamiltonianFamily, grid, offset: float = 0.0) -> np.ndarray:
@@ -338,22 +336,19 @@ def lambda_grid(family: HamiltonianFamily, grid, offset: float = 0.0) -> np.ndar
 
 @dataclass
 class BerryPhaseResult:
-    """Wilson-loop estimate of the ground-state Berry phase."""
+    """Wilson-loop estimate of the ground-state Berry phase, and the minimum
+    gap E1 - E0 over its grid with its first argmin, as min_gap reads them."""
 
     theta_B: float  # in [0, 2 pi)
     grid_size: int
     converged: bool
     estimated_discretization_error: float
     min_overlap: float  # smallest adjacent |<psi_j|psi_{j+1}>| seen
+    min_gap: float
+    min_gap_lambda: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta_B": self.theta_B,
-            "grid_size": self.grid_size,
-            "converged": self.converged,
-            "estimated_discretization_error": self.estimated_discretization_error,
-            "min_overlap": self.min_overlap,
-        }
+        return asdict(self)
 
 
 def _wilson_angle(overlaps) -> tuple[float, float]:
@@ -376,7 +371,8 @@ def _wilson_angle(overlaps) -> tuple[float, float]:
 def wilson_loop_berry_phase(
     family: HamiltonianFamily, N: int = 256, tol: float = WILSON_TOL
 ) -> BerryPhaseResult:
-    """Berry phase of the ground band from an N-point Wilson loop.
+    """Berry phase of the ground band from an N-point Wilson loop, and the
+    minimum gap over its grid.
 
     The product of adjacent-overlap phases around the closed loop is gauge
     invariant, so arbitrary eigenvector phases from the dense solver do not
@@ -391,7 +387,9 @@ def wilson_loop_berry_phase(
     # They are the solver's column views: a copy would move the last bit.
     full, half = [], []
     first = prev = prev2 = None
+    gap = (math.inf, 0.0)
     for j, s in enumerate(sweep(family, lambda_grid(family, N))):
+        gap = min(gap, (s.gap, s.lam), key=lambda t: t[0])  # the first minimum, as min_gap
         psi = s.ground_state
         if j == 0:
             first = psi
@@ -414,6 +412,8 @@ def wilson_loop_berry_phase(
         converged=converged,
         estimated_discretization_error=est,
         min_overlap=min_overlap,
+        min_gap=gap[0],
+        min_gap_lambda=gap[1],
     )
 
 

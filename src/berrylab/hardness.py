@@ -56,7 +56,6 @@ from .exact import (
     diagonalize,
     eigh_blocks,
     lambda_grid,
-    min_gap,
     wilson_loop_berry_phase,
 )
 from .hamiltonians import (
@@ -363,8 +362,8 @@ def _finish_instance(
 ) -> HardnessInstance:
     """The step both builders end in: certify the margin delta as 0.9 times
     the smallest |iA_lambda| that ``connection()`` reports (none when r = 0),
-    run the Wilson-loop oracle and write the provenance.  A builder's own
-    entries go in the slots that keep the sidecar's key order."""
+    run the Wilson-loop oracle, which also reads the minimum gap, and write
+    the provenance.  A builder's own entries keep the sidecar's key order."""
     conn_lo, conn_hi, conn_sign = connection() if r > 0 else (0.0, 0.0, 0.0)
     delta_cert = CERTIFICATION_SAFETY * conn_lo
     oracle_tol = oracle_tolerance(delta_cert)
@@ -389,6 +388,8 @@ def _finish_instance(
         "oracle_tolerance": oracle_tol,
         "oracle_error_estimate": float(oracle.estimated_discretization_error),
         **spectrum,
+        "gap_full_min": float(oracle.min_gap),
+        "gap_full_argmin": float(oracle.min_gap_lambda),
         "gap_lambda0": float(diagonalize(family, 0.0).gap),
         "connection_min_abs": float(conn_lo),
         "connection_max_abs": float(conn_hi),
@@ -449,15 +450,8 @@ def build_bqp_instance(
         )
 
     family = scale_and_add(1.0, hist, r, make_V(circuit.output1_qubit, n + L))
-    gap_full_min, gap_full_argmin = min_gap(family, DEFAULT_CONNECTION_GRID)
-    if gap_full_min < gap_hist / 2.0:
-        warnings.append(
-            f"perturbed gap {gap_full_min:.6g} fell below half the bare gap "
-            f"{gap_hist:.6g}"
-        )
-
     hstate = history_state(circuit)
-    return _finish_instance(
+    instance = _finish_instance(
         "bqp", circuit, None, family, hstate, r, "finite-difference",
         lambda: _certify_connection_exact(
             family, DEFAULT_CONNECTION_GRID, anchor=s0.ground_state
@@ -467,12 +461,14 @@ def build_bqp_instance(
         spectrum={
             "gap_hist": float(gap_hist),
             "ground_energy_hist": float(s0.eigenvalues[0]),
-            "gap_full_min": float(gap_full_min),
-            "gap_full_argmin": float(gap_full_argmin),
         },
         checks={"acceptance_probability": float(p1)},
         tail={"product_overlap": _overlap(product_guiding_state(circuit), hstate)},
     )
+    gap = instance.provenance["gap_full_min"]
+    if gap < gap_hist / 2.0:
+        warnings.append(f"perturbed gap {gap:.6g} fell below half the bare gap {gap_hist:.6g}")
+    return instance
 
 
 def build_duqma_instance(

@@ -54,11 +54,13 @@ def bits_for_precision(eps_ph: float) -> int:
     """Smallest m with reported precision 4 pi / 2^m <= eps_ph."""
     if not (eps_ph > 0 and math.isfinite(eps_ph)):
         raise ConfigError(f"phase precision must be positive and finite, got {eps_ph}")
-    m = max(1, math.ceil(math.log2(4.0 * math.pi / eps_ph)))
+    q = 4.0 * math.pi / eps_ph  # overflows below about 7e-308: then a difference of logs
+    bits = math.log2(q) if q < math.inf else math.log2(4.0 * math.pi) - math.log2(eps_ph)
+    m = max(1, math.ceil(bits))
     if m > MAX_PHASE_BITS:
         raise CapacityError(
             f"phase precision {eps_ph:.3e} needs m={m} ancilla bits, over the "
-            f"budget of {MAX_PHASE_BITS}"
+            f"per-run budget of {MAX_PHASE_BITS}"
         )
     return m
 

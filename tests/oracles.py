@@ -105,17 +105,25 @@ def _chain_angle(states) -> tuple[float, float]:
 
 
 def pointwise_wilson(family, lams) -> dict:
-    """BerryPhaseResult.to_json_dict() of the Wilson loop over lams."""
-    states = [_point(family, lam)[1][:, 0] for lam in lams]
+    """BerryPhaseResult.to_json_dict() of the Wilson loop over lams, its
+    minimum gap read from the same per-point solves."""
+    points = [_point(family, lam) for lam in lams]
+    states = [V[:, 0] for _, V in points]
     theta, min_overlap = _chain_angle(states)
     theta_half, _ = _chain_angle(states[::2])
     est = max(circle_distance(theta, theta_half) / 2.0, 1e-11)
+    gap, gap_lam = math.inf, float(lams[0])
+    for lam, (w, _) in zip(lams, points):
+        if float(w[1] - w[0]) < gap:
+            gap, gap_lam = float(w[1] - w[0]), float(lam)
     return {
         "theta_B": theta,
         "grid_size": len(lams),
         "converged": est <= 1e-5 and min_overlap >= 0.9,
         "estimated_discretization_error": est,
         "min_overlap": min_overlap,
+        "min_gap": gap,
+        "min_gap_lambda": gap_lam,
     }
 
 

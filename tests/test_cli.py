@@ -20,7 +20,7 @@ from berrylab.corpus import (
     synthetic_verifier_instance,
 )
 from berrylab.dynamics import DEFAULT_OVERSAMPLING
-from berrylab.hamiltonians import constant, cosine, make_family, save_family
+from berrylab.hamiltonians import constant, cosine, make_family, save_family, sine
 from berrylab.hardness import build_bqp_instance, build_duqma_instance, save_instance
 from berrylab.verifier import VerifierConfig
 
@@ -57,6 +57,20 @@ def test_oracle_equatorial(work):
     assert (work / "oracle.json.sweep.csv").exists()
 
 
+def test_oracle_reads_the_planar_loops_gap_on_its_wilson_grid(tmp_path):
+    # The gap dips sharply: a 64-point scan reads 0.3168, the 256-point
+    # Wilson grid 0.18859 and 4,096 points 0.1881.
+    from berrylab import cli
+
+    fam = make_family(1, [("Y", cosine(1, 0.5434)),
+                          ("Z", cosine(3, 0.7312).add(cosine(3, 0.8438)).add(sine(3, 0.9108)))])
+    save_family(fam, str(tmp_path / "planar.json"))
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--instance", str(tmp_path / "planar.json"),
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["min_gap"] == pytest.approx(0.188, rel=0.01)
+
+
 def test_oracle_on_an_instance_converges_relative_to_its_margin(tmp_path):
     from berrylab.hardness import build_bqp_instance
 
@@ -82,7 +96,6 @@ def test_oracle_manifest_golden(work):
         "parameters": {
             "instance": str(work / "eq.json"),
             "grid_size": 256,
-            "gap_grid": 64,
             "sweep_grid": 33,
             "sweep_out": str(work / "oracle2.json.sweep.csv"),
             "out": str(out),
@@ -231,6 +244,10 @@ EXTREME_FLAGS = [
       for flag, value in [("--runtime", "1e308"), ("--oversampling", "1e12")]],
     *[(command, ["--eta", "1e-300", *runtime], 2) for command in ("bpe", "murta")
       for runtime in ([], ["--runtime", "50"])],
+    # 4 pi / eps_B overflows to inf before the bit count's log
+    ("bpe", ["--epsilon-b", "1e-308", "--runtime", "1"], 3),
+    # alpha - 1 rounds to 0 here: the step budget refuses before 1/(alpha - 1)
+    ("bpe", ["--runtime", "1e308", "--alpha-mode", "formula"], 3),
 ]
 
 

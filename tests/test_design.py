@@ -4,21 +4,21 @@ Every spectrum along the loop, the eigensystem of a loop unitary in ``qpe``
 and the accept operator's spectrum in ``hardness`` come from the one
 Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
 only solve, and its blocks come from one place: a family's sectors.  A new
-solver call site or a second block finder shows up here before it can fork
-the numerics, and so does a module reaching into another's private names
-beyond a short list.  Nothing spawns a SeedSequence or calls numpy's
-default_rng, and one PCG64 and one Generator are made per stream_uniforms
-call, so per-run Generator construction cannot come back unseen.  The
-CLI loads no scipy module and no importlib.metadata, neither on import nor
-while it runs.  The fields of the configuration classes, of the
-instance record, of the energy distribution and of the QPE distribution are
-pinned, and so are the flags of the estimators and of ``verify``.  The
-verifier builds its outcome at one site, and the package root re-exports
-nothing, so a new setting, a value kept twice or a second import path for a
-name shows up here too.  A QPE distribution draws readouts at the
-top bit count in well under a megabyte.  The benchmark's tracer still binds
-every function it lists, so a rename that would stop a traced pass shows up
-here as well.
+solver call site, a second block finder or a second gap scan of one loop
+shows up here before it can fork the numerics, and so does a module
+reaching into another's private names beyond a short list.  Nothing
+spawns a SeedSequence or calls numpy's default_rng, and one PCG64 and one
+Generator are made per stream_uniforms call, so per-run Generator
+construction cannot come back unseen.  The CLI loads no scipy module and no
+importlib.metadata, neither on import nor while it runs.  The fields of the
+configuration classes, of the instance record, of the energy distribution
+and of the QPE distribution are pinned, and so are the flags of ``oracle``,
+the estimators and ``verify``.  The verifier builds its outcome at one site,
+and the package root re-exports nothing, so a new setting, a value kept
+twice or a second import path for a name shows up here too.  A QPE
+distribution draws readouts at the top bit count in well under a megabyte.
+The benchmark's tracer still binds every function it lists, so a rename
+that would stop a traced pass shows up here as well.
 """
 
 import argparse
@@ -113,6 +113,18 @@ def test_no_module_imports_another_modules_private_names():
     assert reach_ins == []
 
 
+def test_gap_scan_call_sites():
+    # The Wilson loop reads the minimum gap from the slices it solves, so
+    # oracle and the instance builders make no scan of their own; only the
+    # estimator's runtime choice, the random corpus and the adiabatic bound
+    # scan the gap.  A second scan of one loop would show up here.
+    assert _call_sites({"min_gap"}) == {
+        ("bpe", "_resolve_runtime", "min_gap"): 1,
+        ("corpus", "random_gapped_family", "min_gap"): 1,
+        ("dynamics", "required_runtime", "min_gap"): 1,
+    }
+
+
 def test_seeding_call_sites():
     # Nothing spawns and nothing calls numpy's default_rng: every stream comes
     # from qpe.stream_uniforms, bit for bit what default_rng would draw, and
@@ -134,10 +146,12 @@ def test_configuration_fields():
 def test_cli_flags():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {command: [o for a in sub.choices[command]._actions for o in a.option_strings]
-             for command in ("bpe", "murta", "verify")}
+             for command in ("oracle", "bpe", "murta", "verify")}
     estimator = ["-h", "--help", "--instance", "--epsilon-b", "--eta", "--runtime",
                  "--oversampling"]
     assert flags == {
+        "oracle": ["-h", "--help", "--instance", "--grid-size", "--sweep-grid", "--sweep-out",
+                   "--out"],
         "bpe": [*estimator, "--alpha-mode", "--seed", "--out"],
         "murta": [*estimator, "--seed", "--out"],
         "verify": ["-h", "--help", "--instance", "--witness", "--runs", "--epsilon-b", "--eta",

@@ -14,7 +14,7 @@ from berrylab.corpus import (
     synthetic_verifier_instance,
 )
 from berrylab.errors import ConfigError
-from berrylab.exact import berry_connection_exact, diagonalize, wilson_loop_berry_phase
+from berrylab.exact import berry_connection_exact, diagonalize, min_gap, wilson_loop_berry_phase
 from berrylab.hamiltonians import (
     eval_hamiltonian,
     norm_bounds,
@@ -23,6 +23,7 @@ from berrylab.hamiltonians import (
     to_json_dict,
 )
 from berrylab.hardness import (
+    DEFAULT_ORACLE_GRID,
     accept_operator_spectrum,
     build_bqp_instance,
     build_duqma_instance,
@@ -241,6 +242,17 @@ def test_instance_r_respects_perturbative_regime(yes_instance):
     assert yes_instance.r <= gap_hist / 4.0
     # the perturbed family keeps at least half the unperturbed gap
     assert yes_instance.provenance["gap_full_min"] >= gap_hist / 2.0
+
+
+def test_gap_is_read_on_the_oracle_grid(yes_instance, duqma_yes_instance):
+    # Both kinds record the minimum gap that the Wilson-loop oracle read on
+    # its grid, right after the builder's own spectrum entries.
+    for inst, last in ((yes_instance, "ground_energy_hist"), (duqma_yes_instance, "delta01")):
+        keys = list(inst.provenance)
+        at = keys.index(last) + 1
+        assert keys[at:at + 2] == ["gap_full_min", "gap_full_argmin"]
+        assert (inst.provenance["gap_full_min"], inst.provenance["gap_full_argmin"]) == \
+            min_gap(inst.family, DEFAULT_ORACLE_GRID)
 
 
 def test_r_above_quarter_gap_refused():

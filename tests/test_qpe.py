@@ -47,6 +47,8 @@ def test_bits_for_precision_errors():
     assert bits_for_precision(edge) == MAX_PHASE_BITS
     with pytest.raises(CapacityError):
         bits_for_precision(0.5 * edge)  # needs MAX_PHASE_BITS + 1
+    with pytest.raises(CapacityError, match="m=1067 "):
+        bits_for_precision(1e-320)  # subnormal: 4 pi / eps_ph overflows to inf
 
 
 # -- outcome distributions -----------------------------------------------------
