@@ -85,17 +85,17 @@ def _checked_build(family: HamiltonianFamily, T: float, cap: int, low: int,
 
     ``build(n)`` makes the estimator's propagators at n steps per runtime T
     and returns (result, phase), the phase read from dominant eigenphases.
-    A commutator guess of at least half the cap, or a lambda-independent
-    family, builds at the cap unchecked and leaves ``tested`` empty.
-    Otherwise n starts at twice the larger of ``low`` and half the guess,
-    rounded up, and doubles, up to the cap, until the phases at n and at
+    A commutator guess of at least half the cap builds at the cap unchecked
+    and leaves ``tested`` empty.  Otherwise n starts at twice the larger of
+    ``low`` and half the guess, rounded up (a lambda-independent family
+    guesses 0), and doubles, up to the cap, until the phases at n and at
     n/2 agree within tol; the accepted n is the finer of the two.  Returns
     (result, record).
     """
     guess = guess_step_count(family, T)
     record = {"guess": guess, "cap": cap, "tested": [], "converged": False}
     n = cap
-    if not family.is_constant() and 2.0 * guess < cap:
+    if 2.0 * guess < cap:
         n = min(cap, 2 * max(low, math.ceil(guess / 2)))
     if n == cap:
         result, phase = build(n)

@@ -14,10 +14,7 @@ keeps dt * H_max <= 1/oversampling, which is the finest density a run may
 take (the cap) and the count the step budget is checked against.  The
 estimators in ``bpe`` build coarser: they start from guess_step_count and
 keep the coarsest step count whose Berry phase an a-posteriori check
-accepts.
-
-For a lambda-independent family the step product collapses to a single
-matrix exponential, which is used as an exact shortcut.
+accepts.  A lambda-independent family takes the same steps as any other.
 """
 
 from __future__ import annotations
@@ -140,23 +137,15 @@ def guess_step_count(family: HamiltonianFamily, T: float) -> float:
     return T * math.sqrt(commutator_bound(family)) / STEP_GUESS_KAPPA
 
 
-def _step_lambdas(schedule: AdiabaticSchedule) -> np.ndarray:
-    """The midpoint of each step."""
-    return (np.arange(schedule.steps, dtype=float) + 0.5) / schedule.steps
-
-
 def _step_factors(family: HamiltonianFamily, schedule: AdiabaticSchedule):
     """Yield (V, phases) stacks over the sweep's chunks of consecutive exact
-    steps, U_j = (V[j] * phases[j]) @ V[j]^dagger; a lambda-independent
-    family is one step of length T at lambda = 0.  The unitaries still
-    multiply one at a time, in step order."""
+    steps, U_j = (V[j] * phases[j]) @ V[j]^dagger at the step's midpoint
+    lambda_j = (j + 1/2) / steps.  The unitaries still multiply one at a
+    time, in step order."""
     sign = 1.0 if schedule.direction == "forward" else -1.0
-    if family.is_constant():
-        lams, dt = np.zeros(1), schedule.T
-    else:
-        lams, dt = _step_lambdas(schedule), schedule.dt
+    lams = (np.arange(schedule.steps, dtype=float) + 0.5) / schedule.steps
     for _, w, V in spectra(family, lams):
-        yield V, np.exp(sign * -1j * w * dt)
+        yield V, np.exp(sign * -1j * w * schedule.dt)
 
 
 def adiabatic_propagate(state, family: HamiltonianFamily, schedule: AdiabaticSchedule):
@@ -295,8 +284,6 @@ def phase_lag_scale(family: HamiltonianFamily, grid: int = 64) -> float:
     """
     if grid < 4:
         raise ConfigError(f"phase-lag grid must be >= 4, got {grid}")
-    if family.is_constant():
-        return 0.0
     dfam = derivative_family(family, 1)
     lams = lambda_grid(family, grid, offset=0.5)
     total = 0.0

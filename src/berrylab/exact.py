@@ -336,8 +336,8 @@ def lambda_grid(family: HamiltonianFamily, grid, offset: float = 0.0) -> np.ndar
 
 @dataclass
 class BerryPhaseResult:
-    """Wilson-loop estimate of the ground-state Berry phase, and the minimum
-    gap E1 - E0 over its grid with its first argmin, as min_gap reads them."""
+    """Wilson-loop estimate of the ground-state Berry phase, the minimum gap
+    E1 - E0 on its grid with its first argmin (as min_gap), and E1 - E0 at 0."""
 
     theta_B: float  # in [0, 2 pi)
     grid_size: int
@@ -346,6 +346,7 @@ class BerryPhaseResult:
     min_overlap: float  # smallest adjacent |<psi_j|psi_{j+1}>| seen
     min_gap: float
     min_gap_lambda: float
+    gap_lambda0: float
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -371,8 +372,8 @@ def _wilson_angle(overlaps) -> tuple[float, float]:
 def wilson_loop_berry_phase(
     family: HamiltonianFamily, N: int = 256, tol: float = WILSON_TOL
 ) -> BerryPhaseResult:
-    """Berry phase of the ground band from an N-point Wilson loop, and the
-    minimum gap over its grid.
+    """Berry phase of the ground band from an N-point Wilson loop, the
+    minimum gap over its grid and the gap at its first point, lambda = 0.
 
     The product of adjacent-overlap phases around the closed loop is gauge
     invariant, so arbitrary eigenvector phases from the dense solver do not
@@ -392,7 +393,7 @@ def wilson_loop_berry_phase(
         gap = min(gap, (s.gap, s.lam), key=lambda t: t[0])  # the first minimum, as min_gap
         psi = s.ground_state
         if j == 0:
-            first = psi
+            first, gap0 = psi, s.gap
         else:
             full.append(complex(np.vdot(prev, psi)))
         if j % 2 == 0 and j > 0:
@@ -414,6 +415,7 @@ def wilson_loop_berry_phase(
         min_overlap=min_overlap,
         min_gap=gap[0],
         min_gap_lambda=gap[1],
+        gap_lambda0=gap0,
     )
 
 

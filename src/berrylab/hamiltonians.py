@@ -359,7 +359,7 @@ def apply_hamiltonian(family: HamiltonianFamily, lam: float, vec: np.ndarray) ->
 
 def dense_pauli(axes: str) -> np.ndarray:
     """Dense matrix of a Pauli string, scattered from its signed permutation:
-    the local Pauli expansion of the hardness compiler reads one per string."""
+    the hardness compiler's Pauli transform reads the four 1-qubit ones."""
     rows, vals = _string_action(axes)
     out = np.zeros((rows.size, rows.size), dtype=complex)
     out[rows, np.arange(rows.size)] = vals

@@ -88,21 +88,25 @@ CERTIFICATION_SAFETY = 0.9
 # ---------------------------------------------------------------------------
 
 
+_PAULIS = np.stack([dense_pauli(a) for a in "IXYZ"])  # (4, 2, 2)
+
+
 def _local_pauli_coeffs(matrix: np.ndarray) -> list[tuple[str, float]]:
-    """Expand a small Hermitian matrix in the Pauli-string basis."""
+    """Expand a small Hermitian matrix in the Pauli-string basis: c_P =
+    tr(P M) / 2^k, traced one qubit at a time against the four 1-qubit
+    Paulis, labels in itertools.product("IXYZ", repeat=k) order."""
     dim = matrix.shape[0]
     k = dim.bit_length() - 1
     if matrix.shape != (dim, dim) or 2 ** k != dim:
         raise ConfigError(f"local operator has non-qubit shape {matrix.shape}")
-    out = []
-    for letters in itertools.product("IXYZ", repeat=k):
-        axes = "".join(letters)
-        c = complex(np.sum(dense_pauli(axes) * matrix.T)) / dim
-        if abs(c.imag) > 1e-10:
-            raise ConfigError("local operator is not Hermitian")
-        if abs(c.real) > 1e-12:
-            out.append((axes, float(c.real)))
-    return out
+    t = matrix.reshape((2,) * (2 * k))  # row axes, column axes, labels so far
+    for q in range(k):  # P[a, column, row] times M[row, column]
+        t = np.tensordot(t, _PAULIS, axes=([0, k - q], [2, 1]))
+    coeffs = t.reshape(-1) / dim
+    if np.any(np.abs(coeffs.imag) > 1e-10):
+        raise ConfigError("local operator is not Hermitian")
+    labels = map("".join, itertools.product("IXYZ", repeat=k))
+    return [(axes, float(c.real)) for axes, c in zip(labels, coeffs) if abs(c.real) > 1e-12]
 
 
 def _embed_axes(local_axes: str, qubits: list[int], n_total: int) -> str:
@@ -362,8 +366,9 @@ def _finish_instance(
 ) -> HardnessInstance:
     """The step both builders end in: certify the margin delta as 0.9 times
     the smallest |iA_lambda| that ``connection()`` reports (none when r = 0),
-    run the Wilson-loop oracle, which also reads the minimum gap, and write
-    the provenance.  A builder's own entries keep the sidecar's key order."""
+    run the Wilson-loop oracle, which also reads the minimum gap and the gap
+    at lambda = 0, and write the provenance.  A builder's own entries keep
+    the sidecar's key order."""
     conn_lo, conn_hi, conn_sign = connection() if r > 0 else (0.0, 0.0, 0.0)
     delta_cert = CERTIFICATION_SAFETY * conn_lo
     oracle_tol = oracle_tolerance(delta_cert)
@@ -390,7 +395,7 @@ def _finish_instance(
         **spectrum,
         "gap_full_min": float(oracle.min_gap),
         "gap_full_argmin": float(oracle.min_gap_lambda),
-        "gap_lambda0": float(diagonalize(family, 0.0).gap),
+        "gap_lambda0": float(oracle.gap_lambda0),
         "connection_min_abs": float(conn_lo),
         "connection_max_abs": float(conn_hi),
         "connection_sign": float(conn_sign),

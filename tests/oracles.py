@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
 import scipy.linalg
 
 from berrylab.angles import circle_distance, wrap_2pi
+from berrylab.errors import ConfigError
 from berrylab.hamiltonians import derivative_family, eval_hamiltonian
 
 
@@ -49,14 +51,9 @@ def expm_evolve(family, vec: np.ndarray, T: float, steps: int) -> np.ndarray:
 
 def _stepwise_factors(family, schedule):
     sign = 1.0 if schedule.direction == "forward" else -1.0
-    if family.is_constant():
-        lams, dt = [0.0], schedule.T
-    else:
-        lams = [(j + 0.5) / schedule.steps for j in range(schedule.steps)]
-        dt = schedule.dt
-    for lam in lams:
-        w, V = np.linalg.eigh(eval_hamiltonian(family, lam))
-        yield V, np.exp(sign * -1j * w * dt)
+    for j in range(schedule.steps):
+        w, V = np.linalg.eigh(eval_hamiltonian(family, (j + 0.5) / schedule.steps))
+        yield V, np.exp(sign * -1j * w * schedule.dt)
 
 
 def stepwise_loop_propagator(family, schedule) -> np.ndarray:
@@ -106,7 +103,7 @@ def _chain_angle(states) -> tuple[float, float]:
 
 def pointwise_wilson(family, lams) -> dict:
     """BerryPhaseResult.to_json_dict() of the Wilson loop over lams, its
-    minimum gap read from the same per-point solves."""
+    minimum gap and first point's gap read from the same per-point solves."""
     points = [_point(family, lam) for lam in lams]
     states = [V[:, 0] for _, V in points]
     theta, min_overlap = _chain_angle(states)
@@ -124,6 +121,7 @@ def pointwise_wilson(family, lams) -> dict:
         "min_overlap": min_overlap,
         "min_gap": gap,
         "min_gap_lambda": gap_lam,
+        "gap_lambda0": float(points[0][0][1] - points[0][0][0]),
     }
 
 
@@ -182,6 +180,24 @@ def kron_pauli(axes: str) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for a in axes:
         out = np.kron(out, _PAULI_MATRICES[a])
+    return out
+
+
+def kron_local_pauli_coeffs(matrix: np.ndarray) -> list[tuple[str, float]]:
+    """Pauli-string expansion of a small Hermitian matrix, one kron_pauli
+    string at a time: c_P = sum(P * M^T) / 2^k, labels in
+    itertools.product("IXYZ") order, the same refusal and drop thresholds
+    as hardness._local_pauli_coeffs."""
+    dim = matrix.shape[0]
+    k = dim.bit_length() - 1
+    out = []
+    for letters in itertools.product("IXYZ", repeat=k):
+        axes = "".join(letters)
+        c = complex(np.sum(kron_pauli(axes) * matrix.T)) / dim
+        if abs(c.imag) > 1e-10:
+            raise ConfigError("local operator is not Hermitian")
+        if abs(c.real) > 1e-12:
+            out.append((axes, float(c.real)))
     return out
 
 

@@ -455,6 +455,22 @@ def test_one_qubit_loops_build_at_the_cap(equatorial):
         assert steps == check["cap"] == 3948
 
 
+@pytest.mark.parametrize("args", [(1,), (2, 0.8)], ids=["1-qubit", "2-qubit"])
+def test_lambda_independent_loops_run_the_step_check(args):
+    # a lambda-independent family takes midpoint steps like any loop: its
+    # commutator guess is 0, so the check builds 1 and 2 steps, which agree
+    # to rounding, and both estimators read theta_B = 0
+    family, cfg = constant_z_family(*args), BpeConfig()
+    theta_B, _, diag = run_bpe(family, config=cfg, seed=1)
+    theta_m, diag_m = murta_bpe(family, config=cfg, seed=1, return_diagnostics=True)
+    for theta, d in ((theta_B, diag), (theta_m, diag_m)):
+        check = d["step_check"]
+        assert check["guess"] == 0.0
+        assert [n for n, _ in check["tested"]] == [1, 2]
+        assert _accepted(check, d["steps"]), check
+        assert circle_distance(theta, 0.0) <= cfg.epsilon_B
+
+
 @pytest.mark.parametrize("circuit", [bqp_yes_circuit, bqp_no_circuit], ids=["yes", "no"])
 def test_formula_alpha_runs_the_step_check(circuit):
     # each tested level's alpha run stays within the nominal ratio, so the

@@ -6,7 +6,8 @@ Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
 only solve, and its blocks come from one place: a family's sectors.  A new
 solver call site, a second block finder or a second gap scan of one loop
 shows up here before it can fork the numerics, and so does a module
-reaching into another's private names beyond a short list.  Nothing
+reaching into another's private names beyond a short list, or a branch on
+a lambda-independent family outside ``hamiltonians``.  Nothing
 spawns a SeedSequence or calls numpy's default_rng, and one PCG64 and one
 Generator are made per stream_uniforms call, so per-run Generator
 construction cannot come back unseen.  The CLI loads no scipy module and no
@@ -122,6 +123,16 @@ def test_gap_scan_call_sites():
         ("bpe", "_resolve_runtime", "min_gap"): 1,
         ("corpus", "random_gapped_family", "min_gap"): 1,
         ("dynamics", "required_runtime", "min_gap"): 1,
+    }
+
+
+def test_lambda_independence_call_sites():
+    # A lambda-independent loop takes the one step rule, the step check and
+    # the phase-lag scan like any other, so no module branches on it; only
+    # a coefficient's constant fast path and the family's own test read it.
+    assert _call_sites({"is_constant"}) == {
+        ("hamiltonians", "values", "self.is_constant"): 1,
+        ("hamiltonians", "is_constant", "c.is_constant"): 1,
     }
 
 

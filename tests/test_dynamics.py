@@ -26,7 +26,7 @@ from berrylab.dynamics import (
     required_runtime,
     step_count,
 )
-from berrylab.errors import ConfigError, NumericalError
+from berrylab.errors import ConfigError, DegeneracyError, NumericalError
 from berrylab.exact import ground_state
 from berrylab.hamiltonians import (
     commutator_bound,
@@ -268,6 +268,14 @@ def test_phase_lag_scale_rejects_degenerate():
     fam = make_family(2, [("ZI", cosine(1, 1.0))])
     with pytest.raises(NumericalError):
         phase_lag_scale(fam)
+
+
+@pytest.mark.parametrize("n, axes", [(2, "ZI"), (1, "I")])
+def test_phase_lag_scale_rejects_a_degenerate_constant_family(n, axes):
+    # a lambda-independent family is scanned like any other, so a
+    # degenerate one is refused as every sweep refuses one
+    with pytest.raises(DegeneracyError):
+        phase_lag_scale(make_family(n, [(axes, constant(1.0))]))
 
 
 # -- fidelity and calibration --------------------------------------------------

@@ -84,19 +84,38 @@ def test_null_vector_property_across_corpus():
 
 @pytest.mark.parametrize("name", ["bqp-yes", "bqp-no", "duqma-yes", "duqma-no", "duqma-yes-m2"])
 def test_compile_history_matches_kron_expansion(monkeypatch, name):
-    # The local Pauli expansion reads dense_pauli once per string; the kron
-    # reference must compile the same family, byte for byte.
+    # The local Pauli expansion traces one qubit at a time; the per-string
+    # kron reference must compile the same family, byte for byte.
     import berrylab.hardness as hmod
     from berrylab.hamiltonians import to_json_dict
-    from oracles import kron_pauli
+    from oracles import kron_local_pauli_coeffs
 
     circuits = {"bqp-yes": bqp_yes_circuit, "bqp-no": bqp_no_circuit,
                 "duqma-yes": duqma_yes_circuit, "duqma-no": duqma_no_circuit,
                 "duqma-yes-m2": lambda: with_idle_steps(duqma_yes_circuit(), 2)}
     circuit = circuits[name]()
+    monkeypatch.setattr(hmod, "dense_pauli", None)  # no per-label Pauli matrix
     got = json.dumps(to_json_dict(compile_history(circuit)))
-    monkeypatch.setattr(hmod, "dense_pauli", kron_pauli)
+    monkeypatch.setattr(hmod, "_local_pauli_coeffs", kron_local_pauli_coeffs)
     assert got == json.dumps(to_json_dict(compile_history(circuit)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_local_pauli_coeffs_rebuild_the_matrix(k):
+    # sum_P c_P P gives back a random Hermitian M on k qubits, and a
+    # non-Hermitian one is refused
+    from berrylab.hamiltonians import dense_pauli
+    from berrylab.hardness import _local_pauli_coeffs
+
+    rng = np.random.default_rng(2300 + k)
+    A = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+    M = A + A.conj().T
+    coeffs = _local_pauli_coeffs(M)
+    assert len(coeffs) == 4 ** k
+    rebuilt = sum(c * dense_pauli(axes) for axes, c in coeffs)
+    assert np.linalg.norm(rebuilt - M) <= 1e-12 * np.linalg.norm(M)
+    with pytest.raises(ConfigError, match="not Hermitian"):
+        _local_pauli_coeffs(A)
 
 
 def test_measured_gap_beats_cubic_floor():
@@ -253,6 +272,33 @@ def test_gap_is_read_on_the_oracle_grid(yes_instance, duqma_yes_instance):
         assert keys[at:at + 2] == ["gap_full_min", "gap_full_argmin"]
         assert (inst.provenance["gap_full_min"], inst.provenance["gap_full_argmin"]) == \
             min_gap(inst.family, DEFAULT_ORACLE_GRID)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bqp_instance(bqp_yes_circuit()),
+    lambda: build_duqma_instance(duqma_yes_circuit(), witness=0),
+], ids=["bqp", "duqma"])
+def test_gap_at_lambda0_is_read_from_the_oracle_sweep(monkeypatch, build):
+    # The oracle's first slice is lambda = 0, so no one-point solve of the
+    # instance family follows its sweep; the recorded gap keeps the bits of
+    # such a solve.
+    import berrylab.exact as emod
+
+    calls, spectra = [], emod.spectra
+
+    def spy(family, lams):
+        calls.append((family, np.asarray(lams, dtype=float).copy()))
+        return spectra(family, lams)
+
+    monkeypatch.setattr(emod, "spectra", spy)
+    inst = build()
+    monkeypatch.setattr(emod, "spectra", spectra)
+    at = next(i for i, (fam, lams) in enumerate(calls)
+              if fam is inst.family and lams.size == DEFAULT_ORACLE_GRID)
+    assert calls[at][1][0] == 0.0
+    assert not [lams for fam, lams in calls[at + 1:] if fam is inst.family]
+    gap0 = inst.provenance["gap_lambda0"]
+    assert gap0.hex() == diagonalize(inst.family, 0.0).gap.hex()
 
 
 def test_r_above_quarter_gap_refused():
