@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 from types import SimpleNamespace
@@ -317,6 +318,22 @@ def test_split_survives_a_coupling_that_vanishes_in_the_chunk():
     for part, w, V in pieces:
         for Hj, wj, Vj in zip(eval_hamiltonians(fam, part), w, V):
             assert np.max(np.abs((Vj * wj[None, :]) @ Vj.conj().T - Hj)) <= 1e-13
+
+
+def test_split_scans_are_pinned(split_families, tmp_path):
+    # The 7-qubit duqma-yes family is solved in 20 blocks of 2 to 10 states:
+    # the Wilson loop's numbers and the sweep CSV keep their bits.
+    fam = split_families["duqma-7q"]
+    res = wilson_loop_berry_phase(fam, 256)
+    assert [getattr(res, k).hex() for k in (
+        "theta_B", "min_overlap", "estimated_discretization_error", "min_gap", "gap_lambda0",
+    )] == [
+        "0x1.75f2d7805c2f4p-17", "0x1.fffffffae768cp-1", "0x1.cd50a1be71000p-30",
+        "0x1.3e69ac4b6479ep-11", "0x1.3e69add706864p-11",
+    ]
+    write_sweep_csv(fam, 32, str(tmp_path / "s.csv"))
+    assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == \
+        "030b4dda10e27b2bef456cb600b96b2abbe67b4393466025b539370bd26d3b66"
 
 
 # -- every scan along the loop vs the pinned point-by-point scans ------------
