@@ -144,8 +144,8 @@ def _step_factors(family: HamiltonianFamily, schedule: AdiabaticSchedule):
     time, in step order."""
     sign = 1.0 if schedule.direction == "forward" else -1.0
     lams = (np.arange(schedule.steps, dtype=float) + 0.5) / schedule.steps
-    for _, w, V in spectra(family, lams):
-        yield V, np.exp(sign * -1j * w * schedule.dt)
+    for _, w, blocks in spectra(family, lams):
+        yield blocks.dense(), np.exp(sign * -1j * w * schedule.dt)
 
 
 def adiabatic_propagate(state, family: HamiltonianFamily, schedule: AdiabaticSchedule):

@@ -9,9 +9,10 @@ loop, and the step kernel in dynamics, takes its eigensystems from one
 chunked sweep (spectra, sweep).  A family's sectors, the blocks H(lambda)
 decouples into, are found once, cached on it and are the lab's one block
 structure, and only this module looks them up: the sweep solves each block
-size over many lambdas per call and yields dense eigensystems in chunks
-sized by d^2, and eigh_blocks solves a loop unitary's Hermitian forms in its
-family's sectors for qpe.  A matrix from no family is one block, and a stack
+size over many lambdas per call and yields block eigensystems in chunks
+sized by d^2, forming dense eigenvectors only when a caller reads them, and
+eigh_blocks solves a loop unitary's Hermitian forms in its family's sectors
+for qpe.  A matrix from no family is one block, and a stack
 of one block is handed out as eigh returned it.
 
 The Wilson loop reads the minimum gap on its grid from the slices it
@@ -59,10 +60,16 @@ class SpectrumSlice:
 
     lam: float
     eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # columns, unitary
     gap: float  # E1 - E0
     degenerate: bool  # ground gap below the degeneracy threshold
     family: HamiltonianFamily
+    blocks: BlockEigensystems  # its chunk's
+    point: int  # its place in the chunk
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Columns, unitary; the chunk's dense stack is formed on first read."""
+        return self.blocks.dense()[self.point]
 
     @property
     def residual(self) -> float:
@@ -78,15 +85,15 @@ class SpectrumSlice:
 
     @property
     def ground_state(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
+        return self.blocks.ground(self.point)
 
 
 # Bytes per stacked complex array of a sweep.  An output chunk holds as many
-# dense (d, d) eigenvector matrices as fit: 64 points at d = 16, one point from
-# d = 128 on.  A solve chunk holds as many points as the family's block
-# stacks fit, a whole number of output chunks.  Larger chunks raise
-# peak memory and gain little; each point gets the bits of a one-point solve
-# whatever else is in its stack.
+# points as dense (d, d) eigenvector matrices fit, should a caller read them:
+# 64 points at d = 16, one point from d = 128 on.  A solve chunk holds as
+# many points as the family's block stacks fit, a whole number of output
+# chunks.  Larger chunks raise peak memory and gain little; each point gets
+# the bits of a one-point solve whatever else is in its stack.
 _CHUNK_BYTES = 256 * 1024
 
 # Families below this dimension are one block even when H(lambda) is block
@@ -109,11 +116,11 @@ class _Sectors(NamedTuple):
 
 
 def spectra(family: HamiltonianFamily, lams):
-    """Yield (lams, eigenvalues, eigenvectors) over consecutive chunks of a
-    lambda sequence, with no eigenvector stack above _CHUNK_BYTES unless a
-    single matrix is.  The family's block-size stacks are filled straight
-    from its group entries, with no dense H(lambda), and each size is solved
-    once per solve chunk."""
+    """Yield (lams, eigenvalues, BlockEigensystems) over consecutive chunks
+    of a lambda sequence, sized so that no dense eigenvector stack, once
+    read, is above _CHUNK_BYTES unless a single matrix is.  The family's
+    block-size stacks are filled straight from its group entries, with no
+    dense H(lambda), and each size is solved once per solve chunk."""
     check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
@@ -130,8 +137,9 @@ def spectra(family: HamiltonianFamily, lams):
         solved = _eigh([a.reshape(part.size, *idx.shape, -1) for a, idx
                         in zip(np.split(flat, ends[:-1], axis=1), groups)])
         for a in range(0, part.size, per_out):
-            out = [(w[a:a + per_out], V[a:a + per_out]) for w, V in solved]
-            yield (part[a:a + per_out], *_scatter(groups, out, d))
+            at = slice(a, a + per_out)
+            out = BlockEigensystems(groups, [(w[at], V[at]) for w, V in solved], d)
+            yield part[at], out.eigenvalues, out
 
 
 def _sectors_for(family: HamiltonianFamily) -> _Sectors:
@@ -212,25 +220,46 @@ def _eigh(stacks) -> list:
     return [np.linalg.eigh(a) for a in stacks]
 
 
-def _scatter(groups, solved, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (w, V) of a stack from the eigensystems of its blocks, solved
-    per size of groups (_groups_of's form).  One block of all d states is
-    eigh's own ascending (w, V).  Otherwise a block's eigenpairs take its
-    indices as slots, and a stable sort of their eigenvalues orders columns."""
-    if groups[0].shape == (1, d):
-        return solved[0][0][:, 0], solved[0][1][:, 0]
-    n = solved[0][0].shape[0]
-    w = np.empty((n, d))
-    for idx, (bw, _) in zip(groups, solved):
-        w[:, idx] = bw
-    order = np.argsort(w, axis=1, kind="stable")
-    rank = np.empty_like(order)  # rank[p, slot]: the slot's column in V
-    np.put_along_axis(rank, order, np.arange(d)[None, :], axis=1)
-    V = np.zeros((n, d, d), dtype=complex)
-    points = np.arange(n)[:, None, None, None]
-    for idx, (_, bV) in zip(groups, solved):
-        V[points, idx[None, :, :, None], rank[:, idx][:, :, None, :]] = bV
-    return np.take_along_axis(w, order, axis=1), V
+class BlockEigensystems:
+    """A chunk's eigensystems in the blocks solved per size of groups
+    (_groups_of's form), eigenpairs taking their block's indices as slots,
+    ordered by a stable sort of each point's eigenvalues.  The dense stack is
+    formed on first read; one block of all d states is eigh's own (w, V)."""
+
+    def __init__(self, groups, solved, d: int):
+        self.groups, self.solved = groups, solved
+        if groups[0].shape == (1, d):
+            self.eigenvalues, self._dense = solved[0][0][:, 0], solved[0][1][:, 0]
+            return
+        w = np.empty((solved[0][0].shape[0], d))
+        for idx, (bw, _) in zip(groups, solved):
+            w[:, idx] = bw
+        self.order = np.argsort(w, axis=1, kind="stable")  # slots by ascending eigenvalue
+        self.eigenvalues, self._dense = np.take_along_axis(w, self.order, axis=1), None
+
+    def ground(self, p: int) -> np.ndarray:
+        """Point p's ground state from its block, as a strided column like the
+        dense stack's: OpenBLAS sums a unit-stride np.vdot on another path,
+        so a contiguous copy would move the Wilson loop's last bit."""
+        if self._dense is not None:
+            return self._dense[p][:, 0]
+        for idx, (_, bV) in zip(self.groups, self.solved):
+            for b, k in np.argwhere(idx == self.order[p, 0]):  # the ground slot's block and place
+                psi = np.zeros((self.order.shape[1], 2), dtype=complex)[:, 0]
+                psi[idx[b]] = bV[p, b, :, k]
+                return psi
+
+    def dense(self) -> np.ndarray:
+        """The (n, d, d) eigenvector stack, columns in ascending order."""
+        if self._dense is None:
+            n, d = self.order.shape
+            rank = np.empty_like(self.order)  # rank[p, slot]: the slot's column in V
+            np.put_along_axis(rank, self.order, np.arange(d)[None, :], axis=1)
+            self._dense = np.zeros((n, d, d), dtype=complex)
+            points = np.arange(n)[:, None, None, None]
+            for idx, (_, bV) in zip(self.groups, self.solved):
+                self._dense[points, idx[None, :, :, None], rank[:, idx][:, :, None, :]] = bV
+        return self._dense
 
 
 def eigh_blocks(H: np.ndarray, family=None) -> tuple[np.ndarray, np.ndarray]:
@@ -239,19 +268,20 @@ def eigh_blocks(H: np.ndarray, family=None) -> tuple[np.ndarray, np.ndarray]:
     0, as in a loop unitary of the family; with no family, H is one block."""
     groups = [np.arange(H.shape[-1])[None]] if family is None else _sectors_for(family).groups
     stacks = [H[:, idx[:, :, None], idx[:, None, :]] for idx in groups]
-    return _scatter(groups, _eigh(stacks), H.shape[-1])
+    blocks = BlockEigensystems(groups, _eigh(stacks), H.shape[-1])
+    return blocks.eigenvalues, blocks.dense()
 
 
-def _slice(family: HamiltonianFamily, lam, evals, evecs) -> SpectrumSlice:
+def _slice(family: HamiltonianFamily, lam, evals, blocks, p: int) -> SpectrumSlice:
     scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 1.0)
     gap = float(evals[1] - evals[0]) if evals.size > 1 else math.inf
     return SpectrumSlice(
         lam=float(lam),
         eigenvalues=evals,
-        eigenvectors=evecs,
         gap=gap,
         degenerate=gap < DEGENERACY_RTOL * scale,
         family=family,
+        blocks=blocks, point=p,
     )
 
 
@@ -266,17 +296,17 @@ def _gapped(s: SpectrumSlice) -> SpectrumSlice:
 def sweep(family: HamiltonianFamily, lams):
     """Yield the SpectrumSlice at each lambda in order, refusing a
     numerically degenerate ground space: the one spectral sweep along the
-    loop.  A slice's arrays are views into its chunk's stacks, so a slice
-    kept alive keeps that chunk's eigenvectors alive."""
-    for part, w, V in spectra(family, lams):
-        for lam, evals, evecs in zip(part, w, V):
-            yield _gapped(_slice(family, lam, evals, evecs))
+    loop.  A slice keeps its chunk's eigenvectors alive; a ground state
+    read from a split chunk does not."""
+    for part, w, blocks in spectra(family, lams):
+        for p, (lam, evals) in enumerate(zip(part, w)):
+            yield _gapped(_slice(family, lam, evals, blocks, p))
 
 
 def diagonalize(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
     """Full eigensystem at one lambda; its residual is formed on demand."""
-    ((_, w, V),) = spectra(family, [lam])
-    return _slice(family, lam, w[0], V[0])
+    ((_, w, blocks),) = spectra(family, [lam])
+    return _slice(family, lam, w[0], blocks, 0)
 
 
 def gapped_slice(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
@@ -385,7 +415,7 @@ def wilson_loop_berry_phase(
         raise ConfigError(f"Wilson grid size must be even and >= 4, got {N}")
     # Overlaps are taken as the sweep goes, so only the first ground state
     # and the last two (which close the N- and N/2-point loops) stay alive.
-    # They are the solver's column views: a copy would move the last bit.
+    # They are strided columns (BlockEigensystems.ground): a copy moves the last bit.
     full, half = [], []
     first = prev = prev2 = None
     gap = (math.inf, 0.0)

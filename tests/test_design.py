@@ -4,8 +4,9 @@ Every spectrum along the loop, the eigensystem of a loop unitary in ``qpe``
 and the accept operator's spectrum in ``hardness`` come from the one
 Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
 only solve, and its blocks come from one place: a family's sectors.  A new
-solver call site, a second block finder or a second gap scan of one loop
-shows up here before it can fork the numerics, and so does a module
+solver call site, a second block finder, a second gap scan of one loop or
+a new reader of dense eigenvectors shows up here before it can fork the
+numerics or the memory of a scan, and so does a module
 reaching into another's private names beyond a short list, or a branch on
 a lambda-independent family outside ``hamiltonians``.  Nothing
 spawns a SeedSequence or calls numpy's default_rng, and one PCG64 and one
@@ -49,9 +50,10 @@ def _dotted(node) -> str | None:
     return ".".join([node.id, *reversed(parts)])
 
 
-def _call_sites(tails) -> Counter:
+def _call_sites(tails, kind=ast.Call) -> Counter:
     """(module, outermost enclosing function or None, dotted name) of every
-    call whose name ends in one of ``tails``."""
+    call, or with ``kind=ast.Attribute`` every attribute read, whose name
+    ends in one of ``tails``."""
     sites = Counter()
     for path in sorted(Path(berrylab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -60,8 +62,8 @@ def _call_sites(tails) -> Counter:
             if isinstance(fn, ast.FunctionDef):
                 owner.update((node, fn.name) for node in ast.walk(fn) if node not in owner)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = _dotted(node.func)
+            if isinstance(node, kind):
+                name = _dotted(node.func if kind is ast.Call else node)
                 if name is not None and name.rsplit(".", 1)[-1] in tails:
                     sites[(path.stem, owner.get(node), name)] += 1
     return sites
@@ -88,6 +90,27 @@ def test_block_solver_call_sites():
         ("exact", "eigh_blocks", "_sectors_for"): 1,
         ("qpe", "unitary_eigensystem", "eigh_blocks"): 2,
         ("hardness", "accept_operator_spectrum", "eigh_blocks"): 1,
+    }
+
+
+def test_dense_eigenvector_call_sites():
+    # A sweep hands out its eigenvectors in the blocks it solved them in, and
+    # the scans along the loop read ground states from there.  Only these
+    # form a chunk's dense stack: the step kernel, a loop unitary's
+    # eigensystem and a slice's eigenvectors, which the phase-lag scan, the
+    # verifier, the excited witness, the perturbative connection and the
+    # residual read.  A scan that starts forming dense stacks shows up here.
+    assert _call_sites({"dense"}) == {
+        ("exact", "eigenvectors", "self.blocks.dense"): 1,
+        ("exact", "eigh_blocks", "blocks.dense"): 1,
+        ("dynamics", "_step_factors", "blocks.dense"): 1,
+    }
+    assert _call_sites({"eigenvectors"}, ast.Attribute) == {
+        ("exact", "residual", "self.eigenvectors"): 1,
+        ("exact", "berry_connection_perturbative", "base.eigenvectors"): 1,
+        ("dynamics", "phase_lag_scale", "s.eigenvectors"): 1,
+        ("verifier", "energy_distribution", "s.eigenvectors"): 1,
+        ("cli", "_resolve_witness", "s.eigenvectors"): 2,
     }
 
 

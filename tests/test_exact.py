@@ -258,9 +258,9 @@ def _cancelling_loop():
 
 
 def _dense_sweep(fam, lams):
-    for part, w, V in exact.spectra(fam, lams):
+    for part, w, blocks in exact.spectra(fam, lams):
         H = eval_hamiltonians(fam, part)
-        yield H, w, V, np.linalg.eigh(H)
+        yield H, w, blocks.dense(), np.linalg.eigh(H)
 
 
 @pytest.mark.parametrize("name", ["duqma-6q", "duqma-7q", "field-7q", "cancel-6q"])
@@ -315,9 +315,35 @@ def test_split_survives_a_coupling_that_vanishes_in_the_chunk():
     lams = np.arange(8) / 8
     assert lams[0] == 0.0
     pieces = list(exact.spectra(fam, lams)) + list(exact.spectra(fam, [0.0]))
-    for part, w, V in pieces:
-        for Hj, wj, Vj in zip(eval_hamiltonians(fam, part), w, V):
+    for part, w, blocks in pieces:
+        for Hj, wj, Vj in zip(eval_hamiltonians(fam, part), w, blocks.dense()):
             assert np.max(np.abs((Vj * wj[None, :]) @ Vj.conj().T - Hj)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["duqma-6q", "duqma-7q", "field-7q", "cancel-6q"])
+def test_split_scans_form_no_dense_stack(split_families, name, monkeypatch, tmp_path):
+    # The scans along the loop read eigenvalues and ground states from the
+    # blocks they were solved in; no (n, d, d) eigenvector stack is formed.
+    def spy(self):
+        raise AssertionError("a dense eigenvector stack was formed")
+
+    monkeypatch.setattr(exact.BlockEigensystems, "dense", spy)
+    fam = split_families[name]
+    assert exact._sectors_for(fam).groups[0].shape != (1, fam.dim)  # split
+    wilson_loop_berry_phase(fam, 16)
+    min_gap(fam, 16)
+    write_sweep_csv(fam, 8, str(tmp_path / "s.csv"))
+    exact.berry_connections(fam, [0.1, 0.6])
+    diagonalize(fam, 0.3).eigenvalues
+
+
+def test_a_ground_state_read_from_its_block_is_the_dense_column(split_families):
+    # On cancel-6q the sine coupling vanishes at lambda = 0.
+    fam = split_families["cancel-6q"]
+    for lam in np.arange(12) / 12:
+        s = diagonalize(fam, lam)
+        psi = s.ground_state.tobytes()  # read before the dense stack exists
+        assert psi == s.eigenvectors[:, 0].tobytes()
 
 
 def test_split_scans_are_pinned(split_families, tmp_path):
