@@ -50,6 +50,7 @@ from .dynamics import (
     loop_propagator,
     phase_lag_scale,
     step_count,
+    unit_amplitudes,
 )
 from .errors import ConfigError
 from .exact import ground_state, min_gap
@@ -276,8 +277,9 @@ class BpeConfig:
 def _resolve_runtime(
     family: HamiltonianFamily, cfg: BpeConfig, guiding_state=None
 ) -> tuple[np.ndarray, dict]:
-    """Set-up shared by both estimators: norm bounds, gap guard, ground state,
-    guiding check and runtime T.  Returns the ground state psi0 at lambda = 0
+    """Set-up shared by both estimators: the guiding state's check (before any
+    solve), norm bounds, gap guard, ground state, guiding fidelity and
+    runtime T.  Returns the ground state psi0 at lambda = 0
     and a record of the rest, keyed as in the estimators' diagnostics.
 
     Unless cfg.T is set, T comes from the doubling search on measured loop
@@ -289,25 +291,22 @@ def _resolve_runtime(
     calibration records the floor as ``phase_lag_floor``.  A set cfg.T is
     kept even below the floor, with a ``warnings`` entry saying so.
     """
+    guide = None if guiding_state is None else unit_amplitudes(guiding_state)
+    if guide is not None and guide.shape != (family.dim,):
+        raise ConfigError(
+            f"guiding state has shape {guide.shape}, expected ({family.dim},)"
+        )
     h_max, d1_max, d2_max = norm_bounds(family)
     gap, gap_argmin = min_gap(family, GAP_GRID)  # also the degeneracy guard
     E0, psi0 = ground_state(family, 0.0)
 
-    guiding_fidelity = 1.0
-    if guiding_state is not None:
-        guide = np.asarray(guiding_state, dtype=complex)
-        if guide.shape != (family.dim,):
-            raise ConfigError(
-                f"guiding state has shape {guide.shape}, expected "
-                f"({family.dim},)"
-            )
-        guiding_fidelity = float(abs(np.vdot(guide, psi0)) ** 2)
-        if guiding_fidelity < GUIDING_FLOOR:
-            raise ConfigError(
-                f"guiding-state fidelity {guiding_fidelity:.3f} below "
-                f"the floor {GUIDING_FLOOR}; cannot postselect the "
-                "ground state from this input"
-            )
+    guiding_fidelity = 1.0 if guide is None else float(abs(np.vdot(guide, psi0)) ** 2)
+    if guiding_fidelity < GUIDING_FLOOR:
+        raise ConfigError(
+            f"guiding-state fidelity {guiding_fidelity:.3f} below "
+            f"the floor {GUIDING_FLOOR}; cannot postselect the "
+            "ground state from this input"
+        )
 
     T, calibration = cfg.T, None
     if T is None:

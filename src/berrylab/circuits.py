@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dynamics import unit_amplitudes
 from .errors import ConfigError
 from .hamiltonians import _json_int
 
@@ -142,7 +143,7 @@ def initial_system_state(circuit: GateCircuit, witness=None) -> np.ndarray:
 
     ``witness`` may be None (all zeros), a basis index into the witness
     register (first listed witness qubit = most significant bit), or an
-    amplitude vector of length 2**n_witness.
+    amplitude vector of length 2**n_witness, checked as a StateVector is.
     """
     n = circuit.n_system
     amp = np.zeros(2 ** n, dtype=complex)
@@ -158,13 +159,11 @@ def initial_system_state(circuit: GateCircuit, witness=None) -> np.ndarray:
         wvec = np.zeros(2 ** w, dtype=complex)
         wvec[int(witness)] = 1.0
     else:
-        wvec = np.asarray(witness, dtype=complex)
+        wvec = unit_amplitudes(witness)
         if wvec.shape != (2 ** w,):
             raise ConfigError(
                 f"witness vector has shape {wvec.shape}, expected ({2 ** w},)"
             )
-        if abs(np.linalg.norm(wvec) - 1.0) > 1e-8:
-            raise ConfigError("witness vector must be normalized")
     for idx in range(2 ** w):
         if wvec[idx] == 0:
             continue
@@ -178,19 +177,14 @@ def initial_system_state(circuit: GateCircuit, witness=None) -> np.ndarray:
 
 def simulate(circuit: GateCircuit, witness=None) -> np.ndarray:
     """Final statevector U_T ... U_1 applied to the initial state."""
-    vec = initial_system_state(circuit, witness)
-    for g in circuit.gates:
-        vec = apply_gate(vec, g, circuit.n_system)
-    return vec
+    return partial_states(circuit, witness)[-1]
 
 
 def partial_states(circuit: GateCircuit, witness=None) -> list[np.ndarray]:
     """[phi_0, ..., phi_T]: the state after each gate prefix."""
-    vec = initial_system_state(circuit, witness)
-    out = [vec]
+    out = [initial_system_state(circuit, witness)]
     for g in circuit.gates:
-        vec = apply_gate(vec, g, circuit.n_system)
-        out.append(vec)
+        out.append(apply_gate(out[-1], g, circuit.n_system))
     return out
 
 
@@ -207,10 +201,13 @@ def one_probability(vec: np.ndarray, qubit: int, n: int) -> float:
 
 
 def circuit_to_json_dict(circuit: GateCircuit) -> dict:
+    """The circuit record.  A gate's matrix is written unless the gate is the
+    library's: its name a library key and its matrix that key's, so a custom
+    matrix under a library name reloads as itself."""
     records = []
     for g in circuit.gates:
         rec: dict = {"gate": g.name, "targets": list(g.targets)}
-        if g.name not in GATE_LIBRARY:
+        if not (g.name in GATE_LIBRARY and np.array_equal(g.matrix, GATE_LIBRARY[g.name])):
             rec["matrix"] = [
                 [[float(z.real), float(z.imag)] for z in row] for row in g.matrix
             ]

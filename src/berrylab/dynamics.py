@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError
-from .exact import _CHUNK_BYTES, ground_state, lambda_grid, min_gap, spectra, sweep
+from .exact import ground_state, lambda_grid, min_gap, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
     commutator_bound,
@@ -63,7 +63,7 @@ class StateVector:
         if amp.ndim != 1 or amp.size < 2 or amp.size & (amp.size - 1):
             raise ConfigError("amplitudes must be a 1-d array of length 2**n")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # NaN too
             raise ConfigError(f"state not normalized: ||psi|| = {norm:.3e}")
         self.amplitudes = amp
         used = [q for qs in self.registers.values() for q in qs]
@@ -75,6 +75,11 @@ class StateVector:
     @property
     def n_qubits(self) -> int:
         return int(self.amplitudes.size).bit_length() - 1
+
+
+def unit_amplitudes(state) -> np.ndarray:
+    """A StateVector's amplitudes, or an array's, checked as a StateVector is."""
+    return (state if isinstance(state, StateVector) else StateVector(state)).amplitudes
 
 
 @dataclass(frozen=True)
@@ -149,20 +154,8 @@ def _step_factors(family: HamiltonianFamily, schedule: AdiabaticSchedule):
 
 
 def adiabatic_propagate(state, family: HamiltonianFamily, schedule: AdiabaticSchedule):
-    """Evolve a state once around the loop.
-
-    Accepts a bare amplitude vector or a StateVector whose 'system' register
-    (or full register set) spans exactly the family's qubits, and returns the
-    same type.
-    """
-    if isinstance(state, StateVector):
-        if state.n_qubits != family.n_qubits:
-            raise ConfigError(
-                "state and family qubit counts differ; use controlled_power_apply "
-                "for embedded registers"
-            )
-        out = adiabatic_propagate(state.amplitudes, family, schedule)
-        return StateVector(out, dict(state.registers))
+    """Evolve an amplitude vector of the family's dimension once around the
+    loop; a StateVector's registers go through controlled_power_apply."""
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (family.dim,):
         raise ConfigError(f"state has shape {vec.shape}, expected ({family.dim},)")
@@ -286,17 +279,18 @@ def phase_lag_scale(family: HamiltonianFamily, grid: int = 64) -> float:
         raise ConfigError(f"phase-lag grid must be >= 4, got {grid}")
     dfam = derivative_family(family, 1)
     lams = lambda_grid(family, grid, offset=0.5)
-    total = 0.0
+    total, done = 0.0, 0
     # The sweep refuses a degenerate slice: no finite adiabatic runtime
-    # without a gap.  dH/dlam comes in stacks of the sweep's chunk budget.
-    slices = sweep(family, lams)
-    per = max(1, _CHUNK_BYTES // (16 * family.dim ** 2))
-    for start in range(0, lams.size, per):
-        for dH, s in zip(eval_hamiltonians(dfam, lams[start:start + per]), slices):
-            V = s.eigenvectors
-            denom = s.eigenvalues[1:] - s.eigenvalues[0]
-            amps = V[:, 1:].conj().T @ (dH @ V[:, 0])
-            total += float(np.sum(np.abs(amps) ** 2 / denom ** 3))
+    # without a gap.  dH/dlam is evaluated on each chunk as the sweep hands it
+    # out (its first slice has point 0): only exact sizes a chunk.
+    for s in sweep(family, lams):
+        if s.point == 0:
+            dHs = eval_hamiltonians(dfam, lams[done:done + len(s.blocks.eigenvalues)])
+            done += len(dHs)
+        V = s.eigenvectors
+        denom = s.eigenvalues[1:] - s.eigenvalues[0]
+        amps = V[:, 1:].conj().T @ (dHs[s.point] @ V[:, 0])
+        total += float(np.sum(np.abs(amps) ** 2 / denom ** 3))
     return total / grid
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (
+    GATE_LIBRARY,
     GateCircuit,
     circuit_from_json_dict,
     circuit_to_json_dict,
@@ -120,9 +121,7 @@ def _gate_on_sorted(g) -> np.ndarray:
     """Gate matrix re-expressed with its targets in ascending qubit order."""
     if len(g.targets) == 1 or g.targets[0] < g.targets[1]:
         return g.matrix
-    swap = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
+    swap = GATE_LIBRARY["SWAP"]
     return swap @ g.matrix @ swap
 
 
@@ -446,8 +445,8 @@ def build_bqp_instance(
     gap_hist = s0.gap
     if r is None:
         r = gap_hist / 8.0
-    if r < 0:
-        raise ConfigError(f"r must be non-negative, got {r}")
+    if not 0.0 <= r < math.inf:  # NaN too
+        raise ConfigError(f"r must be non-negative and finite, got {r}")
     if r > gap_hist / 4.0 * (1.0 + 1e-12):
         raise ConfigError(
             f"r={r:.6g} exceeds a quarter of the measured gap "
@@ -523,8 +522,8 @@ def build_duqma_instance(
     delta0 = float(evals0[2 ** w] - evals0[2 ** w - 1])
 
     eps = delta0 / 16.0 if epsilon_penalty is None else float(epsilon_penalty)
-    if eps <= 0:
-        raise ConfigError(f"penalty strength must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:  # NaN too
+        raise ConfigError(f"penalty strength epsilon must be positive and finite, got {eps}")
     if eps > delta0 / 16.0 * (1.0 + 1e-9):
         warnings.append(
             f"penalty eps={eps:.6g} above Delta_0/16 = {delta0 / 16.0:.6g}; "
@@ -550,8 +549,8 @@ def build_duqma_instance(
 
     if r is None:
         r = delta01 / 8.0
-    if r < 0:
-        raise ConfigError(f"r must be non-negative, got {r}")
+    if not 0.0 <= r < math.inf:  # NaN too
+        raise ConfigError(f"r must be non-negative and finite, got {r}")
     if r > delta01 / 4.0 * (1.0 + 1e-12):
         warnings.append(
             f"r={r:.6g} above a quarter of the thresholded gap {delta01:.6g}"

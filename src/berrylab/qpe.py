@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import TWO_PI
-from .dynamics import AdiabaticSchedule, StateVector, loop_propagator
+from .dynamics import AdiabaticSchedule, loop_propagator, unit_amplitudes
 from .errors import CapacityError, ConfigError
 from .exact import eigh_blocks
 from .hamiltonians import HamiltonianFamily
@@ -152,9 +152,7 @@ def distribution_for_loop(
     m: int,
 ) -> QpeDistribution:
     """QPE outcome distribution for the loop propagator of a schedule."""
-    if isinstance(input_state, StateVector):
-        input_state = input_state.amplitudes
-    psi = np.asarray(input_state, dtype=complex)
+    psi = unit_amplitudes(input_state)
     if psi.shape != (family.dim,):
         raise ConfigError(
             f"input state has shape {psi.shape}, expected ({family.dim},)"

@@ -1,7 +1,9 @@
 """Verification protocol for thresholded instances with an interval promise.
 
 The verifier receives a witness state for an instance carrying an energy
-threshold E_th and a promise interval (a, b, delta):
+threshold E_th and a promise interval (a, b, delta).  The witness is checked
+once, as a StateVector is (dynamics.unit_amplitudes: finite, of length 2^n,
+unit norm to 1e-8), and the same amplitudes go to the gate and the estimator:
 
 1. Energy gate: estimate <H(0)> of the witness by phase estimation on
    exp(-i H(0) tau) and pass iff the median of ENERGY_REPETITIONS readouts
@@ -39,7 +41,7 @@ import numpy as np
 
 from .angles import TWO_PI
 from .bpe import BpeConfig, BpeEngine, WrappedInterval, check_decision_margin, reconstruct_phases
-from .dynamics import StateVector
+from .dynamics import unit_amplitudes
 from .errors import ConfigError
 from .exact import gapped_slice
 from .qpe import (
@@ -106,21 +108,11 @@ class EnergyDistribution(NamedTuple):
     delta_min: float
 
 
-def _as_amplitudes(witness_state) -> np.ndarray:
-    if isinstance(witness_state, StateVector):
-        return witness_state.amplitudes
-    vec = np.asarray(witness_state, dtype=complex)
-    n = np.linalg.norm(vec)
-    if abs(n - 1.0) > 1e-8:
-        raise ConfigError(f"witness state norm {n:.3g} is not 1")
-    return vec
-
-
 def energy_distribution(instance, witness_state) -> EnergyDistribution:
     """Diagonalize H(0) and build the exact QPE outcome distribution for the
     witness, at precision Delta_min/4.  Heavy (one dense eigh); reuse across
     seeds.  A degenerate ground space at lambda = 0 raises DegeneracyError."""
-    psi = _as_amplitudes(witness_state)
+    psi = unit_amplitudes(witness_state)
     if instance.family.dim != psi.size:
         raise ConfigError(
             f"witness dimension {psi.size} does not match instance "
@@ -184,13 +176,14 @@ def run_verifier(
     config = config or VerifierConfig()
     single = isinstance(seed, tuple) or not hasattr(seed, "__iter__")
     seeds = iter([seed] if single else seed)
-    energy_dist = energy_distribution(instance, witness_state)
+    witness = unit_amplitudes(witness_state)
+    energy_dist = energy_distribution(instance, witness)
     eps_B = config.bpe.epsilon_B
     fail_p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
     engine, outcomes = None, []
     while block := list(itertools.islice(seeds, BLOCK_RUNS)):
         runs = seed_words(block)
-        estimates, passed = energy_test(instance, witness_state, seed=runs.child(0),
+        estimates, passed = energy_test(instance, witness, seed=runs.child(0),
                                         distribution=energy_dist)
         gated = np.flatnonzero(passed).tolist()
         phases, inside = {}, {}
@@ -198,9 +191,7 @@ def run_verifier(
             if engine is None:
                 a, b, delta = instance.interval
                 check_decision_margin(delta, eps_B)  # before any propagation
-                engine = BpeEngine(
-                    instance.family, config.bpe, guiding_state=_as_amplitudes(witness_state)
-                )
+                engine = BpeEngine(instance.family, config.bpe, guiding_state=witness)
                 arc, reach = WrappedInterval(a, b), delta - eps_B  # decide_interval's test
             m1, m_alpha, _, _ = engine.readouts(runs.child(1, gated))
             for i, readouts in zip(gated, zip(m1, m_alpha)):

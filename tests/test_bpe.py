@@ -30,7 +30,7 @@ from berrylab.corpus import (
 )
 from berrylab.dynamics import MAX_TOTAL_STEPS, AdiabaticSchedule, loop_propagator
 from berrylab.errors import CapacityError, ConfigError
-from berrylab.exact import ground_state
+from berrylab.exact import ground_state, wilson_loop_berry_phase
 from berrylab.hamiltonians import constant, cosine, make_family, sine
 from berrylab.hardness import build_bqp_instance, build_duqma_instance
 from berrylab.qpe import distribution_for_unitary, distribution_from_phases
@@ -283,7 +283,7 @@ def test_engine_budget_identity(equatorial):
 
 
 def test_engine_guiding_state_floor(equatorial):
-    from berrylab.exact import ground_state
+    from berrylab.exact import ground_state, wilson_loop_berry_phase
     from berrylab.hamiltonians import eval_hamiltonian
 
     _, psi0 = ground_state(equatorial, 0.0)
@@ -493,6 +493,25 @@ def test_bqp_steps_at_most_a_sixteenth_of_the_cap():
     assert _accepted(diag["step_check"], diag["steps"])
     assert 16 * engine.steps <= engine.step_check["cap"]
     assert 16 * diag["steps"] <= diag["step_check"]["cap"]
+
+
+def test_calibrated_runtime_holds_a_random_family_within_half_eps():
+    # The first random family of the estimate benchmark at seed 2001.  Its
+    # phase-lag floor 4G/eps_B is 4.976, but calibration sets T = 8, and at
+    # the floor the same reconstruction misses by about 1.1 eps_B: a runtime
+    # that starts from the floor must not lose this margin.
+    family = make_family(2, [
+        ("IZ", constant(1.0524535305283016)),
+        ("XI", constant(0.2854326543750681).add(cosine(1, 0.16055275525434262))),
+        ("YI", sine(1, 0.16055275525434262)),
+        ("ZI", constant(1.3936709243677918)),
+        ("ZZ", constant(0.17727966255708283)),
+    ])
+    engine = BpeEngine(family)
+    _, theta_B = reconstruct_phases(_dominant_phase(engine.dist1),
+                                    _dominant_phase(engine.dist_alpha), engine.alpha, "integer")
+    wilson = wilson_loop_berry_phase(family, 256).theta_B
+    assert circle_distance(theta_B, wilson) <= engine.config.epsilon_B / 2.0
 
 
 def test_decide_needs_margin_vs_certified_delta(equatorial):

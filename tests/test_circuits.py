@@ -155,6 +155,19 @@ def test_circuit_json_matrix_escape_hatch(rng):
     assert np.allclose(simulate(back), simulate(circ), atol=1e-12)
 
 
+def test_circuit_json_keeps_a_custom_matrix_under_a_library_name():
+    # a Hadamard named X is not the library's X: its matrix is written, and
+    # the reloaded circuit still makes |+>, not |1>
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    circ = GateCircuit(n_system=1, gates=[gate("X", 0, matrix=H)], output1_qubit=0)
+    obj = circuit_to_json_dict(circ)
+    assert "matrix" in obj["gates"][0]
+    back = simulate(circuit_from_json_dict(obj))
+    assert np.allclose(back, [1.0 / math.sqrt(2.0)] * 2, atol=1e-15)
+    # the library's own X is written by name alone
+    assert "matrix" not in circuit_to_json_dict(GateCircuit(1, [gate("X", 0)]))["gates"][0]
+
+
 def test_circuit_json_rejects_malformed():
     with pytest.raises(ConfigError):
         circuit_from_json_dict({"gates": []})

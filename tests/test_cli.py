@@ -636,6 +636,29 @@ def test_genhard_refuses_oversized_r(work):
     assert "gap" in p.stderr
 
 
+GENHARD_NON_FINITE = [
+    (["--kind", "bqp", "--r", "nan"], "yes", "error: r must"),
+    (["--kind", "duqma", "--witness", "0", "--epsilon", "nan"], "duqma", "epsilon"),
+    (["--kind", "duqma", "--witness", "0", "--r", "inf"], "duqma", "error: r must"),
+]
+
+
+@pytest.mark.parametrize("flags, circuit, named", GENHARD_NON_FINITE,
+                         ids=[" ".join(f) for f, _, _ in GENHARD_NON_FINITE])
+def test_genhard_refuses_a_non_finite_strength_by_name(work, tmp_path, capsys, flags, circuit,
+                                                       named):
+    # r and epsilon are refused by name, before make_family or the quarter-gap
+    # warning sees a NaN or an infinity
+    from berrylab import cli
+
+    rc = cli.main(["genhard", "--circuit", str(work / f"{circuit}.circuit.json"), *flags,
+                   "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "constant term" not in err and "quarter" not in err
+    assert not list(tmp_path.iterdir())
+
+
 # -- verify ---------------------------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ Every spectrum along the loop, the eigensystem of a loop unitary in ``qpe``
 and the accept operator's spectrum in ``hardness`` come from the one
 Hermitian block solver in ``exact``, whose ``np.linalg.eigh`` is the lab's
 only solve, and its blocks come from one place: a family's sectors.  A new
-solver call site, a second block finder, a second gap scan of one loop or
-a new reader of dense eigenvectors shows up here before it can fork the
+solver call site, a second block finder, a second gap scan of one loop, a
+new reader of dense eigenvectors or a second check of a state's norm shows up here before it can fork the
 numerics or the memory of a scan, and so does a module
 reaching into another's private names beyond a short list, or a branch on
 a lambda-independent family outside ``hamiltonians``.  Nothing
@@ -115,12 +115,11 @@ def test_dense_eigenvector_call_sites():
 
 
 # Private names one module may import from another: the group entries exact
-# fills its stacks from, the shared JSON validators, and the chunk budget
-# that phase_lag_scale sizes its dH stacks by.
+# fills its stacks from and the shared JSON validators.  Only exact sizes a
+# sweep's chunks; phase_lag_scale takes them as the sweep hands them out.
 SHARED_PRIVATE = {
     ("hamiltonians", "_actions_for"), ("hamiltonians", "_group_entries"),
     ("hamiltonians", "_json_int"), ("hamiltonians", "_json_float"),
-    ("exact", "_CHUNK_BYTES"),
 }
 
 
@@ -135,6 +134,19 @@ def test_no_module_imports_another_modules_private_names():
         and (node.module, alias.name) not in SHARED_PRIVATE
     ]
     assert reach_ins == []
+
+
+def test_unit_state_call_sites():
+    # A state handed to the lab (a witness, a guiding state, a QPE input) is
+    # checked once, by StateVector's constructor, through unit_amplitudes.
+    # A second norm test, one that NaN slips through, would show up here.
+    assert _call_sites({"unit_amplitudes"}) == {
+        ("bpe", "_resolve_runtime", "unit_amplitudes"): 1,
+        ("qpe", "distribution_for_loop", "unit_amplitudes"): 1,
+        ("verifier", "energy_distribution", "unit_amplitudes"): 1,
+        ("verifier", "run_verifier", "unit_amplitudes"): 1,
+        ("circuits", "initial_system_state", "unit_amplitudes"): 1,
+    }
 
 
 def test_gap_scan_call_sites():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from berrylab.circuits import GateCircuit, gate, with_idle_steps
+from berrylab.circuits import GateCircuit, gate, simulate, with_idle_steps
 from berrylab.corpus import (
     bqp_no_circuit,
     bqp_yes_circuit,
@@ -452,6 +452,23 @@ def test_accept_spectrum_matches_brute_force():
 @pytest.fixture(scope="module")
 def duqma_yes_instance():
     return build_duqma_instance(duqma_yes_circuit(), witness=0, M=2)
+
+
+def test_instance_round_trip_keeps_a_custom_matrix_under_a_library_name(tmp_path):
+    # A Hadamard named X prepended to duqma-yes: a loader that rebuilt the
+    # library X would test another history state under `--witness history:0`.
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    yes = duqma_yes_circuit()
+    circuit = GateCircuit(
+        n_system=yes.n_system, gates=[gate("X", 0, matrix=H), *yes.gates],
+        output1_qubit=yes.output1_qubit, output2_qubit=yes.output2_qubit,
+        witness_qubits=yes.witness_qubits,
+    )
+    save_instance(build_duqma_instance(circuit, witness=0), str(tmp_path / "h"))
+    back = load_instance(str(tmp_path / "h")).circuit
+    assert np.allclose(simulate(back, 0), simulate(circuit, 0), atol=1e-15)
+    assert np.allclose(history_state(back, 0).amplitudes,
+                       history_state(circuit, 0).amplitudes, atol=1e-15)
 
 
 def test_duqma_energy_sandwich(duqma_yes_instance):

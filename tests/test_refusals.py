@@ -1,23 +1,33 @@
 """Constructors and helpers refuse what they cannot use with ConfigError.
 
 One table of in-process calls, each of which must end in ConfigError (exit 2
-at the CLI) from the check it names, and in nothing else.
+at the CLI) from the check it names, and in nothing else.  A state handed
+to the lab is checked once, as a StateVector is, and a bad guiding state is
+refused before any eigensolve.
 """
 
 import numpy as np
 import pytest
 
-from berrylab.bpe import BpeConfig, reconstruct_phases
+from berrylab import exact
+from berrylab.bpe import BpeConfig, murta_bpe, reconstruct_phases, run_bpe
 from berrylab.circuits import Gate, GateCircuit, gate
-from berrylab.corpus import equatorial_loop
+from berrylab.corpus import equatorial_loop, synthetic_verifier_instance
 from berrylab.dynamics import AdiabaticSchedule, StateVector
 from berrylab.errors import ConfigError
-from berrylab.exact import diagonalize, min_gap
+from berrylab.exact import diagonalize, ground_state, min_gap
 from berrylab.hamiltonians import constant, derivative_family, make_family
 from berrylab.qpe import bits_for_precision, seed_row, seed_words, stream_uniforms
+from berrylab.verifier import run_verifier
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 ZERO2 = np.array([1.0, 0.0, 0.0, 0.0])
+NAN2 = np.array([np.nan, np.nan])
+PSI0 = ground_state(equatorial_loop(), 0.0)[1]
+# fidelity 0.1 with the ground state, scaled by 3: read as 0.9 were it not refused
+SCALED_GUIDE = 3.0 * (np.sqrt(0.1) * PSI0 + np.sqrt(0.9) * np.array([-PSI0[1], PSI0[0]]).conj())
+GUIDES = {"nan": NAN2, "scaled": SCALED_GUIDE}
+ESTIMATORS = {"bpe": run_bpe, "murta": murta_bpe}
 
 REFUSALS = {  # case: (the refusal's message, the call)
     "schedule-T-zero": ("runtime must be positive", lambda: AdiabaticSchedule(T=0.0, steps=4)),
@@ -32,6 +42,12 @@ REFUSALS = {  # case: (the refusal's message, the call)
                            lambda: AdiabaticSchedule(T=1.0, steps=4, direction="sideways")),
     "state-length-3": (r"length 2\*\*n", lambda: StateVector(np.ones(3) / np.sqrt(3.0))),
     "state-unnormalized": ("not normalized", lambda: StateVector(np.array([1.0, 1.0]))),
+    "state-nan": ("not normalized", lambda: StateVector(np.array([np.nan, 1.0]))),
+    **{f"{name}-guide-{kind}": ("not normalized", lambda e=estimator, g=guide: e(
+        equatorial_loop(), g, BpeConfig(T=50.0)))
+       for name, estimator in ESTIMATORS.items() for kind, guide in GUIDES.items()},
+    "verifier-witness-nan": ("not normalized", lambda: run_verifier(
+        synthetic_verifier_instance("yes"), np.array([np.nan, 1.0]))),
     "state-registers-overlap": ("registers overlap",
                                 lambda: StateVector(ZERO2, {"a": (0,), "b": (0, 1)})),
     "state-register-out-of-range": ("out of range", lambda: StateVector(ZERO2, {"a": (2,)})),
@@ -87,11 +103,25 @@ def test_refused_with_config_error(case):
         call()
 
 
+@pytest.mark.parametrize("case", [c for c in REFUSALS if "-guide-" in c])
+def test_a_bad_guide_is_refused_before_any_solve(case, monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("an eigensolve ran before the guide was checked")
+
+    monkeypatch.setattr(exact, "spectra", spy)
+    message, call = REFUSALS[case]
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
 def test_a_valid_call_of_each_kind_passes():
     # The table's calls fail on their one bad argument, not on the set-up.
     AdiabaticSchedule(T=1.0, steps=4, direction="reversed")
     StateVector(ZERO2, {"a": (0,), "b": (1,)})
     StateVector(PLUS)
+    for estimator in ESTIMATORS.values():
+        estimator(equatorial_loop(), PSI0, BpeConfig(T=50.0))
+    run_verifier(synthetic_verifier_instance("yes"), PSI0)
     Gate("CX", (0, 1), np.eye(4))
     GateCircuit(2, (gate("H", 0),), output2_qubit=0, witness_qubits=(1,))
     BpeConfig(epsilon_B=0.1, eta=0.5, T=1.0, oversampling=2.0)
