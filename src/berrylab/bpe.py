@@ -47,7 +47,7 @@ from .dynamics import (
     calibrate_runtime,
     check_step_budget,
     guess_step_count,
-    loop_propagator,
+    loop_propagators,
     phase_lag_scale,
     step_count,
     unit_amplitudes,
@@ -133,17 +133,17 @@ class WrappedInterval:
         object.__setattr__(self, "a", wrap_2pi(self.a))
         object.__setattr__(self, "b", wrap_2pi(self.b))
 
-    def contains(self, theta: float) -> bool:
+    def contains(self, theta):
         t = wrap_2pi(theta)
         if self.b >= self.a:
-            return self.a <= t <= self.b
-        return t <= self.b or t >= self.a
+            return (self.a <= t) & (t <= self.b)
+        return (t <= self.b) | (t >= self.a)
 
-    def distance(self, theta: float) -> float:
-        """Wrapped distance from theta to the arc (0 when inside)."""
-        if self.contains(theta):
-            return 0.0
-        return min(circle_distance(theta, self.a), circle_distance(theta, self.b))
+    def distance(self, theta):
+        """Wrapped distance from theta to the arc (0 when inside), elementwise on arrays."""
+        ends = np.minimum(circle_distance(theta, self.a), circle_distance(theta, self.b))
+        d = np.where(self.contains(theta), 0.0, ends)
+        return d if np.ndim(theta) else float(d)
 
 
 def check_decision_margin(delta: float, eps_B: float) -> None:
@@ -193,9 +193,8 @@ def choose_alpha(T: float, H_max: float, eps_B: float, mode: str = "formula") ->
     raise ConfigError(f"unknown alpha mode {mode!r}")
 
 
-def reconstruct_phases(m1: float, m_alpha: float, alpha: float,
-                       mode: str = "formula") -> tuple[float, float]:
-    """(theta_D_hat, theta_B_hat) from the two measured loop phases."""
+def reconstruct_phases(m1, m_alpha, alpha: float, mode: str = "formula") -> tuple:
+    """(theta_D_hat, theta_B_hat) from the two measured loop phases, floats or arrays."""
     if alpha <= 1.0:
         raise ConfigError(f"alpha must exceed 1, got {alpha}")
     if mode == "integer":
@@ -499,10 +498,10 @@ def murta_bpe(
 ):
     """Baseline estimator from the reversed-then-forward composite loop.
 
-    The composite accumulates 2 theta_B with no dynamical component, so a
-    single phase estimation suffices — but the halved readout lives in
-    [0, pi) and aliases theta_B - pi whenever theta_B >= pi.  Its step count
-    comes from the engine's step check, applied to the doubled phase.
+    The composite accumulates 2 theta_B with no dynamical component, so one
+    phase estimation suffices, but the halved readout lives in [0, pi) and
+    aliases theta_B - pi whenever theta_B >= pi.  The engine's step check,
+    on the doubled phase, sets its steps; each level's sweep serves both legs.
     """
     cfg = config or BpeConfig()
     # Same phase-lag floor as the two-runtime engine: the composite's
@@ -515,9 +514,8 @@ def murta_bpe(
 
     def build(steps):
         fwd = AdiabaticSchedule(T=T, steps=steps)
-        W_fwd = loop_propagator(family, fwd)
-        composite = loop_propagator(family, replace(fwd, direction="reversed")) @ W_fwd
-        dist = distribution_for_unitary(composite, psi0, m, family)
+        W_fwd, W_rev = loop_propagators(family, fwd, replace(fwd, direction="reversed"))
+        dist = distribution_for_unitary(W_rev @ W_fwd, psi0, m, family)
         return (steps, W_fwd, dist), _dominant_phase(dist)
 
     # The check reads the doubled phase 2 theta_B, so its tolerance doubles.

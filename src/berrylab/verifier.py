@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import TWO_PI
+from .angles import wrap_pm_pi
 from .bpe import BpeConfig, BpeEngine, WrappedInterval, check_decision_margin, reconstruct_phases
 from .dynamics import unit_amplitudes
 from .errors import ConfigError
@@ -153,8 +153,7 @@ def energy_test(
     many = isinstance(seed, (list, SeedWords))
     u = stream_uniforms(seed if many else [seed], (ENERGY_REPETITIONS, dist.m + 1))
     readouts = dist.angles(sample_outcomes(dist, ENERGY_REPETITIONS, u))
-    # wrap_pm_pi, bit for bit, on readouts in [0, 2 pi)
-    energies = -np.where(readouts > math.pi, readouts - TWO_PI, readouts) / tau
+    energies = -wrap_pm_pi(readouts) / tau
     estimates = np.median(energies, axis=1)
     passed = estimates < instance.E_th + delta_min / 4.0
     if many:
@@ -194,9 +193,10 @@ def run_verifier(
                 engine = BpeEngine(instance.family, config.bpe, guiding_state=witness)
                 arc, reach = WrappedInterval(a, b), delta - eps_B  # decide_interval's test
             m1, m_alpha, _, _ = engine.readouts(runs.child(1, gated))
-            for i, readouts in zip(gated, zip(m1, m_alpha)):
-                phases[i] = reconstruct_phases(*readouts, engine.alpha, engine.config.alpha_mode)
-                inside[i] = int(arc.distance(phases[i][1]) <= reach)
+            theta_D, theta_B = reconstruct_phases(np.array(m1), np.array(m_alpha), engine.alpha,
+                                                  engine.config.alpha_mode)
+            phases = dict(zip(gated, zip(theta_D.tolist(), theta_B.tolist())))
+            inside = dict(zip(gated, (arc.distance(theta_B) <= reach).astype(int).tolist()))
         probabilities = [(1.0 if inside[i] else 1.0 / 3.0) if i in inside else fail_p
                          for i in range(len(block))]
         # Certain outcomes draw no coin; every other p is one coin from its coin seed.

@@ -45,8 +45,11 @@ def expm_evolve(family, vec: np.ndarray, T: float, steps: int) -> np.ndarray:
 # Pinned step-by-step kernel ---------------------------------------------------
 #
 # One eigh(eval_hamiltonian(family, lam_j)) per exact step, in step order: the
-# per-step form of the chunked dynamics._step_factors.  Same lambda grid, step
-# sign and product order, so the package must match it bit for bit.
+# per-step form of the chunked dynamics._step_factors.  Same lambda grid and
+# step sign.  The step-by-step state evolution has the package's order, so it
+# must match bit for bit; so must the pairwise propagator, which reassociates
+# the product as the package does.  The step-by-step propagator is the
+# reference that reassociation is measured against.
 
 
 def _stepwise_factors(family, schedule):
@@ -63,11 +66,49 @@ def stepwise_loop_propagator(family, schedule) -> np.ndarray:
     return W
 
 
+def pairwise_loop_propagator(family, schedule, chunk: int) -> np.ndarray:
+    """The same step unitaries, a list of 2-d products per chunk of ``chunk``
+    consecutive steps: each level multiplies neighbours (later @ earlier),
+    an odd last one passes up unchanged, and the chunk products multiply in
+    step order.  The package's log-depth product must match it bit for bit."""
+    steps = [(V * phases) @ V.conj().T for V, phases in _stepwise_factors(family, schedule)]
+    W = np.eye(family.dim, dtype=complex)
+    for start in range(0, len(steps), chunk):
+        level = steps[start:start + chunk]
+        while len(level) > 1:
+            odd = level[-1:] if len(level) % 2 else []
+            level = [later @ earlier for earlier, later in zip(level[0::2], level[1::2])] + odd
+        W = level[0] @ W
+    return W
+
+
 def stepwise_propagate(vec: np.ndarray, family, schedule) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     for V, phases in _stepwise_factors(family, schedule):
         vec = (V * phases) @ (V.conj().T @ vec)
     return vec
+
+
+# Float angle maps on the math module ------------------------------------------
+#
+# The branch maps as plain float code, one angle at a time: the reference that
+# berrylab.angles' numpy maps must match bit for bit, on floats and on arrays.
+
+
+def math_wrap_2pi(x: float) -> float:
+    y = math.fmod(x, 2.0 * math.pi)
+    if y < 0.0:
+        y += 2.0 * math.pi
+    if y >= 2.0 * math.pi:
+        y -= 2.0 * math.pi
+    return y + 0.0
+
+
+def math_wrap_pm_pi(x: float) -> float:
+    if -math.pi < x <= math.pi:
+        return x + 0.0
+    y = math_wrap_2pi(x)
+    return y - 2.0 * math.pi if y > math.pi else y
 
 
 # Pinned point-by-point scans --------------------------------------------------

@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,6 +30,14 @@ def test_wrap_pm_pi_branch():
     assert wrap_pm_pi(math.pi) == math.pi
     assert wrap_pm_pi(-math.pi) == math.pi
     assert math.isclose(wrap_pm_pi(3.5 * math.pi), -0.5 * math.pi, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, np.array([0.5, math.inf])])
+def test_infinite_angles_are_refused(x):
+    # an infinite angle has no branch; the maps raise rather than return NaN
+    for wrap in (wrap_2pi, wrap_pm_pi):
+        with pytest.raises(FloatingPointError):
+            wrap(x)
 
 
 def test_circle_distance_examples():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from berrylab import bpe
-from berrylab.angles import circle_distance, wrap_2pi
+from berrylab.angles import circle_distance, wrap_2pi, wrap_pm_pi
 from berrylab.bpe import (
     BpeConfig,
     BpeEngine,
@@ -35,7 +36,7 @@ from berrylab.hamiltonians import constant, cosine, make_family, sine
 from berrylab.hardness import build_bqp_instance, build_duqma_instance
 from berrylab.qpe import distribution_for_unitary, distribution_from_phases
 
-from oracles import EQUATORIAL_THETA_B, tilted_theta_B
+from oracles import EQUATORIAL_THETA_B, math_wrap_2pi, math_wrap_pm_pi, tilted_theta_B
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,6 +95,39 @@ def test_interval_endpoints_always_inside(a, b):
     arc = WrappedInterval(a, b)
     assert arc.contains(a)
     assert arc.contains(b)
+
+
+# Angles where a branch map can slip: the branch ends, a turn less an ulp,
+# signed zeros and subnormal or tiny angles.
+EDGE_ANGLES = [math.pi, -math.pi, TWO_PI, np.nextafter(TWO_PI, 0.0), -np.nextafter(TWO_PI, 0.0),
+               0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 3.0 * math.pi, -3.0 * math.pi]
+
+
+def _hexes(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(*[st.floats(-50.0, 50.0)] * 2), max_size=20), angles_st, angles_st,
+       st.sampled_from([(2.0, "integer"), (1.5, "integer"), (1.37, "formula"), (9.0, "formula")]))
+def test_array_forms_match_the_float_forms(pairs, a, b, alpha_mode):
+    # The verifier reconstructs and tests a block of runs as arrays; each
+    # element must carry the bits of the float call, and the float maps
+    # the bits of the plain math-module code.
+    m1 = np.array([p[0] for p in pairs] + EDGE_ANGLES)
+    m_alpha = np.array([p[1] for p in pairs] + EDGE_ANGLES[::-1])
+    for x in (m1, m_alpha - m1):
+        assert _hexes(wrap_2pi(x)) == _hexes(map(wrap_2pi, x.tolist())) \
+            == _hexes(map(math_wrap_2pi, x.tolist()))
+        assert _hexes(wrap_pm_pi(x)) == _hexes(map(wrap_pm_pi, x.tolist())) \
+            == _hexes(map(math_wrap_pm_pi, x.tolist()))
+    many = reconstruct_phases(m1, m_alpha, *alpha_mode)
+    one = [reconstruct_phases(x, y, *alpha_mode) for x, y in zip(m1.tolist(), m_alpha.tolist())]
+    for k in range(2):
+        assert _hexes(many[k]) == _hexes(pair[k] for pair in one)
+    arc = WrappedInterval(a, b)
+    assert _hexes(arc.distance(m1)) == _hexes(map(arc.distance, m1.tolist()))
+    assert arc.contains(m1).tolist() == [arc.contains(x) for x in m1.tolist()]
 
 
 # -- decisions -----------------------------------------------------------------
@@ -428,6 +462,29 @@ def test_murta_ends_at_an_accepted_step(name):
     # the doubled phase, halved, lies within eps_B/100 of the cap's
     at_cap = _murta_phase_at(family, diag["T"], check["cap"])
     assert circle_distance(check["phase"], at_cap) / 2 <= cfg.epsilon_B / 100
+
+
+@pytest.mark.parametrize("oversampling", [10.0, 40.0], ids=["cap", "checked"])
+def test_murta_solves_each_step_check_grid_once(equatorial, oversampling, monkeypatch):
+    # The forward and reversed legs share one midpoint grid, so each level of
+    # the step check (at oversampling 10 the one build at the cap) sweeps it
+    # once, not once per leg.
+    from berrylab import dynamics, exact
+
+    solved, spectra = Counter(), exact.spectra
+
+    def spy(family, lams):
+        solved[np.asarray(lams, dtype=float).tobytes()] += 1
+        return spectra(family, lams)
+
+    for module in (dynamics, exact):
+        monkeypatch.setattr(module, "spectra", spy)
+    cfg = BpeConfig(oversampling=oversampling)
+    _, diag = murta_bpe(equatorial, config=cfg, return_diagnostics=True)
+    levels = [n for n, _ in diag["step_check"]["tested"]] or [diag["steps"]]
+    assert diag["steps"] in levels
+    sweeps = {n: solved[((np.arange(n) + 0.5) / n).tobytes()] for n in levels}
+    assert sweeps == dict.fromkeys(levels, 1)
 
 
 def test_a_check_that_cannot_agree_stops_at_the_cap(monkeypatch):

@@ -21,6 +21,7 @@ from berrylab.dynamics import (
     guess_step_count,
     loop_infidelity,
     loop_propagator,
+    loop_propagators,
     make_schedule,
     phase_lag_scale,
     required_runtime,
@@ -45,6 +46,7 @@ from oracles import (
     equatorial_loop_eigenphase,
     equatorial_phase_lag_coefficient,
     expm_loop,
+    pairwise_loop_propagator,
     stepwise_loop_propagator,
     stepwise_propagate,
 )
@@ -173,21 +175,46 @@ def kernel_families():
     }
 
 
-@pytest.mark.parametrize("full_chunks", [2])
+@pytest.mark.parametrize("full_chunks, extra", [(2, 3), (0, 1), (0, 2), (1, 0)],
+                         ids=["2", "1-step", "2-steps", "1-chunk"])
 @pytest.mark.parametrize("direction", ["forward", "reversed"])
 @pytest.mark.parametrize("name", ["constant", "equatorial", "random-3q", "bqp"])
-def test_chunked_kernel_matches_stepwise_kernel(kernel_families, name, direction, full_chunks):
+def test_chunked_kernel_matches_stepwise_kernel(kernel_families, name, direction, full_chunks,
+                                                extra):
     fam = kernel_families[name]
     chunk = max(1, exact._CHUNK_BYTES // (16 * fam.dim ** 2))
-    steps = full_chunks * chunk + 3  # full chunks, then a partial one
+    steps = full_chunks * chunk + extra  # whole chunks, then a partial one
     sched = AdiabaticSchedule(T=0.2 * steps / norm_bounds(fam)[0], steps=steps,
                               direction=direction)
     W = loop_propagator(fam, sched)
-    assert W.tobytes() == stepwise_loop_propagator(fam, sched).tobytes()
+    assert W.tobytes() == pairwise_loop_propagator(fam, sched, chunk).tobytes()
+    # Reassociation moves only the last bits of the step-by-step product.
+    assert np.linalg.norm(W - stepwise_loop_propagator(fam, sched), 2) <= 2e-13
     vec = np.random.default_rng(3).standard_normal(fam.dim) + 0j
     vec /= np.linalg.norm(vec)
     out = adiabatic_propagate(vec, fam, sched)
     assert out.tobytes() == stepwise_propagate(vec, fam, sched).tobytes()
+
+
+def test_schedules_of_one_step_count_share_a_sweep(kernel_families, monkeypatch):
+    # One sweep serves every runtime and direction of a step count, and each
+    # unitary keeps the bits it has when built on its own.
+    from berrylab import dynamics
+
+    fam = kernel_families["random-3q"]
+    schedules = [AdiabaticSchedule(T=T, steps=600, direction=d)
+                 for T, d in ((3.0, "forward"), (3.0, "reversed"), (5.5, "forward"))]
+    alone = [loop_propagator(fam, s) for s in schedules]
+    calls, spectra = [], dynamics.spectra
+
+    def spy(family, lams):
+        calls.append(len(lams))
+        return spectra(family, lams)
+
+    monkeypatch.setattr(dynamics, "spectra", spy)
+    shared = loop_propagators(fam, *schedules)
+    assert calls == [600]
+    assert [W.tobytes() for W in shared] == [W.tobytes() for W in alone]
 
 
 def test_step_kernel_stacks_stay_under_the_cap(monkeypatch):

@@ -13,7 +13,7 @@ from berrylab import exact
 from berrylab.bpe import BpeConfig, murta_bpe, reconstruct_phases, run_bpe
 from berrylab.circuits import Gate, GateCircuit, gate
 from berrylab.corpus import equatorial_loop, synthetic_verifier_instance
-from berrylab.dynamics import AdiabaticSchedule, StateVector
+from berrylab.dynamics import AdiabaticSchedule, StateVector, loop_propagators
 from berrylab.errors import ConfigError
 from berrylab.exact import diagonalize, ground_state, min_gap
 from berrylab.hamiltonians import constant, derivative_family, make_family
@@ -38,6 +38,8 @@ REFUSALS = {  # case: (the refusal's message, the call)
     "schedule-T-inf": ("runtime must be positive and finite",
                        lambda: AdiabaticSchedule(T=float("inf"), steps=4)),
     "schedule-no-steps": ("steps must be", lambda: AdiabaticSchedule(T=1.0, steps=0)),
+    "propagators-two-step-counts": ("schedules of one step count", lambda: loop_propagators(
+        equatorial_loop(), AdiabaticSchedule(T=1.0, steps=4), AdiabaticSchedule(T=1.0, steps=5))),
     "schedule-direction": ("unknown direction",
                            lambda: AdiabaticSchedule(T=1.0, steps=4, direction="sideways")),
     "state-length-3": (r"length 2\*\*n", lambda: StateVector(np.ones(3) / np.sqrt(3.0))),
@@ -117,6 +119,8 @@ def test_a_bad_guide_is_refused_before_any_solve(case, monkeypatch):
 def test_a_valid_call_of_each_kind_passes():
     # The table's calls fail on their one bad argument, not on the set-up.
     AdiabaticSchedule(T=1.0, steps=4, direction="reversed")
+    loop_propagators(equatorial_loop(), AdiabaticSchedule(T=1.0, steps=4),
+                     AdiabaticSchedule(T=2.0, steps=4, direction="reversed"))
     StateVector(ZERO2, {"a": (0,), "b": (1,)})
     StateVector(PLUS)
     for estimator in ESTIMATORS.values():
