@@ -24,9 +24,10 @@ What is left of the step error spoils theta_B alone, so the step is sized
 by checking theta_B: starting from the commutator guess, the step count
 doubles until the pairs at n and n/2 steps reconstruct theta_B within
 eps_B/100 of each other, never past the H_max cap of dynamics.step_count.
-Both alpha rules run this check.  The alpha-run takes
-n + floor((alpha - 1) n) steps, so its realized ratio never exceeds the
-nominal alpha and the formula rule's unwrap window holds at every level.
+Both alpha rules run this check.  The alpha-run takes n + floor((alpha - 1) n)
+steps, so its realized ratio never exceeds the nominal alpha and the formula
+rule's unwrap window holds at every level.  In integer mode that is 2n steps,
+the next level's T-run grid: below the cap one sweep builds both.
 
 The baseline (phase doubling: estimate on the reversed-then-forward composite
 loop, which accumulates 2 theta_B) is included for comparison; its output is
@@ -47,6 +48,7 @@ from .dynamics import (
     calibrate_runtime,
     check_step_budget,
     guess_step_count,
+    loop_propagator,
     loop_propagators,
     phase_lag_scale,
     step_count,
@@ -58,7 +60,6 @@ from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
     bits_for_precision,
     circular_median,
-    distribution_for_loop,
     distribution_for_unitary,
     estimate_from_distribution,
     sample_outcomes,
@@ -90,8 +91,9 @@ def _checked_build(family: HamiltonianFamily, T: float, cap: int, low: int,
     and leaves ``tested`` empty.  Otherwise n starts at twice the larger of
     ``low`` and half the guess, rounded up (a lambda-independent family
     guesses 0), and doubles, up to the cap, until the phases at n and at
-    n/2 agree within tol; the accepted n is the finer of the two.  Returns
-    (result, record).
+    n/2 agree within tol; the accepted n is the finer of the two.  The level
+    after n is 2n unless 2n passes the cap, so ``build(n)`` may build level
+    2n's work too, from the same sweep.  Returns (result, record).
     """
     guess = guess_step_count(family, T)
     record = {"guess": guess, "cap": cap, "tested": [], "converged": False}
@@ -374,14 +376,15 @@ class BpeEngine:
         # Shared-step pairs: the alpha run reuses dt exactly, and the realized
         # step ratio is what enters the reconstruction.  The step check starts
         # where the half level still gets one extra alpha step.  The budget is
-        # checked at the cap, before any propagation.
-        cap = step_count(self.T, self.setup["H_max"], cfg.oversampling)
-        check_step_budget(self.T, cap + self._alpha_steps(cap))
+        # checked at the cap, before any propagation.  _ahead holds the T leg
+        # that a level's alpha sweep built for the next level.
+        self._cap, self._ahead = step_count(self.T, self.setup["H_max"], cfg.oversampling), {}
+        check_step_budget(self.T, self._cap + self._alpha_steps(self._cap))
         pair, self.step_check = _checked_build(
-            family, self.T, cap, math.ceil(1.0 / (self.alpha_nominal - 1.0)),
+            family, self.T, self._cap, math.ceil(1.0 / (self.alpha_nominal - 1.0)),
             STEP_CHECK_FRACTION * cfg.epsilon_B, self._pair,
         )
-        vars(self).update(pair)
+        vars(self).update(pair, _ahead={})  # drop a T leg built ahead, not used
         self.R = cfg.repetitions
         if "phase_lag_floor" in (self.calibration or {}):
             # A floored runtime reports its infidelity, read from the propagator
@@ -396,7 +399,8 @@ class BpeEngine:
 
     def _pair(self, steps: int) -> tuple[dict, float]:
         """The two-runtime pair at ``steps`` steps per runtime T, as engine
-        attributes, and the theta_B its dominant eigenphases reconstruct."""
+        attributes, and its theta_B from dominant eigenphases.  An alpha leg of
+        2n <= cap steps also builds level 2n's T leg, kept in ``_ahead``."""
         steps_alpha = self._alpha_steps(steps)
         alpha = steps_alpha / steps  # realized ratio, exact in floats
         dt = self.T / steps
@@ -404,8 +408,15 @@ class BpeEngine:
         m = bits_for_precision(0.5 * eps_ph)
         sched1 = AdiabaticSchedule(T=self.T, steps=steps)
         sched_a = replace(sched1, T=dt * steps_alpha, steps=steps_alpha)
-        dist1 = distribution_for_loop(self.family, sched1, self.psi0, m)
-        dist_alpha = distribution_for_loop(self.family, sched_a, self.psi0, m)
+        W1 = (self._ahead.pop(steps) if steps in self._ahead
+              else loop_propagator(self.family, sched1))
+        if steps_alpha == 2 * steps <= self._cap:
+            W_alpha, self._ahead[steps_alpha] = loop_propagators(
+                self.family, sched_a, replace(sched1, steps=steps_alpha))
+        else:
+            W_alpha = loop_propagator(self.family, sched_a)
+        dist1, dist_alpha = (distribution_for_unitary(W, self.psi0, m, self.family)
+                             for W in (W1, W_alpha))
         _, theta_B = reconstruct_phases(
             _dominant_phase(dist1), _dominant_phase(dist_alpha), alpha,
             self.config.alpha_mode,

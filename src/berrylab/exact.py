@@ -37,6 +37,7 @@ from .hamiltonians import (
     _actions_for,
     _group_entries,
     check_dense_budget,
+    derivative_family,
     eval_hamiltonian,
 )
 
@@ -558,28 +559,30 @@ def berry_connection_perturbative(
     regime flag is set when r is no longer small against the base gap
     (r >= gap / 4), where O(r^3) terms start to matter.
     """
-    from .hamiltonians import derivative_family
+    return berry_connections_perturbative(base, V, r, [lam])[0]
 
+
+def berry_connections_perturbative(
+    base: SpectrumSlice, V: HamiltonianFamily, r: float, lams
+) -> list[PerturbativeConnection]:
+    """berry_connection_perturbative at each lambda, with the base's
+    eigenbasis, dV/dlambda and the denominators formed once."""
     if base.degenerate:
         raise DegeneracyError(
             "perturbative connection needs a non-degenerate base ground state"
         )
-    psi0 = base.ground_state
-    evals = base.eigenvalues
-    Vm = eval_hamiltonian(V, lam)
-    dVm = eval_hamiltonian(derivative_family(V), lam)
+    psi0, evals, dV = base.ground_state, base.eigenvalues, derivative_family(V)
     # Components of V|psi0> and dV|psi0> in the excited eigenbasis.
     Vh = base.eigenvectors.conj().T
-    w = Vh @ (Vm @ psi0)
-    u = Vh @ (dVm @ psi0)
     denom = (evals - evals[0]) ** 2
-    s = 0.0
-    for k in range(1, evals.size):
-        s += (np.conj(w[k]) * u[k] / denom[k]).imag
-    return PerturbativeConnection(
-        value=-(r ** 2) * s,
-        regime_warning=bool(r >= base.gap / 4.0),
-    )
+    out = []
+    for lam in lams:
+        w, u = (Vh @ (eval_hamiltonian(f, lam) @ psi0) for f in (V, dV))
+        s = 0.0
+        for k in range(1, evals.size):
+            s += (np.conj(w[k]) * u[k] / denom[k]).imag
+        out.append(PerturbativeConnection(-(r ** 2) * s, bool(r >= base.gap / 4.0)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,9 @@ class HamiltonianFamily:
     terms: tuple[tuple[PauliString, TrigCoefficient], ...]
     k_max: int
     metadata: dict = field(default_factory=dict)
-    _actions: list | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
+    _actions: list | None = field(default=None, repr=False, compare=False, init=False)
     _sectors: tuple | None = field(default=None, repr=False, compare=False, init=False)
+    _norms: tuple | None = field(default=None, repr=False, compare=False, init=False)
 
     @property
     def dim(self) -> int:
@@ -441,14 +440,13 @@ def _grouped_norm_bound(terms) -> float:
 
 def norm_bounds(family: HamiltonianFamily) -> tuple[float, float, float]:
     """Certified (H_max, dH_max, d2H_max): sup-lambda operator-norm bounds
-    for the family and its first two lambda-derivatives."""
-    d1 = derivative_family(family, 1)
-    d2 = derivative_family(d1, 1)
-    return (
-        _grouped_norm_bound(family.terms),
-        _grouped_norm_bound(d1.terms),
-        _grouped_norm_bound(d2.terms),
-    )
+    for the family and its first two lambda-derivatives, found once and
+    cached on the family."""
+    if family._norms is None:
+        d1 = derivative_family(family, 1)
+        d2 = derivative_family(d1, 1)
+        family._norms = tuple(_grouped_norm_bound(f.terms) for f in (family, d1, d2))
+    return family._norms
 
 
 def commutator_bound(family: HamiltonianFamily) -> float:

@@ -52,8 +52,8 @@ from .dynamics import StateVector
 from .errors import ConfigError
 from .exact import (
     WILSON_TOL,
-    berry_connection_perturbative,
     berry_connections,
+    berry_connections_perturbative,
     diagonalize,
     eigh_blocks,
     lambda_grid,
@@ -565,10 +565,8 @@ def build_duqma_instance(
     # on the lambda-independent base spectrum.
     return _finish_instance(
         "duqma", circuit, witness, family, hstate, r, "perturbative",
-        lambda: _connection_stats([
-            berry_connection_perturbative(s01, V, r, lam).value
-            for lam in lambda_grid(V, DEFAULT_CONNECTION_GRID, offset=0.5)
-        ]),
+        lambda: _connection_stats([c.value for c in berry_connections_perturbative(
+            s01, V, r, lambda_grid(V, DEFAULT_CONNECTION_GRID, offset=0.5))]),
         warnings,
         thresholds={"epsilon_penalty": float(eps), "E_th": float(E_th)},
         spectrum={

@@ -18,8 +18,11 @@ import numpy as np
 import scipy.linalg
 
 from berrylab.angles import circle_distance, wrap_2pi
+from berrylab.bpe import _dominant_phase, reconstruct_phases
+from berrylab.dynamics import AdiabaticSchedule, loop_propagator
 from berrylab.errors import ConfigError
 from berrylab.hamiltonians import derivative_family, eval_hamiltonian
+from berrylab.qpe import bits_for_precision, distribution_for_unitary
 
 
 def expm_loop(family, T: float, steps: int, conjugate: bool = False) -> np.ndarray:
@@ -87,6 +90,36 @@ def stepwise_propagate(vec: np.ndarray, family, schedule) -> np.ndarray:
     for V, phases in _stepwise_factors(family, schedule):
         vec = (V * phases) @ (V.conj().T @ vec)
     return vec
+
+
+# One sweep per leg ---------------------------------------------------------------
+#
+# BpeEngine._pair with each leg built by a loop_propagator of its own: one
+# sweep per schedule, nothing kept for the next level.  Every point of a sweep
+# keeps the bits of a one-point solve and each schedule's phases and products
+# are formed on their own, so the engine's distributions and step check, with
+# legs of two levels from one sweep, must match these bit for bit.
+
+
+def per_leg_pair(engine, steps: int) -> tuple[dict, float]:
+    """The engine's pair at ``steps`` steps per runtime T, one sweep per leg."""
+    steps_alpha = engine._alpha_steps(steps)
+    alpha, dt = steps_alpha / steps, engine.T / steps
+    eps_ph = engine.config.epsilon_B * (alpha - 1.0) / (alpha + 1.0)
+    m = bits_for_precision(0.5 * eps_ph)
+    legs = [AdiabaticSchedule(engine.T, steps), AdiabaticSchedule(dt * steps_alpha, steps_alpha)]
+    dist1, dist_alpha = (
+        distribution_for_unitary(loop_propagator(engine.family, leg), engine.psi0, m,
+                                 engine.family)
+        for leg in legs
+    )
+    _, theta_B = reconstruct_phases(_dominant_phase(dist1), _dominant_phase(dist_alpha),
+                                    alpha, engine.config.alpha_mode)
+    return {
+        "steps": steps, "steps_alpha": steps_alpha, "alpha": alpha, "dt": dt,
+        "T_alpha": legs[1].T, "eps_ph": eps_ph, "m": m,
+        "dist1": dist1, "dist_alpha": dist_alpha,
+    }, theta_B
 
 
 # Float angle maps on the math module ------------------------------------------
@@ -206,6 +239,19 @@ def pointwise_phase_lag(family, lams) -> float:
         amps = V[:, 1:].conj().T @ (eval_hamiltonian(dfam, lam) @ V[:, 0])
         total += float(np.sum(np.abs(amps) ** 2 / (w[1:] - w[0]) ** 3))
     return total / len(lams)
+
+
+def pointwise_perturbative_connection(base, V, r: float, lam: float) -> float:
+    """berry_connection_perturbative's value at one lambda, with the base's
+    eigenbasis adjoint and dV/dlambda formed again for the point."""
+    psi0, evals = base.ground_state, base.eigenvalues
+    Vh = base.eigenvectors.conj().T
+    w = Vh @ (eval_hamiltonian(V, lam) @ psi0)
+    u = Vh @ (eval_hamiltonian(derivative_family(V), lam) @ psi0)
+    s = 0.0
+    for k in range(1, evals.size):
+        s += (np.conj(w[k]) * u[k] / (evals[k] - evals[0]) ** 2).imag
+    return -(r ** 2) * s
 
 
 _PAULI_MATRICES = {

@@ -36,7 +36,13 @@ from berrylab.hamiltonians import constant, cosine, make_family, sine
 from berrylab.hardness import build_bqp_instance, build_duqma_instance
 from berrylab.qpe import distribution_for_unitary, distribution_from_phases
 
-from oracles import EQUATORIAL_THETA_B, math_wrap_2pi, math_wrap_pm_pi, tilted_theta_B
+from oracles import (
+    EQUATORIAL_THETA_B,
+    math_wrap_2pi,
+    math_wrap_pm_pi,
+    per_leg_pair,
+    tilted_theta_B,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -485,6 +491,79 @@ def test_murta_solves_each_step_check_grid_once(equatorial, oversampling, monkey
     assert diag["steps"] in levels
     sweeps = {n: solved[((np.arange(n) + 0.5) / n).tobytes()] for n in levels}
     assert sweeps == dict.fromkeys(levels, 1)
+
+
+# bqp-yes shares both levels' alpha sweeps; the 3-qubit family (levels 12 to
+# 96, cap 168) shares three of its four and builds its last alpha leg alone,
+# 2n passing the cap; at a zero tolerance it goes on to build at the cap;
+# formula mode shares nothing.
+SHARED_SWEEP_CASES = {
+    "bqp-yes": (build_bqp_instance(bqp_yes_circuit()).family, BpeConfig(), 0.01),
+    "random-3-qubit-4-levels": (random_gapped_family(3, np.random.default_rng(4)),
+                                BpeConfig(), 0.01),
+    "random-3-qubit-to-cap": (random_gapped_family(3, np.random.default_rng(4)),
+                              BpeConfig(), 0.0),
+    "bqp-yes-formula": (*STEP_CHECK_CASES["bqp-yes-formula"], 0.01),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_SWEEP_CASES)
+def test_shared_sweep_matches_one_sweep_per_leg(name, monkeypatch):
+    # Every point of a sweep keeps its one-point bits, and each schedule's
+    # phases and products are its own, so building level 2n's T leg in level
+    # n's alpha sweep moves no bit of either leg's distribution or the check.
+    family, cfg, fraction = SHARED_SWEEP_CASES[name]
+    monkeypatch.setattr(bpe, "STEP_CHECK_FRACTION", fraction)
+    engine = BpeEngine(family, cfg)
+    monkeypatch.setattr(BpeEngine, "_pair", per_leg_pair)
+    reference = BpeEngine(family, cfg)
+    for got, want in ((engine.dist1, reference.dist1), (engine.dist_alpha, reference.dist_alpha)):
+        assert got.phases.tobytes() == want.phases.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+    assert (np.array(engine.step_check["tested"]).tobytes()
+            == np.array(reference.step_check["tested"]).tobytes())
+    assert engine.step_check == reference.step_check
+    assert engine.steps == reference.steps and engine.steps_alpha == reference.steps_alpha
+    assert len(engine.step_check["tested"]) >= (4 if name.startswith("random") else 2)
+
+
+@pytest.mark.parametrize("name", ["bqp-yes", "duqma-no"])
+def test_bpe_solves_each_step_check_grid_once(name, monkeypatch):
+    # In integer mode level n's alpha leg sweeps level 2n's T grid, so a run
+    # solves every step-check grid once, whether the family is one block
+    # (bqp-yes) or split into sectors (duqma-no).  bqp-yes solves 1,071
+    # points (1,325 when each leg swept its own grid), 8 of them the loop
+    # unitaries' eigensystems.
+    from berrylab import dynamics, exact
+
+    if name == "bqp-yes":
+        family, cfg = SHARED_SWEEP_CASES["bqp-yes"][:2]
+    else:
+        instance = build_duqma_instance(duqma_no_circuit(), 0)
+        family, cfg = instance.family, BpeConfig(epsilon_B=instance.certified_delta / 2)
+    solved, points, spectra, eigh = Counter(), Counter(), exact.spectra, exact._eigh
+
+    def spy_spectra(family, lams):
+        solved[np.asarray(lams, dtype=float).tobytes()] += 1
+        return spectra(family, lams)
+
+    def spy_eigh(stacks):
+        points["solved"] += sum(int(np.prod(a.shape[:-2])) for a in stacks)
+        return eigh(stacks)
+
+    for module in (dynamics, exact):
+        monkeypatch.setattr(module, "spectra", spy_spectra)
+    monkeypatch.setattr(exact, "_eigh", spy_eigh)
+    _, _, diag = run_bpe(family, config=cfg)
+    levels = [n for n, _ in diag["step_check"]["tested"]]
+    grids = {n: solved[((np.arange(n) + 0.5) / n).tobytes()] for n in [*levels, 2 * levels[-1]]}
+    if name == "bqp-yes":
+        assert levels == [127, 254]
+        assert grids == {127: 1, 254: 1, 508: 1}
+        assert points["solved"] == 1071
+    else:
+        assert levels == [32, 64, 128, 256]  # the phase-lag scan also sweeps 64 midpoints
+        assert grids == {32: 1, 64: 2, 128: 1, 256: 1, 512: 1}
 
 
 def test_a_check_that_cannot_agree_stops_at_the_cap(monkeypatch):

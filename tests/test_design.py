@@ -8,7 +8,8 @@ solver call site, a second block finder, a second gap scan of one loop, a
 new reader of dense eigenvectors or a second check of a state's norm shows up here before it can fork the
 numerics or the memory of a scan, and so does a module
 reaching into another's private names beyond a short list, or a branch on
-a lambda-independent family outside ``hamiltonians``.  Nothing
+a lambda-independent family outside ``hamiltonians``, or a second path that
+builds loop propagators of one step count from a sweep each.  Nothing
 spawns a SeedSequence or calls numpy's default_rng, and one PCG64 and one
 Generator are made per stream_uniforms call, so per-run Generator
 construction cannot come back unseen.  The CLI loads no scipy module and no
@@ -107,7 +108,7 @@ def test_dense_eigenvector_call_sites():
     }
     assert _call_sites({"eigenvectors"}, ast.Attribute) == {
         ("exact", "residual", "self.eigenvectors"): 1,
-        ("exact", "berry_connection_perturbative", "base.eigenvectors"): 1,
+        ("exact", "berry_connections_perturbative", "base.eigenvectors"): 1,
         ("dynamics", "phase_lag_scale", "s.eigenvectors"): 1,
         ("verifier", "energy_distribution", "s.eigenvectors"): 1,
         ("cli", "_resolve_witness", "s.eigenvectors"): 2,
@@ -146,6 +147,21 @@ def test_unit_state_call_sites():
         ("verifier", "energy_distribution", "unit_amplitudes"): 1,
         ("verifier", "run_verifier", "unit_amplitudes"): 1,
         ("circuits", "initial_system_state", "unit_amplitudes"): 1,
+    }
+
+
+def test_loop_propagator_call_sites():
+    # Legs of one step count are built from one sweep: murta's two legs, and
+    # the engine's alpha leg with the next level's T leg.  The engine builds a
+    # leg alone otherwise: near the cap, in formula mode, or for its first T
+    # leg.  A second per-schedule sweep path would show up here.
+    assert _call_sites({"loop_propagator", "loop_propagators"}) == {
+        ("bpe", "_pair", "loop_propagator"): 2,
+        ("bpe", "_pair", "loop_propagators"): 1,
+        ("bpe", "murta_bpe", "loop_propagators"): 1,
+        ("dynamics", "loop_propagator", "loop_propagators"): 1,
+        ("dynamics", "controlled_power_apply", "loop_propagator"): 1,
+        ("qpe", "distribution_for_loop", "loop_propagator"): 1,
     }
 
 

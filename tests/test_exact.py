@@ -448,3 +448,21 @@ def test_perturbative_connection_warns_out_of_regime():
     assert not ok.regime_warning
     bad = berry_connection_perturbative(base, V, r=base.gap, lam=0.1)
     assert bad.regime_warning
+
+
+def test_perturbative_connections_match_pointwise_connections():
+    # The grid form forms the base's eigenbasis adjoint and dV/dlambda once;
+    # each value keeps the bits of the one-point form on a duqma-sized grid.
+    from berrylab.corpus import bqp_yes_circuit
+    from berrylab.hardness import DEFAULT_CONNECTION_GRID, compile_history, make_V
+
+    circuit = bqp_yes_circuit()
+    base_fam = compile_history(circuit)
+    base = diagonalize(base_fam, 0.0)
+    V = make_V(circuit.output1_qubit, base_fam.n_qubits)
+    lams = exact.lambda_grid(V, DEFAULT_CONNECTION_GRID, offset=0.5)
+    r = base.gap / 8.0
+    got = [c.value for c in exact.berry_connections_perturbative(base, V, r, lams)]
+    want = [oracles.pointwise_perturbative_connection(base, V, r, lam) for lam in lams]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert got[3] == berry_connection_perturbative(base, V, r, lams[3]).value

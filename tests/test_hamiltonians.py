@@ -224,6 +224,19 @@ def test_square_of_one_harmonic_is_bounded_in_closed_form(k):
     assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0)
 
 
+def test_norm_bounds_are_found_once_per_family(monkeypatch):
+    # make_schedule asks at every calibration doubling; the family answers
+    # from its cache, with the bits of a fresh family's bounds
+    from berrylab import hamiltonians
+
+    fam, twin = _corpus_family("tilted-pi/3"), _corpus_family("tilted-pi/3")
+    first = norm_bounds(fam)
+    monkeypatch.setattr(hamiltonians, "_grouped_norm_bound", None)  # a recompute would fail
+    assert norm_bounds(fam) is first
+    monkeypatch.undo()
+    assert [b.hex() for b in first] == [b.hex() for b in norm_bounds(twin)]
+
+
 def test_square_that_overflows_is_refused():
     fam = make_family(1, [("X", cosine(1, 1e200)), ("Z", constant(0.5))])
     with pytest.raises(ConfigError):  # exit 2, as a family that fails to load
