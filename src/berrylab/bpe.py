@@ -55,7 +55,7 @@ from .dynamics import (
     unit_amplitudes,
 )
 from .errors import ConfigError
-from .exact import ground_state, min_gap
+from .exact import ground_sector, ground_state, min_gap
 from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
     bits_for_precision,
@@ -277,11 +277,11 @@ class BpeConfig:
 
 def _resolve_runtime(
     family: HamiltonianFamily, cfg: BpeConfig, guiding_state=None
-) -> tuple[np.ndarray, dict]:
+) -> tuple[tuple, dict]:
     """Set-up shared by both estimators: the guiding state's check (before any
-    solve), norm bounds, gap guard, ground state, guiding fidelity and
-    runtime T.  Returns the ground state psi0 at lambda = 0
-    and a record of the rest, keyed as in the estimators' diagnostics.
+    solve), norm bounds, ground state, gap guard, guiding fidelity and
+    runtime T.  Returns exact.ground_sector's (sector, amplitudes) of psi0 at
+    lambda = 0, the sector that every leg and the gap guard keep to, and the rest.
 
     Unless cfg.T is set, T comes from the doubling search on measured loop
     infidelity.  That search certifies state tracking (a 1/T^2 effect) but
@@ -298,8 +298,9 @@ def _resolve_runtime(
             f"guiding state has shape {guide.shape}, expected ({family.dim},)"
         )
     h_max, d1_max, d2_max = norm_bounds(family)
-    gap, gap_argmin = min_gap(family, GAP_GRID)  # also the degeneracy guard
     E0, psi0 = ground_state(family, 0.0)
+    ground = ground_sector(family, psi0)
+    gap, gap_argmin = min_gap(family, GAP_GRID, sector=ground[0])  # also the degeneracy guard
 
     guiding_fidelity = 1.0 if guide is None else float(abs(np.vdot(guide, psi0)) ** 2)
     if guiding_fidelity < GUIDING_FLOOR:
@@ -311,9 +312,7 @@ def _resolve_runtime(
 
     T, calibration = cfg.T, None
     if T is None:
-        T, calibration = calibrate_runtime(
-            family, cfg.delta_adia, oversampling=cfg.oversampling
-        )
+        T, calibration = calibrate_runtime(family, cfg.delta_adia, cfg.oversampling, ground)
     phase_lag = phase_lag_scale(family, GAP_GRID)
     T_phase_floor = 4.0 * phase_lag / cfg.epsilon_B
     warnings = []
@@ -325,7 +324,7 @@ def _resolve_runtime(
             f"runtime T={T:.6g} is below the phase-lag floor 4G/eps_B = "
             f"{T_phase_floor:.6g}; the estimate may miss theta_B by more than eps_B"
         )
-    return psi0, {
+    return ground, {
         "T": float(T),
         "H_max": h_max,
         "dH_max": d1_max,
@@ -365,7 +364,7 @@ class BpeEngine:
         self.config = config or BpeConfig()
         cfg = self.config
 
-        self.psi0, self.setup = _resolve_runtime(family, cfg, guiding_state)
+        (self.sector, self.psi0), self.setup = _resolve_runtime(family, cfg, guiding_state)
         self.T = self.setup["T"]
         self.calibration = self.setup["calibration"]
 
@@ -409,14 +408,13 @@ class BpeEngine:
         sched1 = AdiabaticSchedule(T=self.T, steps=steps)
         sched_a = replace(sched1, T=dt * steps_alpha, steps=steps_alpha)
         W1 = (self._ahead.pop(steps) if steps in self._ahead
-              else loop_propagator(self.family, sched1))
+              else loop_propagator(self.family, sched1, sector=self.sector))
         if steps_alpha == 2 * steps <= self._cap:
             W_alpha, self._ahead[steps_alpha] = loop_propagators(
-                self.family, sched_a, replace(sched1, steps=steps_alpha))
+                self.family, sched_a, replace(sched1, steps=steps_alpha), sector=self.sector)
         else:
-            W_alpha = loop_propagator(self.family, sched_a)
-        dist1, dist_alpha = (distribution_for_unitary(W, self.psi0, m, self.family)
-                             for W in (W1, W_alpha))
+            W_alpha = loop_propagator(self.family, sched_a, sector=self.sector)
+        dist1, dist_alpha = (distribution_for_unitary(W, self.psi0, m) for W in (W1, W_alpha))
         _, theta_B = reconstruct_phases(
             _dominant_phase(dist1), _dominant_phase(dist_alpha), alpha,
             self.config.alpha_mode,
@@ -517,7 +515,7 @@ def murta_bpe(
     cfg = config or BpeConfig()
     # Same phase-lag floor as the two-runtime engine: the composite's
     # readout inherits each leg's ~G/T eigenphase lag.
-    psi0, setup = _resolve_runtime(family, cfg, initial_ground_state)
+    (sector, psi0), setup = _resolve_runtime(family, cfg, initial_ground_state)
     T = setup["T"]
     cap = step_count(T, setup["H_max"], cfg.oversampling)
     check_step_budget(T, 2 * cap)
@@ -525,8 +523,9 @@ def murta_bpe(
 
     def build(steps):
         fwd = AdiabaticSchedule(T=T, steps=steps)
-        W_fwd, W_rev = loop_propagators(family, fwd, replace(fwd, direction="reversed"))
-        dist = distribution_for_unitary(W_rev @ W_fwd, psi0, m, family)
+        W_fwd, W_rev = loop_propagators(family, fwd, replace(fwd, direction="reversed"),
+                                        sector=sector)
+        dist = distribution_for_unitary(W_rev @ W_fwd, psi0, m)
         return (steps, W_fwd, dist), _dominant_phase(dist)
 
     # The check reads the doubled phase 2 theta_B, so its tolerance doubles.

@@ -7,7 +7,7 @@ at the step's midpoint.  The reversed direction evolves under -H along the
 same lambda sequence, which is the partner evolution that doubles the
 geometric phase while cancelling the dynamical one.  A loop propagator
 multiplies each chunk's steps pairwise, in log depth, then the chunks in
-step order; a state evolves step by step.
+step order; a state evolves step by step, in one sector's block if given.
 
 An exact exponential at the step's midpoint is a second-order Magnus step:
 its error scales with dt^2 ||[H, dH/dlam]||, not with H_max.  step_count
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError
-from .exact import ground_state, lambda_grid, min_gap, spectra, sweep
+from .exact import ground_sector, ground_state, lambda_grid, min_gap, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
     commutator_bound,
@@ -143,37 +143,37 @@ def guess_step_count(family: HamiltonianFamily, T: float) -> float:
     return T * math.sqrt(commutator_bound(family)) / STEP_GUESS_KAPPA
 
 
-def _step_factors(family: HamiltonianFamily, *schedules: AdiabaticSchedule):
+def _step_factors(family: HamiltonianFamily, *schedules: AdiabaticSchedule, sector=None):
     """Yield (V, phase stacks), one phase stack per schedule, over the sweep's chunks
     of exact steps: U_j = (V[j] * phases[j]) @ V[j]^dagger at the midpoint lambda_j =
-    (j + 1/2) / steps of the schedules' one step count.  dynamics' one dense reader."""
+    (j + 1/2) / steps of the schedules' one step count, in a sector if given."""
     steps = schedules[0].steps
     if any(s.steps != steps for s in schedules):
         raise ConfigError("propagators from one sweep need schedules of one step count")
     signs = [1.0 if s.direction == "forward" else -1.0 for s in schedules]
     lams = (np.arange(steps, dtype=float) + 0.5) / steps
-    for _, w, blocks in spectra(family, lams):
+    for _, w, blocks in spectra(family, lams, sector=sector):
         yield blocks.dense(), [np.exp(sign * -1j * w * s.dt) for sign, s in zip(signs, schedules)]
 
 
-def adiabatic_propagate(state, family: HamiltonianFamily, schedule: AdiabaticSchedule):
-    """Evolve an amplitude vector of the family's dimension once around the
-    loop; a StateVector's registers go through controlled_power_apply."""
-    vec = np.asarray(state, dtype=complex)
-    if vec.shape != (family.dim,):
-        raise ConfigError(f"state has shape {vec.shape}, expected ({family.dim},)")
-    for V, (phases,) in _step_factors(family, schedule):
+def adiabatic_propagate(state, family: HamiltonianFamily, schedule: AdiabaticSchedule, sector=None):
+    """Evolve an amplitude vector of the family's dimension, or on a sector,
+    once around the loop; a StateVector's registers go through controlled_power_apply."""
+    vec, d = np.asarray(state, dtype=complex), family.dim if sector is None else len(sector)
+    if vec.shape != (d,):
+        raise ConfigError(f"state has shape {vec.shape}, expected ({d},)")
+    for V, (phases,) in _step_factors(family, schedule, sector=sector):
         for A, B in zip(V * phases[:, None, :], V.conj().transpose(0, 2, 1)):
             vec = A @ (B @ vec)
     return vec
 
 
-def loop_propagators(family: HamiltonianFamily, *schedules: AdiabaticSchedule) -> list:
+def loop_propagators(family: HamiltonianFamily, *schedules: AdiabaticSchedule, sector=None):
     """Dense unitaries for one traversal of the loop under each schedule, from one
     sweep: the schedules share a step count.  A chunk's steps multiply pairwise in
     log depth, U[1::2] @ U[0:-1:2] with an odd last one carried, the chunks in order."""
-    Ws = [np.eye(family.dim, dtype=complex) for _ in schedules]
-    for V, stacks in _step_factors(family, *schedules):
+    Ws = [np.eye(family.dim if sector is None else len(sector), dtype=complex) for _ in schedules]
+    for V, stacks in _step_factors(family, *schedules, sector=sector):
         for k, phases in enumerate(stacks):
             # U holds the chunk's stack to the end: freed mid-chunk, it let malloc trim
             # and regrow the heap, 2.5x the page faults and 10 % slower at 6 qubits.
@@ -185,9 +185,9 @@ def loop_propagators(family: HamiltonianFamily, *schedules: AdiabaticSchedule) -
     return Ws
 
 
-def loop_propagator(family: HamiltonianFamily, schedule: AdiabaticSchedule) -> np.ndarray:
+def loop_propagator(family: HamiltonianFamily, schedule: AdiabaticSchedule, sector=None):
     """Dense unitary for one traversal of the loop: loop_propagators of one schedule."""
-    return loop_propagators(family, schedule)[0]
+    return loop_propagators(family, schedule, sector=sector)[0]
 
 
 def controlled_power_apply(
@@ -268,11 +268,13 @@ def loop_infidelity(
     family: HamiltonianFamily,
     T: float,
     oversampling: float = DEFAULT_OVERSAMPLING,
+    ground=None,
 ) -> float:
-    """1 - |<psi0| U(T) |psi0>|^2 for the exact ground state at lambda = 0."""
-    _, psi0 = ground_state(family, 0.0)
+    """1 - |<psi0| U(T) |psi0>|^2 for the exact ground state at lambda = 0, in
+    its sector: ``ground``, exact.ground_sector's of psi0, is found if not given."""
+    sector, psi0 = ground or ground_sector(family, ground_state(family, 0.0)[1])
     schedule = make_schedule(family, T, oversampling=oversampling)
-    out = adiabatic_propagate(psi0, family, schedule)
+    out = adiabatic_propagate(psi0, family, schedule, sector=sector)
     return max(0.0, 1.0 - abs(np.vdot(psi0, out)) ** 2)
 
 
@@ -314,17 +316,18 @@ def calibrate_runtime(
     family: HamiltonianFamily,
     delta_adia: float,
     oversampling: float = DEFAULT_OVERSAMPLING,
+    ground=None,
 ) -> tuple[float, dict]:
     """Smallest runtime T = 2^k, k = 0 .. CALIBRATION_DOUBLINGS - 1, with
-    measured loop infidelity at most delta_adia^2.  Desk-scale replacement
-    for the worst-case bound; returns (T, diagnostics)."""
+    measured loop infidelity (given ``ground``) at most delta_adia^2.  Desk-scale
+    replacement for the worst-case bound; returns (T, diagnostics)."""
     if not (0.0 < delta_adia < 1.0):
         raise ConfigError(f"delta_adia must be in (0, 1), got {delta_adia}")
     infidelity_target = delta_adia ** 2
     tested = []
     T = 1.0
     for _ in range(CALIBRATION_DOUBLINGS):
-        infid = loop_infidelity(family, T, oversampling=oversampling)
+        infid = loop_infidelity(family, T, oversampling, ground)
         tested.append((T, infid))
         if infid <= infidelity_target:
             return T, {"tested": tested, "infidelity": infid,

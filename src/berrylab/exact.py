@@ -10,10 +10,10 @@ chunked sweep (spectra, sweep).  A family's sectors, the blocks H(lambda)
 decouples into, are found once, cached on it and are the lab's one block
 structure, and only this module looks them up: the sweep solves each block
 size over many lambdas per call and yields block eigensystems in chunks
-sized by d^2, forming dense eigenvectors only when a caller reads them, and
-eigh_blocks solves a loop unitary's Hermitian forms in its family's sectors
-for qpe.  A matrix from no family is one block, and a stack
-of one block is handed out as eigh returned it.
+sized by d^2, forming dense eigenvectors only when a caller reads them; for
+the step kernel it solves the one sector a state lies in (ground_sector,
+sectors_of) alone.  A stack of one block is handed out as eigh returned
+it.
 
 The Wilson loop reads the minimum gap on its grid from the slices it
 solves, so the oracle's two numbers come from one scan of the loop.
@@ -97,38 +97,42 @@ class SpectrumSlice:
 # the bits of a one-point solve whatever else is in its stack.
 _CHUNK_BYTES = 256 * 1024
 
-# Families below this dimension are one block even when H(lambda) is block
-# diagonal, so their eigensystems keep the bits that tests and outputs pin.
-# A connected family is one block at any dimension.
+# A sweep solves a family below this dimension as one block even when
+# H(lambda) is block diagonal, so its scans keep the bits that tests and
+# outputs pin.  A connected family is one block at any dimension.
 _SPLIT_MIN_DIM = 64
 
 
 class _Sectors(NamedTuple):
-    """A family's decoupled blocks in _groups_of's form, the ends of its
-    block-size stacks (count * s^2 entries per point each, concatenated in
-    the order of groups), and where its group entries go: entry src of one
-    point's (groups, d) entries, flattened, is entry dst of those stacks.  A
-    family that is one block has its dense H(lambda) as its one stack."""
+    """A family's sectors as labels (each index's the least in its sector); the
+    blocks its sweep solves, in _groups_of's form (one below _SPLIT_MIN_DIM);
+    the ends of their block-size stacks (count * s^2 entries per point each, in
+    the order of groups); and where its group entries go: entry src of one
+    point's (groups, d) entries, flattened, is entry dst of those stacks."""
 
+    labels: np.ndarray
     groups: list
     ends: np.ndarray
     src: np.ndarray
     dst: np.ndarray
 
 
-def spectra(family: HamiltonianFamily, lams):
+def spectra(family: HamiltonianFamily, lams, sector=None):
     """Yield (lams, eigenvalues, BlockEigensystems) over consecutive chunks
     of a lambda sequence, sized so that no dense eigenvector stack, once
     read, is above _CHUNK_BYTES unless a single matrix is.  The family's
     block-size stacks are filled straight from its group entries, with no
-    dense H(lambda), and each size is solved once per solve chunk."""
+    dense H(lambda), and each size is solved once per solve chunk, or a given
+    sector's (basis indices) block alone, in its basis."""
     check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
         raise ConfigError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
+    _, groups, ends, src, dst = _sectors_for(family)
     d = family.dim
+    if sector is not None and len(sector) < d:
+        d, (groups, ends, src, dst) = len(sector), _placement(family, [np.asarray(sector)[None]])
     per_out = max(1, _CHUNK_BYTES // (16 * d ** 2))
-    groups, ends, src, dst = _sectors_for(family)
     per_solve = per_out * max(1, _CHUNK_BYTES // (16 * ends[-1]) // per_out)
     for start in range(0, lams.size, per_solve):
         part = lams[start:start + per_solve]
@@ -146,29 +150,50 @@ def spectra(family: HamiltonianFamily, lams):
 def _sectors_for(family: HamiltonianFamily) -> _Sectors:
     """The family's sectors, found once and cached on it: the connected
     components of the entries of H(lambda) that are not identically zero in
-    lambda.  One block below _SPLIT_MIN_DIM."""
+    lambda.  Its sweep's one block below _SPLIT_MIN_DIM."""
     if family._sectors is None:
         family._sectors = _find_sectors(family)
     return family._sectors
 
 
 def _find_sectors(family: HamiltonianFamily) -> _Sectors:
-    d = family.dim
-    actions = _actions_for(family)
+    d, actions = family.dim, _actions_for(family)
     rows = np.array([r for r, _ in actions], dtype=np.int64).reshape(-1, d)  # (groups, d)
-    labels = np.zeros(d, dtype=int)  # one block below _SPLIT_MIN_DIM
-    if d >= _SPLIT_MIN_DIM:
-        coupled = np.array([_coupled(family, m) if r[0] else np.zeros(d, bool)  # r[0]: the flip
-                            for r, m in actions], dtype=bool).reshape(rows.shape)
-        labels = _blocks(rows[coupled], np.nonzero(coupled)[1], d)
-    groups = _groups_of(labels)
+    coupled = np.array([_coupled(family, m) if r[0] else np.zeros(d, bool)  # r[0]: the flip
+                        for r, m in actions], dtype=bool).reshape(rows.shape)
+    labels = _blocks(rows[coupled], np.nonzero(coupled)[1], d)
+    swept = labels if d >= _SPLIT_MIN_DIM else 0 * labels
+    return _Sectors(labels, *_placement(family, _groups_of(swept)))
+
+
+def _placement(family: HamiltonianFamily, groups: list) -> tuple:
+    """(groups, ends, src, dst) of _Sectors for blocks in _groups_of's form."""
+    d = family.dim
+    rows = np.array([r for r, _ in _actions_for(family)], dtype=np.int64).reshape(-1, d)
     ends = np.cumsum([idx.size * idx.shape[1] for idx in groups])
     place = np.full((d, d), -1, dtype=np.int32)  # each in-block entry's place in the stacks
     for idx, end in zip(groups, ends):
         span = np.arange(end - idx.size * idx.shape[1], end)
         place[idx[:, :, None], idx[:, None, :]] = span.reshape(*idx.shape, -1)
     at = place[rows, np.arange(d)]  # group g's entry (rows[g, x], x)
-    return _Sectors(groups, ends, np.flatnonzero(at >= 0), at[at >= 0])
+    return groups, ends, np.flatnonzero(at >= 0), at[at >= 0]
+
+
+def sectors_of(family: HamiltonianFamily, psi: np.ndarray) -> list:
+    """(basis indices, amplitudes) of psi in each of the family's sectors it
+    touches; on the whole space psi itself, as a copy of a column moves bits."""
+    labels = _sectors_for(family).labels
+    idx = [np.flatnonzero(labels == k) for k in np.unique(labels[psi != 0])]
+    return [(i, psi if i.size == psi.size else psi[i]) for i in idx]
+
+
+def ground_sector(family: HamiltonianFamily, psi: np.ndarray) -> tuple:
+    """sectors_of's part of a unit psi in its largest amplitude's sector, where
+    it is propagated: more than rounding of weight elsewhere is refused, not dropped."""
+    sector, amps = max(sectors_of(family, psi), key=lambda part: np.max(np.abs(part[1])))
+    if 1.0 - np.vdot(amps, amps).real > 1e-12:
+        raise NumericalError("the state has more than rounding of its weight outside one sector")
+    return sector, amps
 
 
 def _coupled(family: HamiltonianFamily, members) -> np.ndarray:
@@ -263,14 +288,9 @@ class BlockEigensystems:
         return self._dense
 
 
-def eigh_blocks(H: np.ndarray, family=None) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked eigh of H, shape (n, d, d), with one batched call per block
-    size of the family's sectors, outside which every entry of H is exactly
-    0, as in a loop unitary of the family; with no family, H is one block."""
-    groups = [np.arange(H.shape[-1])[None]] if family is None else _sectors_for(family).groups
-    stacks = [H[:, idx[:, :, None], idx[:, None, :]] for idx in groups]
-    blocks = BlockEigensystems(groups, _eigh(stacks), H.shape[-1])
-    return blocks.eigenvalues, blocks.dense()
+def eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked eigh of H, shape (n, d, d), as one block."""
+    return _eigh([H])[0]
 
 
 def _slice(family: HamiltonianFamily, lam, evals, blocks, p: int) -> SpectrumSlice:
@@ -286,22 +306,24 @@ def _slice(family: HamiltonianFamily, lam, evals, blocks, p: int) -> SpectrumSli
     )
 
 
-def _gapped(s: SpectrumSlice) -> SpectrumSlice:
+def _gapped(s: SpectrumSlice, sector=None) -> SpectrumSlice:
     if s.degenerate:
         raise DegeneracyError(
             f"degenerate ground space at lambda={s.lam:.6f} (gap={s.gap:.3e})"
         )
+    if sector is not None and np.argmax(np.abs(s.ground_state)) not in sector:
+        raise DegeneracyError(f"the ground state leaves its sector at lambda={s.lam:.6f}")
     return s
 
 
-def sweep(family: HamiltonianFamily, lams):
+def sweep(family: HamiltonianFamily, lams, sector=None):
     """Yield the SpectrumSlice at each lambda in order, refusing a
-    numerically degenerate ground space: the one spectral sweep along the
-    loop.  A slice keeps its chunk's eigenvectors alive; a ground state
-    read from a split chunk does not."""
+    numerically degenerate ground space, or one outside a given sector: the
+    one spectral sweep along the loop.  A slice keeps its chunk's
+    eigenvectors alive; a ground state read from a split chunk does not."""
     for part, w, blocks in spectra(family, lams):
         for p, (lam, evals) in enumerate(zip(part, w)):
-            yield _gapped(_slice(family, lam, evals, blocks, p))
+            yield _gapped(_slice(family, lam, evals, blocks, p), sector)
 
 
 def diagonalize(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
@@ -322,14 +344,14 @@ def ground_state(family: HamiltonianFamily, lam: float) -> tuple[float, np.ndarr
     return s.ground_energy, s.ground_state
 
 
-def min_gap(family: HamiltonianFamily, grid) -> tuple[float, float]:
+def min_gap(family: HamiltonianFamily, grid, sector=None) -> tuple[float, float]:
     """Minimum E1 - E0 over a lambda grid and its argmin.
 
     ``grid`` is either a point count (uniform grid on [0, 1)) or an explicit
     sequence of lambdas.  Raises DegeneracyError naming the offending lambda
-    if any slice is degenerate.
+    if any slice is degenerate, or its ground state leaves a given sector.
     """
-    slices = sweep(family, lambda_grid(family, grid))
+    slices = sweep(family, lambda_grid(family, grid), sector=sector)
     return min(((s.gap, s.lam) for s in slices), key=lambda t: t[0])  # the first minimum
 
 

@@ -12,7 +12,7 @@ the dense eigensystem of W; sample_outcomes reads it out bit by bit, which is
 statistically identical to running the circuit with exact controlled powers,
 but lets a single propagator build serve many seeds.  unitary_eigensystem
 finds W's eigensystem with Hermitian solves alone, through a Cayley transform,
-in the sectors of W's family if given.  stream_uniforms draws every stream,
+for a loop one sector at a time.  stream_uniforms draws every stream,
 bit for bit the uniforms numpy's default_rng of each seed would give: the
 seeds' SeedSequence words (seed_words, children as appended columns) are
 hashed as array arithmetic, PCG64's seeding follows row by row, and numpy's
@@ -35,7 +35,7 @@ import numpy as np
 from .angles import TWO_PI
 from .dynamics import AdiabaticSchedule, loop_propagator, unit_amplitudes
 from .errors import CapacityError, ConfigError
-from .exact import eigh_blocks
+from .exact import eigh_blocks, sectors_of
 from .hamiltonians import HamiltonianFamily
 
 # The readout bits are exact in float64 up to m = 53; bins narrower than
@@ -116,10 +116,9 @@ def distribution_from_phases(phases, weights, m: int) -> QpeDistribution:
     )
 
 
-def unitary_eigensystem(W: np.ndarray, family=None) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eigensystem(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(phases on (-pi, pi], orthonormal eigenvectors as columns) of a dense
-    unitary W, from two solves of exact.eigh_blocks: in the sectors of the
-    family whose loop W propagates, or as one block with no family.
+    unitary W, from two solves of exact.eigh_blocks.
 
     The eigenvalues c of (W + W^dag)/2 are cos phi, so the eigenphases lie
     among +-arccos c.  R = e^{-i phi0} W puts -1 midway across the widest gap
@@ -127,21 +126,20 @@ def unitary_eigensystem(W: np.ndarray, family=None) -> tuple[np.ndarray, np.ndar
     is 2iX - iI, X = (I + R)^-1, with the Hermitian part i(X - X^dag): its
     eigenvectors are W's, also when W is degenerate, and X is block diagonal
     where W is.  Each phase is the angle of v^dag W v for its eigenvector v."""
-    cos = eigh_blocks(0.5 * (W + W.conj().T)[None], family)[0][0]
+    cos = eigh_blocks(0.5 * (W + W.conj().T)[None])[0][0]
     arc = np.arccos(np.clip(cos, -1.0, 1.0))
     ring = np.sort(np.concatenate((arc, TWO_PI - arc)))
     gaps = np.diff(ring, append=ring[0] + TWO_PI)
     k = int(np.argmax(gaps))
     phi0 = ring[k] + 0.5 * gaps[k] - math.pi
     X = np.linalg.inv(np.eye(W.shape[0]) + np.exp(-1j * phi0) * W)
-    V = eigh_blocks((1j * (X - X.conj().T))[None], family)[1][0]
+    V = eigh_blocks((1j * (X - X.conj().T))[None])[1][0]
     return np.angle(np.einsum("ij,ij->j", V.conj(), W @ V)), V
 
 
-def distribution_for_unitary(W, psi, m: int, family=None) -> QpeDistribution:
-    """QPE outcome distribution for a dense unitary W and input state psi;
-    W is solved in the sectors of family, as unitary_eigensystem does."""
-    phases, V = unitary_eigensystem(W, family)
+def distribution_for_unitary(W, psi, m: int) -> QpeDistribution:
+    """QPE outcome distribution for a dense unitary W and input state psi."""
+    phases, V = unitary_eigensystem(W)
     return distribution_from_phases(phases, np.abs(V.conj().T @ psi) ** 2, m)
 
 
@@ -151,13 +149,16 @@ def distribution_for_loop(
     input_state,
     m: int,
 ) -> QpeDistribution:
-    """QPE outcome distribution for the loop propagator of a schedule."""
+    """QPE outcome distribution for a schedule's loop, per sector the input touches."""
     psi = unit_amplitudes(input_state)
     if psi.shape != (family.dim,):
         raise ConfigError(
             f"input state has shape {psi.shape}, expected ({family.dim},)"
         )
-    return distribution_for_unitary(loop_propagator(family, schedule), psi, m, family)
+    parts = [(unitary_eigensystem(loop_propagator(family, schedule, sector=s)), amps)
+             for s, amps in sectors_of(family, psi)]
+    mixture = [(phases, np.abs(V.conj().T @ amps) ** 2) for (phases, V), amps in parts]
+    return distribution_from_phases(*map(np.concatenate, zip(*mixture)), m)
 
 
 # numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64's

@@ -21,6 +21,7 @@ from berrylab.angles import circle_distance, wrap_2pi
 from berrylab.bpe import _dominant_phase, reconstruct_phases
 from berrylab.dynamics import AdiabaticSchedule, loop_propagator
 from berrylab.errors import ConfigError
+from berrylab.exact import ground_state
 from berrylab.hamiltonians import derivative_family, eval_hamiltonian
 from berrylab.qpe import bits_for_precision, distribution_for_unitary
 
@@ -98,19 +99,22 @@ def stepwise_propagate(vec: np.ndarray, family, schedule) -> np.ndarray:
 # sweep per schedule, nothing kept for the next level.  Every point of a sweep
 # keeps the bits of a one-point solve and each schedule's phases and products
 # are formed on their own, so the engine's distributions and step check, with
-# legs of two levels from one sweep, must match these bit for bit.
+# legs of two levels from one sweep, must match these bit for bit.  With
+# whole_space, the legs span the whole space and start from the full ground
+# state, as they did before the engine propagated psi0's sector alone.
 
 
-def per_leg_pair(engine, steps: int) -> tuple[dict, float]:
+def per_leg_pair(engine, steps: int, whole_space: bool = False) -> tuple[dict, float]:
     """The engine's pair at ``steps`` steps per runtime T, one sweep per leg."""
     steps_alpha = engine._alpha_steps(steps)
     alpha, dt = steps_alpha / steps, engine.T / steps
     eps_ph = engine.config.epsilon_B * (alpha - 1.0) / (alpha + 1.0)
     m = bits_for_precision(0.5 * eps_ph)
     legs = [AdiabaticSchedule(engine.T, steps), AdiabaticSchedule(dt * steps_alpha, steps_alpha)]
+    sector, psi0 = ((None, ground_state(engine.family, 0.0)[1]) if whole_space
+                    else (engine.sector, engine.psi0))
     dist1, dist_alpha = (
-        distribution_for_unitary(loop_propagator(engine.family, leg), engine.psi0, m,
-                                 engine.family)
+        distribution_for_unitary(loop_propagator(engine.family, leg, sector=sector), psi0, m)
         for leg in legs
     )
     _, theta_B = reconstruct_phases(_dominant_phase(dist1), _dominant_phase(dist_alpha),

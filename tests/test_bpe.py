@@ -30,9 +30,9 @@ from berrylab.corpus import (
     tilted_loop_family,
 )
 from berrylab.dynamics import MAX_TOTAL_STEPS, AdiabaticSchedule, loop_propagator
-from berrylab.errors import CapacityError, ConfigError
+from berrylab.errors import CapacityError, ConfigError, DegeneracyError, NumericalError
 from berrylab.exact import ground_state, wilson_loop_berry_phase
-from berrylab.hamiltonians import constant, cosine, make_family, sine
+from berrylab.hamiltonians import TrigCoefficient, constant, cosine, make_family, sine
 from berrylab.hardness import build_bqp_instance, build_duqma_instance
 from berrylab.qpe import distribution_for_unitary, distribution_from_phases
 
@@ -353,9 +353,9 @@ def test_budget_error_before_long_propagation(monkeypatch):
 
     kernel = dynamics._step_factors
 
-    def spy(family, schedule):
+    def spy(family, schedule, sector=None):
         assert schedule.steps <= MAX_TOTAL_STEPS // 2, schedule
-        return kernel(family, schedule)
+        return kernel(family, schedule, sector=sector)
 
     monkeypatch.setattr(dynamics, "_step_factors", spy)
     fam = make_family(
@@ -372,9 +372,9 @@ def test_murta_budget_error_before_long_propagation(monkeypatch):
 
     kernel = dynamics._step_factors
 
-    def spy(family, schedule):
+    def spy(family, schedule, sector=None):
         assert schedule.steps <= MAX_TOTAL_STEPS // 2, schedule
-        return kernel(family, schedule)
+        return kernel(family, schedule, sector=sector)
 
     monkeypatch.setattr(dynamics, "_step_factors", spy)
     fam = make_family(
@@ -479,9 +479,9 @@ def test_murta_solves_each_step_check_grid_once(equatorial, oversampling, monkey
 
     solved, spectra = Counter(), exact.spectra
 
-    def spy(family, lams):
+    def spy(family, lams, sector=None):
         solved[np.asarray(lams, dtype=float).tobytes()] += 1
-        return spectra(family, lams)
+        return spectra(family, lams, sector)
 
     for module in (dynamics, exact):
         monkeypatch.setattr(module, "spectra", spy)
@@ -530,10 +530,11 @@ def test_shared_sweep_matches_one_sweep_per_leg(name, monkeypatch):
 @pytest.mark.parametrize("name", ["bqp-yes", "duqma-no"])
 def test_bpe_solves_each_step_check_grid_once(name, monkeypatch):
     # In integer mode level n's alpha leg sweeps level 2n's T grid, so a run
-    # solves every step-check grid once, whether the family is one block
-    # (bqp-yes) or split into sectors (duqma-no).  bqp-yes solves 1,071
-    # points (1,325 when each leg swept its own grid), 8 of them the loop
-    # unitaries' eigensystems.
+    # solves every step-check grid once, in psi0's sector, whether the sweeps
+    # of the scans solve the family as one block (bqp-yes) or split into
+    # sectors (duqma-no).  bqp-yes solves 1,070 points (1,325 when each leg
+    # swept its own grid, 1,071 when calibration solved lambda = 0 again), 8
+    # of them the loop unitaries' eigensystems.
     from berrylab import dynamics, exact
 
     if name == "bqp-yes":
@@ -543,9 +544,9 @@ def test_bpe_solves_each_step_check_grid_once(name, monkeypatch):
         family, cfg = instance.family, BpeConfig(epsilon_B=instance.certified_delta / 2)
     solved, points, spectra, eigh = Counter(), Counter(), exact.spectra, exact._eigh
 
-    def spy_spectra(family, lams):
+    def spy_spectra(family, lams, sector=None):
         solved[np.asarray(lams, dtype=float).tobytes()] += 1
-        return spectra(family, lams)
+        return spectra(family, lams, sector)
 
     def spy_eigh(stacks):
         points["solved"] += sum(int(np.prod(a.shape[:-2])) for a in stacks)
@@ -560,7 +561,7 @@ def test_bpe_solves_each_step_check_grid_once(name, monkeypatch):
     if name == "bqp-yes":
         assert levels == [127, 254]
         assert grids == {127: 1, 254: 1, 508: 1}
-        assert points["solved"] == 1071
+        assert points["solved"] == 1070
     else:
         assert levels == [32, 64, 128, 256]  # the phase-lag scan also sweeps 64 midpoints
         assert grids == {32: 1, 64: 2, 128: 1, 256: 1, 512: 1}
@@ -698,3 +699,102 @@ def test_murta_recovers_small_phases():
 
 def test_murta_deterministic(equatorial):
     assert murta_bpe(equatorial, seed=9) == murta_bpe(equatorial, seed=9)
+
+
+# -- psi0's sector ------------------------------------------------------------------
+
+
+def sector_crossing_family(const: float):
+    """ZI's field const + 0.5 cos 2 pi lambda changes sign along the loop, so
+    the ground state changes sector where it vanishes: at lambda ~ 0.282 and
+    0.718 for const = 0.1, off the 64-point gap grid; at 1/4 and 3/4 for 0."""
+    return make_family(2, [("ZI", TrigCoefficient(const, ((1, 0.5),))),
+                           ("IX", cosine(1, 1.0)), ("IY", sine(1, 1.0))])
+
+
+@pytest.mark.parametrize("const, message", [
+    (0.1, "the ground state leaves its sector at lambda=0.296875"),
+    (0.0, "degenerate ground space at lambda=0.250000"),
+], ids=["off-grid", "on-grid"])
+def test_a_ground_state_that_changes_sector_is_refused(const, message):
+    # Both estimators propagate psi0's sector alone, so a ground state that
+    # leaves it along the loop is refused by the gap scan, between grid points
+    # as on one; before, bpe read theta_B = 3.163068 off the grid.  The Wilson
+    # loop refuses both by its overlap or degeneracy check.
+    family = sector_crossing_family(const)
+    for estimator in (run_bpe, murta_bpe):
+        with pytest.raises(DegeneracyError, match=message):
+            estimator(family, seed=1)
+    with pytest.raises(NumericalError):
+        wilson_loop_berry_phase(family)
+
+
+def test_run_bpe_solves_lambda_zero_twice(equatorial, monkeypatch):
+    # The gap scan's first point and _resolve_runtime's psi0; calibration
+    # measures every doubling from that psi0 and its sector.
+    from berrylab import dynamics, exact
+
+    zeros, spectra = Counter(), exact.spectra
+
+    def spy(family, lams, sector=None):
+        zeros["solved"] += int(np.count_nonzero(np.asarray(lams, dtype=float) == 0.0))
+        return spectra(family, lams, sector=sector)
+
+    for module in (dynamics, exact):
+        monkeypatch.setattr(module, "spectra", spy)
+    _, _, diag = run_bpe(equatorial, seed=0)
+    assert len(diag["calibration"]["tested"]) == 5
+    assert zeros["solved"] == 2
+
+
+@pytest.mark.parametrize("name", ["equatorial", "syn-yes"])
+def test_a_whole_space_sector_keeps_the_whole_space_bits(name, monkeypatch):
+    # On a connected family psi0's sector is the whole space, so the engine's
+    # legs and distributions are the whole-space ones, bit for bit.
+    from berrylab.corpus import synthetic_verifier_instance
+    from berrylab.verifier import VerifierConfig
+
+    family, cfg, guide = equatorial_loop(), BpeConfig(), None
+    if name == "syn-yes":
+        family, cfg = synthetic_verifier_instance("yes").family, VerifierConfig().bpe
+        guide = ground_state(family, 0.0)[1]
+    engine = BpeEngine(family, cfg, guide)
+    assert engine.sector.tolist() == list(range(family.dim))
+    monkeypatch.setattr(BpeEngine, "_pair", lambda self, steps: per_leg_pair(self, steps, True))
+    reference = BpeEngine(family, cfg, guide)
+    for got, want in ((engine.dist1, reference.dist1), (engine.dist_alpha, reference.dist_alpha)):
+        assert got.phases.tobytes() == want.phases.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+    assert engine.step_check == reference.step_check
+
+
+def test_duqma_yes_steps_only_psi0s_sector(duqma_instances, monkeypatch):
+    # psi0 lies in a sector of 10 of 128 states: every step stack the engine
+    # solves or forms is 10 x 10, and no stack of the whole space is solved.
+    from berrylab import dynamics, exact
+
+    instance = duqma_instances["yes"]
+    stepping, shapes = [], {"step": [], "other": []}
+    spectra, eigh, dense = dynamics.spectra, exact._eigh, exact.BlockEigensystems.dense
+
+    def spy_spectra(family, lams, sector=None):
+        stepping.append(True)
+        yield from spectra(family, lams, sector=sector)
+        stepping.pop()
+
+    def spy_eigh(stacks):
+        shapes["step" if stepping else "other"].extend(a.shape for a in stacks)
+        return eigh(stacks)
+
+    def spy_dense(self):  # the phase-lag scan reads dense eigenvectors; no step does
+        V = dense(self)
+        assert not stepping or V.shape[1:] == (10, 10), V.shape
+        return V
+
+    monkeypatch.setattr(dynamics, "spectra", spy_spectra)
+    monkeypatch.setattr(exact, "_eigh", spy_eigh)
+    monkeypatch.setattr(exact.BlockEigensystems, "dense", spy_dense)
+    engine = BpeEngine(instance.family, BpeConfig(epsilon_B=instance.certified_delta / 2))
+    assert engine.sector.size == 10
+    assert shapes["step"] and all(s[1:] == (1, 10, 10) for s in shapes["step"])
+    assert all(s[-1] < instance.family.dim for s in shapes["other"])

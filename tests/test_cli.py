@@ -276,6 +276,24 @@ def test_extreme_flags_are_refused(work, tmp_path, monkeypatch, capsys, command,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["bpe", "murta"])
+def test_a_ground_state_that_changes_sector_exits_4(tmp_path, capsys, command):
+    # ZI's field changes sign off the gap grid, at lambda ~ 0.282: the ground
+    # state leaves psi0's sector, which is all the estimators propagate.
+    from berrylab import cli
+    from berrylab.hamiltonians import TrigCoefficient
+
+    fam = make_family(2, [("ZI", TrigCoefficient(0.1, ((1, 0.5),))),
+                          ("IX", cosine(1, 1.0)), ("IY", sine(1, 1.0))])
+    save_family(fam, str(tmp_path / "cross.json"))
+    out = tmp_path / "o.json"
+    rc = cli.main([command, "--instance", str(tmp_path / "cross.json"), "--seed", "1",
+                   "--out", str(out)])
+    assert rc == 4
+    assert "leaves its sector at lambda=0.296875" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _verify_without_engine(tmp_path, monkeypatch, witness):
     from berrylab import cli, verifier
 

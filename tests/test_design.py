@@ -51,10 +51,10 @@ def _dotted(node) -> str | None:
     return ".".join([node.id, *reversed(parts)])
 
 
-def _call_sites(tails, kind=ast.Call) -> Counter:
+def _call_sites(tails, kind=ast.Call, keyword=None) -> Counter:
     """(module, outermost enclosing function or None, dotted name) of every
     call, or with ``kind=ast.Attribute`` every attribute read, whose name
-    ends in one of ``tails``."""
+    ends in one of ``tails``; with a keyword, only the calls passing it."""
     sites = Counter()
     for path in sorted(Path(berrylab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -65,7 +65,8 @@ def _call_sites(tails, kind=ast.Call) -> Counter:
         for node in ast.walk(tree):
             if isinstance(node, kind):
                 name = _dotted(node.func if kind is ast.Call else node)
-                if name is not None and name.rsplit(".", 1)[-1] in tails:
+                if name is not None and name.rsplit(".", 1)[-1] in tails and (
+                        keyword is None or keyword in {k.arg for k in node.keywords}):
                     sites[(path.stem, owner.get(node), name)] += 1
     return sites
 
@@ -83,14 +84,50 @@ def test_eigensolver_call_sites():
 
 def test_block_solver_call_sites():
     # A family's sectors are the one block structure, and only exact looks
-    # them up: the sweep, and eigh_blocks for the loop unitaries that qpe and
-    # murta solve with their family.  A matrix from no family is solved as
-    # one block.  A second block finder would show up here.
+    # them up: the sweep, and sectors_of, which names a state's sectors.
+    # A loop unitary is propagated in one sector already, so qpe solves it,
+    # like the accept operator, as one block.  A second block finder would
+    # show up here.
     assert _call_sites({"eigh_blocks", "_sectors_for"}) == {
         ("exact", "spectra", "_sectors_for"): 1,
-        ("exact", "eigh_blocks", "_sectors_for"): 1,
+        ("exact", "sectors_of", "_sectors_for"): 1,
         ("qpe", "unitary_eigensystem", "eigh_blocks"): 2,
         ("hardness", "accept_operator_spectrum", "eigh_blocks"): 1,
+    }
+
+
+def test_sector_call_sites():
+    # Only exact computes sector labels; the estimators and calibration take
+    # psi0's sector from ground_sector, and a QPE input's from sectors_of.
+    # Only these pass a sector on: the engine's legs, murta's, calibration's
+    # state and a loop distribution's, and the gap scan, which refuses a
+    # ground state leaving psi0's sector; the rest is dynamics handing it
+    # down to the sweep.  A whole-space propagation creeping back into the
+    # estimator, or a second sector finder, would show up here.
+    assert _call_sites({"_find_sectors", "_blocks"}) == {
+        ("exact", "_sectors_for", "_find_sectors"): 1,
+        ("exact", "_find_sectors", "_blocks"): 1,
+    }
+    assert _call_sites({"ground_sector", "sectors_of"}) == {
+        ("exact", "ground_sector", "sectors_of"): 1,
+        ("bpe", "_resolve_runtime", "ground_sector"): 1,
+        ("dynamics", "loop_infidelity", "ground_sector"): 1,
+        ("qpe", "distribution_for_loop", "sectors_of"): 1,
+    }
+    propagators = {"spectra", "_step_factors", "loop_propagators", "loop_propagator",
+                   "adiabatic_propagate", "min_gap", "sweep"}
+    assert _call_sites(propagators, keyword="sector") == {
+        ("bpe", "_resolve_runtime", "min_gap"): 1,
+        ("exact", "min_gap", "sweep"): 1,
+        ("bpe", "_pair", "loop_propagator"): 2,
+        ("bpe", "_pair", "loop_propagators"): 1,
+        ("bpe", "murta_bpe", "loop_propagators"): 1,
+        ("dynamics", "loop_infidelity", "adiabatic_propagate"): 1,
+        ("qpe", "distribution_for_loop", "loop_propagator"): 1,
+        ("dynamics", "_step_factors", "spectra"): 1,
+        ("dynamics", "adiabatic_propagate", "_step_factors"): 1,
+        ("dynamics", "loop_propagators", "_step_factors"): 1,
+        ("dynamics", "loop_propagator", "loop_propagators"): 1,
     }
 
 
@@ -103,7 +140,6 @@ def test_dense_eigenvector_call_sites():
     # residual read.  A scan that starts forming dense stacks shows up here.
     assert _call_sites({"dense"}) == {
         ("exact", "eigenvectors", "self.blocks.dense"): 1,
-        ("exact", "eigh_blocks", "blocks.dense"): 1,
         ("dynamics", "_step_factors", "blocks.dense"): 1,
     }
     assert _call_sites({"eigenvectors"}, ast.Attribute) == {
@@ -152,9 +188,10 @@ def test_unit_state_call_sites():
 
 def test_loop_propagator_call_sites():
     # Legs of one step count are built from one sweep: murta's two legs, and
-    # the engine's alpha leg with the next level's T leg.  The engine builds a
-    # leg alone otherwise: near the cap, in formula mode, or for its first T
-    # leg.  A second per-schedule sweep path would show up here.
+    # the engine's alpha leg with the next level's T leg, all in psi0's
+    # sector (test_sector_call_sites).  The engine builds a leg alone
+    # otherwise: near the cap, in formula mode, or for its first T leg.  A
+    # second per-schedule sweep path would show up here.
     assert _call_sites({"loop_propagator", "loop_propagators"}) == {
         ("bpe", "_pair", "loop_propagator"): 2,
         ("bpe", "_pair", "loop_propagators"): 1,

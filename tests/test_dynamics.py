@@ -28,7 +28,7 @@ from berrylab.dynamics import (
     step_count,
 )
 from berrylab.errors import ConfigError, DegeneracyError, NumericalError
-from berrylab.exact import ground_state
+from berrylab.exact import ground_sector, ground_state
 from berrylab.hamiltonians import (
     commutator_bound,
     constant,
@@ -207,14 +207,67 @@ def test_schedules_of_one_step_count_share_a_sweep(kernel_families, monkeypatch)
     alone = [loop_propagator(fam, s) for s in schedules]
     calls, spectra = [], dynamics.spectra
 
-    def spy(family, lams):
+    def spy(family, lams, sector=None):
         calls.append(len(lams))
-        return spectra(family, lams)
+        return spectra(family, lams, sector)
 
     monkeypatch.setattr(dynamics, "spectra", spy)
     shared = loop_propagators(fam, *schedules)
     assert calls == [600]
     assert [W.tobytes() for W in shared] == [W.tobytes() for W in alone]
+
+
+@pytest.fixture(scope="module")
+def sector_families():
+    from berrylab.corpus import duqma_no_circuit, duqma_yes_circuit
+    from berrylab.hardness import build_duqma_instance
+
+    return {
+        "bqp-yes": build_bqp_instance(bqp_yes_circuit()).family,
+        "random-3q": random_gapped_family(3, np.random.default_rng(1103)),
+        "duqma-no": build_duqma_instance(duqma_no_circuit(), 0).family,
+        "duqma-yes": build_duqma_instance(duqma_yes_circuit(), 0).family,
+    }
+
+
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+@pytest.mark.parametrize("name", ["bqp-yes", "random-3q", "duqma-no", "duqma-yes"])
+def test_a_sector_propagates_as_its_block_of_the_whole(sector_families, name, direction):
+    # psi0's sector, filled, solved and multiplied alone, is the dense W's
+    # block of it, and the dense W couples it to the rest only by rounding.
+    # bqp-yes and the 3-qubit family split below 64 states, where the
+    # sweep's scans solve them whole.
+    fam = sector_families[name]
+    _, psi0 = ground_state(fam, 0.0)
+    sector, psi = ground_sector(fam, psi0)
+    assert 1 < sector.size < fam.dim
+    sched = AdiabaticSchedule(T=50.0, steps=40, direction=direction)
+    W, block = loop_propagator(fam, sched), loop_propagator(fam, sched, sector=sector)
+    rest = np.delete(np.arange(fam.dim), sector)
+    assert np.linalg.norm(block - W[np.ix_(sector, sector)], 2) <= 1e-13
+    assert np.linalg.norm(W[np.ix_(rest, sector)], 2) <= 1e-14
+    assert np.linalg.norm(W[np.ix_(sector, rest)], 2) <= 1e-14
+    out = adiabatic_propagate(psi, fam, sched, sector=sector)
+    assert np.linalg.norm(out - (W @ psi0)[sector]) <= 1e-13
+    with pytest.raises(ConfigError, match=rf"expected \({sector.size},\)"):
+        adiabatic_propagate(psi0, fam, sched, sector=sector)
+
+
+def test_calibration_takes_psi0_and_its_sector(kernel_families):
+    # loop_infidelity given psi0 and its sector reads what it finds itself.
+    # On a connected family the sector is the whole space and psi0 the
+    # strided column itself, whose np.vdot a contiguous copy would move.
+    fields = [(q * "I" + a + (2 - q) * "I", constant(0.4 + 0.1 * q))
+              for q in range(3) for a in "XZ"]
+    connected = make_family(3, [("XII", cosine(1, 0.5)), ("YII", sine(1, 0.5)), *fields])
+    for fam in (kernel_families["bqp"], kernel_families["random-3q"], connected):
+        _, psi0 = ground_state(fam, 0.0)
+        ground = ground_sector(fam, psi0)
+        assert loop_infidelity(fam, 4.0, 10.0, ground) == loop_infidelity(fam, 4.0, 10.0)
+        assert calibrate_runtime(fam, 0.05, 10.0, ground) == calibrate_runtime(fam, 0.05, 10.0)
+    for T in (2.0, 8.0, 16.0):
+        out = adiabatic_propagate(psi0, fam, make_schedule(fam, T, 10.0))
+        assert loop_infidelity(fam, T, 10.0) == max(0.0, 1.0 - abs(np.vdot(psi0, out)) ** 2)
 
 
 def test_step_kernel_stacks_stay_under_the_cap(monkeypatch):

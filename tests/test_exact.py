@@ -10,7 +10,7 @@ from berrylab import exact
 from berrylab.angles import circle_distance
 from berrylab.corpus import constant_z_family, equatorial_loop, tilted_loop_family
 from berrylab.dynamics import phase_lag_scale
-from berrylab.errors import ConfigError, DegeneracyError
+from berrylab.errors import ConfigError, DegeneracyError, NumericalError
 from berrylab.exact import (
     berry_connection_exact,
     berry_connection_perturbative,
@@ -466,3 +466,25 @@ def test_perturbative_connections_match_pointwise_connections():
     want = [oracles.pointwise_perturbative_connection(base, V, r, lam) for lam in lams]
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert got[3] == berry_connection_perturbative(base, V, r, lams[3]).value
+
+
+def test_sectors_are_found_at_every_dimension_and_name_a_states_part():
+    # ZI fixes the first qubit, IX couples the second: sectors {00, 01} and
+    # {10, 11}.  The sweep still solves this 4-state family whole.
+    fam = make_family(2, [("ZI", constant(0.3)), ("IX", cosine(1, 1.0))])
+    assert exact._sectors_for(fam).labels.tolist() == [0, 0, 2, 2]
+    assert [g.shape for g in exact._sectors_for(fam).groups] == [(1, 4)]
+    for leak in (0.0, 1e-13, 1e-11):
+        psi = np.array([math.sqrt(1.0 - leak), 0.0, math.sqrt(leak), 0.0], dtype=complex)
+        touched = [s.tolist() for s, _ in exact.sectors_of(fam, psi)]
+        assert touched == [[0, 1], [2, 3]][:1 + (leak > 0)]
+        if leak > 1e-12:  # more than rounding would be dropped with the other sector
+            with pytest.raises(NumericalError, match="outside one sector"):
+                exact.ground_sector(fam, psi)
+        else:
+            sector, amps = exact.ground_sector(fam, psi)
+            assert sector.tolist() == [0, 1] and amps.tolist() == psi[:2].tolist()
+    # a sector of the whole space hands back the state itself, strides and all
+    psi = ground_state(equatorial_loop(), 0.0)[1]
+    ((sector, amps),) = exact.sectors_of(equatorial_loop(), psi)
+    assert sector.tolist() == [0, 1] and amps is psi

@@ -441,8 +441,9 @@ def sector_families():
 def test_loop_unitary_and_cayley_vanish_off_the_family_sectors(
     sector_families, monkeypatch, name, direction, steps
 ):
-    # qpe solves W and its Cayley X = (I + e^{-i phi0} W)^-1 in the sectors of
-    # W's family, so every entry outside them must be exactly 0.0.
+    # A loop unitary and its Cayley X = (I + e^{-i phi0} W)^-1 are exactly 0.0
+    # outside the family's sectors, so a state's sectors are propagated and
+    # solved alone (distribution_for_loop, the estimators) with nothing lost.
     from berrylab import qpe
     from berrylab.dynamics import loop_propagator
     from berrylab.exact import _sectors_for
@@ -457,7 +458,7 @@ def test_loop_unitary_and_cayley_vanish_off_the_family_sectors(
     inverses = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(inv(a)) or inverses[-1])
-    qpe.unitary_eigensystem(W, fam)
+    qpe.unitary_eigensystem(W)
     (X,) = inverses
     assert np.all(W[off] == 0.0)
     assert np.all(X[off] == 0.0)
@@ -465,34 +466,44 @@ def test_loop_unitary_and_cayley_vanish_off_the_family_sectors(
 
 @pytest.mark.parametrize("T, steps", [(50.0, 40), (573.6, 80)])
 def test_a_family_solve_matches_the_one_block_solve(sector_families, T, steps):
-    # W solved in its family's sectors has the spectral mixture of W solved as
-    # one block.  Phases 1e-15 apart may come out in either order, so phases
-    # are compared sorted and weights by the eigenphase they sit on.
+    # A loop's distribution, propagated and solved per sector of the family
+    # that its input touches, has the spectral mixture of the whole W solved
+    # as one block.  The ground state touches one sector of 8, a spread
+    # state all of them.  Phases 1e-15 apart may come out in either order, so
+    # phases are compared sorted and weights by the eigenphase they sit on.
     from berrylab.dynamics import loop_propagator
 
     fam = sector_families["duqma-no"]
-    W = loop_propagator(fam, AdiabaticSchedule(T=T, steps=steps))
-    assert np.abs(np.sort(unitary_eigensystem(W, fam)[0])
-                  - np.sort(unitary_eigensystem(W)[0])).max() <= 1e-12
+    schedule = AdiabaticSchedule(T=T, steps=steps)
+    W = loop_propagator(fam, schedule)
     _, ground = ground_state(fam, 0.0)
     mixed = [1.0, 1j] @ np.random.default_rng(2010).standard_normal((2, fam.dim))
-    for psi in (ground, mixed / np.linalg.norm(mixed)):
-        split, whole = (distribution_for_unitary(W, psi, 8, f) for f in (fam, None))
-        assert np.abs(np.sort(split.phases) - np.sort(whole.phases)).max() <= 1e-12
+    mixed = mixed / np.linalg.norm(mixed)
+    assert np.abs(np.sort(distribution_for_loop(fam, schedule, mixed, 8).phases)
+                  - np.sort(unitary_eigensystem(W)[0])).max() <= 1e-12
+    assert distribution_for_loop(fam, schedule, ground, 8).phases.size == 8
+    for psi in (ground, mixed):
+        split = distribution_for_loop(fam, schedule, psi, 8)
+        whole = distribution_for_unitary(W, psi, 8)
         assert np.abs(_weight_near(split.phases, split.weights, whole.phases)
                       - _weight_near(whole.phases, whole.weights, whole.phases)).max() <= 1e-12
 
 
 def test_a_one_block_family_solve_is_the_one_block_solve():
-    # bqp-yes (16 states) is one block, so naming its family changes no bit
-    from berrylab.corpus import bqp_yes_circuit
+    # A transverse field on every qubit makes the family one sector, so a
+    # loop's distribution is the whole unitary's, bit for bit, for its strided
+    # ground state as for a contiguous one
     from berrylab.dynamics import loop_propagator
-    from berrylab.hardness import build_bqp_instance
+    from berrylab.hamiltonians import constant, cosine, make_family, sine
 
-    fam = build_bqp_instance(bqp_yes_circuit()).family
-    W = loop_propagator(fam, AdiabaticSchedule(T=100.0, steps=200))
+    fields = [(q * "I" + a + (3 - q) * "I", constant(0.4 + 0.1 * q))
+              for q in range(4) for a in "XZ"]
+    fam = make_family(4, [("XIII", cosine(1, 0.5)), ("YIII", sine(1, 0.5)), *fields])
+    schedule = AdiabaticSchedule(T=100.0, steps=200)
+    W = loop_propagator(fam, schedule)
     _, psi = ground_state(fam, 0.0)
-    split, whole = (distribution_for_unitary(W, psi, 8, f) for f in (fam, None))
-    for a, b in [*zip(unitary_eigensystem(W, fam), unitary_eigensystem(W)),
-                 (split.phases, whole.phases), (split.weights, whole.weights)]:
-        assert a.tobytes() == b.tobytes()
+    for state in (psi, psi.copy()):
+        split = distribution_for_loop(fam, schedule, state, 8)
+        whole = distribution_for_unitary(W, state, 8)
+        for a, b in [(split.phases, whole.phases), (split.weights, whole.weights)]:
+            assert a.tobytes() == b.tobytes()
