@@ -300,7 +300,7 @@ def _resolve_runtime(
     h_max, d1_max, d2_max = norm_bounds(family)
     E0, psi0 = ground_state(family, 0.0)
     ground = ground_sector(family, psi0)
-    gap, gap_argmin = min_gap(family, GAP_GRID, sector=ground[0])  # also the degeneracy guard
+    gap, gap_argmin = min_gap(family, GAP_GRID, ground_in=ground[0])  # also the degeneracy guard
 
     guiding_fidelity = 1.0 if guide is None else float(abs(np.vdot(guide, psi0)) ** 2)
     if guiding_fidelity < GUIDING_FLOOR:

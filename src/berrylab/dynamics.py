@@ -268,11 +268,12 @@ def loop_infidelity(
     family: HamiltonianFamily,
     T: float,
     oversampling: float = DEFAULT_OVERSAMPLING,
-    ground=None,
+    *,
+    ground: tuple,
 ) -> float:
-    """1 - |<psi0| U(T) |psi0>|^2 for the exact ground state at lambda = 0, in
-    its sector: ``ground``, exact.ground_sector's of psi0, is found if not given."""
-    sector, psi0 = ground or ground_sector(family, ground_state(family, 0.0)[1])
+    """1 - |<psi0| U(T) |psi0>|^2 for the exact ground state psi0 at lambda = 0,
+    in its sector: ``ground`` is exact.ground_sector's (sector, amplitudes) of psi0."""
+    sector, psi0 = ground
     schedule = make_schedule(family, T, oversampling=oversampling)
     out = adiabatic_propagate(psi0, family, schedule, sector=sector)
     return max(0.0, 1.0 - abs(np.vdot(psi0, out)) ** 2)
@@ -319,15 +320,17 @@ def calibrate_runtime(
     ground=None,
 ) -> tuple[float, dict]:
     """Smallest runtime T = 2^k, k = 0 .. CALIBRATION_DOUBLINGS - 1, with
-    measured loop infidelity (given ``ground``) at most delta_adia^2.  Desk-scale
-    replacement for the worst-case bound; returns (T, diagnostics)."""
+    measured loop infidelity at most delta_adia^2, of ``ground`` (as loop_infidelity's,
+    found here if not given).  Desk-scale replacement for the worst-case bound;
+    returns (T, diagnostics)."""
     if not (0.0 < delta_adia < 1.0):
         raise ConfigError(f"delta_adia must be in (0, 1), got {delta_adia}")
+    ground = ground or ground_sector(family, ground_state(family, 0.0)[1])
     infidelity_target = delta_adia ** 2
     tested = []
     T = 1.0
     for _ in range(CALIBRATION_DOUBLINGS):
-        infid = loop_infidelity(family, T, oversampling, ground)
+        infid = loop_infidelity(family, T, oversampling, ground=ground)
         tested.append((T, infid))
         if infid <= infidelity_target:
             return T, {"tested": tested, "infidelity": infid,

@@ -11,9 +11,8 @@ decouples into, are found once, cached on it and are the lab's one block
 structure, and only this module looks them up: the sweep solves each block
 size over many lambdas per call and yields block eigensystems in chunks
 sized by d^2, forming dense eigenvectors only when a caller reads them; for
-the step kernel it solves the one sector a state lies in (ground_sector,
-sectors_of) alone.  A stack of one block is handed out as eigh returned
-it.
+the step kernel it solves the one sector a state lies in (ground_sector)
+alone.  A stack of one block is handed out as eigh returned it.
 
 The Wilson loop reads the minimum gap on its grid from the slices it
 solves, so the oracle's two numbers come from one scan of the loop.
@@ -179,18 +178,13 @@ def _placement(family: HamiltonianFamily, groups: list) -> tuple:
     return groups, ends, np.flatnonzero(at >= 0), at[at >= 0]
 
 
-def sectors_of(family: HamiltonianFamily, psi: np.ndarray) -> list:
-    """(basis indices, amplitudes) of psi in each of the family's sectors it
-    touches; on the whole space psi itself, as a copy of a column moves bits."""
-    labels = _sectors_for(family).labels
-    idx = [np.flatnonzero(labels == k) for k in np.unique(labels[psi != 0])]
-    return [(i, psi if i.size == psi.size else psi[i]) for i in idx]
-
-
 def ground_sector(family: HamiltonianFamily, psi: np.ndarray) -> tuple:
-    """sectors_of's part of a unit psi in its largest amplitude's sector, where
-    it is propagated: more than rounding of weight elsewhere is refused, not dropped."""
-    sector, amps = max(sectors_of(family, psi), key=lambda part: np.max(np.abs(part[1])))
+    """(basis indices, amplitudes) of a unit psi in its largest amplitude's sector,
+    where it is propagated; on the whole space psi itself, as a copy of a column
+    moves bits.  More than rounding of weight elsewhere is refused, not dropped."""
+    labels = _sectors_for(family).labels
+    sector = np.flatnonzero(labels == labels[np.argmax(np.abs(psi))])
+    amps = psi if sector.size == psi.size else psi[sector]
     if 1.0 - np.vdot(amps, amps).real > 1e-12:
         raise NumericalError("the state has more than rounding of its weight outside one sector")
     return sector, amps
@@ -306,24 +300,25 @@ def _slice(family: HamiltonianFamily, lam, evals, blocks, p: int) -> SpectrumSli
     )
 
 
-def _gapped(s: SpectrumSlice, sector=None) -> SpectrumSlice:
+def _gapped(s: SpectrumSlice, ground_in=None) -> SpectrumSlice:
     if s.degenerate:
         raise DegeneracyError(
             f"degenerate ground space at lambda={s.lam:.6f} (gap={s.gap:.3e})"
         )
-    if sector is not None and np.argmax(np.abs(s.ground_state)) not in sector:
+    if ground_in is not None and np.argmax(np.abs(s.ground_state)) not in ground_in:
         raise DegeneracyError(f"the ground state leaves its sector at lambda={s.lam:.6f}")
     return s
 
 
-def sweep(family: HamiltonianFamily, lams, sector=None):
+def sweep(family: HamiltonianFamily, lams, ground_in=None):
     """Yield the SpectrumSlice at each lambda in order, refusing a
-    numerically degenerate ground space, or one outside a given sector: the
+    numerically degenerate ground space, or one outside the sector ground_in
+    (basis indices; the sweep still solves the whole family): the
     one spectral sweep along the loop.  A slice keeps its chunk's
     eigenvectors alive; a ground state read from a split chunk does not."""
     for part, w, blocks in spectra(family, lams):
         for p, (lam, evals) in enumerate(zip(part, w)):
-            yield _gapped(_slice(family, lam, evals, blocks, p), sector)
+            yield _gapped(_slice(family, lam, evals, blocks, p), ground_in)
 
 
 def diagonalize(family: HamiltonianFamily, lam: float) -> SpectrumSlice:
@@ -344,14 +339,14 @@ def ground_state(family: HamiltonianFamily, lam: float) -> tuple[float, np.ndarr
     return s.ground_energy, s.ground_state
 
 
-def min_gap(family: HamiltonianFamily, grid, sector=None) -> tuple[float, float]:
+def min_gap(family: HamiltonianFamily, grid, ground_in=None) -> tuple[float, float]:
     """Minimum E1 - E0 over a lambda grid and its argmin.
 
     ``grid`` is either a point count (uniform grid on [0, 1)) or an explicit
     sequence of lambdas.  Raises DegeneracyError naming the offending lambda
-    if any slice is degenerate, or its ground state leaves a given sector.
+    if any slice is degenerate, or its ground state leaves the sector ground_in.
     """
-    slices = sweep(family, lambda_grid(family, grid), sector=sector)
+    slices = sweep(family, lambda_grid(family, grid), ground_in=ground_in)
     return min(((s.gap, s.lam) for s in slices), key=lambda t: t[0])  # the first minimum
 
 

@@ -12,7 +12,7 @@ the dense eigensystem of W; sample_outcomes reads it out bit by bit, which is
 statistically identical to running the circuit with exact controlled powers,
 but lets a single propagator build serve many seeds.  unitary_eigensystem
 finds W's eigensystem with Hermitian solves alone, through a Cayley transform,
-for a loop one sector at a time.  stream_uniforms draws every stream,
+as one block: the estimators' loops are psi0's sector's alone.  stream_uniforms draws every stream,
 bit for bit the uniforms numpy's default_rng of each seed would give: the
 seeds' SeedSequence words (seed_words, children as appended columns) are
 hashed as array arithmetic, PCG64's seeding follows row by row, and numpy's
@@ -35,7 +35,7 @@ import numpy as np
 from .angles import TWO_PI
 from .dynamics import AdiabaticSchedule, loop_propagator, unit_amplitudes
 from .errors import CapacityError, ConfigError
-from .exact import eigh_blocks, sectors_of
+from .exact import eigh_blocks
 from .hamiltonians import HamiltonianFamily
 
 # The readout bits are exact in float64 up to m = 53; bins narrower than
@@ -149,16 +149,13 @@ def distribution_for_loop(
     input_state,
     m: int,
 ) -> QpeDistribution:
-    """QPE outcome distribution for a schedule's loop, per sector the input touches."""
+    """QPE outcome distribution for the loop propagator of a schedule."""
     psi = unit_amplitudes(input_state)
     if psi.shape != (family.dim,):
         raise ConfigError(
             f"input state has shape {psi.shape}, expected ({family.dim},)"
         )
-    parts = [(unitary_eigensystem(loop_propagator(family, schedule, sector=s)), amps)
-             for s, amps in sectors_of(family, psi)]
-    mixture = [(phases, np.abs(V.conj().T @ amps) ** 2) for (phases, V), amps in parts]
-    return distribution_from_phases(*map(np.concatenate, zip(*mixture)), m)
+    return distribution_for_unitary(loop_propagator(family, schedule), psi, m)
 
 
 # numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64's

@@ -84,13 +84,13 @@ def test_eigensolver_call_sites():
 
 def test_block_solver_call_sites():
     # A family's sectors are the one block structure, and only exact looks
-    # them up: the sweep, and sectors_of, which names a state's sectors.
-    # A loop unitary is propagated in one sector already, so qpe solves it,
-    # like the accept operator, as one block.  A second block finder would
+    # them up: the sweep, and ground_sector, which names a state's sector.
+    # The estimators' loop unitaries are psi0's sector's already, so qpe
+    # solves a unitary, like the accept operator, as one block.  A second block finder would
     # show up here.
     assert _call_sites({"eigh_blocks", "_sectors_for"}) == {
         ("exact", "spectra", "_sectors_for"): 1,
-        ("exact", "sectors_of", "_sectors_for"): 1,
+        ("exact", "ground_sector", "_sectors_for"): 1,
         ("qpe", "unitary_eigensystem", "eigh_blocks"): 2,
         ("hardness", "accept_operator_spectrum", "eigh_blocks"): 1,
     }
@@ -98,32 +98,31 @@ def test_block_solver_call_sites():
 
 def test_sector_call_sites():
     # Only exact computes sector labels; the estimators and calibration take
-    # psi0's sector from ground_sector, and a QPE input's from sectors_of.
-    # Only these pass a sector on: the engine's legs, murta's, calibration's
-    # state and a loop distribution's, and the gap scan, which refuses a
-    # ground state leaving psi0's sector; the rest is dynamics handing it
-    # down to the sweep.  A whole-space propagation creeping back into the
-    # estimator, or a second sector finder, would show up here.
+    # psi0's sector from ground_sector.  Only these propagate in a sector:
+    # the engine's legs, murta's and calibration's state; the rest is
+    # dynamics handing it down to the sweep.  The gap scan alone checks that
+    # the ground state stays in psi0's sector (ground_in), solving the whole
+    # family.  A whole-space propagation creeping back into the estimator,
+    # or a second sector finder, would show up here.
     assert _call_sites({"_find_sectors", "_blocks"}) == {
         ("exact", "_sectors_for", "_find_sectors"): 1,
         ("exact", "_find_sectors", "_blocks"): 1,
     }
-    assert _call_sites({"ground_sector", "sectors_of"}) == {
-        ("exact", "ground_sector", "sectors_of"): 1,
+    assert _call_sites({"ground_sector"}) == {
         ("bpe", "_resolve_runtime", "ground_sector"): 1,
-        ("dynamics", "loop_infidelity", "ground_sector"): 1,
-        ("qpe", "distribution_for_loop", "sectors_of"): 1,
+        ("dynamics", "calibrate_runtime", "ground_sector"): 1,
     }
     propagators = {"spectra", "_step_factors", "loop_propagators", "loop_propagator",
                    "adiabatic_propagate", "min_gap", "sweep"}
-    assert _call_sites(propagators, keyword="sector") == {
+    assert _call_sites(propagators, keyword="ground_in") == {
         ("bpe", "_resolve_runtime", "min_gap"): 1,
         ("exact", "min_gap", "sweep"): 1,
+    }
+    assert _call_sites(propagators, keyword="sector") == {
         ("bpe", "_pair", "loop_propagator"): 2,
         ("bpe", "_pair", "loop_propagators"): 1,
         ("bpe", "murta_bpe", "loop_propagators"): 1,
         ("dynamics", "loop_infidelity", "adiabatic_propagate"): 1,
-        ("qpe", "distribution_for_loop", "loop_propagator"): 1,
         ("dynamics", "_step_factors", "spectra"): 1,
         ("dynamics", "adiabatic_propagate", "_step_factors"): 1,
         ("dynamics", "loop_propagators", "_step_factors"): 1,

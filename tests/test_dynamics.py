@@ -254,20 +254,21 @@ def test_a_sector_propagates_as_its_block_of_the_whole(sector_families, name, di
 
 
 def test_calibration_takes_psi0_and_its_sector(kernel_families):
-    # loop_infidelity given psi0 and its sector reads what it finds itself.
-    # On a connected family the sector is the whole space and psi0 the
-    # strided column itself, whose np.vdot a contiguous copy would move.
+    # calibrate_runtime given psi0 and its sector reads what it finds itself,
+    # and loop_infidelity propagates psi0 in its sector.  On a connected
+    # family the sector is the whole space and psi0 the strided column
+    # itself, whose np.vdot a contiguous copy would move.
     fields = [(q * "I" + a + (2 - q) * "I", constant(0.4 + 0.1 * q))
               for q in range(3) for a in "XZ"]
     connected = make_family(3, [("XII", cosine(1, 0.5)), ("YII", sine(1, 0.5)), *fields])
     for fam in (kernel_families["bqp"], kernel_families["random-3q"], connected):
         _, psi0 = ground_state(fam, 0.0)
         ground = ground_sector(fam, psi0)
-        assert loop_infidelity(fam, 4.0, 10.0, ground) == loop_infidelity(fam, 4.0, 10.0)
         assert calibrate_runtime(fam, 0.05, 10.0, ground) == calibrate_runtime(fam, 0.05, 10.0)
     for T in (2.0, 8.0, 16.0):
         out = adiabatic_propagate(psi0, fam, make_schedule(fam, T, 10.0))
-        assert loop_infidelity(fam, T, 10.0) == max(0.0, 1.0 - abs(np.vdot(psi0, out)) ** 2)
+        assert (loop_infidelity(fam, T, 10.0, ground=ground)
+                == max(0.0, 1.0 - abs(np.vdot(psi0, out)) ** 2))
 
 
 def test_step_kernel_stacks_stay_under_the_cap(monkeypatch):
@@ -361,9 +362,13 @@ def test_phase_lag_scale_rejects_a_degenerate_constant_family(n, axes):
 # -- fidelity and calibration --------------------------------------------------
 
 
+def _ground(family):
+    return ground_sector(family, ground_state(family, 0.0)[1])
+
+
 def test_loop_infidelity_decreases_with_runtime(equatorial):
-    slow = loop_infidelity(equatorial, 64.0)
-    fast = loop_infidelity(equatorial, 8.0)
+    slow = loop_infidelity(equatorial, 64.0, ground=_ground(equatorial))
+    fast = loop_infidelity(equatorial, 8.0, ground=_ground(equatorial))
     assert slow < fast
     assert slow < 1e-2
 
@@ -372,7 +377,7 @@ def test_calibrate_runtime_meets_target(equatorial):
     T, info = calibrate_runtime(equatorial, delta_adia=0.05)
     assert info["infidelity"] <= 0.05**2
     assert T >= 1.0
-    assert loop_infidelity(equatorial, T) <= 0.05**2
+    assert loop_infidelity(equatorial, T, ground=_ground(equatorial)) <= 0.05**2
 
 
 def test_calibrate_runtime_constant_family_is_instant(constant_z):

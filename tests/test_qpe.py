@@ -442,8 +442,8 @@ def test_loop_unitary_and_cayley_vanish_off_the_family_sectors(
     sector_families, monkeypatch, name, direction, steps
 ):
     # A loop unitary and its Cayley X = (I + e^{-i phi0} W)^-1 are exactly 0.0
-    # outside the family's sectors, so a state's sectors are propagated and
-    # solved alone (distribution_for_loop, the estimators) with nothing lost.
+    # outside the family's sectors, so the estimators propagate and solve
+    # psi0's sector alone with nothing lost.
     from berrylab import qpe
     from berrylab.dynamics import loop_propagator
     from berrylab.exact import _sectors_for
@@ -466,44 +466,48 @@ def test_loop_unitary_and_cayley_vanish_off_the_family_sectors(
 
 @pytest.mark.parametrize("T, steps", [(50.0, 40), (573.6, 80)])
 def test_a_family_solve_matches_the_one_block_solve(sector_families, T, steps):
-    # A loop's distribution, propagated and solved per sector of the family
-    # that its input touches, has the spectral mixture of the whole W solved
-    # as one block.  The ground state touches one sector of 8, a spread
-    # state all of them.  Phases 1e-15 apart may come out in either order, so
-    # phases are compared sorted and weights by the eigenphase they sit on.
+    # The estimators' distribution, from psi0's sector's loop solved alone,
+    # has the spectral mixture of the whole W solved as one block, and the
+    # family's sectors' loops hold W's eigenphases between them.  Phases
+    # 1e-15 apart may come out in either order, so phases are compared
+    # sorted and weights by the eigenphase they sit on.
     from berrylab.dynamics import loop_propagator
+    from berrylab.exact import _sectors_for, ground_sector
 
     fam = sector_families["duqma-no"]
     schedule = AdiabaticSchedule(T=T, steps=steps)
     W = loop_propagator(fam, schedule)
-    _, ground = ground_state(fam, 0.0)
-    mixed = [1.0, 1j] @ np.random.default_rng(2010).standard_normal((2, fam.dim))
-    mixed = mixed / np.linalg.norm(mixed)
-    assert np.abs(np.sort(distribution_for_loop(fam, schedule, mixed, 8).phases)
+    labels = _sectors_for(fam).labels
+    sectors = [np.flatnonzero(labels == k) for k in np.unique(labels)]
+    assert len(sectors) == 12
+    phases = [unitary_eigensystem(loop_propagator(fam, schedule, sector=s))[0] for s in sectors]
+    assert np.abs(np.sort(np.concatenate(phases))
                   - np.sort(unitary_eigensystem(W)[0])).max() <= 1e-12
-    assert distribution_for_loop(fam, schedule, ground, 8).phases.size == 8
-    for psi in (ground, mixed):
-        split = distribution_for_loop(fam, schedule, psi, 8)
-        whole = distribution_for_unitary(W, psi, 8)
-        assert np.abs(_weight_near(split.phases, split.weights, whole.phases)
-                      - _weight_near(whole.phases, whole.weights, whole.phases)).max() <= 1e-12
+    _, psi0 = ground_state(fam, 0.0)
+    sector, amps = ground_sector(fam, psi0)
+    split = distribution_for_unitary(loop_propagator(fam, schedule, sector=sector), amps, 8)
+    whole = distribution_for_loop(fam, schedule, psi0, 8)
+    assert split.phases.size == sector.size == 8
+    assert np.abs(_weight_near(split.phases, split.weights, whole.phases)
+                  - _weight_near(whole.phases, whole.weights, whole.phases)).max() <= 1e-12
 
 
 def test_a_one_block_family_solve_is_the_one_block_solve():
-    # A transverse field on every qubit makes the family one sector, so a
-    # loop's distribution is the whole unitary's, bit for bit, for its strided
-    # ground state as for a contiguous one
+    # A transverse field on every qubit makes the family one sector, so the
+    # estimators' distribution from psi0's sector is the whole loop's, bit for
+    # bit, for its strided ground state as for a contiguous one
     from berrylab.dynamics import loop_propagator
+    from berrylab.exact import ground_sector
     from berrylab.hamiltonians import constant, cosine, make_family, sine
 
     fields = [(q * "I" + a + (3 - q) * "I", constant(0.4 + 0.1 * q))
               for q in range(4) for a in "XZ"]
     fam = make_family(4, [("XIII", cosine(1, 0.5)), ("YIII", sine(1, 0.5)), *fields])
     schedule = AdiabaticSchedule(T=100.0, steps=200)
-    W = loop_propagator(fam, schedule)
     _, psi = ground_state(fam, 0.0)
     for state in (psi, psi.copy()):
-        split = distribution_for_loop(fam, schedule, state, 8)
-        whole = distribution_for_unitary(W, state, 8)
+        sector, amps = ground_sector(fam, state)
+        split = distribution_for_unitary(loop_propagator(fam, schedule, sector=sector), amps, 8)
+        whole = distribution_for_loop(fam, schedule, state, 8)
         for a, b in [(split.phases, whole.phases), (split.weights, whole.weights)]:
             assert a.tobytes() == b.tobytes()
