@@ -55,7 +55,7 @@ from .dynamics import (
     unit_amplitudes,
 )
 from .errors import ConfigError
-from .exact import ground_sector, ground_state, min_gap
+from .exact import gapped_slice, ground_sector, lambda_grid, min_gap
 from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
     bits_for_precision,
@@ -298,9 +298,11 @@ def _resolve_runtime(
             f"guiding state has shape {guide.shape}, expected ({family.dim},)"
         )
     h_max, d1_max, d2_max = norm_bounds(family)
-    E0, psi0 = ground_state(family, 0.0)
+    s0 = gapped_slice(family, 0.0)  # the gap guard's first point gives E0 and psi0
+    E0, psi0 = s0.ground_energy, s0.ground_state
     ground = ground_sector(family, psi0)
-    gap, gap_argmin = min_gap(family, GAP_GRID, ground_in=ground[0])  # also the degeneracy guard
+    rest = min_gap(family, lambda_grid(family, GAP_GRID)[1:], ground_in=ground[0])
+    gap, gap_argmin = min((s0.gap, 0.0), rest, key=lambda t: t[0])  # the first minimum
 
     guiding_fidelity = 1.0 if guide is None else float(abs(np.vdot(guide, psi0)) ** 2)
     if guiding_fidelity < GUIDING_FLOOR:

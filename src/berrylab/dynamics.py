@@ -306,10 +306,9 @@ def phase_lag_scale(family: HamiltonianFamily, grid: int = 64) -> float:
         if s.point == 0:
             dHs = eval_hamiltonians(dfam, lams[done:done + len(s.blocks.eigenvalues)])
             done += len(dHs)
-        V = s.eigenvectors
-        denom = s.eigenvalues[1:] - s.eigenvalues[0]
-        amps = V[:, 1:].conj().T @ (dHs[s.point] @ V[:, 0])
-        total += float(np.sum(np.abs(amps) ** 2 / denom ** 3))
+        idx, w, V = s.blocks.ground_block(s.point)  # dH keeps H's sectors
+        amps = V[:, 1:].conj().T @ (dHs[s.point][idx][:, idx] @ V[:, 0])
+        total += float(np.sum(np.abs(amps) ** 2 / (w[1:] - w[0]) ** 3))
     return total / grid
 
 

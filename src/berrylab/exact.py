@@ -12,7 +12,10 @@ structure, and only this module looks them up: the sweep solves each block
 size over many lambdas per call and yields block eigensystems in chunks
 sized by d^2, forming dense eigenvectors only when a caller reads them; for
 the step kernel it solves the one sector a state lies in (ground_sector)
-alone.  A stack of one block is handed out as eigh returned it.
+alone.  A stack of one block is handed out as eigh returned it.  The scans
+along the loop read only E0, E1 and the ground state, so sweep evaluates and
+solves only the blocks that certified, lambda-uniform bounds leave able to
+hold E0 or E1 (_pruned); diagonalize and the step kernel solve every block.
 
 The Wilson loop reads the minimum gap on its grid from the slices it
 solves, so the oracle's two numbers come from one scan of the loop.
@@ -59,7 +62,7 @@ class SpectrumSlice:
     """Instantaneous eigensystem of H(lambda) at one point of the loop."""
 
     lam: float
-    eigenvalues: np.ndarray  # ascending
+    eigenvalues: np.ndarray  # ascending; kept levels (sweep), E0 and E1 are the family's
     gap: float  # E1 - E0
     degenerate: bool  # ground gap below the degeneracy threshold
     family: HamiltonianFamily
@@ -107,42 +110,48 @@ class _Sectors(NamedTuple):
     blocks its sweep solves, in _groups_of's form (one below _SPLIT_MIN_DIM);
     the ends of their block-size stacks (count * s^2 entries per point each, in
     the order of groups); and where its group entries go: entry src of one
-    point's (groups, d) entries, flattened, is entry dst of those stacks."""
+    point's (groups, len(cols)) entries on the columns cols, flattened, is entry
+    dst of those stacks.  kept: those five for the blocks that can hold E0 or
+    E1 (_pruned); floor: a bound on |E| in the others."""
 
     labels: np.ndarray
     groups: list
     ends: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    cols: np.ndarray
+    kept: tuple
+    floor: float
 
 
-def spectra(family: HamiltonianFamily, lams, sector=None):
+def spectra(family: HamiltonianFamily, lams, sector=None, prune=False):
     """Yield (lams, eigenvalues, BlockEigensystems) over consecutive chunks
     of a lambda sequence, sized so that no dense eigenvector stack, once
     read, is above _CHUNK_BYTES unless a single matrix is.  The family's
-    block-size stacks are filled straight from its group entries, with no
-    dense H(lambda), and each size is solved once per solve chunk, or a given
-    sector's (basis indices) block alone, in its basis."""
+    block-size stacks are filled straight from its group entries on the
+    columns they take, with no dense H(lambda), and each size is solved once
+    per solve chunk; with prune only the blocks that can hold E0 or E1, or
+    a given sector's (basis indices) block alone, in its basis."""
     check_dense_budget(family.n_qubits, "Hamiltonian evaluation")
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lams)):
         raise ConfigError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
-    _, groups, ends, src, dst = _sectors_for(family)
-    d = family.dim
+    sec, d = _sectors_for(family), family.dim
+    (groups, ends, src, dst, cols), floor = (sec.kept, sec.floor) if prune else (sec[1:6], 0.0)
     if sector is not None and len(sector) < d:
-        d, (groups, ends, src, dst) = len(sector), _placement(family, [np.asarray(sector)[None]])
+        d, (groups, ends, src, dst, cols) = len(sector), _placement(family, [np.asarray(sector)[None]])
     per_out = max(1, _CHUNK_BYTES // (16 * d ** 2))
     per_solve = per_out * max(1, _CHUNK_BYTES // (16 * ends[-1]) // per_out)
     for start in range(0, lams.size, per_solve):
         part = lams[start:start + per_solve]
         flat = np.zeros((part.size, ends[-1]), dtype=complex)
-        entries = _group_entries(family, part).transpose(1, 0, 2).reshape(part.size, -1)
+        entries = _group_entries(family, part, cols).transpose(1, 0, 2).reshape(part.size, -1)
         flat[:, dst] = entries[:, src]
         solved = _eigh([a.reshape(part.size, *idx.shape, -1) for a, idx
                         in zip(np.split(flat, ends[:-1], axis=1), groups)])
         for a in range(0, part.size, per_out):
             at = slice(a, a + per_out)
-            out = BlockEigensystems(groups, [(w[at], V[at]) for w, V in solved], d)
+            out = BlockEigensystems(groups, [(w[at], V[at]) for w, V in solved], d, floor)
             yield part[at], out.eigenvalues, out
 
 
@@ -158,15 +167,19 @@ def _sectors_for(family: HamiltonianFamily) -> _Sectors:
 def _find_sectors(family: HamiltonianFamily) -> _Sectors:
     d, actions = family.dim, _actions_for(family)
     rows = np.array([r for r, _ in actions], dtype=np.int64).reshape(-1, d)  # (groups, d)
-    coupled = np.array([_coupled(family, m) if r[0] else np.zeros(d, bool)  # r[0]: the flip
-                        for r, m in actions], dtype=bool).reshape(rows.shape)
+    amps = [_column_amps(family, m) for _, m in actions]
+    coupled = np.array([a.any(axis=0) & (r[0] != 0)  # r[0]: the flip
+                        for (r, _), a in zip(actions, amps)], dtype=bool).reshape(rows.shape)
     labels = _blocks(rows[coupled], np.nonzero(coupled)[1], d)
     swept = labels if d >= _SPLIT_MIN_DIM else 0 * labels
-    return _Sectors(labels, *_placement(family, _groups_of(swept)))
+    keep, floor = _pruned(swept, rows[:, 0], amps)
+    whole, kept = _placement(family, _groups_of(swept)), np.flatnonzero(keep)
+    return _Sectors(labels, *whole, whole if keep.all() else _placement(
+        family, [kept[idx] for idx in _groups_of(swept[kept])]), floor)
 
 
 def _placement(family: HamiltonianFamily, groups: list) -> tuple:
-    """(groups, ends, src, dst) of _Sectors for blocks in _groups_of's form."""
+    """(groups, ends, src, dst, cols) of _Sectors for blocks in _groups_of's form."""
     d = family.dim
     rows = np.array([r for r, _ in _actions_for(family)], dtype=np.int64).reshape(-1, d)
     ends = np.cumsum([idx.size * idx.shape[1] for idx in groups])
@@ -174,8 +187,34 @@ def _placement(family: HamiltonianFamily, groups: list) -> tuple:
     for idx, end in zip(groups, ends):
         span = np.arange(end - idx.size * idx.shape[1], end)
         place[idx[:, :, None], idx[:, None, :]] = span.reshape(*idx.shape, -1)
-    at = place[rows, np.arange(d)]  # group g's entry (rows[g, x], x)
-    return groups, ends, np.flatnonzero(at >= 0), at[at >= 0]
+    cols = np.sort(np.concatenate([idx.ravel() for idx in groups]))
+    at = place[rows[:, cols], cols]  # group g's entry (rows[g, x], x)
+    return groups, ends, np.flatnonzero(at >= 0), at[at >= 0], cols
+
+
+def _pruned(labels: np.ndarray, flips, amps) -> tuple:
+    """(keep, floor): which basis indices lie in a block of the labelling that can
+    hold E0 or E1 at some lambda, and a bound on |E| in the other blocks.  From
+    the groups' flips (0: the diagonal) and _column_amps, over every lambda, H_xx
+    lies in [lo, hi] and column x's off-diagonal entries sum to at most radius in
+    modulus: a cos + b sin is at most hypot(|a|, |b|).  A block's least eigenvalue
+    is at least its least lo - radius (Gershgorin) and at most its least hi; two
+    blocks' basis vectors span a trial space, so the second least such hi
+    bounds E1 at every lambda (Courant-Fischer)."""
+    lo = hi = radius = np.zeros(labels.size)
+    for flip, a in zip(flips, amps):
+        reach = np.hypot(abs(a[1::2]), abs(a[2::2])).sum(axis=0)
+        if flip:
+            radius = radius + abs(a[0]) + reach
+        else:
+            lo, hi = a[0].real - reach, a[0].real + reach
+    least, top = np.full(labels.size, np.inf), np.full(labels.size, np.inf)
+    np.minimum.at(least, labels, lo - radius)
+    np.minimum.at(top, labels, hi)
+    bound = np.maximum(abs(lo - radius), abs(hi + radius))
+    margin = DEGENERACY_RTOL * max(1.0, np.max(bound))  # for rounding
+    keep = least[labels] <= np.partition(top, 1)[1] + margin
+    return keep, float(np.max(bound[~keep], initial=0.0)) + margin
 
 
 def ground_sector(family: HamiltonianFamily, psi: np.ndarray) -> tuple:
@@ -190,25 +229,25 @@ def ground_sector(family: HamiltonianFamily, psi: np.ndarray) -> tuple:
     return sector, amps
 
 
-def _coupled(family: HamiltonianFamily, members) -> np.ndarray:
-    """The columns x on which a group's entry sum_i c_i(lambda) vals_i[x] is
-    not identically zero: on which the constants, or some harmonic's
-    amplitudes, weighted by vals_i[x] (+-1 or +-i), sum to nonzero in the
-    real or the imaginary part.  The sums are exact (math.fsum); columns
-    with the same vals share one test."""
-    m = len(members)
-    amps: dict = {}  # harmonic -> each member's amplitude
+def _column_amps(family: HamiltonianFamily, members) -> np.ndarray:
+    """Per column x (axis 1), the constant (row 0), then each harmonic's cosine
+    and sine amplitude of a group's entry sum_i c_i(lambda) vals_i[x]: the
+    members' amplitudes weighted by vals_i[x] (+-1 or +-i), summed exactly
+    (math.fsum) in the real and the imaginary part, so the entry is identically
+    zero where they are all zero.  Columns with the same vals share one sum."""
+    m, amps = len(members), {}  # 0: the constant; +-j: harmonic j's cosine, sine
     for i, (k, _) in enumerate(members):
         c = family.terms[k][1]
         for key, a in [(0, c.const), *c.cos_terms, *[(-j, b) for j, b in c.sin_terms]]:
-            amps.setdefault(key, [0.0] * m)[i] = a
+            amps.setdefault(key, np.zeros(m))[i] = a
+    keys = [0, *[s * j for j in sorted({abs(k) for k in amps} - {0}) for s in (1, -1)]]
+    table = [amps.get(k, np.zeros(m)) for k in keys]
     vals = np.array([v for _, v in members])
     signs, where = np.unique(np.concatenate([vals.real, vals.imag]).T.astype(np.int8),
                              axis=0, return_inverse=True)
-    live = [any(math.fsum(a * w for a, w in zip(amp, part)) != 0.0
-                for amp in amps.values() for part in (row[:m], row[m:]))
-            for row in signs.tolist()]
-    return np.array(live)[where.reshape(-1)]
+    sums = [[complex(math.fsum(a * row[:m]), math.fsum(a * row[m:])) for a in table]
+            for row in signs]
+    return np.array(sums).T[:, where.reshape(-1)]
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
@@ -246,16 +285,26 @@ class BlockEigensystems:
     ordered by a stable sort of each point's eigenvalues.  The dense stack is
     formed on first read; one block of all d states is eigh's own (w, V)."""
 
-    def __init__(self, groups, solved, d: int):
-        self.groups, self.solved = groups, solved
+    def __init__(self, groups, solved, d: int, floor: float = 0.0):
+        self.groups, self.solved, self.floor = groups, solved, floor  # floor: bounds |E| in unsolved blocks
         if groups[0].shape == (1, d):
             self.eigenvalues, self._dense = solved[0][0][:, 0], solved[0][1][:, 0]
             return
-        w = np.empty((solved[0][0].shape[0], d))
+        w = np.full((solved[0][0].shape[0], d), np.inf)  # slots of unsolved blocks sort last
         for idx, (bw, _) in zip(groups, solved):
             w[:, idx] = bw
         self.order = np.argsort(w, axis=1, kind="stable")  # slots by ascending eigenvalue
-        self.eigenvalues, self._dense = np.take_along_axis(w, self.order, axis=1), None
+        kept = sum(idx.size for idx in groups)
+        self.eigenvalues, self._dense = np.take_along_axis(w, self.order, axis=1)[:, :kept], None
+
+    def ground_block(self, p: int) -> tuple:
+        """(basis indices, eigenvalues, eigenvectors) of the block that holds point
+        p's ground state, ascending, the ground first; all levels once dense."""
+        if self._dense is not None:
+            return slice(None), self.eigenvalues[p], self._dense[p]
+        for idx, (bw, bV) in zip(self.groups, self.solved):
+            for b, _ in np.argwhere(idx == self.order[p, 0]):  # the ground slot's block
+                return idx[b], bw[p, b], bV[p, b]
 
     def ground(self, p: int) -> np.ndarray:
         """Point p's ground state from its block, as a strided column like the
@@ -263,19 +312,18 @@ class BlockEigensystems:
         so a contiguous copy would move the Wilson loop's last bit."""
         if self._dense is not None:
             return self._dense[p][:, 0]
-        for idx, (_, bV) in zip(self.groups, self.solved):
-            for b, k in np.argwhere(idx == self.order[p, 0]):  # the ground slot's block and place
-                psi = np.zeros((self.order.shape[1], 2), dtype=complex)[:, 0]
-                psi[idx[b]] = bV[p, b, :, k]
-                return psi
+        idx, _, V = self.ground_block(p)
+        psi = np.zeros((self.order.shape[1], 2), dtype=complex)[:, 0]
+        psi[idx] = V[:, 0]
+        return psi
 
     def dense(self) -> np.ndarray:
-        """The (n, d, d) eigenvector stack, columns in ascending order."""
+        """The (n, d, levels) eigenvector stack, columns in ascending order."""
         if self._dense is None:
             n, d = self.order.shape
             rank = np.empty_like(self.order)  # rank[p, slot]: the slot's column in V
             np.put_along_axis(rank, self.order, np.arange(d)[None, :], axis=1)
-            self._dense = np.zeros((n, d, d), dtype=complex)
+            self._dense = np.zeros((n, d, self.eigenvalues.shape[1]), dtype=complex)
             points = np.arange(n)[:, None, None, None]
             for idx, (_, bV) in zip(self.groups, self.solved):
                 self._dense[points, idx[None, :, :, None], rank[:, idx][:, :, None, :]] = bV
@@ -288,7 +336,8 @@ def eigh_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slice(family: HamiltonianFamily, lam, evals, blocks, p: int) -> SpectrumSlice:
-    scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 1.0)
+    # A pruned slice's scale takes the unsolved blocks' bound, so it never shrinks.
+    scale = max(1.0, blocks.floor, float(np.max(np.abs(evals))))
     gap = float(evals[1] - evals[0]) if evals.size > 1 else math.inf
     return SpectrumSlice(
         lam=float(lam),
@@ -313,10 +362,11 @@ def _gapped(s: SpectrumSlice, ground_in=None) -> SpectrumSlice:
 def sweep(family: HamiltonianFamily, lams, ground_in=None):
     """Yield the SpectrumSlice at each lambda in order, refusing a
     numerically degenerate ground space, or one outside the sector ground_in
-    (basis indices; the sweep still solves the whole family): the
-    one spectral sweep along the loop.  A slice keeps its chunk's
-    eigenvectors alive; a ground state read from a split chunk does not."""
-    for part, w, blocks in spectra(family, lams):
+    (basis indices): the one spectral sweep along the loop.  It solves only
+    the blocks that can hold E0 or E1, so a slice holds their levels alone.
+    A slice keeps its chunk's eigenvectors alive; a ground state read from a
+    split chunk does not."""
+    for part, w, blocks in spectra(family, lams, prune=True):
         for p, (lam, evals) in enumerate(zip(part, w)):
             yield _gapped(_slice(family, lam, evals, blocks, p), ground_in)
 
@@ -623,7 +673,7 @@ def write_sweep_csv(
     anchor = None
     for lam, s, lo, hi in _stencil(family, lambda_grid(family, grid), h):
         if anchor is None:
-            anchor = np.zeros(s.eigenvalues.size, dtype=complex)
+            anchor = np.zeros(family.dim, dtype=complex)
             anchor[int(np.argmax(np.abs(s.ground_state)))] = 1.0
         conn = _connection(lam, h, anchor, lo, s, hi)
         rows.append([f"{lam:.10f}", f"{s.eigenvalues[0]:.12e}",

@@ -315,18 +315,19 @@ def eval_hamiltonian(family: HamiltonianFamily, lam: float) -> np.ndarray:
     return eval_hamiltonians(family, np.array([float(lam)]))[0]
 
 
-def _group_entries(family: HamiltonianFamily, lams: np.ndarray) -> np.ndarray:
-    """The entries each group of _actions_for fills, shape (groups, len(lams),
-    d): group g puts entries[g, :, x] at (rows_g[x], x), and no other group
-    touches that entry.  Each group sums its terms in term order, from zero.
-    Every product c_i * vals is exact (vals are +-1 and +-i), so an entry
-    carries the same bits whatever else is in the stack."""
+def _group_entries(family: HamiltonianFamily, lams: np.ndarray, cols=None) -> np.ndarray:
+    """The entries each group of _actions_for fills on the columns cols (all d
+    if None), shape (groups, len(lams), len(cols)): group g puts entries[g, :, i]
+    at (rows_g[x], x), x = cols[i], and no other group touches that entry.  Each
+    group sums its terms in term order, from zero.  Every product c_i * vals is
+    exact (vals are +-1 and +-i), so an entry carries the same bits whatever
+    else is in the stack."""
     lams = np.asarray(lams, dtype=float)
-    groups = _actions_for(family)
-    out = np.zeros((len(groups), lams.size, family.dim), dtype=complex)
+    groups, cols = _actions_for(family), np.arange(family.dim) if cols is None else cols
+    out = np.zeros((len(groups), lams.size, cols.size), dtype=complex)
     for entries, (_, members) in zip(out, groups):
         for k, vals in members:
-            entries += family.terms[k][1].values(lams)[:, None] * vals
+            entries += family.terms[k][1].values(lams)[:, None] * vals[cols]
     return out
 
 

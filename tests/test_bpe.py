@@ -479,9 +479,9 @@ def test_murta_solves_each_step_check_grid_once(equatorial, oversampling, monkey
 
     solved, spectra = Counter(), exact.spectra
 
-    def spy(family, lams, sector=None):
+    def spy(family, lams, sector=None, prune=False):
         solved[np.asarray(lams, dtype=float).tobytes()] += 1
-        return spectra(family, lams, sector)
+        return spectra(family, lams, sector, prune)
 
     for module in (dynamics, exact):
         monkeypatch.setattr(module, "spectra", spy)
@@ -532,9 +532,9 @@ def test_bpe_solves_each_step_check_grid_once(name, monkeypatch):
     # In integer mode level n's alpha leg sweeps level 2n's T grid, so a run
     # solves every step-check grid once, in psi0's sector, whether the sweeps
     # of the scans solve the family as one block (bqp-yes) or split into
-    # sectors (duqma-no).  bqp-yes solves 1,070 points (1,325 when each leg
-    # swept its own grid, 1,071 when calibration solved lambda = 0 again), 8
-    # of them the loop unitaries' eigensystems.
+    # sectors (duqma-no).  bqp-yes solves 1,069 points (1,325 when each leg
+    # swept its own grid, 1,071 when calibration solved lambda = 0 again and
+    # 1,070 when _resolve_runtime did), 8 of them the loop unitaries' eigensystems.
     from berrylab import dynamics, exact
 
     if name == "bqp-yes":
@@ -544,9 +544,9 @@ def test_bpe_solves_each_step_check_grid_once(name, monkeypatch):
         family, cfg = instance.family, BpeConfig(epsilon_B=instance.certified_delta / 2)
     solved, points, spectra, eigh = Counter(), Counter(), exact.spectra, exact._eigh
 
-    def spy_spectra(family, lams, sector=None):
+    def spy_spectra(family, lams, sector=None, prune=False):
         solved[np.asarray(lams, dtype=float).tobytes()] += 1
-        return spectra(family, lams, sector)
+        return spectra(family, lams, sector, prune)
 
     def spy_eigh(stacks):
         points["solved"] += sum(int(np.prod(a.shape[:-2])) for a in stacks)
@@ -561,7 +561,7 @@ def test_bpe_solves_each_step_check_grid_once(name, monkeypatch):
     if name == "bqp-yes":
         assert levels == [127, 254]
         assert grids == {127: 1, 254: 1, 508: 1}
-        assert points["solved"] == 1070
+        assert points["solved"] == 1069
     else:
         assert levels == [32, 64, 128, 256]  # the phase-lag scan also sweeps 64 midpoints
         assert grids == {32: 1, 64: 2, 128: 1, 256: 1, 512: 1}
@@ -729,22 +729,22 @@ def test_a_ground_state_that_changes_sector_is_refused(const, message):
         wilson_loop_berry_phase(family)
 
 
-def test_run_bpe_solves_lambda_zero_twice(equatorial, monkeypatch):
-    # The gap scan's first point and _resolve_runtime's psi0; calibration
-    # measures every doubling from that psi0 and its sector.
+def test_run_bpe_solves_lambda_zero_once(equatorial, monkeypatch):
+    # The gap scan's first point gives _resolve_runtime's E0 and psi0;
+    # calibration measures every doubling from that psi0 and its sector.
     from berrylab import dynamics, exact
 
     zeros, spectra = Counter(), exact.spectra
 
-    def spy(family, lams, sector=None):
+    def spy(family, lams, sector=None, prune=False):
         zeros["solved"] += int(np.count_nonzero(np.asarray(lams, dtype=float) == 0.0))
-        return spectra(family, lams, sector=sector)
+        return spectra(family, lams, sector=sector, prune=prune)
 
     for module in (dynamics, exact):
         monkeypatch.setattr(module, "spectra", spy)
     _, _, diag = run_bpe(equatorial, seed=0)
     assert len(diag["calibration"]["tested"]) == 5
-    assert zeros["solved"] == 2
+    assert zeros["solved"] == 1
 
 
 @pytest.mark.parametrize("name", ["equatorial", "syn-yes"])
@@ -786,7 +786,7 @@ def test_duqma_yes_steps_only_psi0s_sector(duqma_instances, monkeypatch):
         shapes["step" if stepping else "other"].extend(a.shape for a in stacks)
         return eigh(stacks)
 
-    def spy_dense(self):  # the phase-lag scan reads dense eigenvectors; no step does
+    def spy_dense(self):  # a step's dense stack is psi0's sector's
         V = dense(self)
         assert not stepping or V.shape[1:] == (10, 10), V.shape
         return V

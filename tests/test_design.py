@@ -134,9 +134,10 @@ def test_dense_eigenvector_call_sites():
     # A sweep hands out its eigenvectors in the blocks it solved them in, and
     # the scans along the loop read ground states from there.  Only these
     # form a chunk's dense stack: the step kernel, a loop unitary's
-    # eigensystem and a slice's eigenvectors, which the phase-lag scan, the
-    # verifier, the excited witness, the perturbative connection and the
-    # residual read.  A scan that starts forming dense stacks shows up here.
+    # eigensystem and a slice's eigenvectors, which the verifier, the excited
+    # witness, the perturbative connection and the residual read; the
+    # phase-lag scan reads the ground state's block.  A scan that starts
+    # forming dense stacks shows up here.
     assert _call_sites({"dense"}) == {
         ("exact", "eigenvectors", "self.blocks.dense"): 1,
         ("dynamics", "_step_factors", "blocks.dense"): 1,
@@ -144,7 +145,6 @@ def test_dense_eigenvector_call_sites():
     assert _call_sites({"eigenvectors"}, ast.Attribute) == {
         ("exact", "residual", "self.eigenvectors"): 1,
         ("exact", "berry_connections_perturbative", "base.eigenvectors"): 1,
-        ("dynamics", "phase_lag_scale", "s.eigenvectors"): 1,
         ("verifier", "energy_distribution", "s.eigenvectors"): 1,
         ("cli", "_resolve_witness", "s.eigenvectors"): 2,
     }

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from berrylab import exact
 from berrylab.angles import circle_distance
@@ -20,7 +22,15 @@ from berrylab.exact import (
     wilson_loop_berry_phase,
     write_sweep_csv,
 )
-from berrylab.hamiltonians import constant, cosine, eval_hamiltonians, make_family, sine
+from berrylab.hamiltonians import (
+    TrigCoefficient,
+    constant,
+    cosine,
+    eval_hamiltonian,
+    eval_hamiltonians,
+    make_family,
+    sine,
+)
 from berrylab.verifier import energy_distribution
 
 import oracles
@@ -219,8 +229,8 @@ def test_wilson_loop_keeps_only_the_states_it_needs(monkeypatch):
     spectra = exact.spectra
     stacks, most = [], [0]
 
-    def spy(family, lams):
-        for part, w, V in spectra(family, lams):
+    def spy(family, lams, prune=False):
+        for part, w, V in spectra(family, lams, prune=prune):
             most[0] = max(most[0], sum(r() is not None for r in stacks))
             stacks.append(weakref.ref(V))
             yield part, w, V
@@ -360,6 +370,119 @@ def test_split_scans_are_pinned(split_families, tmp_path):
     write_sweep_csv(fam, 32, str(tmp_path / "s.csv"))
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == \
         "030b4dda10e27b2bef456cb600b96b2abbe67b4393466025b539370bd26d3b66"
+
+
+# -- the sweep solves only the blocks that can hold E0 or E1 -------------------
+
+
+def test_m2_scans_keep_the_full_block_bits(monkeypatch):
+    # The 9-qubit duqma-yes instance at M = 2 splits into 52 blocks, and only
+    # 4 of them (56 of 512 states) can hold E0 or E1: the sweep evaluates and
+    # solves those alone, and its 128-point Wilson numbers are those of a
+    # sweep that solves every block, bit for bit.
+    from berrylab.circuits import with_idle_steps
+    from berrylab.corpus import duqma_yes_circuit
+    from berrylab.hardness import build_duqma_instance
+
+    fam = build_duqma_instance(with_idle_steps(duqma_yes_circuit(), 2), 0).family
+    sectors = exact._sectors_for(fam)
+    assert sum(len(idx) for idx in sectors.groups) == 52
+    assert sum(len(idx) for idx in sectors.kept[0]) == 4 and sectors.kept[4].size == 56
+    keys = ("theta_B", "min_overlap", "estimated_discretization_error", "min_gap",
+            "gap_lambda0", "min_gap_lambda")
+    states, entries, eigh, group_entries = [], [], exact._eigh, exact._group_entries
+
+    def spy_eigh(stacks):  # the states of one point's blocks
+        states.append(sum(a.shape[-3] * a.shape[-1] for a in stacks))
+        return eigh(stacks)
+
+    def spy_entries(family, lams, cols):
+        entries.append(cols.size)
+        return group_entries(family, lams, cols)
+
+    monkeypatch.setattr(exact, "_eigh", spy_eigh)
+    monkeypatch.setattr(exact, "_group_entries", spy_entries)
+    pruned = wilson_loop_berry_phase(fam, 128)
+    assert set(states) == {56} and set(entries) == {56}
+    monkeypatch.undo()
+    spectra = exact.spectra
+    monkeypatch.setattr(exact, "spectra", lambda family, lams, prune=False: spectra(family, lams))
+    full = wilson_loop_berry_phase(fam, 128)
+    assert [getattr(pruned, k).hex() for k in keys] == [getattr(full, k).hex() for k in keys]
+    assert [getattr(pruned, k).hex() for k in keys[:5]] == [
+        "0x1.91910195c4ae2p-18", "0x1.fffffff59d3bap-1", "0x1.ef4fd4d3a2400p-29",
+        "0x1.d2be41b357462p-13", "0x1.d2be42227d016p-13",
+    ]
+
+
+def _dip(n, depth):
+    """A Z field on qubit 2 of 1.2 - depth * sum_{k=1..4} cos(2 pi k lambda): the
+    blocks whose qubit 2 is 0 lie high, except near lambda = 0."""
+    return ("IIZ" + "I" * (n - 3), TrigCoefficient(1.2, tuple((k, -depth) for k in range(1, 5))))
+
+
+@st.composite
+def split_loops(draw):
+    """A random loop whose X and Y letters sit on qubits 0 and 1: its sectors
+    fix the bits of the other qubits.  Every qubit carries a random Z field."""
+    n, amp = draw(st.sampled_from([6, 7])), st.floats(-1.0, 1.0)
+    harmonic = st.tuples(st.integers(1, 3), amp).map(lambda h: (h,))
+    coeff = st.builds(TrigCoefficient, amp, harmonic, harmonic)
+    couplings = st.tuples(st.sampled_from(["XI", "YI", "IX", "XX", "XY", "YZ", "ZX"]),
+                          st.text("IZ", min_size=n - 2, max_size=n - 2), coeff)
+    terms = [(a + b, c) for a, b, c in draw(st.lists(couplings, min_size=1, max_size=3))]
+    field = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.2, 2.0), st.floats(-0.5, 0.5))
+    terms += [("I" * q + "Z" + "I" * (n - 1 - q), TrigCoefficient(sign * c, ((1, a),)))
+              for q, (sign, c, a) in enumerate(draw(st.lists(field, min_size=n, max_size=n)))]
+    return make_family(n, [*terms, _dip(n, draw(st.floats(0.0, 0.6)))])
+
+
+# E1 in another block than psi0's: a weak field on the last qubit.
+_E1_ELSEWHERE = make_family(6, [("XIIIII", cosine(1, 0.8)), ("YIIIII", sine(1, 0.8)),
+                                ("IXIIII", constant(0.5)), ("IIZIII", constant(1.0)),
+                                ("IIIZII", constant(0.9)), ("IIIIZI", constant(0.7)),
+                                ("IIIIIZ", constant(0.01))])
+# A block that comes low only near lambda = 0.
+_DIPPING = make_family(6, [("XIIIII", cosine(1, 0.5)), ("IXIIZI", sine(2, 0.4)),
+                           ("IIIZII", constant(0.8)), ("IIIIZI", constant(0.6)),
+                           ("IIIIIZ", constant(1.5)), _dip(6, 0.45)])
+
+
+def test_the_pruning_examples_have_their_features():
+    lams = np.arange(16) / 16
+    labels = exact._sectors_for(_E1_ELSEWHERE).labels
+    slices = [diagonalize(_E1_ELSEWHERE, lam) for lam in lams]
+    assert all(labels[np.argmax(np.abs(s.eigenvectors[:, 0]))]
+               != labels[np.argmax(np.abs(s.eigenvectors[:, 1]))] for s in slices)
+    assert exact._sectors_for(_E1_ELSEWHERE).kept[4].size < 64
+    # The ground state sits in a dipping block (qubit 2 is 0) at lambda = 0 only.
+    dipping = [diagonalize(_DIPPING, lam).ground_state for lam in lams]
+    assert [int(np.argmax(np.abs(psi))) >> 3 & 1 for psi in dipping] == [0] + [1] * 15
+    assert exact._sectors_for(_DIPPING).kept[4].size < 64
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(split_loops())
+@example(_E1_ELSEWHERE)
+@example(_DIPPING)
+def test_pruned_sweeps_equal_pointwise_full_solves(fam):
+    # The sweep solves only the blocks that can hold E0 or E1, each as a full
+    # solve does: the gap, its argmin and the ground state keep their bits,
+    # every block it leaves out lies above E1, and the degeneracy scale
+    # covers the levels left out.
+    lams = np.arange(16) / 16
+    full = [diagonalize(fam, lam) for lam in lams]
+    assume(all(f.gap > 1e-6 for f in full))
+    left_out = np.setdiff1d(np.arange(fam.dim), exact._sectors_for(fam).kept[4])
+    for s, f in zip(exact.sweep(fam, lams), full):
+        assert _bits(s.gap, *s.eigenvalues[:2]) == _bits(f.gap, *f.eigenvalues[:2])
+        assert s.ground_state.tobytes() == f.ground_state.tobytes()
+        assert max(s.blocks.floor, np.max(np.abs(s.eigenvalues))) >= np.max(np.abs(f.eigenvalues))
+        if left_out.size:
+            H = eval_hamiltonian(fam, s.lam)[np.ix_(left_out, left_out)]
+            assert np.linalg.eigvalsh(H)[0] > f.eigenvalues[1]
+    first = min(((f.gap, f.lam) for f in full), key=lambda t: t[0])
+    assert _bits(*min_gap(fam, 16)) == _bits(*first)
 
 
 # -- every scan along the loop vs the pinned point-by-point scans ------------

@@ -468,3 +468,17 @@ def test_dense_budget_blocks_eval(monkeypatch):
     fam = make_family(3, [("XII", constant(1.0))])
     with pytest.raises(CapacityError):
         eval_hamiltonian(fam, 0.0)
+
+
+def test_group_entries_on_some_columns_are_those_of_all_columns():
+    # A sweep evaluates only the columns it solves: they carry the bits of
+    # the whole evaluation's columns.
+    from berrylab.corpus import random_gapped_family
+    from berrylab.hamiltonians import _group_entries
+
+    rng = np.random.default_rng(31)
+    fam = random_gapped_family(5, rng)
+    lams = rng.random(9)
+    cols = np.sort(rng.choice(fam.dim, 11, replace=False))
+    assert fam.dim == 32 and any(not c.is_constant() for _, c in fam.terms)
+    assert _group_entries(fam, lams, cols).tobytes() == _group_entries(fam, lams)[:, :, cols].tobytes()

@@ -286,9 +286,9 @@ def test_gap_at_lambda0_is_read_from_the_oracle_sweep(monkeypatch, build):
 
     calls, spectra = [], emod.spectra
 
-    def spy(family, lams):
+    def spy(family, lams, prune=False):
         calls.append((family, np.asarray(lams, dtype=float).copy()))
-        return spectra(family, lams)
+        return spectra(family, lams, prune=prune)
 
     monkeypatch.setattr(emod, "spectra", spy)
     inst = build()
