@@ -158,16 +158,18 @@ def check_decision_margin(delta: float, eps_B: float) -> None:
         )
 
 
-def decide_interval(theta_hat: float, a: float, b: float, delta: float,
-                    eps_B: float) -> int:
-    """1 iff theta_hat lies within delta - eps_B of the arc [a, b].
+def decide_interval(theta_hat, a: float, b: float, delta: float, eps_B: float):
+    """1 iff theta_hat lies within delta - eps_B of the arc [a, b]; for an
+    array of estimates, an int array of the decisions, one per estimate.
+    The CLI's estimators and the verifier decide by this one test.
 
     Under the promise (true phase inside the shrunken arc or deep in its
     complement) this reproduces the true interval bit whenever the estimate
     is eps_B-accurate.
     """
     check_decision_margin(delta, eps_B)
-    return int(WrappedInterval(a, b).distance(theta_hat) <= delta - eps_B)
+    inside = WrappedInterval(a, b).distance(theta_hat) <= delta - eps_B
+    return inside.astype(int) if np.ndim(theta_hat) else int(inside)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +344,13 @@ def _resolve_runtime(
     }
 
 
+def _note_infidelity(calibration: dict | None, overlap: complex) -> None:
+    """A floored runtime reports its infidelity 1 - |<psi0|W(T)|psi0>|^2,
+    from the overlap that an estimator reads off the T leg it built."""
+    if "phase_lag_floor" in (calibration or {}):
+        calibration["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
@@ -387,11 +396,9 @@ class BpeEngine:
         )
         vars(self).update(pair, _ahead={})  # drop a T leg built ahead, not used
         self.R = cfg.repetitions
-        if "phase_lag_floor" in (self.calibration or {}):
-            # A floored runtime reports its infidelity, read from the propagator
-            # just built: <psi0|W(T)|psi0> = sum_k weight_k e^{i phase_k}.
-            overlap = np.sum(self.dist1.weights * np.exp(1j * self.dist1.phases))
-            self.calibration["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
+        # the T leg's <psi0|W(T)|psi0> = sum_k weight_k e^{i phase_k}
+        _note_infidelity(self.calibration,
+                         np.sum(self.dist1.weights * np.exp(1j * self.dist1.phases)))
 
     def _alpha_steps(self, steps: int) -> int:
         """Alpha-run steps: twice ``steps`` in integer mode, and a ratio of at
@@ -513,6 +520,7 @@ def murta_bpe(
     phase estimation suffices, but the halved readout lives in [0, pi) and
     aliases theta_B - pi whenever theta_B >= pi.  The engine's step check,
     on the doubled phase, sets its steps; each level's sweep serves both legs.
+    The diagnostics carry the engine's set-up record (_resolve_runtime's).
     """
     cfg = config or BpeConfig()
     # Same phase-lag floor as the two-runtime engine: the composite's
@@ -534,10 +542,7 @@ def murta_bpe(
     (steps, W_fwd, dist), step_check = _checked_build(
         family, T, cap, 1, 2.0 * STEP_CHECK_FRACTION * cfg.epsilon_B, build
     )
-    if "phase_lag_floor" in (setup["calibration"] or {}):
-        # A floored runtime reports its infidelity, read from the forward leg.
-        overlap = np.vdot(psi0, W_fwd @ psi0)
-        setup["calibration"]["infidelity"] = max(0.0, 1.0 - abs(overlap) ** 2)
+    _note_infidelity(setup["calibration"], np.vdot(psi0, W_fwd @ psi0))
 
     R = cfg.repetitions
     est = estimate_from_distribution(dist, R, stream_uniforms([seed], (R, m + 1))[0])
@@ -547,15 +552,12 @@ def murta_bpe(
         return theta
     return theta, {
         "seed": seed if isinstance(seed, int) else repr(seed),
-        "T": T,
-        "T_phase_floor": setup["T_phase_floor"],
+        **setup,
         "steps": steps,
         "step_check": step_check,
         "m": m,
         "R": R,
         "doubled_phase": est.value,
         "raw_outcomes": est.raw_outcomes,
-        "calibration": setup["calibration"],
-        "warnings": setup["warnings"],
         "low_fidelity_warning": est.low_fidelity_warning,
     }

@@ -9,6 +9,9 @@ murta    phase-doubling baseline estimator
 genhard  compile a circuit file into a hardness instance (+ provenance)
 verify   seeded protocol runs against an instance, transcripts + rates CSV
 
+bpe and murta share one body, which checks the margin, decides, flags a
+--runtime below the phase-lag floor and writes; each adds its own fields.
+
 Every command writes `<out>.manifest.json` capturing the full parameter set,
 the package version, and the seed; reruns from the same manifest are
 bit-identical in all non-timing fields.  Exit codes: 0 success, 2
@@ -81,22 +84,6 @@ def _resolve_target(path: str):
     return load_family(family_path), None
 
 
-def _maybe_decide(theta_B: float, instance, epsilon_B: float):
-    if instance is None:
-        return None
-    a, b, delta = instance.interval
-    return decide_interval(theta_B, a, b, delta, epsilon_B)
-
-
-def _flag_short_runtime(payload: dict, diag: dict) -> None:
-    """Mark a payload whose set --runtime lies below the phase-lag floor."""
-    if diag["warnings"]:
-        payload["T_phase_floor"] = diag["T_phase_floor"]
-        payload["warnings"] = diag["warnings"]
-        for w in diag["warnings"]:
-            print(f"warning: {w}", file=sys.stderr)
-
-
 def _parse_int(text: str, base: int, what: str) -> int:
     try:
         return int(text, base)
@@ -130,65 +117,49 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _bpe_config(args, instance, **alpha) -> BpeConfig:
+def _estimate(args, estimate, **alpha) -> int:
+    """Run an estimator on --instance and write its payload: ``estimate(family,
+    instance, config)`` returns (theta_B, diagnostics, the payload fields of its
+    own, its summary line)."""
+    family, instance = _resolve_target(args.instance)
     if instance is not None:  # refuse an unusable margin before any spectral work
         check_decision_margin(instance.interval[2], args.epsilon_b)
-    return BpeConfig(
-        epsilon_B=args.epsilon_b,
-        eta=args.eta,
-        T=args.runtime,
-        oversampling=args.oversampling,
-        **alpha,
-    )
+    config = BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta, T=args.runtime,
+                       oversampling=args.oversampling, **alpha)
+    theta_B, diag, fields, summary = estimate(family, instance, config)
+    decision = None if instance is None else decide_interval(
+        theta_B, *instance.interval, args.epsilon_b)
+    payload = {"theta_B_hat": theta_B, "epsilon_B": args.epsilon_b, "T": diag["T"], "m": diag["m"],
+               "R": diag["R"], "seed": args.seed, "decision": decision, **fields}
+    if diag["warnings"]:
+        payload.update(T_phase_floor=diag["T_phase_floor"], warnings=diag["warnings"])
+        for w in diag["warnings"]:
+            print(f"warning: {w}", file=sys.stderr)
+    _write_json(args.out, payload)
+    _write_manifest(args)
+    print(f"{summary}; wrote {args.out}")
+    return 0
 
 
 def cmd_bpe(args) -> int:
-    family, instance = _resolve_target(args.instance)
-    config = _bpe_config(args, instance, alpha_mode=args.alpha_mode)
-    theta_B, theta_D, diag = run_bpe(family, config=config, seed=args.seed)
-    decision = _maybe_decide(theta_B, instance, args.epsilon_b)
-    payload = {
-        "theta_B_hat": theta_B,
-        "theta_D_hat": theta_D,
-        "epsilon_B": args.epsilon_b,
-        "eta": args.eta,
-        "alpha": diag["alpha"],
-        "alpha_mode": diag["alpha_mode"],
-        "T": diag["T"],
-        "m": diag["m"],
-        "R": diag["R"],
-        "seed": args.seed,
-        "decision": decision,
-    }
-    if instance is not None and "oracle_theta_B" in instance.provenance:
-        payload["oracle_theta_B"] = instance.provenance["oracle_theta_B"]
-    _flag_short_runtime(payload, diag)
-    _write_json(args.out, payload)
-    _write_manifest(args)
-    print(f"theta_B_hat = {theta_B:.6f}, theta_D_hat = {theta_D:.6f}; wrote {args.out}")
-    return 0
+    def estimate(family, instance, config):
+        theta_B, theta_D, diag = run_bpe(family, config=config, seed=args.seed)
+        fields = {"theta_D_hat": theta_D, "eta": args.eta, "alpha": diag["alpha"],
+                  "alpha_mode": diag["alpha_mode"]}
+        if instance is not None and "oracle_theta_B" in instance.provenance:
+            fields["oracle_theta_B"] = instance.provenance["oracle_theta_B"]
+        return theta_B, diag, fields, f"theta_B_hat = {theta_B:.6f}, theta_D_hat = {theta_D:.6f}"
+
+    return _estimate(args, estimate, alpha_mode=args.alpha_mode)
 
 
 def cmd_murta(args) -> int:
-    family, instance = _resolve_target(args.instance)
-    config = _bpe_config(args, instance)
-    theta, diag = murta_bpe(family, config=config, seed=args.seed, return_diagnostics=True)
-    decision = _maybe_decide(theta, instance, args.epsilon_b)
-    payload = {
-        "theta_B_hat": theta,
-        "doubled_phase": diag["doubled_phase"],
-        "epsilon_B": args.epsilon_b,
-        "T": diag["T"],
-        "m": diag["m"],
-        "R": diag["R"],
-        "seed": args.seed,
-        "decision": decision,
-    }
-    _flag_short_runtime(payload, diag)
-    _write_json(args.out, payload)
-    _write_manifest(args)
-    print(f"theta_B_hat = {theta:.6f} (halved readout, [0, pi)); wrote {args.out}")
-    return 0
+    def estimate(family, instance, config):
+        theta, diag = murta_bpe(family, config=config, seed=args.seed, return_diagnostics=True)
+        return (theta, diag, {"doubled_phase": diag["doubled_phase"]},
+                f"theta_B_hat = {theta:.6f} (halved readout, [0, pi))")
+
+    return _estimate(args, estimate)
 
 
 def cmd_genhard(args) -> int:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import wrap_pm_pi
-from .bpe import BpeConfig, BpeEngine, WrappedInterval, check_decision_margin, reconstruct_phases
+from .bpe import BpeConfig, BpeEngine, check_decision_margin, decide_interval, reconstruct_phases
 from .dynamics import unit_amplitudes
 from .errors import ConfigError
 from .exact import gapped_slice
@@ -191,12 +191,11 @@ def run_verifier(
                 a, b, delta = instance.interval
                 check_decision_margin(delta, eps_B)  # before any propagation
                 engine = BpeEngine(instance.family, config.bpe, guiding_state=witness)
-                arc, reach = WrappedInterval(a, b), delta - eps_B  # decide_interval's test
             m1, m_alpha, _, _ = engine.readouts(runs.child(1, gated))
             theta_D, theta_B = reconstruct_phases(np.array(m1), np.array(m_alpha), engine.alpha,
                                                   engine.config.alpha_mode)
             phases = dict(zip(gated, zip(theta_D.tolist(), theta_B.tolist())))
-            inside = dict(zip(gated, (arc.distance(theta_B) <= reach).astype(int).tolist()))
+            inside = dict(zip(gated, decide_interval(theta_B, a, b, delta, eps_B).tolist()))
         probabilities = [(1.0 if inside[i] else 1.0 / 3.0) if i in inside else fail_p
                          for i in range(len(block))]
         # Certain outcomes draw no coin; every other p is one coin from its coin seed.

@@ -136,6 +136,24 @@ def test_array_forms_match_the_float_forms(pairs, a, b, alpha_mode):
     assert arc.contains(m1).tolist() == [arc.contains(x) for x in m1.tolist()]
 
 
+@settings(max_examples=200)
+@given(st.lists(st.floats(-50.0, 50.0), max_size=20), angles_st, angles_st,
+       st.floats(1e-3, 1.0), st.floats(0.0, 1.0, exclude_max=True))
+@example(thetas=[0.2, 6.2, 3.0], a=5.5, b=0.5, delta=0.3, share=0.5)  # an arc through 0
+def test_decide_interval_array_form_matches_the_float_calls(thetas, a, b, delta, share):
+    # The verifier decides a block of runs in one call: each element must be
+    # the float call's decision, on arcs that wrap through 0 too, at the
+    # ends of the arc and at the ends of its reach delta - eps_B.
+    eps_B = 2.0 * delta * share  # eps_B < 2 delta
+    reach = delta - eps_B
+    edges = [a, b, a - reach, b + reach, a - reach - 1e-9, b + reach + 1e-9]
+    theta = np.array(thetas + EDGE_ANGLES + edges)
+    many = decide_interval(theta, a, b, delta, eps_B)
+    one = [decide_interval(x, a, b, delta, eps_B) for x in theta.tolist()]
+    assert many.dtype.kind == "i" and {type(d) for d in one} <= {int}
+    assert many.tolist() == one
+
+
 # -- decisions -----------------------------------------------------------------
 
 
@@ -391,6 +409,22 @@ def test_floored_infidelity_agrees_between_estimators(equatorial):
     assert diag["T"] == engine.T
     assert abs(diag["calibration"]["infidelity"]
                - engine.calibration["infidelity"]) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["equatorial", "bqp-yes"])
+def test_murta_diagnostics_carry_the_engines_setup(equatorial, name):
+    # Both estimators report one set-up record, _resolve_runtime's.  The
+    # floored infidelity is each estimator's own reading of its T leg, and
+    # agrees to 1e-9 (test_floored_infidelity_agrees_between_estimators).
+    family = equatorial if name == "equatorial" else build_bqp_instance(bqp_yes_circuit()).family
+    engine = BpeEngine(family)
+    _, diag = murta_bpe(family, seed=0, return_diagnostics=True)
+    for key in ("gap", "gap_argmin", "phase_lag", "E0", "guiding_fidelity", "H_max",
+                "T_phase_floor"):
+        assert diag[key] == engine.setup[key], key
+    mine, theirs = dict(diag["calibration"]), dict(engine.setup["calibration"])
+    assert abs(mine.pop("infidelity") - theirs.pop("infidelity")) < 1e-9
+    assert mine == theirs
 
 
 @pytest.mark.parametrize("alpha_mode", ["integer", "formula"])

@@ -607,6 +607,49 @@ def test_bpe_decides_duqma_yes_at_half_the_promise_gap(duqma_yes, tmp_path):
     assert payload["m"] == 24
 
 
+# SHA-256 of the payload and the manifest of each estimator run at --seed 7,
+# run from the inputs' directory so that the manifest's paths are relative.
+# The cases take every payload field: the decision and oracle_theta_B
+# (bqp-yes), the short-runtime warning and T_phase_floor (--runtime 64),
+# murta's doubled phase, and its decision (syn-yes).
+PINNED_ESTIMATE = {
+    ("bpe", "eq.json", ()): (
+        "1b3129c270d857c6833c2d54791b80d56ce14546b70ff186dd25eab628489648",
+        "d5549d5e11728e7f72bbee255546131840bc74b4f9d1f11ccd6d700600ed036c"),
+    ("bpe", "bqp-yes", ()): (
+        "e85015c8b814be8584d2ac6f7055381206edfbbd3a806c98d72179cb95ede319",
+        "cb45d9a4b5ca684e7c7b393d32fe7722667eb80637fa6145009ab5bf339dba0e"),
+    ("bpe", "eq.json", ("--runtime", "64")): (
+        "93fe8d4801c2a451845bab4170eff20bddabe5d52fe53a9b708a84e10644136c",
+        "28923fac891e30ebfd20b554b81269e48f02578f5e7edcd171642137548318ae"),
+    ("murta", "eq.json", ()): (
+        "695fb3331cbad30bdf7454ebb7187f4c6675a7fe7de8f9732df0c29df489927a",
+        "e597dbe2ae9c3fc6321bd96c0f012627983d06120eeeb88ac73c2d462315695c"),
+    ("murta", "syn-yes", ()): (
+        "648fc49c044e01463c0026e0d62b5db01c7acba4410aa0280548736d0d9c28b9",
+        "f4817fb87de14ab8b62de7bdec1f27fd46e0c2a778d5ab9a4d40acc8315b4263"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ESTIMATE, ids=lambda c: " ".join([c[0], c[1], *c[2]]))
+def test_estimate_bytes_are_pinned(tmp_path, monkeypatch, case):
+    from berrylab import cli
+
+    command, target, flags = case
+    monkeypatch.chdir(tmp_path)
+    if target == "eq.json":
+        save_family(equatorial_loop(), target)
+    elif target == "bqp-yes":
+        save_instance(build_bqp_instance(bqp_yes_circuit()), target)
+    else:
+        save_instance(synthetic_verifier_instance("yes"), target)
+    rc = cli.main([command, "--instance", target, *flags, "--seed", "7", "--out", "o.json"])
+    assert rc == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("o.json", "o.json.manifest.json"))
+    assert digests == PINNED_ESTIMATE[case]
+
+
 # -- genhard ------------------------------------------------------------------------
 
 

@@ -17,7 +17,8 @@ importlib.metadata, neither on import nor while it runs.  The fields of the
 configuration classes, of the instance record, of the energy distribution
 and of the QPE distribution are pinned, and so are the flags of ``oracle``,
 the estimators and ``verify``.  The verifier builds its outcome at one site,
-and the package root re-exports nothing, so a new setting, a value kept
+the estimators write their payload at one site, every interval decision is
+``decide_interval``'s, and the package root re-exports nothing, so a new setting, a value kept
 twice or a second import path for a name shows up here too.  A QPE
 distribution draws readouts at the top bit count in well under a megabyte.
 The benchmark's tracer still binds every function it lists, so a rename
@@ -306,6 +307,27 @@ def test_one_verifier_outcome_site():
         if isinstance(node, ast.Call) and _dotted(node.func) == "VerifierOutcome"
     ]
     assert len(sites) == 1, sites
+
+
+def test_one_interval_decision():
+    # Every interval decision, the CLI's and the verifier's, is
+    # decide_interval's test: no other site builds the promise arc.
+    assert _call_sites({"WrappedInterval"}) == {("bpe", "decide_interval", "WrappedInterval"): 1}
+
+
+def test_one_estimator_payload_site():
+    # bpe and murta write their payload from one body in cli, which decides
+    # the interval and writes the payload and the manifest; each command
+    # only runs its estimator and adds its own fields.
+    tree = ast.parse(Path(berrylab.__file__).with_name("cli.py").read_text())
+    calls = {fn.name: {_dotted(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    bodies = [name for name, called in calls.items() if "decide_interval" in called]
+    assert len(bodies) == 1, bodies
+    assert {"BpeConfig", "_write_json", "_write_manifest"} <= calls[bodies[0]]
+    for command in ("cmd_bpe", "cmd_murta"):
+        assert bodies[0] in calls[command]
+        assert not {"BpeConfig", "decide_interval", "_write_json", "_write_manifest"} & calls[command]
 
 
 def test_package_root_has_no_relative_import():
