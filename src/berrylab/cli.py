@@ -44,6 +44,7 @@ from .hardness import (
     oracle_tolerance,
     save_instance,
 )
+from .qpe import seed_words
 from .verifier import MAX_VERIFY_RUNS, VerifierConfig, run_verifier
 
 
@@ -239,9 +240,9 @@ def cmd_verify(args) -> int:
         soundness_delta=args.soundness_delta,
         bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta),
     )
-    # Run i is seeded by child i of SeedSequence(--seed), as the row (--seed, (i,)).
-    rows = ((args.seed, (i,)) for i in range(args.runs))
-    outcomes = run_verifier(instance, witness, config, seed=rows)
+    # Run i is seeded by child i of SeedSequence(--seed): its words with i appended.
+    runs = seed_words([args.seed]).child(np.arange(args.runs))
+    outcomes = run_verifier(instance, witness, config, seed=runs)
     accept_rate = float(np.mean([o.accept for o in outcomes]))
     energy_pass_rate = float(np.mean([o.energy_pass for o in outcomes]))
     payload = {

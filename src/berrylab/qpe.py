@@ -15,8 +15,9 @@ finds W's eigensystem with Hermitian solves alone, through a Cayley transform,
 as one block: the estimators' loops are psi0's sector's alone.  stream_uniforms draws every stream,
 bit for bit the uniforms numpy's default_rng of each seed would give: the
 seeds' SeedSequence words (seed_words, children as appended columns) are
-hashed as array arithmetic, PCG64's seeding follows row by row, and numpy's
-own PCG64 draws each row from the state so found.
+hashed, and PCG64 seeded from the hash, as array arithmetic on 64-bit limbs.
+A coin, a stream of one uniform, is one more LCG step and its output on
+those arrays; numpy's own PCG64 draws each longer row from its seeded state.
 
 Repetitions are aggregated by the circular median, which concentrates at the
 true eigenphase because a single shot lands within two grid spacings with
@@ -160,10 +161,10 @@ def distribution_for_loop(
 
 # numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64's
 # seeding (O'Neill, HMC-CS-2014-0905, 2014); NEP 19 keeps both streams fixed.
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 _HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_M = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)  # multiplier
 
 
 def seed_row(seed, *path) -> tuple:
@@ -205,12 +206,14 @@ class SeedWords(NamedTuple):
     lengths: np.ndarray
     spawned: np.ndarray
 
-    def child(self, c: int, rows=slice(None)) -> SeedWords:
-        """The words of the child seed.spawn would make c-th, of each seed
-        or of the seeds at `rows`: the index appended as a column."""
-        n, length = self.spawned[rows] + c, self.lengths[rows]
+    def child(self, c, rows=slice(None)) -> SeedWords:
+        """The words of the child seed.spawn would make c-th (c an int, or an
+        array broadcast against the rows), of each seed or of the seeds at
+        `rows`: the index appended as a column."""
+        n = self.spawned[rows] + c
         if (n > _M32).any():  # numpy's SeedSequence counts no further either
             raise ConfigError(f"child {c} needs a spawn count past 2^32 - 1")
+        length = np.broadcast_to(self.lengths[rows], n.shape)
         words = np.zeros((len(n), self.words.shape[1] + 1), dtype=np.uint32)
         words[:, :-1] = self.words[rows]
         words[np.arange(len(n)), length] = n
@@ -264,25 +267,59 @@ def _seed_states(words: np.ndarray) -> np.ndarray:
     return s[:, 0::2] | s[:, 1::2] << 32
 
 
+def _mulhi(a, b):
+    """The high 64 bits of the 128-bit products of uint64 arrays a and b."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)  # each sum stays below 2^64
+    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _M32) >> 32)
+
+
+def _add(hi, lo, b_hi, b_lo):
+    """(hi, lo) + (b_hi, b_lo) mod 2^128, as uint64 (high, low) limbs."""
+    lo = lo + b_lo
+    return hi + b_hi + (lo < b_lo), lo
+
+
+def _lcg(hi, lo, inc):
+    """One PCG64 LCG step, state * multiplier + inc mod 2^128, in limbs."""
+    return _add(_mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO, lo * _PCG_LO, *inc)
+
+
+def _seeded_pcg64(words):
+    """PCG64(SeedSequence).state of each row of words, as limb pairs
+    ((state high, state low), (inc high, inc low)) of uint64 arrays: the
+    increment is the last two hash words shifted in a 1, and the LCG steps
+    once from the increment plus the first two."""
+    s0, s1, c0, c1 = _seed_states(words).T
+    inc = c0 << 1 | c1 >> 63, c1 << 1 | 1
+    return _lcg(*_add(s0, s1, *inc), inc), inc
+
+
 def stream_uniforms(seeds, shape) -> np.ndarray:
     """np.stack([default_rng(s).random(shape) for s in seeds]), bit for bit,
     for a list of seeds or their SeedWords.
 
-    SeedSequence's hash is array arithmetic over the rows of one word
-    length.  PCG64's seeding follows on each row's four words: its LCG
-    steps from 0 by the increment, adds the seed and steps again.  That
-    state and increment are written into one PCG64, whose Generator fills
-    the row."""
+    SeedSequence's hash and PCG64's seeding (_seeded_pcg64) are array
+    arithmetic over the rows of one word length.  A one-uniform stream is
+    one more LCG step and the XSL-RR output's top 53 bits, on the arrays;
+    a longer one writes its row's state and increment into one PCG64,
+    whose Generator fills the row."""
     w = seed_words(seeds)
-    out = np.empty((len(w.lengths), math.prod(shape)))
+    size = math.prod(shape)
+    out = np.empty((len(w.lengths), size))
     bits, pcg = np.random.PCG64(), {}
     gen, state = np.random.Generator(bits), {"bit_generator": "PCG64", "state": pcg,
                                              "has_uint32": 0, "uinteger": 0}
     for L in np.unique(w.lengths).tolist():
         idx = np.flatnonzero(w.lengths == L)
-        for i, (s0, s1, c0, c1) in zip(idx.tolist(), _seed_states(w.words[idx, :L]).tolist()):
-            c = (c0 << 65 | c1 << 1 | 1) & _M128
-            pcg["state"], pcg["inc"] = ((s0 << 64 | s1) + c) * _PCG_M + c & _M128, c
+        (hi, lo), inc = _seeded_pcg64(w.words[idx, :L])
+        if size == 1:
+            hi, lo = _lcg(hi, lo, inc)
+            x, r = hi ^ lo, hi >> 58
+            out[idx, 0] = ((x >> r | x << (-r & 63)) >> 11) * 2.0**-53
+            continue
+        for i, s_hi, s_lo, c_hi, c_lo in zip(idx.tolist(), *(a.tolist() for a in (hi, lo, *inc))):
+            pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, c_hi << 64 | c_lo
             bits.state = state
             gen.random(out=out[i])
     return out.reshape(len(out), *shape)

@@ -20,19 +20,19 @@ unit norm to 1e-8), and the same amplitudes go to the gate and the estimator:
    transcript, is drawn only when 0 < p < 1.
 
 run_verifier is one batch path, a single run being its one-seed case: it
-takes the seeds BLOCK_RUNS at a time and makes each block's runs as arrays.
-Each run keeps its own SeedSequence tree, unchanged: the run's seed has
-energy, bpe and coin children, and the bpe child one child per runtime.
-Nothing is spawned: qpe.seed_words assembles each run's seed words once
-per block, a child's words append its index as a column, and
-qpe.stream_uniforms draws a block's streams from those rows, bit for bit
-what default_rng of each child draws.  So outputs stay byte-identical, and
-a batch equals its runs made singly.
+takes the runs' seed words (qpe.SeedWords, one row per run) BLOCK_RUNS
+rows at a time and makes each block's runs as arrays.  Each run keeps its
+own SeedSequence tree, unchanged: the run's seed has energy, bpe and coin
+children, and the bpe child one child per runtime.  Nothing is spawned: a
+child's words append its index as a column, so the verify command's runs,
+children 0..n-1 of one seed, are one array with no per-run seed, and
+qpe.stream_uniforms draws a block's streams from those rows, coins with no
+Generator, bit for bit what default_rng of each child draws.  So outputs
+stay byte-identical, and a batch equals its runs made singly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,7 +56,7 @@ from .qpe import (
 
 ENERGY_REPETITIONS = 15
 DEFAULT_SOUNDNESS_DELTA = 1.0 / 12.0
-BLOCK_RUNS = 256  # runs per block: bounds the live seeds and each block's word and uniform arrays
+BLOCK_RUNS = 256  # runs per block: bounds each block's child words and uniform arrays
 # Like MAX_GRID_POINTS and MAX_TOTAL_STEPS: the most protocol runs one
 # verify command makes, refused before any seed is drawn.
 MAX_VERIFY_RUNS = 100_000
@@ -169,19 +169,20 @@ def run_verifier(
 ):
     """Protocol runs: one VerifierOutcome for a seed (an int, a SeedSequence
     or an (entropy, spawn key) row), a list of them for an iterable of
-    seeds, which is read BLOCK_RUNS at a time.  The first run to pass the
-    gate builds the estimator and the promise arc, after the decision margin
-    is checked; if none does, no loop is propagated."""
+    seeds or SeedWords, run BLOCK_RUNS rows at a time.  The first run to
+    pass the gate builds the estimator and the promise arc, after the
+    decision margin is checked; if none does, no loop is propagated."""
     config = config or VerifierConfig()
-    single = isinstance(seed, tuple) or not hasattr(seed, "__iter__")
-    seeds = iter([seed] if single else seed)
+    # A row is a tuple, and so are SeedWords: only the bare tuple is one seed.
+    single = type(seed) is tuple or not hasattr(seed, "__iter__")
+    words = seed_words([seed] if single else seed)
     witness = unit_amplitudes(witness_state)
     energy_dist = energy_distribution(instance, witness)
     eps_B = config.bpe.epsilon_B
     fail_p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
     engine, outcomes = None, []
-    while block := list(itertools.islice(seeds, BLOCK_RUNS)):
-        runs = seed_words(block)
+    for start in range(0, len(words.lengths), BLOCK_RUNS):
+        runs = SeedWords(*(a[start:start + BLOCK_RUNS] for a in words))
         estimates, passed = energy_test(instance, witness, seed=runs.child(0),
                                         distribution=energy_dist)
         gated = np.flatnonzero(passed).tolist()
@@ -197,7 +198,7 @@ def run_verifier(
             phases = dict(zip(gated, zip(theta_D.tolist(), theta_B.tolist())))
             inside = dict(zip(gated, decide_interval(theta_B, a, b, delta, eps_B).tolist()))
         probabilities = [(1.0 if inside[i] else 1.0 / 3.0) if i in inside else fail_p
-                         for i in range(len(block))]
+                         for i in range(len(runs.lengths))]
         # Certain outcomes draw no coin; every other p is one coin from its coin seed.
         tossed = [i for i, p in enumerate(probabilities) if 0.0 < p < 1.0]
         coins = dict(zip(tossed, stream_uniforms(runs.child(2, tossed), ()).tolist()))

@@ -12,7 +12,9 @@ a lambda-independent family outside ``hamiltonians``, or a second path that
 builds loop propagators of one step count from a sweep each.  Nothing
 spawns a SeedSequence or calls numpy's default_rng, and one PCG64 and one
 Generator are made per stream_uniforms call, so per-run Generator
-construction cannot come back unseen.  The CLI loads no scipy module and no
+construction cannot come back unseen; nor can per-run seeding, since the
+verifier and the CLI call no seed_row and build no seed tuple per run:
+verify's runs are one SeedWords array.  The CLI loads no scipy module and no
 importlib.metadata, neither on import nor while it runs.  The fields of the
 configuration classes, of the instance record, of the energy distribution
 and of the QPE distribution are pinned, and so are the flags of ``oracle``,
@@ -232,6 +234,23 @@ def test_seeding_call_sites():
         ("qpe", "stream_uniforms", "np.random.PCG64"): 1,
         ("qpe", "stream_uniforms", "np.random.Generator"): 1,
     }
+
+
+def test_runs_are_seeded_as_arrays():
+    # verify's runs are one SeedWords array, the run index appended to the
+    # words of --seed, and run_verifier reads SeedWords in blocks: neither
+    # module calls seed_row or builds a seed per run in a comprehension.
+    sites = _call_sites({"seed_row", "seed_words"})
+    assert {site: n for site, n in sites.items() if site[0] in ("verifier", "cli")} == {
+        ("cli", "cmd_verify", "seed_words"): 1,
+        ("verifier", "run_verifier", "seed_words"): 1,
+    }
+    comprehensions = (ast.GeneratorExp, ast.ListComp, ast.SetComp)
+    for module in ("verifier", "cli"):
+        tree = ast.parse((Path(berrylab.__file__).parent / f"{module}.py").read_text())
+        per_run = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, comprehensions)
+                   and any(isinstance(part, ast.Tuple) for part in ast.walk(node.elt))]
+        assert per_run == [], module
 
 
 def test_configuration_fields():

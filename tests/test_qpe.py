@@ -11,6 +11,7 @@ from berrylab.errors import CapacityError, ConfigError
 from berrylab.exact import ground_state
 from berrylab.qpe import (
     MAX_PHASE_BITS,
+    _seeded_pcg64,
     bits_for_precision,
     circular_median,
     distribution_for_loop,
@@ -24,6 +25,7 @@ from berrylab.qpe import (
     stream_uniforms,
     unitary_eigensystem,
 )
+from berrylab.verifier import BLOCK_RUNS
 
 from oracles import cube_circular_median, fejer_row
 
@@ -193,6 +195,42 @@ def test_child_words_equal_the_row_path(seed):
         want = np.random.default_rng(tree).random((3, 4))
         assert np.array_equal(stream_uniforms(words, (3, 4))[0], want)
         assert np.array_equal(stream_uniforms(rows, (3, 4))[0], want)
+
+
+def test_coins_equal_numpy_bit_for_bit():
+    # A coin, a stream of one uniform, is drawn on the seeds' arrays with no
+    # Generator.  Entropies of one to five words and keys of none to three
+    # words give word lengths 4 to 8 in one call; the last seed has spawned
+    # children already, and its next child's words come from SeedWords.child.
+    spent = np.random.SeedSequence(2**64 + 3, spawn_key=(1, 2))
+    spent.spawn(3)
+    seeds = [np.random.SeedSequence(e, spawn_key=key)
+             for e in (0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 7)
+             for key in ((), (5,), (2**33, 0), (1, 2**32 - 1, 3))] + [spent]
+    words = seed_words(seeds)
+    assert len(set(words.lengths.tolist())) == 5
+    coin = stream_uniforms(words, ())
+    assert coin.shape == (len(seeds),)
+    assert coin.tolist() == [np.random.default_rng(s).random() for s in seeds]
+    assert np.array_equal(stream_uniforms(seeds, (1, 1))[:, 0, 0], coin)
+    child = stream_uniforms(seed_words([spent]).child(1), ())
+    assert child.tolist() == [np.random.default_rng(spent.spawn(2)[1]).random()]
+    # The seeded state and increment of each row are PCG64's own.
+    for i, s in enumerate(seeds):
+        (hi, lo), (c_hi, c_lo) = _seeded_pcg64(words.words[i:i + 1, :words.lengths[i]])
+        want = np.random.PCG64(s).state["state"]
+        assert int(hi[0]) << 64 | int(lo[0]) == want["state"]
+        assert int(c_hi[0]) << 64 | int(c_lo[0]) == want["inc"]
+
+
+def test_array_children_equal_the_rows_of_each_child():
+    # One seed's children 0..n-1 as one array: the words, lengths and spawned
+    # counts of the rows (s, (i,)), past a block of runs and a two-word entropy.
+    s, n = 2**40 + 7, BLOCK_RUNS + 44
+    got, want = seed_words([s]).child(np.arange(n)), seed_words([(s, (i,)) for i in range(n)])
+    assert got.words.tolist() == want.words.tolist()
+    assert got.lengths.tolist() == want.lengths.tolist()
+    assert got.spawned.tolist() == want.spawned.tolist()
 
 
 def test_low_fidelity_flag():

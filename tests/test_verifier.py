@@ -10,8 +10,9 @@ from berrylab.corpus import duqma_yes_circuit, synthetic_verifier_instance
 from berrylab.errors import ConfigError
 from berrylab.hamiltonians import eval_hamiltonian
 from berrylab.hardness import build_bqp_instance, build_duqma_instance, history_state
-from berrylab.qpe import sample_outcomes
+from berrylab.qpe import sample_outcomes, seed_words
 from berrylab.verifier import (
+    BLOCK_RUNS,
     ENERGY_REPETITIONS,
     VerifierConfig,
     energy_distribution,
@@ -171,6 +172,20 @@ def test_a_seed_row_is_one_run(yes_instance):
     assert len(listed) == 1
     assert (json.dumps(row.to_json_dict()) == json.dumps(listed[0].to_json_dict())
             == json.dumps(tree.to_json_dict()))
+
+
+def test_seed_words_are_the_runs_of_their_rows(yes_instance):
+    # SeedWords are a tuple, yet many seeds: run for run, across a block
+    # boundary and through both branches of the gate, the runs of their rows.
+    _, V = _eigenstates(yes_instance)
+    witness = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
+    rows = [(12, (i,)) for i in range(BLOCK_RUNS + 44)]
+    by_words = run_verifier(yes_instance, witness, seed=seed_words(rows))
+    by_rows = run_verifier(yes_instance, witness, seed=rows)
+    assert {o.energy_pass for o in by_rows} == {True, False}
+    assert [json.dumps(o.to_json_dict()) for o in by_words] == [
+        json.dumps(o.to_json_dict()) for o in by_rows
+    ]
 
 
 @pytest.mark.parametrize("seed", [1.5, (1,), (3, 4), (1.0, ()), -2, (1, (1.5,)), (1, ("a",)),
