@@ -21,10 +21,12 @@ Both runtimes share the same Trotter step dt (the alpha-run simply takes
 proportionally more steps), so step-discretization phase errors that are
 linear in T cancel in the reconstruction exactly like the dynamical phase.
 What is left of the step error spoils theta_B alone, so the step is sized
-by checking theta_B: starting from the commutator guess, the step count
-doubles until the pairs at n and n/2 steps reconstruct theta_B within
-eps_B/100 of each other, never past the H_max cap of dynamics.step_count.
-Both alpha rules run this check.  The alpha-run takes n + floor((alpha - 1) n)
+by checking theta_B on the lab's one refinement ladder (exact.refine):
+starting from the commutator guess, the step count doubles until the pairs
+at n and n/2 steps reconstruct theta_B within eps_B/100 of each other,
+never past the H_max cap of dynamics.step_count.  A guess of at least half
+the cap is the one-level ladder at the cap, built unchecked.  Both alpha
+rules run this check.  The alpha-run takes n + floor((alpha - 1) n)
 steps, so its realized ratio never exceeds the nominal alpha and the formula
 rule's unwrap window holds at every level.  In integer mode that is 2n steps,
 the next level's T-run grid: below the cap one sweep builds both.
@@ -55,7 +57,7 @@ from .dynamics import (
     unit_amplitudes,
 )
 from .errors import ConfigError
-from .exact import gapped_slice, ground_sector, lambda_grid, min_gap
+from .exact import gapped_slice, ground_sector, lambda_grid, min_gap, refine
 from .hamiltonians import HamiltonianFamily, norm_bounds
 from .qpe import (
     bits_for_precision,
@@ -87,35 +89,20 @@ def _checked_build(family: HamiltonianFamily, T: float, cap: int, low: int,
 
     ``build(n)`` makes the estimator's propagators at n steps per runtime T
     and returns (result, phase), the phase read from dominant eigenphases.
-    A commutator guess of at least half the cap builds at the cap unchecked
-    and leaves ``tested`` empty.  Otherwise n starts at twice the larger of
-    ``low`` and half the guess, rounded up (a lambda-independent family
-    guesses 0), and doubles, up to the cap, until the phases at n and at
-    n/2 agree within tol; the accepted n is the finer of the two.  The level
-    after n is 2n unless 2n passes the cap, so ``build(n)`` may build level
-    2n's work too, from the same sweep.  Returns (result, record).
+    n starts at twice the larger of ``low`` and half the commutator guess,
+    rounded up (a lambda-independent family guesses 0).  The refine ladder
+    n/2, n, 2n, ... below the cap, then the cap, accepts a level whose phase
+    is within tol of the level before's.  A start at the cap, as a guess of
+    at least half the cap makes, is the one-level ladder [cap], unchecked.
+    The level after n is 2n unless 2n passes the cap, so ``build(n)`` may
+    build level 2n's work too, from the same sweep.  Returns (result, record).
     """
     guess = guess_step_count(family, T)
-    record = {"guess": guess, "cap": cap, "tested": [], "converged": False}
-    n = cap
-    if 2.0 * guess < cap:
-        n = min(cap, 2 * max(low, math.ceil(guess / 2)))
-    if n == cap:
-        result, phase = build(n)
-    else:
-        _, previous = build(n // 2)
-        record["tested"].append([n // 2, previous])
-        while True:
-            result, phase = build(n)
-            record["tested"].append([n, phase])
-            if circle_distance(phase, previous) <= tol:
-                record["converged"] = True
-                break
-            if n == cap:
-                break
-            previous, n = phase, min(2 * n, cap)
-    record["phase"] = phase
-    return result, record
+    n = min(cap, 2 * max(low, math.ceil(guess / 2))) if 2.0 * guess < cap else cap
+    below = [n // 2, *(n << k for k in range(((cap - 1) // n).bit_length()))] if n < cap else []
+    result, record = refine(below + [cap], build, lambda previous, phase: (
+        previous is not None and circle_distance(phase, previous) <= tol))
+    return result, {"guess": guess, "cap": cap, **record, "phase": record["tested"][-1][1]}
 
 
 # ---------------------------------------------------------------------------

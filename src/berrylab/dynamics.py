@@ -16,6 +16,8 @@ take (the cap) and the count the step budget is checked against.  The
 estimators in ``bpe`` build coarser: they start from guess_step_count and
 keep the coarsest step count whose Berry phase an a-posteriori check
 accepts.  A lambda-independent family takes the same steps as any other.
+calibrate_runtime measures the runtimes 1, 2, 4, ... on that check's
+refinement ladder (exact.refine), and records them in its shape.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError
-from .exact import ground_sector, ground_state, lambda_grid, min_gap, spectra, sweep
+from .exact import ground_sector, ground_state, lambda_grid, min_gap, refine, spectra, sweep
 from .hamiltonians import (
     HamiltonianFamily,
     commutator_bound,
@@ -320,22 +322,17 @@ def calibrate_runtime(
 ) -> tuple[float, dict]:
     """Smallest runtime T = 2^k, k = 0 .. CALIBRATION_DOUBLINGS - 1, with
     measured loop infidelity at most delta_adia^2, of ``ground`` (as loop_infidelity's,
-    found here if not given).  Desk-scale replacement for the worst-case bound;
-    returns (T, diagnostics)."""
+    found here if not given), by refine.  Desk-scale replacement for the
+    worst-case bound; returns (T, refine's record, infidelity and target)."""
     if not (0.0 < delta_adia < 1.0):
         raise ConfigError(f"delta_adia must be in (0, 1), got {delta_adia}")
     ground = ground or ground_sector(family, ground_state(family, 0.0)[1])
-    infidelity_target = delta_adia ** 2
-    tested = []
-    T = 1.0
-    for _ in range(CALIBRATION_DOUBLINGS):
-        infid = loop_infidelity(family, T, oversampling, ground=ground)
-        tested.append((T, infid))
-        if infid <= infidelity_target:
-            return T, {"tested": tested, "infidelity": infid,
-                       "target": infidelity_target}
-        T *= 2.0
-    raise NumericalError(
-        f"no runtime up to T={T / 2:.3e} reached loop infidelity "
-        f"{infidelity_target:.3e}; last measured {tested[-1][1]:.3e}"
-    )
+    target = delta_adia ** 2
+    T, record = refine([2.0 ** k for k in range(CALIBRATION_DOUBLINGS)],
+                       lambda T: (T, loop_infidelity(family, T, oversampling, ground=ground)),
+                       lambda _, infidelity: infidelity <= target)
+    infidelity = record["tested"][-1][1]
+    if not record["converged"]:
+        raise NumericalError(f"no runtime up to T={T:.3e} reached loop infidelity "
+                             f"{target:.3e}; last measured {infidelity:.3e}")
+    return T, dict(record, infidelity=infidelity, target=target)

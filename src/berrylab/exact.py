@@ -18,7 +18,8 @@ solves only the blocks that certified, lambda-uniform bounds leave able to
 hold E0 or E1 (_pruned); diagonalize and the step kernel solve every block.
 
 The Wilson loop reads the minimum gap on its grid from the slices it
-solves, so the oracle's two numbers come from one scan of the loop.
+solves, so the oracle's two numbers come from one scan of the loop.  The
+step check and runtime calibration refine on the lab's one ladder, refine.
 
 All reported angles live in [0, 2 pi).
 """
@@ -425,6 +426,21 @@ def lambda_grid(family: HamiltonianFamily, grid, offset: float = 0.0) -> np.ndar
     if lams.ndim != 1 or lams.size < 2:
         raise ConfigError("grid must be an int or a 1-d sequence of lambdas")
     return lams
+
+
+def refine(levels, measure, accept) -> tuple:
+    """The one refinement ladder: ``measure(level)`` gives (result, value), once
+    per level in order, until ``accept(previous value or None, value)`` holds.
+    Returns the last level's result and the record {"tested": [[level, value],
+    ...], "converged": bool}, unconverged if the levels ran out unaccepted."""
+    tested, previous = [], None
+    for level in levels:
+        result, value = measure(level)
+        tested.append([level, value])
+        if accept(previous, value):
+            return result, {"tested": tested, "converged": True}
+        previous = value
+    return result, {"tested": tested, "converged": False}
 
 
 # ---------------------------------------------------------------------------

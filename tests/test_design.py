@@ -9,7 +9,10 @@ new reader of dense eigenvectors or a second check of a state's norm shows up he
 numerics or the memory of a scan, and so does a module
 reaching into another's private names beyond a short list, or a branch on
 a lambda-independent family outside ``hamiltonians``, or a second path that
-builds loop propagators of one step count from a sweep each.  Nothing
+builds loop propagators of one step count from a sweep each.  Every
+refinement ladder, the estimators' step check and runtime calibration, runs
+on ``exact.refine``, and no ``while`` loop but two that are not ladders is
+left, so a third hand-written ladder shows up here.  Nothing
 spawns a SeedSequence or calls numpy's default_rng, and one PCG64 and one
 Generator are made per stream_uniforms call, so per-run Generator
 construction cannot come back unseen; nor can per-run seeding, since the
@@ -202,6 +205,24 @@ def test_loop_propagator_call_sites():
         ("dynamics", "controlled_power_apply", "loop_propagator"): 1,
         ("qpe", "distribution_for_loop", "loop_propagator"): 1,
     }
+
+
+def test_one_refinement_ladder():
+    # The step check and calibration measure their levels through refine, the
+    # one ladder.  The only while loops are the pairwise step product and the
+    # sector finder's label propagation, neither a ladder: a doubling search
+    # written by hand shows up as a third.
+    assert _call_sites({"refine"}) == {
+        ("bpe", "_checked_build", "refine"): 1,
+        ("dynamics", "calibrate_runtime", "refine"): 1,
+    }
+    loops = Counter()
+    for path in sorted(Path(berrylab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in tree.body:
+            loops.update((path.stem, getattr(fn, "name", None))
+                         for node in ast.walk(fn) if isinstance(node, ast.While))
+    assert loops == {("dynamics", "loop_propagators"): 1, ("exact", "_blocks"): 1}
 
 
 def test_gap_scan_call_sites():

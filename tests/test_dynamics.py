@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from berrylab import exact
+from berrylab import dynamics, exact
 from berrylab.corpus import (
     bqp_yes_circuit,
     constant_z_family,
@@ -28,7 +28,7 @@ from berrylab.dynamics import (
     step_count,
 )
 from berrylab.errors import ConfigError, DegeneracyError, NumericalError
-from berrylab.exact import ground_sector, ground_state
+from berrylab.exact import ground_sector, ground_state, refine
 from berrylab.hamiltonians import (
     commutator_bound,
     constant,
@@ -386,6 +386,32 @@ def test_calibrate_runtime_constant_family_is_instant(constant_z):
     assert info["infidelity"] == 0.0
 
 
+def test_calibration_records_its_ladder(equatorial):
+    # calibration's record is refine's: each runtime tried, 1, 2, 4, ..., with
+    # its infidelity, and converged at the first within the target
+    T, info = calibrate_runtime(equatorial, delta_adia=0.05)
+    levels = [t for t, _ in info["tested"]]
+    assert levels == [2.0 ** k for k in range(len(levels))] and levels[-1] == T
+    assert info["converged"] and info["tested"][-1][1] == info["infidelity"]
+    assert all(infidelity > info["target"] for _, infidelity in info["tested"][:-1])
+
+
+def test_calibration_refuses_when_no_runtime_reaches_the_target(equatorial, monkeypatch):
+    # with three doublings and a target of 1e-14, the runtimes 1, 2 and 4 are
+    # each measured once, none is accepted, and the refusal names the last
+    calls = []
+
+    def spy(family, T, *args, **kwargs):
+        calls.append(T)
+        return loop_infidelity(family, T, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "CALIBRATION_DOUBLINGS", 3)
+    monkeypatch.setattr(dynamics, "loop_infidelity", spy)
+    with pytest.raises(NumericalError, match=r"no runtime up to T=4\.000e\+00"):
+        calibrate_runtime(equatorial, delta_adia=1e-7)
+    assert calls == [1.0, 2.0, 4.0]
+
+
 def test_required_runtime_frozen_value(equatorial):
     # adiabatic-theorem worst-case bound; far more pessimistic than the
     # measured calibration, which is the point of having both
@@ -399,6 +425,60 @@ def test_required_runtime_scales_inverse_square(equatorial):
     a = required_runtime(equatorial, 0.1)
     b = required_runtime(equatorial, 0.05)
     assert math.isclose(b / a, 4.0, rel_tol=1e-6)
+
+
+# -- the refinement ladder -----------------------------------------------------
+
+
+def _ladder(values, accept):
+    """refine over the levels 0, 1, ... with values[level] as each level's
+    value; returns its (result, record), the levels measured and the
+    (previous, value) pairs that accept was shown."""
+    measured, shown = [], []
+
+    def measure(level):
+        measured.append(level)
+        return f"built at {level}", values[level]
+
+    def judge(previous, value):
+        shown.append((previous, value))
+        return accept(previous, value)
+
+    return refine(range(len(values)), measure, judge), measured, shown
+
+
+def _agree(previous, value):
+    return previous is not None and abs(value - previous) <= 0.1
+
+
+def test_refine_measures_each_level_once_in_order_until_accepted():
+    (result, record), measured, shown = _ladder([1.0, 0.5, 0.45, 0.44, 0.0], _agree)
+    assert measured == [0, 1, 2]
+    assert shown == [(None, 1.0), (1.0, 0.5), (0.5, 0.45)]
+    assert result == "built at 2"
+    assert record == {"tested": [[0, 1.0], [1, 0.5], [2, 0.45]], "converged": True}
+
+
+def test_refine_stops_at_a_first_level_it_accepts():
+    (result, record), measured, shown = _ladder([1.0, 2.0, 3.0], lambda _, value: value < 1.5)
+    assert measured == [0] and shown == [(None, 1.0)] and result == "built at 0"
+    assert record == {"tested": [[0, 1.0]], "converged": True}
+
+
+def test_refine_runs_out_of_levels_unconverged():
+    (result, record), measured, _ = _ladder([3.0, 2.0, 1.0], _agree)
+    assert measured == [0, 1, 2] and result == "built at 2"
+    assert record == {"tested": [[0, 3.0], [1, 2.0], [2, 1.0]], "converged": False}
+
+
+@pytest.mark.parametrize("accepted", [False, True])
+def test_refine_one_level_converges_only_if_accepted_against_none(accepted):
+    # _agree never accepts a first level: the step check's one level at the
+    # cap is built unchecked, unconverged
+    accept = (lambda previous, value: previous is None) if accepted else _agree
+    (result, record), measured, shown = _ladder([7.0], accept)
+    assert measured == [0] and shown == [(None, 7.0)] and result == "built at 0"
+    assert record == {"tested": [[0, 7.0]], "converged": accepted}
 
 
 # -- controlled powers ---------------------------------------------------------
