@@ -22,7 +22,6 @@ budget is overridable via the BERRYLAB_MAX_QUBITS environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -45,13 +44,20 @@ from .hardness import (
     save_instance,
 )
 from .qpe import seed_words
-from .verifier import MAX_VERIFY_RUNS, VerifierConfig, run_verifier
+from .verifier import MAX_VERIFY_RUNS, VerifierConfig, run_verifier, runs_json
 
 
-def _write_json(path: str, obj) -> None:
+def _write_json(path: str, obj, **texts) -> None:
+    """Write obj as one line of compact JSON with sorted keys; the value of a
+    top-level key in `texts` is written from those pieces of its JSON text."""
     # json.dumps with no indent runs the C encoder; json.dump never does.
+    text = json.dumps({**obj, **dict.fromkeys(texts)}, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        for key in sorted(texts):  # obj's own member if no value sorted before holds the key
+            head, member, text = text.partition(json.dumps(key) + ":null")
+            fh.write(head + member[:-len("null")])
+            fh.writelines(texts[key])
+        fh.write(text + "\n")
 
 
 def _write_manifest(args) -> None:
@@ -224,47 +230,38 @@ def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
+    args.rates_csv = args.rates_csv or f"{args.out}.rates.csv"
+    outputs = (args.out, f"{args.out}.manifest.json")
+    if os.path.realpath(args.rates_csv) in map(os.path.realpath, outputs):
+        raise ConfigError(f"--rates-csv {args.rates_csv} is --out or its manifest")
     _, instance = _resolve_target(args.instance)
     if instance is None:
-        raise ConfigError(
-            f"{args.instance} has no provenance sidecar; verification needs "
-            "a full instance"
-        )
+        raise ConfigError(f"{args.instance} has no provenance sidecar; "
+                          "verification needs a full instance")
     if instance.E_th is None:  # refuse before any spectral work
         raise ConfigError("instance carries no energy threshold")
     # checked after the instance (a bad one exits 2), before any seed is drawn
     if args.runs > MAX_VERIFY_RUNS:
         raise CapacityError(f"--runs {args.runs} is over the budget of {MAX_VERIFY_RUNS} runs")
     witness = _resolve_witness(instance, args.witness)
-    config = VerifierConfig(
-        soundness_delta=args.soundness_delta,
-        bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta),
-    )
+    config = VerifierConfig(soundness_delta=args.soundness_delta,
+                            bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta))
     # Run i is seeded by child i of SeedSequence(--seed): its words with i appended.
     runs = seed_words([args.seed]).child(np.arange(args.runs))
     outcomes = run_verifier(instance, witness, config, seed=runs)
-    accept_rate = float(np.mean([o.accept for o in outcomes]))
-    energy_pass_rate = float(np.mean([o.energy_pass for o in outcomes]))
-    payload = {
-        "runs": [o.to_json_dict() for o in outcomes],
-        "accept_rate": accept_rate,
-        "energy_pass_rate": energy_pass_rate,
-        "n_runs": args.runs,
-        "seed": args.seed,
-        "witness": args.witness,
-    }
-    _write_json(args.out, payload)
-    args.rates_csv = args.rates_csv or f"{args.out}.rates.csv"
-    with open(args.rates_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "energy_pass", "decision", "accept"])
-        for i, o in enumerate(outcomes):
-            writer.writerow([i, int(o.energy_pass), o.decision, int(o.accept)])
+    passed, accepts = [o.energy_pass for o in outcomes], [o.accept for o in outcomes]
+    accept_rate = float(np.mean(accepts))
+    energy_pass_rate = float(np.mean(passed))
+    payload = {"accept_rate": accept_rate, "energy_pass_rate": energy_pass_rate,
+               "n_runs": args.runs, "seed": args.seed, "witness": args.witness}
+    _write_json(args.out, payload, runs=runs_json(outcomes))
+    rows = map("{},{:d},{},{:d}\r\n".format, range(args.runs), passed,
+               (o.decision for o in outcomes), accepts)
+    with open(args.rates_csv, "w", newline="") as fh:  # as csv.writer writes it
+        fh.write("run,energy_pass,decision,accept\r\n" + "".join(rows))
     _write_manifest(args)
-    print(
-        f"accept_rate = {accept_rate:.3f}, energy_pass_rate = {energy_pass_rate:.3f} "
-        f"over {args.runs} runs; wrote {args.out}"
-    )
+    print(f"accept_rate = {accept_rate:.3f}, energy_pass_rate = {energy_pass_rate:.3f} "
+          f"over {args.runs} runs; wrote {args.out}")
     return 0
 
 

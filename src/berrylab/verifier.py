@@ -29,12 +29,21 @@ children 0..n-1 of one seed, are one array with no per-run seed, and
 qpe.stream_uniforms draws a block's streams from those rows, coins with no
 Generator, bit for bit what default_rng of each child draws.  So outputs
 stay byte-identical, and a batch equals its runs made singly.
+
+runs_json writes outcomes as JSON from one template per record shape (a
+failed gate, or an interval test): constants are encoded once per shape,
+and the per-run leaves a column at a time, by json.dumps of a list.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +109,51 @@ class VerifierOutcome:
         }
 
 
+# A record's per-run leaves: the sentinel a template holds, and its column.
+_LEAF = re.compile(r'"<(\w+)>"')
+_COLUMNS = {"estimate": attrgetter("energy_estimate"), "theta_B": attrgetter("theta_estimate"),
+            "decision": attrgetter("decision"), "p": attrgetter("accept_probability"),
+            "accept": attrgetter("accept"), "theta_D": lambda o: o.transcript[1]["theta_D_hat"],
+            "in_arc": lambda o: o.transcript[-1]["in_yes_interval"],
+            "coin": lambda o: o.transcript[-1]["coin"]}
+
+
+def _template(outcome) -> tuple[list, list]:
+    """The literal texts of the outcome's record shape (a failed gate, or an
+    interval test), each constant encoded once, and the leaves between them."""
+    record = copy.deepcopy(outcome.to_json_dict())  # not the live transcript
+    gate, *phase, branch = record["transcript"]
+    record.update(energy_estimate="<estimate>", decision="<decision>", accept_probability="<p>",
+                  accept="<accept>")
+    gate["estimate"] = "<estimate>"
+    branch.update(decision="<decision>", accept_probability="<p>", coin="<coin>", accept="<accept>")
+    if phase:  # the gate passed
+        record["theta_estimate"] = phase[0]["theta_B_hat"] = "<theta_B>"
+        phase[0]["theta_D_hat"], branch["in_yes_interval"] = "<theta_D>", "<in_arc>"
+    parts = _LEAF.split(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return parts[0::2], parts[1::2]
+
+
+def runs_json(outcomes):
+    """The text of json.dumps([o.to_json_dict() for o in outcomes],
+    sort_keys=True, separators=(",", ":")), in pieces, for the outcomes of
+    one run_verifier call: its records of one shape share every constant."""
+    shapes = [o.energy_pass for o in outcomes]
+    records = {}
+    for shape in set(shapes):
+        runs = [o for o, s in zip(outcomes, shapes) if s == shape]
+        literals, leaves = _template(runs[0])
+        # Split at commas: numbers, bools, nulls and decisions hold none.
+        texts = {name: json.dumps(list(map(_COLUMNS[name], runs)), separators=(",", ":"))[1:-1]
+                 .split(",") for name in set(leaves)}
+        spliced = chain.from_iterable(zip(map(repeat, literals), map(texts.get, leaves)))
+        records[shape] = map("".join, zip(repeat(","), *spliced, repeat(literals[-1])))
+    pieces = map(next, map(records.get, shapes))  # each led by a comma, the first's dropped
+    yield "[" + next(pieces, ",")[1:]
+    yield from pieces
+    yield "]"
+
+
 class EnergyDistribution(NamedTuple):
     """Precomputed QPE outcome distribution for one (instance, witness)."""
 
@@ -129,19 +183,19 @@ def energy_distribution(instance, witness_state) -> EnergyDistribution:
     return EnergyDistribution(dist, tau, delta_min)
 
 
-def energy_test(
-    instance,
-    witness_state,
-    *,
-    seed=0,
-    distribution: EnergyDistribution | None = None,
-):
+def _one_seed(seed) -> bool:
+    # A row is a tuple, and so are SeedWords: only the bare tuple is one seed.
+    return type(seed) is tuple or not hasattr(seed, "__iter__")
+
+
+def energy_test(instance, witness_state, *, seed=0,
+                distribution: EnergyDistribution | None = None):
     """Median-of-ENERGY_REPETITIONS energy estimate and the threshold gate.
 
     Returns (estimate, passed) with passed iff
-    estimate < instance.E_th + Delta_min/4; for a list of seeds, an array of
-    each, one entry per seed, and so for SeedWords.  A seed is an int, a
-    SeedSequence or an (entropy, spawn key) row, and its readouts are what
+    estimate < instance.E_th + Delta_min/4; for any other iterable of seeds,
+    SeedWords too, an array of each, one entry per seed.  A seed is an int,
+    a SeedSequence or an (entropy, spawn key) row, and its readouts are what
     its default_rng would draw.  Pass `distribution` (from
     energy_distribution) to amortize the diagonalization across seeds.
     """
@@ -150,31 +204,25 @@ def energy_test(
     if distribution is None:
         distribution = energy_distribution(instance, witness_state)
     dist, tau, delta_min = distribution
-    many = isinstance(seed, (list, SeedWords))
-    u = stream_uniforms(seed if many else [seed], (ENERGY_REPETITIONS, dist.m + 1))
+    single = _one_seed(seed)
+    u = stream_uniforms([seed] if single else seed, (ENERGY_REPETITIONS, dist.m + 1))
     readouts = dist.angles(sample_outcomes(dist, ENERGY_REPETITIONS, u))
     energies = -wrap_pm_pi(readouts) / tau
     estimates = np.median(energies, axis=1)
     passed = estimates < instance.E_th + delta_min / 4.0
-    if many:
-        return estimates, passed
-    return float(estimates[0]), bool(passed[0])
+    if single:
+        return float(estimates[0]), bool(passed[0])
+    return estimates, passed
 
 
-def run_verifier(
-    instance,
-    witness_state,
-    config: VerifierConfig | None = None,
-    seed=0,
-):
+def run_verifier(instance, witness_state, config: VerifierConfig | None = None, seed=0):
     """Protocol runs: one VerifierOutcome for a seed (an int, a SeedSequence
     or an (entropy, spawn key) row), a list of them for an iterable of
     seeds or SeedWords, run BLOCK_RUNS rows at a time.  The first run to
     pass the gate builds the estimator and the promise arc, after the
     decision margin is checked; if none does, no loop is propagated."""
     config = config or VerifierConfig()
-    # A row is a tuple, and so are SeedWords: only the bare tuple is one seed.
-    single = type(seed) is tuple or not hasattr(seed, "__iter__")
+    single = _one_seed(seed)
     words = seed_words([seed] if single else seed)
     witness = unit_amplitudes(witness_state)
     energy_dist = energy_distribution(instance, witness)
@@ -212,8 +260,7 @@ def run_verifier(
                 transcript.append(
                     {"step": "phase-estimation", "theta_B_hat": theta_B, "theta_D_hat": theta_D,
                      "epsilon_B": eps_B, "alpha": engine.alpha, "T": engine.T, "m": engine.m,
-                     "R": engine.R}
-                )
+                     "R": engine.R})
                 branch = {"step": "decision", "branch": "interval-test",
                           "interval": [a, b, delta], "in_yes_interval": inside[i]}
             else:
@@ -221,17 +268,9 @@ def run_verifier(
             p, coin = probabilities[i], coins.get(i)
             decision = "accept-1" if p == 1.0 else "reject" if p == 0.0 else "accept-prob-bounded"
             accept = p == 1.0 if coin is None else coin < p
-            transcript.append(
-                {**branch, "decision": decision, "accept_probability": p, "coin": coin,
-                 "accept": accept}
-            )
+            transcript.append({**branch, "decision": decision, "accept_probability": p,
+                               "coin": coin, "accept": accept})
             outcomes.append(VerifierOutcome(
-                energy_estimate=estimate,
-                energy_pass=passed_i,
-                theta_estimate=theta_B,
-                decision=decision,
-                transcript=transcript,
-                accept=accept,
-                accept_probability=p,
-            ))
+                energy_estimate=estimate, energy_pass=passed_i, theta_estimate=theta_B,
+                decision=decision, transcript=transcript, accept=accept, accept_probability=p))
     return outcomes[0] if single else outcomes

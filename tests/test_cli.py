@@ -737,6 +737,21 @@ def test_verify_on_synthetic_instance(work):
     assert (work / "verify.json.rates.csv").exists()
 
 
+@pytest.mark.parametrize("rates", ["o.json", "o.json.manifest.json", "sub/../o.json"])
+def test_verify_refuses_a_rates_csv_on_another_output(work, tmp_path, capsys, rates):
+    # The CSV would overwrite the payload or its manifest after "wrote" was
+    # printed; the clash is refused before any run, and nothing is written.
+    from berrylab import cli
+
+    (tmp_path / "sub").mkdir()
+    rc = cli.main(["verify", "--instance", str(work / "syn"), "--witness", "ground",
+                   "--rates-csv", str(tmp_path / rates), "--seed", "1",
+                   "--out", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert "--rates-csv" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 def test_verify_history_witness_accepts_duqma_yes(duqma_yes, tmp_path):
     from berrylab import cli
 

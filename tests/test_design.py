@@ -22,7 +22,8 @@ importlib.metadata, neither on import nor while it runs.  The fields of the
 configuration classes, of the instance record, of the energy distribution
 and of the QPE distribution are pinned, and so are the flags of ``oracle``,
 the estimators and ``verify``.  The verifier builds its outcome at one site,
-the estimators write their payload at one site, every interval decision is
+the estimators write their payload at one site, verify's runs are spelled
+only in the verifier and written in one call, every interval decision is
 ``decide_interval``'s, and the package root re-exports nothing, so a new setting, a value kept
 twice or a second import path for a name shows up here too.  A QPE
 distribution draws readouts at the top bit count in well under a megabyte.
@@ -347,6 +348,31 @@ def test_one_verifier_outcome_site():
         if isinstance(node, ast.Call) and _dotted(node.func) == "VerifierOutcome"
     ]
     assert len(sites) == 1, sites
+
+
+def test_run_records_are_spelled_only_in_verifier():
+    # verify's runs leave as verifier.runs_json's text, from templates dumped
+    # from a record, so cli spells no run-record key.  The estimator body and
+    # commands are the exception: their payload shares names with the
+    # phase-estimation step.  cmd_verify writes its payload in one call.
+    def functions(module):
+        tree = ast.parse((Path(berrylab.__file__).parent / f"{module}.py").read_text())
+        return {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}, tree
+
+    verifier, _ = functions("verifier")
+    keys = {key.value for name in ("to_json_dict", "run_verifier")
+            for node in ast.walk(verifier[name]) if isinstance(node, ast.Dict)
+            for key in node.keys if isinstance(key, ast.Constant)}
+    assert {"energy_pass", "transcript", "coin", "in_yes_interval", "threshold"} <= keys
+    cli, tree = functions("cli")
+    estimators = {node for name in ("_estimate", "cmd_bpe", "cmd_murta")
+                  for node in ast.walk(cli[name])}
+    spelled = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and node not in estimators and node.value in keys}
+    assert spelled == set()
+    writes = [node for node in ast.walk(cli["cmd_verify"])
+              if isinstance(node, ast.Call) and _dotted(node.func) == "_write_json"]
+    assert len(writes) == 1
 
 
 def test_one_interval_decision():

@@ -18,6 +18,7 @@ from berrylab.verifier import (
     energy_distribution,
     energy_test,
     run_verifier,
+    runs_json,
 )
 
 
@@ -186,6 +187,38 @@ def test_seed_words_are_the_runs_of_their_rows(yes_instance):
     assert [json.dumps(o.to_json_dict()) for o in by_words] == [
         json.dumps(o.to_json_dict()) for o in by_rows
     ]
+
+
+# Each form of seeds 2, or 1, 2 and 3, made afresh: a generator is spent by its use.
+ONE_OR_MANY = {
+    "int": lambda: 2, "row": lambda: (2, ()), "list": lambda: [1, 2, 3],
+    "ndarray": lambda: np.arange(1, 4), "range": lambda: range(1, 4),
+    "generator": lambda: (s for s in [1, 2, 3]), "seed-words": lambda: seed_words([1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("form", ONE_OR_MANY)
+def test_energy_test_and_run_verifier_share_one_seed_rule(yes_instance, form):
+    # A bare tuple or a non-iterable is one seed; any other iterable is many,
+    # in energy_test as in run_verifier, and each form gives its seeds' runs.
+    _, V = _eigenstates(yes_instance)
+    dist = energy_distribution(yes_instance, V[:, 1])
+    estimates, passed = energy_test(yes_instance, V[:, 1], seed=ONE_OR_MANY[form](),
+                                    distribution=dist)
+    outcomes = run_verifier(yes_instance, V[:, 1], seed=ONE_OR_MANY[form]())
+    if form in ("int", "row"):
+        assert isinstance(estimates, float) and isinstance(passed, bool)
+        assert (estimates, passed) == energy_test(yes_instance, V[:, 1], seed=2,
+                                                  distribution=dist)
+        assert json.dumps(outcomes.to_json_dict()) == json.dumps(
+            run_verifier(yes_instance, V[:, 1], seed=[2])[0].to_json_dict())
+    else:
+        listed = energy_test(yes_instance, V[:, 1], seed=[1, 2, 3], distribution=dist)
+        assert estimates.tolist() == listed[0].tolist() and passed.tolist() == listed[1].tolist()
+        assert [json.dumps(o.to_json_dict()) for o in outcomes] == [
+            json.dumps(o.to_json_dict())
+            for o in run_verifier(yes_instance, V[:, 1], seed=[1, 2, 3])
+        ]
 
 
 @pytest.mark.parametrize("seed", [1.5, (1,), (3, 4), (1.0, ()), -2, (1, (1.5,)), (1, ("a",)),
@@ -423,3 +456,59 @@ def test_outcome_is_pinned(yes_instance, no_instance, case):
     seed = 1 if case in ("energy-fail-coin", "interval-coin") else 0
     out = run_verifier(instance, witness, config, seed=seed)
     assert json.dumps(out.to_json_dict()) == json.dumps(PINNED_OUTCOMES[case])
+
+
+# -- the runs' JSON text -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def duqma_yes_instance():
+    return build_duqma_instance(duqma_yes_circuit(), 0)
+
+
+def _encoder_case(case, yes_instance, no_instance, duqma_yes_instance):
+    """(instance, witness, config) of each record shape the verify command
+    writes: gated runs inside and outside the arc, failed gates with a coin
+    and with p = 0, the DUQMA history witness, and both shapes in one job."""
+    if case == "duqma-yes-history:1":
+        inst = duqma_yes_instance
+        return inst, history_state(inst.circuit, 1).amplitudes, None
+    inst = no_instance if case.startswith("syn-no") else yes_instance
+    _, V = _eigenstates(inst)
+    witness = {"ground": V[:, 0], "excited:1": V[:, 1],
+               "half": (V[:, 0] + V[:, 1]) / math.sqrt(2.0)}[case.split(" ")[1]]
+    config = VerifierConfig(soundness_delta=1.0 / 3.0) if case.endswith("reject") else None
+    return inst, witness, config
+
+
+ENCODER_CASES = [
+    ("syn-yes ground", 300), ("syn-no ground", 300), ("syn-yes excited:1", 300),
+    ("syn-yes excited:1 reject", 300), ("duqma-yes-history:1", 300),
+    ("syn-yes half", 1), ("syn-yes half", 256), ("syn-yes half", 257),
+]
+
+
+@pytest.mark.parametrize("case, n", ENCODER_CASES, ids=[f"{c} {n}" for c, n in ENCODER_CASES])
+def test_runs_json_equals_json_dumps(yes_instance, no_instance, duqma_yes_instance, case, n):
+    instance, witness, config = _encoder_case(case, yes_instance, no_instance,
+                                              duqma_yes_instance)
+    outcomes = run_verifier(instance, witness, config, seed=list(range(n)))
+    before = [json.dumps(o.to_json_dict()) for o in outcomes]
+    pieces = list(runs_json(outcomes))
+    # record by record first: a failure then names its run, with no diff of
+    # two long lines to compute
+    records = [json.dumps(o.to_json_dict(), sort_keys=True, separators=(",", ":"))
+               for o in outcomes]
+    assert [p[1:] for p in pieces[:-1]] == records
+    assert "".join(pieces) == json.dumps([o.to_json_dict() for o in outcomes], sort_keys=True,
+                                         separators=(",", ":"))
+    assert [json.dumps(o.to_json_dict()) for o in outcomes] == before
+    decisions = {o.decision for o in outcomes}
+    if case.endswith("reject"):
+        assert decisions == {"reject"} and {o.transcript[-1]["coin"] for o in outcomes} == {None}
+    if "half" in case and n > 1:
+        assert {o.energy_pass for o in outcomes} == {True, False}
+
+
+def test_runs_json_of_no_runs_is_an_empty_list():
+    assert "".join(runs_json([])) == "[]"
