@@ -192,7 +192,7 @@ def _words(x) -> list:
         return [int(x)]
     if isinstance(x, (int, np.integer)) and x > _M32:
         return [int(x) >> s & _M32 for s in range(0, int(x).bit_length(), 32)]
-    if not isinstance(x, (list, tuple, np.ndarray)):
+    if not isinstance(x, (list, tuple, np.ndarray)) or getattr(x, "ndim", 1) == 0:
         raise ConfigError(f"seed entropy and spawn keys must be ints >= 0, got {x!r}")
     return [w for v in x for w in ([v] if type(v) is int and 0 <= v <= _M32 else _words(v))]
 

@@ -30,18 +30,19 @@ qpe.stream_uniforms draws a block's streams from those rows, coins with no
 Generator, bit for bit what default_rng of each child draws.  So outputs
 stay byte-identical, and a batch equals its runs made singly.
 
-runs_json writes outcomes as JSON from one template per record shape (a
-failed gate, or an interval test): constants are encoded once per shape,
-and the per-run leaves a column at a time, by json.dumps of a list.
+A VerifierOutcome holds its run's own values and its call's constants, and
+its to_json_dict is the one spelling of a run's record.  runs_json writes
+outcomes as JSON from one template per record shape (a failed gate, or an
+interval test), to_json_dict's with the per-run leaves as sentinels: the
+constants are encoded once per shape, the leaves a column at a time.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -87,64 +88,72 @@ class VerifierConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifierOutcome:
+    """One protocol run: its own values, and `job`, the constants its call's
+    records share: (threshold, margin, the estimator's (epsilon_B, alpha, T,
+    m, R), interval), the last two None until a run passes the gate.
+    to_json_dict is the one spelling of a run's record."""
+
     energy_estimate: float
     energy_pass: bool
-    theta_estimate: float | None  # present iff energy_pass
+    theta_estimate: float | None  # theta_B; with theta_D and in_arc, present iff energy_pass
+    theta_D: float | None
+    in_arc: int | None
     decision: str  # 'accept-1' | 'accept-prob-bounded' | 'reject'
-    transcript: list
-    accept: bool
     accept_probability: float
+    coin: float | None  # drawn iff 0 < p < 1
+    accept: bool
+    job: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "energy_estimate": self.energy_estimate,
-            "energy_pass": self.energy_pass,
-            "theta_estimate": self.theta_estimate,
-            "decision": self.decision,
-            "accept": self.accept,
-            "accept_probability": self.accept_probability,
-            "transcript": self.transcript,
-        }
+        threshold, margin, estimator, interval = self.job
+        transcript = [{"step": "energy-test", "estimate": self.energy_estimate,
+                       "threshold": threshold, "margin": margin,
+                       "repetitions": ENERGY_REPETITIONS, "pass": self.energy_pass}]
+        if self.energy_pass:
+            eps_B, alpha, T, m, R = estimator
+            transcript.append({"step": "phase-estimation", "theta_B_hat": self.theta_estimate,
+                               "theta_D_hat": self.theta_D, "epsilon_B": eps_B, "alpha": alpha,
+                               "T": T, "m": m, "R": R})
+            branch = {"step": "decision", "branch": "interval-test", "interval": list(interval),
+                      "in_yes_interval": self.in_arc}
+        else:
+            branch = {"step": "decision", "branch": "energy-fail"}
+        transcript.append({**branch, "decision": self.decision,
+                           "accept_probability": self.accept_probability, "coin": self.coin,
+                           "accept": self.accept})
+        return {"energy_estimate": self.energy_estimate, "energy_pass": self.energy_pass,
+                "theta_estimate": self.theta_estimate, "decision": self.decision,
+                "accept": self.accept, "accept_probability": self.accept_probability,
+                "transcript": transcript}
+
+    @property
+    def transcript(self) -> list:
+        return self.to_json_dict()["transcript"]
 
 
-# A record's per-run leaves: the sentinel a template holds, and its column.
+# A record's per-run leaves: every field but the shape and the job, and the
+# sentinel that stands for a leaf in its shape's template.
+_LEAVES = [f.name for f in fields(VerifierOutcome) if f.name not in ("energy_pass", "job")]
 _LEAF = re.compile(r'"<(\w+)>"')
-_COLUMNS = {"estimate": attrgetter("energy_estimate"), "theta_B": attrgetter("theta_estimate"),
-            "decision": attrgetter("decision"), "p": attrgetter("accept_probability"),
-            "accept": attrgetter("accept"), "theta_D": lambda o: o.transcript[1]["theta_D_hat"],
-            "in_arc": lambda o: o.transcript[-1]["in_yes_interval"],
-            "coin": lambda o: o.transcript[-1]["coin"]}
-
-
-def _template(outcome) -> tuple[list, list]:
-    """The literal texts of the outcome's record shape (a failed gate, or an
-    interval test), each constant encoded once, and the leaves between them."""
-    record = copy.deepcopy(outcome.to_json_dict())  # not the live transcript
-    gate, *phase, branch = record["transcript"]
-    record.update(energy_estimate="<estimate>", decision="<decision>", accept_probability="<p>",
-                  accept="<accept>")
-    gate["estimate"] = "<estimate>"
-    branch.update(decision="<decision>", accept_probability="<p>", coin="<coin>", accept="<accept>")
-    if phase:  # the gate passed
-        record["theta_estimate"] = phase[0]["theta_B_hat"] = "<theta_B>"
-        phase[0]["theta_D_hat"], branch["in_yes_interval"] = "<theta_D>", "<in_arc>"
-    parts = _LEAF.split(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    return parts[0::2], parts[1::2]
 
 
 def runs_json(outcomes):
     """The text of json.dumps([o.to_json_dict() for o in outcomes],
     sort_keys=True, separators=(",", ":")), in pieces, for the outcomes of
-    one run_verifier call: its records of one shape share every constant."""
+    one run_verifier call.  Its records of one shape share every constant:
+    the shape's template is its first record with sentinel leaves, dumped
+    once, and the leaves are dumped a column at a time and spliced in."""
     shapes = [o.energy_pass for o in outcomes]
     records = {}
     for shape in set(shapes):
         runs = [o for o, s in zip(outcomes, shapes) if s == shape]
-        literals, leaves = _template(runs[0])
+        template = replace(runs[0], **{name: f"<{name}>" for name in _LEAVES}).to_json_dict()
+        parts = _LEAF.split(json.dumps(template, sort_keys=True, separators=(",", ":")))
+        literals, leaves = parts[0::2], parts[1::2]
         # Split at commas: numbers, bools, nulls and decisions hold none.
-        texts = {name: json.dumps(list(map(_COLUMNS[name], runs)), separators=(",", ":"))[1:-1]
+        texts = {name: json.dumps(list(map(attrgetter(name), runs)), separators=(",", ":"))[1:-1]
                  .split(",") for name in set(leaves)}
         spliced = chain.from_iterable(zip(map(repeat, literals), map(texts.get, leaves)))
         records[shape] = map("".join, zip(repeat(","), *spliced, repeat(literals[-1])))
@@ -185,7 +194,8 @@ def energy_distribution(instance, witness_state) -> EnergyDistribution:
 
 def _one_seed(seed) -> bool:
     # A row is a tuple, and so are SeedWords: only the bare tuple is one seed.
-    return type(seed) is tuple or not hasattr(seed, "__iter__")
+    # A 0-d array iterates to nothing but an error, so it is one seed too.
+    return type(seed) is tuple or not hasattr(seed, "__iter__") or getattr(seed, "ndim", 1) == 0
 
 
 def energy_test(instance, witness_state, *, seed=0,
@@ -220,7 +230,10 @@ def run_verifier(instance, witness_state, config: VerifierConfig | None = None, 
     or an (entropy, spawn key) row), a list of them for an iterable of
     seeds or SeedWords, run BLOCK_RUNS rows at a time.  The first run to
     pass the gate builds the estimator and the promise arc, after the
-    decision margin is checked; if none does, no loop is propagated."""
+    decision margin is checked; if none does, no loop is propagated.  An
+    instance with no energy threshold is refused before any solve."""
+    if instance.E_th is None:
+        raise ConfigError("instance carries no energy threshold")
     config = config or VerifierConfig()
     single = _one_seed(seed)
     words = seed_words([seed] if single else seed)
@@ -229,48 +242,33 @@ def run_verifier(instance, witness_state, config: VerifierConfig | None = None, 
     eps_B = config.bpe.epsilon_B
     fail_p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
     engine, outcomes = None, []
+    job = (instance.E_th, energy_dist.delta_min / 4.0, None, None)
     for start in range(0, len(words.lengths), BLOCK_RUNS):
         runs = SeedWords(*(a[start:start + BLOCK_RUNS] for a in words))
         estimates, passed = energy_test(instance, witness, seed=runs.child(0),
                                         distribution=energy_dist)
-        gated = np.flatnonzero(passed).tolist()
-        phases, inside = {}, {}
-        if gated:
+        gated = np.flatnonzero(passed)
+        theta_B, theta_D, inside, coin = np.full((4, len(passed)), None)  # None where not run
+        p = np.full(len(passed), fail_p)
+        if gated.size:
             if engine is None:
                 a, b, delta = instance.interval
                 check_decision_margin(delta, eps_B)  # before any propagation
                 engine = BpeEngine(instance.family, config.bpe, guiding_state=witness)
+                job = (*job[:2], (eps_B, engine.alpha, engine.T, engine.m, engine.R), (a, b, delta))
             m1, m_alpha, _, _ = engine.readouts(runs.child(1, gated))
-            theta_D, theta_B = reconstruct_phases(np.array(m1), np.array(m_alpha), engine.alpha,
+            phase_D, phase_B = reconstruct_phases(np.array(m1), np.array(m_alpha), engine.alpha,
                                                   engine.config.alpha_mode)
-            phases = dict(zip(gated, zip(theta_D.tolist(), theta_B.tolist())))
-            inside = dict(zip(gated, decide_interval(theta_B, a, b, delta, eps_B).tolist()))
-        probabilities = [(1.0 if inside[i] else 1.0 / 3.0) if i in inside else fail_p
-                         for i in range(len(runs.lengths))]
+            arc = decide_interval(phase_B, a, b, delta, eps_B)
+            theta_D[gated], theta_B[gated], inside[gated] = phase_D, phase_B, arc
+            p[gated] = np.where(arc == 1, 1.0, 1.0 / 3.0)
         # Certain outcomes draw no coin; every other p is one coin from its coin seed.
-        tossed = [i for i, p in enumerate(probabilities) if 0.0 < p < 1.0]
-        coins = dict(zip(tossed, stream_uniforms(runs.child(2, tossed), ()).tolist()))
-        for i, (estimate, passed_i) in enumerate(zip(estimates.tolist(), passed.tolist())):
-            transcript = [{"step": "energy-test", "estimate": estimate, "threshold": instance.E_th,
-                           "margin": energy_dist.delta_min / 4.0,
-                           "repetitions": ENERGY_REPETITIONS, "pass": passed_i}]
-            theta_B = None
-            if passed_i:
-                theta_D, theta_B = phases[i]
-                transcript.append(
-                    {"step": "phase-estimation", "theta_B_hat": theta_B, "theta_D_hat": theta_D,
-                     "epsilon_B": eps_B, "alpha": engine.alpha, "T": engine.T, "m": engine.m,
-                     "R": engine.R})
-                branch = {"step": "decision", "branch": "interval-test",
-                          "interval": [a, b, delta], "in_yes_interval": inside[i]}
-            else:
-                branch = {"step": "decision", "branch": "energy-fail"}
-            p, coin = probabilities[i], coins.get(i)
-            decision = "accept-1" if p == 1.0 else "reject" if p == 0.0 else "accept-prob-bounded"
-            accept = p == 1.0 if coin is None else coin < p
-            transcript.append({**branch, "decision": decision, "accept_probability": p,
-                               "coin": coin, "accept": accept})
-            outcomes.append(VerifierOutcome(
-                energy_estimate=estimate, energy_pass=passed_i, theta_estimate=theta_B,
-                decision=decision, transcript=transcript, accept=accept, accept_probability=p))
+        tossed = np.flatnonzero((0.0 < p) & (p < 1.0))
+        coin[tossed] = u = stream_uniforms(runs.child(2, tossed), ())
+        accept = p == 1.0
+        accept[tossed] = u < p[tossed]
+        decision = np.select([p == 1.0, p == 0.0], ["accept-1", "reject"], "accept-prob-bounded")
+        outcomes += [VerifierOutcome(*run, job) for run in zip(
+            estimates.tolist(), passed.tolist(), theta_B.tolist(), theta_D.tolist(),
+            inside.tolist(), decision.tolist(), p.tolist(), coin.tolist(), accept.tolist())]
     return outcomes[0] if single else outcomes

@@ -23,7 +23,8 @@ configuration classes, of the instance record, of the energy distribution
 and of the QPE distribution are pinned, and so are the flags of ``oracle``,
 the estimators and ``verify``.  The verifier builds its outcome at one site,
 the estimators write their payload at one site, verify's runs are spelled
-only in the verifier and written in one call, every interval decision is
+only in the verifier, a transcript step's keys only in
+``VerifierOutcome.to_json_dict``, and written in one call, every interval decision is
 ``decide_interval``'s, and the package root re-exports nothing, so a new setting, a value kept
 twice or a second import path for a name shows up here too.  A QPE
 distribution draws readouts at the top bit count in well under a megabyte.
@@ -373,6 +374,29 @@ def test_run_records_are_spelled_only_in_verifier():
     writes = [node for node in ast.walk(cli["cmd_verify"])
               if isinstance(node, ast.Call) and _dotted(node.func) == "_write_json"]
     assert len(writes) == 1
+
+
+def test_record_keys_are_spelled_only_in_to_json_dict():
+    # A run record's layout is spelled once: runs_json templates from
+    # VerifierOutcome.to_json_dict, and run_verifier hands it values, not
+    # dicts.  So no other verifier code names a key of a transcript step, as
+    # a string or a keyword, and no copy of a record is made.
+    tree = ast.parse(Path(berrylab.__file__).with_name("verifier.py").read_text())
+    to_json = next(fn for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "to_json_dict")
+    inside = set(ast.walk(to_json))
+    record = next(node.value for node in inside if isinstance(node, ast.Return))
+    steps = {key.value for node in inside if isinstance(node, ast.Dict) and node is not record
+             for key in node.keys if isinstance(key, ast.Constant)}
+    assert {"threshold", "theta_D_hat", "in_yes_interval", "coin"} <= steps
+    named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and node not in inside} | {node.arg for node in ast.walk(tree)
+                                        if isinstance(node, ast.keyword)}
+    assert named & steps == set()
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "copy" not in imported
 
 
 def test_one_interval_decision():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from berrylab import exact
-from berrylab.bpe import BpeConfig, murta_bpe, reconstruct_phases, run_bpe
+from berrylab.bpe import BpeConfig, BpeEngine, murta_bpe, reconstruct_phases, run_bpe
 from berrylab.circuits import Gate, GateCircuit, gate
 from berrylab.corpus import equatorial_loop, synthetic_verifier_instance
 from berrylab.dynamics import AdiabaticSchedule, StateVector, loop_propagators
@@ -18,7 +18,7 @@ from berrylab.errors import ConfigError
 from berrylab.exact import diagonalize, ground_state, min_gap
 from berrylab.hamiltonians import constant, derivative_family, make_family
 from berrylab.qpe import bits_for_precision, seed_row, seed_words, stream_uniforms
-from berrylab.verifier import run_verifier
+from berrylab.verifier import energy_test, run_verifier
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 ZERO2 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -82,6 +82,13 @@ REFUSALS = {  # case: (the refusal's message, the call)
     "seed-row-key-not-tuple": ("is not an int >= 0", lambda: seed_row((3, 4))),
     "seed-row-negative-key": ("ints >= 0",
                               lambda: stream_uniforms([seed_row((3, (-1,)))], (1,))),
+    # a 0-d array is one seed, whose entropy is no int and no sequence
+    "seed-0-d-energy-test": ("must be ints >= 0", lambda: energy_test(
+        synthetic_verifier_instance("yes"), PLUS, seed=np.array(3))),
+    "seed-0-d-verifier": ("must be ints >= 0", lambda: run_verifier(
+        synthetic_verifier_instance("yes"), PLUS, seed=np.array(3))),
+    "seed-0-d-bpe-engine": ("must be ints >= 0", lambda: BpeEngine(
+        equatorial_loop(), BpeConfig(T=50.0), guiding_state=PSI0).run(np.array(3))),
     "seed-child-past-2^32": ("past 2\\^32 - 1", lambda: seed_words(
         [np.random.SeedSequence(1, n_children_spawned=2**32 - 1)]).child(1)),
     "diagonalize-lambda-nan": ("lambda must be finite",

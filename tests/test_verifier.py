@@ -194,6 +194,7 @@ ONE_OR_MANY = {
     "int": lambda: 2, "row": lambda: (2, ()), "list": lambda: [1, 2, 3],
     "ndarray": lambda: np.arange(1, 4), "range": lambda: range(1, 4),
     "generator": lambda: (s for s in [1, 2, 3]), "seed-words": lambda: seed_words([1, 2, 3]),
+    "ndarray-rows": lambda: np.arange(1, 4).reshape(3, 1),  # entropy [s] hashes as s does
 }
 
 
@@ -248,7 +249,8 @@ def test_transcript_records_both_steps(yes_instance):
     assert out.decision in ("accept-1", "accept-prob-bounded", "reject")
 
 
-def test_instance_without_threshold_is_refused():
+def test_instance_without_threshold_is_refused(monkeypatch):
+    from berrylab import verifier
     from berrylab.corpus import bqp_yes_circuit
     from berrylab.circuits import with_idle_steps
 
@@ -256,6 +258,15 @@ def test_instance_without_threshold_is_refused():
     w, V = np.linalg.eigh(eval_hamiltonian(inst.family, 0.0))
     with pytest.raises(ConfigError):
         run_verifier(inst, V[:, 0], seed=0)
+
+    # with no seeds as with one, and before H(0) is solved
+    def spy(*args, **kwargs):
+        raise AssertionError("H(0) was solved before the threshold was checked")
+
+    monkeypatch.setattr(verifier, "gapped_slice", spy)
+    for run in (run_verifier, energy_test):
+        with pytest.raises(ConfigError, match="no energy threshold"):
+            run(inst, V[:, 0], seed=[])
 
 
 @pytest.mark.parametrize("case", ["yes-int-seeds", "no-seed-sequences"])
@@ -512,3 +523,19 @@ def test_runs_json_equals_json_dumps(yes_instance, no_instance, duqma_yes_instan
 
 def test_runs_json_of_no_runs_is_an_empty_list():
     assert "".join(runs_json([])) == "[]"
+
+
+def test_records_share_no_mutable_constant(yes_instance):
+    # Every record is built afresh: editing one leaves the other runs'
+    # records, its own next record and the runs' text as they were.
+    _, V = _eigenstates(yes_instance)
+    outcomes = run_verifier(yes_instance, V[:, 0], seed=[1, 2])
+    assert [o.energy_pass for o in outcomes] == [True, True]
+    before = [json.dumps(o.to_json_dict()) for o in outcomes]
+    text = "".join(runs_json(outcomes))
+    outcomes[0].to_json_dict()["transcript"][-1]["interval"][0] = 9.0
+    outcomes[0].transcript[-1]["interval"].append(9.0)
+    outcomes[0].to_json_dict()["transcript"][1]["T"] = 0.0
+    assert [json.dumps(o.to_json_dict()) for o in outcomes] == before
+    assert "".join(runs_json(outcomes)) == text
+
