@@ -424,11 +424,10 @@ class BpeEngine:
     def readouts(self, seeds) -> tuple[list, list, np.ndarray, np.ndarray]:
         """Both runtimes' QPE readouts for a list of seeds: the circular
         medians m1 and m_alpha, one per seed, and the raw outcomes behind
-        them, one row of R per seed.  A seed is an int, a SeedSequence or an
-        (entropy, spawn key) row, or the seeds are SeedWords.  Runtime k's
-        row is what default_rng of the seed's child seed.spawn(2)[k] draws:
-        the seed tree is numpy's, but the children are not spawned, and all
-        seeds' rows come from one stream_uniforms call, bit for bit."""
+        them, one row of R per seed.  A seed is an int >= 0, or the seeds
+        are SeedWords.  Runtime k's row is the stream of the seed's child k,
+        each seed's rows what that seed alone would give, and all seeds'
+        rows of one runtime come from one stream_uniforms call."""
         dists, words = (self.dist1, self.dist_alpha), seed_words(seeds)
         raw = [sample_outcomes(d, self.R, stream_uniforms(words.child(k), (self.R, d.m + 1)))
                for k, d in enumerate(dists)]
@@ -443,7 +442,7 @@ class BpeEngine:
             m1, m_alpha, self.alpha, self.config.alpha_mode
         )
         diagnostics = {
-            "seed": seed if isinstance(seed, int) else repr(seed),
+            "seed": int(seed),
             "T_alpha": self.T_alpha,
             "alpha_nominal": self.alpha_nominal,
             "alpha": self.alpha,
@@ -538,7 +537,7 @@ def murta_bpe(
     if not return_diagnostics:
         return theta
     return theta, {
-        "seed": seed if isinstance(seed, int) else repr(seed),
+        "seed": int(seed),
         **setup,
         "steps": steps,
         "step_check": step_check,

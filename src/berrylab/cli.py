@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
     witness = _resolve_witness(instance, args.witness)
     config = VerifierConfig(soundness_delta=args.soundness_delta,
                             bpe=BpeConfig(epsilon_B=args.epsilon_b, eta=args.eta))
-    # Run i is seeded by child i of SeedSequence(--seed): its words with i appended.
+    # Run i is seeded by child i of --seed: its key mixed with i.
     runs = seed_words([args.seed]).child(np.arange(args.runs))
     outcomes = run_verifier(instance, witness, config, seed=runs)
     passed, accepts = [o.energy_pass for o in outcomes], [o.accept for o in outcomes]

@@ -12,12 +12,14 @@ the dense eigensystem of W; sample_outcomes reads it out bit by bit, which is
 statistically identical to running the circuit with exact controlled powers,
 but lets a single propagator build serve many seeds.  unitary_eigensystem
 finds W's eigensystem with Hermitian solves alone, through a Cayley transform,
-as one block: the estimators' loops are psi0's sector's alone.  stream_uniforms draws every stream,
-bit for bit the uniforms numpy's default_rng of each seed would give: the
-seeds' SeedSequence words (seed_words, children as appended columns) are
-hashed, and PCG64 seeded from the hash, as array arithmetic on 64-bit limbs.
-A coin, a stream of one uniform, is one more LCG step and its output on
-those arrays; numpy's own PCG64 draws each longer row from its seeded state.
+as one block: the estimators' loops are psi0's sector's alone.
+
+stream_uniforms draws every stream.  A seed is an int >= 0, and its stream
+is a pure function of one 64-bit key (seed_words) and the draw index, so a
+run replays from its seed and a batch of streams equals its streams drawn
+one at a time.  A child stream's key (SeedWords.child) mixes the parent's
+key with the child's index, and a block of keys draws its uniforms as one
+array expression.
 
 Repetitions are aggregated by the circular median, which concentrates at the
 true eigenphase because a single shot lands within two grid spacings with
@@ -159,176 +161,69 @@ def distribution_for_loop(
     return distribution_for_unitary(loop_propagator(family, schedule), psi, m)
 
 
-# numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe) and PCG64's
-# seeding (O'Neill, HMC-CS-2014-0905, 2014); NEP 19 keeps both streams fixed.
-_M32 = 2**32 - 1
-_HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)  # multiplier
+# A stream is a pure function of a 64-bit key and a draw index, as in
+# counter-based generators (Salmon et al., SC 2011), each draw mixed by
+# SplitMix64's finaliser from its key plus the index times the golden-ratio
+# increment (Steele, Lea & Flood, OOPSLA 2014).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def seed_row(seed, *path) -> tuple:
-    """(entropy, spawn key) of the stream default_rng(seed) draws, for an
-    int, a SeedSequence or such a row; with a path (c, k, ...), of the child
-    seed.spawn would make c-th, then its k-th child, and so on, without
-    spawning anything.  Any other seed, or a negative one, is refused."""
-    if isinstance(seed, np.random.SeedSequence):
-        if seed.pool_size != 4:
-            raise ConfigError(f"SeedSequence pool size {seed.pool_size} is not 4")
-        entropy, key, spawned = seed.entropy, seed.spawn_key, seed.n_children_spawned
-    elif isinstance(seed, tuple):
-        (entropy, key), spawned = seed if len(seed) == 2 else (None, None), 0
-    else:
-        entropy, key, spawned = seed, (), 0
-    if not isinstance(key, tuple) or not (isinstance(entropy, (int, np.integer)) and entropy >= 0
-                                          or isinstance(entropy, (list, tuple, np.ndarray))):
-        raise ConfigError(f"{seed!r} is not an int >= 0, a SeedSequence or an (entropy, key) row")
-    return (entropy, (*key, spawned + path[0], *path[1:])) if path else (entropy, tuple(key))
-
-
-def _words(x) -> list:
-    """numpy's uint32 words of an int, or of a sequence of ints, low first."""
-    if isinstance(x, (int, np.integer)) and 0 <= x <= _M32:
-        return [int(x)]
-    if isinstance(x, (int, np.integer)) and x > _M32:
-        return [int(x) >> s & _M32 for s in range(0, int(x).bit_length(), 32)]
-    if not isinstance(x, (list, tuple, np.ndarray)) or getattr(x, "ndim", 1) == 0:
-        raise ConfigError(f"seed entropy and spawn keys must be ints >= 0, got {x!r}")
-    return [w for v in x for w in ([v] if type(v) is int and 0 <= v <= _M32 else _words(v))]
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser of each element of a uint64 array."""
+    z = (z ^ z >> 30) * _M1
+    z = (z ^ z >> 27) * _M2
+    return z ^ z >> 31
 
 
 class SeedWords(NamedTuple):
-    """The uint32 words SeedSequence hashes for each of a list of seeds, one
-    row each, left-aligned in its first `lengths` columns, and the number of
-    children each seed has spawned already."""
+    """One uint64 key per seed: the key of its stream and of its children."""
 
-    words: np.ndarray
-    lengths: np.ndarray
-    spawned: np.ndarray
+    keys: np.ndarray
 
     def child(self, c, rows=slice(None)) -> SeedWords:
-        """The words of the child seed.spawn would make c-th (c an int, or an
-        array broadcast against the rows), of each seed or of the seeds at
-        `rows`: the index appended as a column."""
-        n = self.spawned[rows] + c
-        if (n > _M32).any():  # numpy's SeedSequence counts no further either
-            raise ConfigError(f"child {c} needs a spawn count past 2^32 - 1")
-        length = np.broadcast_to(self.lengths[rows], n.shape)
-        words = np.zeros((len(n), self.words.shape[1] + 1), dtype=np.uint32)
-        words[:, :-1] = self.words[rows]
-        words[np.arange(len(n)), length] = n
-        return SeedWords(words, length + 1, np.zeros_like(n))
+        """The keys of child c (an int >= 0, or an array of them broadcast
+        against the rows) of each seed, or of the seeds at `rows`:
+        mix(key ^ mix((c + 1) gamma))."""
+        c = np.atleast_1d(c)
+        if c.dtype.kind not in "iu" or (c < 0).any():
+            raise ConfigError(f"child indices must be ints >= 0, got {c}")
+        return SeedWords(_mix(self.keys[rows] ^ _mix((c.astype(np.uint64) + 1) * _GAMMA)))
 
 
 def seed_words(seeds) -> SeedWords:
-    """SeedWords of a list of seeds (ints, SeedSequences or (entropy, key)
-    rows), each refused or named by one seed_row call: its entropy words,
-    zero-padded to SeedSequence's pool of 4 (which hashes as no padding
-    does), then its spawn key's.  SeedWords are returned as they are."""
+    """SeedWords of a list of seeds, each an int >= 0 and any other refused:
+    a seed's key chains its 64-bit words, low first, through the finaliser,
+    starting from the word count.  SeedWords are returned as they are."""
     if isinstance(seeds, SeedWords):
         return seeds
-    rows, spawned = [], []
+    words = []
     for s in seeds:
-        entropy, (*key, n) = seed_row(s, 0)
-        w = _words(entropy)
-        rows.append(w + [0] * (4 - len(w)) + _words(key))
-        spawned.append(n)
-    L = max(map(len, rows), default=4)
-    words = np.array([r + [0] * (L - len(r)) for r in rows], dtype=np.uint32).reshape(-1, L)
-    lengths = np.array([len(r) for r in rows], dtype=int)
-    return SeedWords(words, lengths, np.array(spawned, dtype=np.int64))
-
-
-def _seed_states(words: np.ndarray) -> np.ndarray:
-    """generate_state(4, np.uint64) of the SeedSequence of each row of words
-    (n, L >= 4), as an (n, 4) array."""
-    L = words.shape[1]
-    a = np.multiply.accumulate(np.array([_HASH_A] + [_MULT_A] * 4 * L, np.uint32), dtype=np.uint32)
-    t = 0
-
-    def hashmix(v, k):  # the next k hash calls, one per column
-        nonlocal t
-        v, t = (v ^ a[t:t + k]) * a[t + 1:t + k + 1], t + k
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ r >> 16
-
-    pool = hashmix(words[:, :4], 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src:src + 1], 3))
-    for src in range(4, L):
-        pool = mix(pool, hashmix(words[:, src:src + 1], 4))
-    b = np.multiply.accumulate(np.array([_HASH_B] + [_MULT_B] * 8, np.uint32), dtype=np.uint32)
-    s = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ b[:8]) * b[1:]  # generate_state(4, uint64)
-    s = (s ^ s >> 16).astype(np.uint64)
-    return s[:, 0::2] | s[:, 1::2] << 32
-
-
-def _mulhi(a, b):
-    """The high 64 bits of the 128-bit products of uint64 arrays a and b."""
-    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)  # each sum stays below 2^64
-    return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _M32) >> 32)
-
-
-def _add(hi, lo, b_hi, b_lo):
-    """(hi, lo) + (b_hi, b_lo) mod 2^128, as uint64 (high, low) limbs."""
-    lo = lo + b_lo
-    return hi + b_hi + (lo < b_lo), lo
-
-
-def _lcg(hi, lo, inc):
-    """One PCG64 LCG step, state * multiplier + inc mod 2^128, in limbs."""
-    return _add(_mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO, lo * _PCG_LO, *inc)
-
-
-def _seeded_pcg64(words):
-    """PCG64(SeedSequence).state of each row of words, as limb pairs
-    ((state high, state low), (inc high, inc low)) of uint64 arrays: the
-    increment is the last two hash words shifted in a 1, and the LCG steps
-    once from the increment plus the first two."""
-    s0, s1, c0, c1 = _seed_states(words).T
-    inc = c0 << 1 | c1 >> 63, c1 << 1 | 1
-    return _lcg(*_add(s0, s1, *inc), inc), inc
+        if not isinstance(s, (int, np.integer)) or s < 0:
+            raise ConfigError(f"seeds must be ints >= 0, got {s!r}")
+        words.append([int(s) >> b & 2**64 - 1 for b in range(0, max(int(s).bit_length(), 1), 64)])
+    count = np.array(list(map(len, words)), dtype=np.uint64)
+    keys = _mix(count)
+    for j in range(max(map(len, words), default=0)):
+        w = np.array([r[j] if j < len(r) else 0 for r in words], dtype=np.uint64)
+        keys = np.where(j < count, _mix(keys ^ w), keys)
+    return SeedWords(keys)
 
 
 def stream_uniforms(seeds, shape) -> np.ndarray:
-    """np.stack([default_rng(s).random(shape) for s in seeds]), bit for bit,
-    for a list of seeds or their SeedWords.
-
-    SeedSequence's hash and PCG64's seeding (_seeded_pcg64) are array
-    arithmetic over the rows of one word length.  A one-uniform stream is
-    one more LCG step and the XSL-RR output's top 53 bits, on the arrays;
-    a longer one writes its row's state and increment into one PCG64,
-    whose Generator fills the row."""
-    w = seed_words(seeds)
-    size = math.prod(shape)
-    out = np.empty((len(w.lengths), size))
-    bits, pcg = np.random.PCG64(), {}
-    gen, state = np.random.Generator(bits), {"bit_generator": "PCG64", "state": pcg,
-                                             "has_uint32": 0, "uinteger": 0}
-    for L in np.unique(w.lengths).tolist():
-        idx = np.flatnonzero(w.lengths == L)
-        (hi, lo), inc = _seeded_pcg64(w.words[idx, :L])
-        if size == 1:
-            hi, lo = _lcg(hi, lo, inc)
-            x, r = hi ^ lo, hi >> 58
-            out[idx, 0] = ((x >> r | x << (-r & 63)) >> 11) * 2.0**-53
-            continue
-        for i, s_hi, s_lo, c_hi, c_lo in zip(idx.tolist(), *(a.tolist() for a in (hi, lo, *inc))):
-            pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, c_hi << 64 | c_lo
-            bits.state = state
-            gen.random(out=out[i])
-    return out.reshape(len(out), *shape)
+    """Uniforms in [0, 1) of shape (len(seeds), *shape), one row per seed of
+    a list or per key of SeedWords.  Draw k of a row, in C order, is
+    (mix(key + (k + 1) gamma) >> 11) 2^-53: SplitMix64's k-th output from
+    the key, one array expression over the block."""
+    keys = seed_words(seeds).keys
+    draws = np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * _GAMMA
+    return (_mix(keys[:, None] + draws) >> 11).reshape(len(keys), *shape) * 2.0**-53
 
 
-def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
-    """R outcomes drawn from a Generator; from an array of uniforms of shape
-    (..., R, m + 1), such as stream_uniforms gives, one row of R per leading
-    index, each row what its stream's Generator alone would give.
+def sample_outcomes(dist: QpeDistribution, R: int, uniforms: np.ndarray) -> np.ndarray:
+    """R outcomes from uniforms of shape (..., R, m + 1), such as
+    stream_uniforms gives: one row of R per leading index, each row what
+    its own uniforms alone would give.
 
     Each readout takes m + 1 uniforms.  The first picks a component among
     the weights above 1e-14.  The others measure the inverse QFT
@@ -340,7 +235,7 @@ def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
     if R < 1:
         raise ConfigError(f"repetitions must be >= 1, got {R}")
     m = dist.m
-    u = rng if isinstance(rng, np.ndarray) else rng.random((R, m + 1))
+    u = np.asarray(uniforms)
     if u.shape[-2:] != (R, m + 1):
         raise ConfigError(f"uniforms of shape {u.shape} do not end in ({R}, {m + 1})")
     keep = np.flatnonzero(dist.weights > 1e-14)
@@ -355,9 +250,9 @@ def sample_outcomes(dist: QpeDistribution, R: int, rng) -> np.ndarray:
 
 
 def estimate_from_distribution(
-    dist: QpeDistribution, R: int, rng: np.random.Generator | np.ndarray
+    dist: QpeDistribution, R: int, uniforms: np.ndarray
 ) -> PhaseEstimate:
-    outcomes = sample_outcomes(dist, R, rng)
+    outcomes = sample_outcomes(dist, R, uniforms)
     value = circular_median(dist.angles(outcomes))
     return PhaseEstimate(
         value=value,

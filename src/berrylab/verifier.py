@@ -20,21 +20,21 @@ unit norm to 1e-8), and the same amplitudes go to the gate and the estimator:
    transcript, is drawn only when 0 < p < 1.
 
 run_verifier is one batch path, a single run being its one-seed case: it
-takes the runs' seed words (qpe.SeedWords, one row per run) BLOCK_RUNS
-rows at a time and makes each block's runs as arrays.  Each run keeps its
-own SeedSequence tree, unchanged: the run's seed has energy, bpe and coin
-children, and the bpe child one child per runtime.  Nothing is spawned: a
-child's words append its index as a column, so the verify command's runs,
-children 0..n-1 of one seed, are one array with no per-run seed, and
-qpe.stream_uniforms draws a block's streams from those rows, coins with no
-Generator, bit for bit what default_rng of each child draws.  So outputs
-stay byte-identical, and a batch equals its runs made singly.
+takes the runs' seed keys (qpe.SeedWords, one per run) BLOCK_RUNS at a time
+and makes each block's runs as arrays.  A run's seed has energy, bpe and
+coin children, and the bpe child one child per runtime; each child's key
+mixes its parent's key with its index, so the verify command's runs,
+children 0..n-1 of one seed, are one array of keys with no per-run seed,
+and qpe.stream_uniforms draws a block's streams from those keys as one
+array.  Each stream is a pure function of its key and draw index, so a run
+replays from its seed, and a batch equals its runs made singly.
 
 A VerifierOutcome holds its run's own values and its call's constants, and
 its to_json_dict is the one spelling of a run's record.  runs_json writes
 outcomes as JSON from one template per record shape (a failed gate, or an
-interval test), to_json_dict's with the per-run leaves as sentinels: the
-constants are encoded once per shape, the leaves a column at a time.
+interval test) and job, to_json_dict's with the per-run leaves as
+sentinels: the constants are encoded once per template, the leaves a
+column at a time.
 """
 
 from __future__ import annotations
@@ -141,11 +141,13 @@ _LEAF = re.compile(r'"<(\w+)>"')
 
 def runs_json(outcomes):
     """The text of json.dumps([o.to_json_dict() for o in outcomes],
-    sort_keys=True, separators=(",", ":")), in pieces, for the outcomes of
-    one run_verifier call.  Its records of one shape share every constant:
-    the shape's template is its first record with sentinel leaves, dumped
-    once, and the leaves are dumped a column at a time and spliced in."""
-    shapes = [o.energy_pass for o in outcomes]
+    sort_keys=True, separators=(",", ":")), in pieces.  The records of one
+    shape and one job share every constant; a job is told by identity, as
+    equal numbers can differ in text (1 and 1.0, 0.0 and -0.0).  Each
+    group's template is its first record with sentinel leaves, dumped once,
+    and the leaves are dumped a column at a time and spliced in."""
+    jobs = map(id, map(attrgetter("job"), outcomes))
+    shapes = list(zip(map(attrgetter("energy_pass"), outcomes), jobs))
     records = {}
     for shape in set(shapes):
         runs = [o for o, s in zip(outcomes, shapes) if s == shape]
@@ -193,9 +195,9 @@ def energy_distribution(instance, witness_state) -> EnergyDistribution:
 
 
 def _one_seed(seed) -> bool:
-    # A row is a tuple, and so are SeedWords: only the bare tuple is one seed.
-    # A 0-d array iterates to nothing but an error, so it is one seed too.
-    return type(seed) is tuple or not hasattr(seed, "__iter__") or getattr(seed, "ndim", 1) == 0
+    # A 0-d array has __iter__ but iterates to nothing but an error, so it is
+    # one seed.
+    return not hasattr(seed, "__iter__") or getattr(seed, "ndim", 1) == 0
 
 
 def energy_test(instance, witness_state, *, seed=0,
@@ -203,10 +205,9 @@ def energy_test(instance, witness_state, *, seed=0,
     """Median-of-ENERGY_REPETITIONS energy estimate and the threshold gate.
 
     Returns (estimate, passed) with passed iff
-    estimate < instance.E_th + Delta_min/4; for any other iterable of seeds,
-    SeedWords too, an array of each, one entry per seed.  A seed is an int,
-    a SeedSequence or an (entropy, spawn key) row, and its readouts are what
-    its default_rng would draw.  Pass `distribution` (from
+    estimate < instance.E_th + Delta_min/4, for one seed (an int >= 0); for
+    an iterable of seeds, SeedWords too, an array of each, one entry per
+    seed, each what its seed alone would give.  Pass `distribution` (from
     energy_distribution) to amortize the diagonalization across seeds.
     """
     if instance.E_th is None:
@@ -226,12 +227,12 @@ def energy_test(instance, witness_state, *, seed=0,
 
 
 def run_verifier(instance, witness_state, config: VerifierConfig | None = None, seed=0):
-    """Protocol runs: one VerifierOutcome for a seed (an int, a SeedSequence
-    or an (entropy, spawn key) row), a list of them for an iterable of
-    seeds or SeedWords, run BLOCK_RUNS rows at a time.  The first run to
-    pass the gate builds the estimator and the promise arc, after the
-    decision margin is checked; if none does, no loop is propagated.  An
-    instance with no energy threshold is refused before any solve."""
+    """Protocol runs: one VerifierOutcome for a seed (an int >= 0), a list of
+    them for an iterable of seeds or SeedWords, run BLOCK_RUNS keys at a
+    time.  The first run to pass the gate builds the estimator and the
+    promise arc, after the decision margin is checked; if none does, no
+    loop is propagated.  An instance with no energy threshold is refused
+    before any solve."""
     if instance.E_th is None:
         raise ConfigError("instance carries no energy threshold")
     config = config or VerifierConfig()
@@ -243,8 +244,8 @@ def run_verifier(instance, witness_state, config: VerifierConfig | None = None, 
     fail_p = max(1.0 / 3.0 - config.soundness_delta, 0.0)
     engine, outcomes = None, []
     job = (instance.E_th, energy_dist.delta_min / 4.0, None, None)
-    for start in range(0, len(words.lengths), BLOCK_RUNS):
-        runs = SeedWords(*(a[start:start + BLOCK_RUNS] for a in words))
+    for start in range(0, len(words.keys), BLOCK_RUNS):
+        runs = SeedWords(words.keys[start:start + BLOCK_RUNS])
         estimates, passed = energy_test(instance, witness, seed=runs.child(0),
                                         distribution=energy_dist)
         gated = np.flatnonzero(passed)

@@ -390,3 +390,39 @@ def cube_circular_median(angles):
     cost = np.abs((diff + np.pi) % (2.0 * np.pi) - np.pi).sum(axis=-1)
     first = np.lexsort((w, cost))[..., :1]
     return np.take_along_axis(w, first, axis=-1)[..., 0]
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) one Python int at a time: the
+# generator's own state walk, not the package's closed form over arrays.
+_MASK64 = 2**64 - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's finaliser of one 64-bit int."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def splitmix64_key(seed: int, *path: int) -> int:
+    """The stream key of an int seed >= 0: its 64-bit words, low first, each
+    xored into the running key and mixed, from the mixed word count; with a
+    path (c, k, ...), the key of its child c, then that child's child k."""
+    words = [seed >> shift & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = splitmix64_mix(len(words))
+    for word in words:
+        key = splitmix64_mix(key ^ word)
+    for c in path:
+        key = splitmix64_mix(key ^ splitmix64_mix((c + 1) * _GOLDEN_GAMMA & _MASK64))
+    return key
+
+
+def splitmix64_uniforms(key: int, n: int) -> list:
+    """The first n outputs of SplitMix64 seeded with key, each as its top 53
+    bits over 2^53: the state steps by the golden gamma before each output."""
+    out = []
+    for _ in range(n):
+        key = key + _GOLDEN_GAMMA & _MASK64
+        out.append((splitmix64_mix(key) >> 11) / 2**53)
+    return out

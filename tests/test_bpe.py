@@ -329,6 +329,17 @@ def test_engine_reuse_matches_one_shot(equatorial):
         assert one_shot[1] == cached[1]
 
 
+def test_numpy_int_seeds_run_and_are_recorded_as_ints(equatorial):
+    # A numpy int seeds as the Python int does, and the diagnostics hold it
+    # as an int, not as its repr.
+    engine = BpeEngine(equatorial)
+    theta_B, theta_D, diag = engine.run(np.uint64(3))
+    assert (theta_B, theta_D) == engine.run(3)[:2]
+    assert type(diag["seed"]) is int and diag["seed"] == 3
+    _, diag = murta_bpe(equatorial, seed=np.int64(9), return_diagnostics=True)
+    assert type(diag["seed"]) is int and diag["seed"] == 9
+
+
 def test_engine_readouts_of_no_seeds_are_empty(equatorial):
     engine = BpeEngine(equatorial)
     m1, m_alpha, raw1, raw_alpha = engine.readouts([])

@@ -611,13 +611,15 @@ def test_bpe_decides_duqma_yes_at_half_the_promise_gap(duqma_yes, tmp_path):
 # run from the inputs' directory so that the manifest's paths are relative.
 # The cases take every payload field: the decision and oracle_theta_B
 # (bqp-yes), the short-runtime warning and T_phase_floor (--runtime 64),
-# murta's doubled phase, and its decision (syn-yes).
+# murta's doubled phase, and its decision (syn-yes).  bqp-yes's payload was
+# recorded again for the counter-based streams; the other estimates' circular
+# medians land on the same readouts.
 PINNED_ESTIMATE = {
     ("bpe", "eq.json", ()): (
         "1b3129c270d857c6833c2d54791b80d56ce14546b70ff186dd25eab628489648",
         "d5549d5e11728e7f72bbee255546131840bc74b4f9d1f11ccd6d700600ed036c"),
     ("bpe", "bqp-yes", ()): (
-        "e85015c8b814be8584d2ac6f7055381206edfbbd3a806c98d72179cb95ede319",
+        "cc9d503c6af0deee4edcc5255bcdb6da80df099e79600ae165a8fe8f20024fb0",
         "cb45d9a4b5ca684e7c7b393d32fe7722667eb80637fa6145009ab5bf339dba0e"),
     ("bpe", "eq.json", ("--runtime", "64")): (
         "93fe8d4801c2a451845bab4170eff20bddabe5d52fe53a9b708a84e10644136c",
@@ -776,19 +778,20 @@ def test_verify_rerun_bit_identical(work):
 # SHA-256 of the payload and the rates CSV of `verify --runs 300 --seed 12`,
 # recorded before the runs went through as arrays.  The payload digests were
 # recorded again for the compact JSON writer, on payloads that parse equal to
-# the indented ones.  Together the cases take every decision: certain
-# acceptance, the interval coin, the energy-fail coin and the saturated
-# reject; 300 runs cross a block boundary.
+# the indented ones, and the first three again for the counter-based streams,
+# which move every coin and off-grid readout.  Together the cases take every
+# decision: certain acceptance, the interval coin, the energy-fail coin and
+# the saturated reject; 300 runs cross a block boundary.
 PINNED_VERIFY = {
     ("syn-yes", "ground", ()): (
-        "5b3b88b5f45f50aae9364319265c58235c91c3001851eb2abfe6be4a3d01e438",
+        "e1ae5cae73360e3fe777ee9fc792d1b30d6051a93ade82ec474e7a49f8b0d2dc",
         "8a141864c967ced43bc4833221041a6365f2c88e23bfa246bb77a10ae8383ff2"),
     ("syn-no", "ground", ()): (
-        "7014528972f6ed61abcfc825965312d3ac551d2333a9590db66704737d31d7f9",
-        "ab4c2a12ca9b862a0afa94edc5bf99d0df3f0767aca1e9833c931a5eb6f65e5e"),
+        "b891ec9a36af9f80e01cf033b6e4a31bce3145823d4c954cba519016c47ef4a0",
+        "ee702817275cab6107a055796036a2826fd56327629a5dca0e7a16803c0a3a6e"),
     ("syn-yes", "excited:1", ()): (
-        "5ddd1ff7b029a552ce023bb1746868570d563be150a65715bd383cb04efd21de",
-        "3cf20963e50da13f6670dce56aae876a2746ae4378713504f2e16fcbf1312c21"),
+        "618383a75bc394636be98e1c72b2346829065b9e283f6a3944b1408b41b875c0",
+        "d2c966da90a2b7a64c5e5d29df04772f4b0b9176281ca2dd9faa41306a3dd7b8"),
     ("syn-yes", "excited:1", ("--soundness-delta", "0.3333333333333333")): (
         "d66e6118f5c0f1a1ffcd0cda73645c1bb54cef5130ada9bf71e74bc103e37ec8",
         "6a23d40b8c05a9d8ac8744771534c98fc98301e1c985f32578138d5d57f04b16"),

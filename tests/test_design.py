@@ -13,11 +13,11 @@ builds loop propagators of one step count from a sweep each.  Every
 refinement ladder, the estimators' step check and runtime calibration, runs
 on ``exact.refine``, and no ``while`` loop but two that are not ladders is
 left, so a third hand-written ladder shows up here.  Nothing
-spawns a SeedSequence or calls numpy's default_rng, and one PCG64 and one
-Generator are made per stream_uniforms call, so per-run Generator
-construction cannot come back unseen; nor can per-run seeding, since the
-verifier and the CLI call no seed_row and build no seed tuple per run:
-verify's runs are one SeedWords array.  The CLI loads no scipy module and no
+in the package spawns a SeedSequence or makes a numpy generator or bit
+generator, since every stream is a pure function of its key, so numpy's
+seeding cannot come back unseen; nor can per-run seeding, since the
+verifier and the CLI build no seed tuple per run: verify's runs are one
+SeedWords array of keys.  The CLI loads no scipy module and no
 importlib.metadata, neither on import nor while it runs.  The fields of the
 configuration classes, of the instance record, of the energy distribution
 and of the QPE distribution are pinned, and so are the flags of ``oracle``,
@@ -250,20 +250,17 @@ def test_lambda_independence_call_sites():
 
 
 def test_seeding_call_sites():
-    # Nothing spawns and nothing calls numpy's default_rng: every stream comes
-    # from qpe.stream_uniforms, bit for bit what default_rng would draw, and
-    # only there are a PCG64 and its Generator made.
-    assert _call_sites({"spawn", "default_rng", "PCG64", "Generator"}) == {
-        ("qpe", "stream_uniforms", "np.random.PCG64"): 1,
-        ("qpe", "stream_uniforms", "np.random.Generator"): 1,
-    }
+    # Nothing spawns, and no numpy generator or bit generator is made: every
+    # stream comes from qpe.stream_uniforms, a pure function of its keys.
+    assert _call_sites({"spawn", "default_rng", "Generator", "SeedSequence", "RandomState",
+                        "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}) == {}
 
 
 def test_runs_are_seeded_as_arrays():
-    # verify's runs are one SeedWords array, the run index appended to the
-    # words of --seed, and run_verifier reads SeedWords in blocks: neither
-    # module calls seed_row or builds a seed per run in a comprehension.
-    sites = _call_sites({"seed_row", "seed_words"})
+    # verify's runs are one SeedWords array, the run index mixed into the
+    # key of --seed, and run_verifier reads SeedWords in blocks: neither
+    # module keys seeds elsewhere or builds a seed per run in a comprehension.
+    sites = _call_sites({"seed_words"})
     assert {site: n for site, n in sites.items() if site[0] in ("verifier", "cli")} == {
         ("cli", "cmd_verify", "seed_words"): 1,
         ("verifier", "run_verifier", "seed_words"): 1,
@@ -332,7 +329,7 @@ def test_top_bit_count_samples_in_small_memory():
     try:
         dist = distribution_from_phases(rng.uniform(-3.0, 3.0, 128), weights / weights.sum(),
                                         MAX_PHASE_BITS)
-        draws = sample_outcomes(dist, 1000, rng)
+        draws = sample_outcomes(dist, 1000, rng.random((1000, MAX_PHASE_BITS + 1)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,7 +11,6 @@ from berrylab.errors import CapacityError, ConfigError
 from berrylab.exact import ground_state
 from berrylab.qpe import (
     MAX_PHASE_BITS,
-    _seeded_pcg64,
     bits_for_precision,
     circular_median,
     distribution_for_loop,
@@ -20,14 +19,13 @@ from berrylab.qpe import (
     estimate_from_distribution,
     qpe_run,
     sample_outcomes,
-    seed_row,
     seed_words,
     stream_uniforms,
     unitary_eigensystem,
 )
 from berrylab.verifier import BLOCK_RUNS
 
-from oracles import cube_circular_median, fejer_row
+from oracles import cube_circular_median, fejer_row, splitmix64_key, splitmix64_uniforms
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,7 +63,8 @@ def test_on_grid_phase_is_read_exactly():
     m = 4
     phi = TWO_PI * 5 / 2**m
     dist = distribution_from_phases([phi], [1.0], m)
-    assert set(sample_outcomes(dist, 10_000, np.random.default_rng(1)).tolist()) == {5}
+    uniforms = np.random.default_rng(1).random((10_000, m + 1))
+    assert set(sample_outcomes(dist, 10_000, uniforms).tolist()) == {5}
     assert not dist.low_fidelity
 
 
@@ -74,7 +73,7 @@ def test_off_grid_phase_spills_to_neighbours(rng):
     for _ in range(10):
         phi = TWO_PI * float(rng.random())
         dist = distribution_from_phases([phi], [1.0], m)
-        draws = sample_outcomes(dist, n, rng)
+        draws = sample_outcomes(dist, n, rng.random((n, m + 1)))
         x = phi / TWO_PI * 2**m
         floor = 5.0 * math.sqrt(n / 4)  # five binomial standard deviations, at most
         # the nearest bin keeps at least 4/pi^2 of the mass, the two bins
@@ -88,16 +87,9 @@ def test_mixture_weights_split_the_mass():
     m, n = 6, 20_000
     phases = [TWO_PI * 8 / 2**m, TWO_PI * 40 / 2**m]
     dist = distribution_from_phases(phases, [0.7, 0.3], m)
-    draws = sample_outcomes(dist, n, np.random.default_rng(3))
+    draws = sample_outcomes(dist, n, np.random.default_rng(3).random((n, m + 1)))
     assert set(draws.tolist()) == {8, 40}
     assert _band(np.count_nonzero(draws == 8), n, 0.7)
-
-
-class _LastUniform:
-    """A Generator stand-in whose every uniform is the largest below 1."""
-
-    def random(self, shape):
-        return np.full(shape, np.nextafter(1.0, 0.0))
 
 
 @pytest.mark.parametrize("m", [1, 3, 7])
@@ -108,129 +100,123 @@ def test_sampled_frequencies_match_the_fejer_mixture(m):
     weights = [0.4, 0.3, 0.2, 0.1 - 1e-15, 1e-15]
     dist = distribution_from_phases(phases, weights, m)
     n = 200_000
-    counts = np.bincount(sample_outcomes(dist, n, np.random.default_rng(m)), minlength=2**m)
+    uniforms = np.random.default_rng(m).random((n, m + 1))
+    counts = np.bincount(sample_outcomes(dist, n, uniforms), minlength=2**m)
     want = sum(w * fejer_row(phi, m) for phi, w in zip(phases[:4], weights[:4]))
     assert all(_band(c, n, p) for c, p in zip(counts, want))
     # Uniforms just below 1 pick the last component kept and read as 0 every
     # bit whose probability is below 1.  Were the 1e-15 component not cut,
     # they would pick it, and its bits, each of probability 1, read 2^m - 1.
-    assert sample_outcomes(dist, 1, _LastUniform())[0] != 2**m - 1
+    assert sample_outcomes(dist, 1, np.full((1, m + 1), np.nextafter(1.0, 0.0)))[0] != 2**m - 1
 
 
 def test_rows_of_stream_uniforms_match_each_generator():
+    # A block of streams, read as one array, gives each seed's own readouts.
     dist = distribution_from_phases([-2.9, 0.4, 4.0], [0.5, 0.3, 0.2], 9)
-    uniforms = stream_uniforms([seed_row(s) for s in range(40)], (15, 10))
+    uniforms = stream_uniforms(range(40), (15, 10))
     rows = sample_outcomes(dist, 15, uniforms)
     assert rows.shape == (40, 15)
     for s, row in enumerate(rows):
-        assert np.array_equal(row, sample_outcomes(dist, 15, np.random.default_rng(s)))
+        assert np.array_equal(row, sample_outcomes(dist, 15, stream_uniforms([s], (15, 10))[0]))
     with pytest.raises(ConfigError):
         sample_outcomes(dist, 14, uniforms)
 
 
-# Entropy of one and of two words, at and past each boundary, and sequences.
-ENTROPY = st.one_of(
-    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 12345]),
-    st.lists(st.integers(0, 2**40), min_size=1, max_size=5),
+# Seeds of one word, at and past each word boundary, and of several words.
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 2**128 + 7]),
+    st.integers(0, 2**64 - 1),
+    st.integers(2**64, 2**200),
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    entropy=ENTROPY,
-    key=st.lists(st.integers(0, 2**33), max_size=3),
-    spawned=st.integers(0, 2),
-    path=st.lists(st.integers(0, 2), max_size=2),
-    bits=st.integers(2, 49),
-    R=st.integers(1, 30),
-    many=st.booleans(),
+    seeds=st.lists(SEEDS, max_size=6),
+    path=st.lists(st.integers(0, 2**40), max_size=2),
+    shape=st.lists(st.integers(1, 6), max_size=3),
+    numpy_ints=st.booleans(),
 )
-def test_stream_uniforms_equal_numpy_bit_for_bit(entropy, key, spawned, path, bits, R, many):
-    # Row 0 is a descendant of a SeedSequence that has already spawned
-    # children; with `many`, 300 more rows follow, whose entropy, one past
-    # the last, can take one word more, so rows of two lengths share a call.
-    parent = np.random.SeedSequence(entropy, spawn_key=key)
-    parent.spawn(spawned)
-    rows = [seed_row(parent, *path)]
-    child = parent
+def test_stream_uniforms_equal_the_splitmix_reference(seeds, path, shape, numpy_ints):
+    # Keys, children's keys and every draw, bit for bit, against SplitMix64's
+    # scalar state walk; numpy ints key as Python ints do, and a shape of ()
+    # is one coin per seed.
+    given_seeds = [np.uint64(s) for s in seeds if s < 2**64] if numpy_ints else seeds
+    words = seed_words(given_seeds)
     for c in path:
-        child = child.spawn(c + 1)[c]
-    seeds = [child]
-    if many:
-        R = min(R, 3)
-        for j in range(1, 301):
-            e = entropy + j if isinstance(entropy, int) else [*entropy, j]
-            rows.append((e, tuple(key)))
-            seeds.append(np.random.SeedSequence(e, spawn_key=key))
-    want = np.stack([np.random.default_rng(s).random((R, bits)) for s in seeds])
-    got = stream_uniforms(rows, (R, bits))
-    assert got.shape == want.shape and np.array_equal(got, want)
+        words = words.child(c)
+    keys = [splitmix64_key(int(s), *path) for s in given_seeds]
+    assert words.keys.dtype == np.uint64 and words.keys.tolist() == keys
+    got = stream_uniforms(words, tuple(shape))
+    assert got.shape == (len(keys), *shape)
+    assert got.reshape(len(keys), math.prod(shape)).tolist() == [
+        splitmix64_uniforms(k, math.prod(shape)) for k in keys
+    ]
+    if not path:
+        assert np.array_equal(stream_uniforms(given_seeds, tuple(shape)), got)
 
 
 @pytest.mark.parametrize("seed", [
     7,
-    (12, (3, 2**40)),
-    np.random.SeedSequence(5, spawn_key=(1,), n_children_spawned=3),
+    np.uint64(12),
+    np.int64(5),
     2**70 + 5,
-    ([2**33, 9, 0, 4, 1], ()),
+    np.uint64(2**64 - 1),
 ])
 def test_child_words_equal_the_row_path(seed):
-    # A run's words once, its children as columns: the words, the lengths
-    # and the streams equal those of seed_row's child rows, and numpy's.
+    # A run's key once, its children's keys mixed in: each path's key and
+    # stream equal the reference's for that path, and the path's seed row
+    # is the row of its seed in a list of seeds.
     runs = seed_words([seed, 4])
     for c, k in [(0, None), (1, 0), (1, 1), (2, None)]:
         words = runs.child(c, [0])
         path = (c,)
         if k is not None:
             words, path = words.child(k), (c, k)
-        rows = seed_words([seed_row(seed, *path)])
-        assert words.lengths.tolist() == rows.lengths.tolist()
-        L = int(rows.lengths[0])
-        assert words.words[:, :L].tolist() == rows.words[:, :L].tolist()
-        entropy, key = seed_row(seed)
-        tree = np.random.SeedSequence(entropy, spawn_key=key, n_children_spawned=getattr(
-            seed, "n_children_spawned", 0))
-        for j in path:
-            tree = tree.spawn(j + 1)[j]
-        want = np.random.default_rng(tree).random((3, 4))
-        assert np.array_equal(stream_uniforms(words, (3, 4))[0], want)
-        assert np.array_equal(stream_uniforms(rows, (3, 4))[0], want)
+        key = splitmix64_key(int(seed), *path)
+        assert words.keys.tolist() == [key]
+        assert stream_uniforms(words, (3, 4))[0].ravel().tolist() == splitmix64_uniforms(key, 12)
 
 
-def test_coins_equal_numpy_bit_for_bit():
-    # A coin, a stream of one uniform, is drawn on the seeds' arrays with no
-    # Generator.  Entropies of one to five words and keys of none to three
-    # words give word lengths 4 to 8 in one call; the last seed has spawned
-    # children already, and its next child's words come from SeedWords.child.
-    spent = np.random.SeedSequence(2**64 + 3, spawn_key=(1, 2))
-    spent.spawn(3)
-    seeds = [np.random.SeedSequence(e, spawn_key=key)
-             for e in (0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 7)
-             for key in ((), (5,), (2**33, 0), (1, 2**32 - 1, 3))] + [spent]
-    words = seed_words(seeds)
-    assert len(set(words.lengths.tolist())) == 5
-    coin = stream_uniforms(words, ())
+def test_coins_equal_the_splitmix_reference():
+    # A coin is a stream of one uniform: the first draw of each seed's
+    # stream, for seeds of one to four words, and of a child's.
+    seeds = [0, 2**32 - 1, 2**64 - 1, 2**64 + 3, 2**128 + 7, 2**192]
+    coin = stream_uniforms(seeds, ())
     assert coin.shape == (len(seeds),)
-    assert coin.tolist() == [np.random.default_rng(s).random() for s in seeds]
+    assert coin.tolist() == [splitmix64_uniforms(splitmix64_key(s), 1)[0] for s in seeds]
     assert np.array_equal(stream_uniforms(seeds, (1, 1))[:, 0, 0], coin)
-    child = stream_uniforms(seed_words([spent]).child(1), ())
-    assert child.tolist() == [np.random.default_rng(spent.spawn(2)[1]).random()]
-    # The seeded state and increment of each row are PCG64's own.
-    for i, s in enumerate(seeds):
-        (hi, lo), (c_hi, c_lo) = _seeded_pcg64(words.words[i:i + 1, :words.lengths[i]])
-        want = np.random.PCG64(s).state["state"]
-        assert int(hi[0]) << 64 | int(lo[0]) == want["state"]
-        assert int(c_hi[0]) << 64 | int(c_lo[0]) == want["inc"]
+    child = stream_uniforms(seed_words([seeds[3]]).child(1), ())
+    assert child.tolist() == splitmix64_uniforms(splitmix64_key(seeds[3], 1), 1)
 
 
 def test_array_children_equal_the_rows_of_each_child():
-    # One seed's children 0..n-1 as one array: the words, lengths and spawned
-    # counts of the rows (s, (i,)), past a block of runs and a two-word entropy.
-    s, n = 2**40 + 7, BLOCK_RUNS + 44
-    got, want = seed_words([s]).child(np.arange(n)), seed_words([(s, (i,)) for i in range(n)])
-    assert got.words.tolist() == want.words.tolist()
-    assert got.lengths.tolist() == want.lengths.tolist()
-    assert got.spawned.tolist() == want.spawned.tolist()
+    # One seed's children 0..n-1 as one array, past a block of runs and with
+    # a two-word seed: each key is the child's made singly; and children
+    # broadcast against chosen rows.
+    s, n = 2**70 + 7, BLOCK_RUNS + 44
+    got = seed_words([s]).child(np.arange(n))
+    assert got.keys.tolist() == [int(seed_words([s]).child(i).keys[0]) for i in range(n)]
+    words = seed_words([s, 4, 9])
+    assert words.child(np.array([3, 5]), [2, 0]).keys.tolist() == [
+        int(seed_words([9]).child(3).keys[0]), int(seed_words([s]).child(5).keys[0])]
+    assert words.child(1, [1]).keys.tolist() == seed_words([4]).child(1).keys.tolist()
+
+
+def test_streams_are_uniform_on_a_fixed_block():
+    # 256 seeds' streams of 4,096 draws, 2^20 uniforms in all.  The bounds
+    # are five standard errors of an ideal uniform sample: the mean's
+    # (1/12 N)^1/2 = 2.8e-4, the variance's ((1/80 - 1/144) / N)^1/2 =
+    # 7.3e-5 and a correlation's N^-1/2 = 9.8e-4.  The lag-1 correlation is
+    # taken along each stream and across neighbouring seeds' streams.
+    u = stream_uniforms(range(256), (4096,))
+    N = u.size
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert abs(u.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / N)
+    assert abs(u.var() - 1 / 12) <= 5 * math.sqrt((1 / 80 - 1 / 144) / N)
+    z = (u - 0.5) * math.sqrt(12.0)
+    assert abs(np.mean(z[:, 1:] * z[:, :-1])) <= 5 / math.sqrt(N)
+    assert abs(np.mean(z[1:] * z[:-1])) <= 5 / math.sqrt(N)
 
 
 def test_low_fidelity_flag():
@@ -254,20 +240,20 @@ def test_distribution_input_validation():
 
 def test_sampling_is_deterministic_per_seed():
     dist = distribution_from_phases([1.234], [1.0], 7)
-    a = sample_outcomes(dist, 25, np.random.default_rng(5))
-    b = sample_outcomes(dist, 25, np.random.default_rng(5))
+    a = sample_outcomes(dist, 25, stream_uniforms([5], (25, 8))[0])
+    b = sample_outcomes(dist, 25, stream_uniforms([5], (25, 8))[0])
     assert np.array_equal(a, b)
-    c = sample_outcomes(dist, 25, np.random.default_rng(6))
+    c = sample_outcomes(dist, 25, stream_uniforms([6], (25, 8))[0])
     assert not np.array_equal(a, c)
     with pytest.raises(ConfigError):
-        sample_outcomes(dist, 0, np.random.default_rng(0))
+        sample_outcomes(dist, 0, np.zeros((0, 8)))
 
 
 def test_estimate_reports_grid_value_and_precision():
     m = 5
     phi = TWO_PI * 11 / 2**m
     dist = distribution_from_phases([phi], [1.0], m)
-    est = estimate_from_distribution(dist, 7, np.random.default_rng(0))
+    est = estimate_from_distribution(dist, 7, np.random.default_rng(0).random((7, m + 1)))
     assert est.value == pytest.approx(phi, abs=1e-12)
     assert est.precision == pytest.approx(2.0 * TWO_PI / 2**m)
     assert est.m == m and est.repetitions == 7
@@ -278,7 +264,7 @@ def test_median_concentrates_for_off_grid_phase():
     m = 8
     phi = 2.013
     dist = distribution_from_phases([phi], [1.0], m)
-    est = estimate_from_distribution(dist, 31, np.random.default_rng(42))
+    est = estimate_from_distribution(dist, 31, np.random.default_rng(42).random((31, m + 1)))
     assert circle_distance(est.value, phi) <= est.precision
 
 

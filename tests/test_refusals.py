@@ -17,7 +17,7 @@ from berrylab.dynamics import AdiabaticSchedule, StateVector, loop_propagators
 from berrylab.errors import ConfigError
 from berrylab.exact import diagonalize, ground_state, min_gap
 from berrylab.hamiltonians import constant, derivative_family, make_family
-from berrylab.qpe import bits_for_precision, seed_row, seed_words, stream_uniforms
+from berrylab.qpe import bits_for_precision, seed_words, stream_uniforms
 from berrylab.verifier import energy_test, run_verifier
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -74,14 +74,21 @@ REFUSALS = {  # case: (the refusal's message, the call)
     "bpe-oversampling": ("oversampling", lambda: BpeConfig(oversampling=1.5)),
     "reconstruct-mode": ("unknown alpha mode",
                          lambda: reconstruct_phases(0.1, 0.2, 2.0, "halving")),
-    "seed-pool-size": ("pool size",
-                       lambda: seed_row(np.random.SeedSequence(1, pool_size=8))),
-    "seed-negative-entropy": ("is not an int >= 0", lambda: seed_row(-1)),
-    "seed-float-entropy": ("is not an int >= 0", lambda: seed_row(1.5)),
-    "seed-row-too-short": ("is not an int >= 0", lambda: seed_row((1,))),
-    "seed-row-key-not-tuple": ("is not an int >= 0", lambda: seed_row((3, 4))),
-    "seed-row-negative-key": ("ints >= 0",
-                              lambda: stream_uniforms([seed_row((3, (-1,)))], (1,))),
+    # a seed is an int >= 0: numpy's seed forms, tuple rows and floats are refused
+    "seed-pool-size": ("must be ints >= 0",
+                       lambda: seed_words([np.random.SeedSequence(1, pool_size=8)])),
+    "seed-sequence": ("must be ints >= 0", lambda: energy_test(
+        synthetic_verifier_instance("yes"), PLUS, seed=np.random.SeedSequence(1))),
+    "seed-negative-entropy": ("must be ints >= 0", lambda: seed_words([-1])),
+    "seed-negative-numpy-int": ("must be ints >= 0", lambda: run_verifier(
+        synthetic_verifier_instance("yes"), PLUS, seed=np.int64(-2**63))),
+    "seed-float-entropy": ("must be ints >= 0", lambda: seed_words([1.5])),
+    "seed-row-too-short": ("must be ints >= 0", lambda: seed_words([(1,)])),
+    "seed-row-key-not-tuple": ("must be ints >= 0", lambda: seed_words([(3, 4)])),
+    "seed-row-negative-key": ("must be ints >= 0",
+                              lambda: stream_uniforms([(3, (-1,))], (1,))),
+    "seed-row-in-run-verifier": ("must be ints >= 0", lambda: run_verifier(
+        synthetic_verifier_instance("yes"), PLUS, seed=[(12, (3,))])),
     # a 0-d array is one seed, whose entropy is no int and no sequence
     "seed-0-d-energy-test": ("must be ints >= 0", lambda: energy_test(
         synthetic_verifier_instance("yes"), PLUS, seed=np.array(3))),
@@ -89,8 +96,11 @@ REFUSALS = {  # case: (the refusal's message, the call)
         synthetic_verifier_instance("yes"), PLUS, seed=np.array(3))),
     "seed-0-d-bpe-engine": ("must be ints >= 0", lambda: BpeEngine(
         equatorial_loop(), BpeConfig(T=50.0), guiding_state=PSI0).run(np.array(3))),
-    "seed-child-past-2^32": ("past 2\\^32 - 1", lambda: seed_words(
-        [np.random.SeedSequence(1, n_children_spawned=2**32 - 1)]).child(1)),
+    "seed-child-negative": ("child indices must be ints >= 0",
+                            lambda: seed_words([1]).child(np.array([0, -1]))),
+    "seed-child-past-2^64": ("child indices must be ints >= 0",
+                             lambda: seed_words([1]).child(2**64)),
+    "seed-child-float": ("child indices must be ints >= 0", lambda: seed_words([1]).child(1.0)),
     "diagonalize-lambda-nan": ("lambda must be finite",
                                lambda: diagonalize(equatorial_loop(), float("nan"))),
     "min-gap-lambda-nan": ("lambda must be finite",
@@ -137,7 +147,7 @@ def test_a_valid_call_of_each_kind_passes():
     GateCircuit(2, (gate("H", 0),), output2_qubit=0, witness_qubits=(1,))
     BpeConfig(epsilon_B=0.1, eta=0.5, T=1.0, oversampling=2.0)
     reconstruct_phases(0.1, 0.2, 2.0, "integer")
-    assert seed_row((3, (1,))) == (3, (1,))
+    assert seed_words([3, np.uint64(2**64 - 1)]).child(np.arange(2), [1]).keys.size == 2
     derivative_family(equatorial_loop(), order=0)
     diagonalize(equatorial_loop(), 0.5)
     min_gap(equatorial_loop(), [0.0, 0.5])

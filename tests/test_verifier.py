@@ -1,16 +1,17 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from berrylab.angles import wrap_pm_pi
-from berrylab.bpe import BpeEngine
+from berrylab.bpe import BpeEngine, reconstruct_phases
 from berrylab.corpus import duqma_yes_circuit, synthetic_verifier_instance
 from berrylab.errors import ConfigError
 from berrylab.hamiltonians import eval_hamiltonian
 from berrylab.hardness import build_bqp_instance, build_duqma_instance, history_state
-from berrylab.qpe import sample_outcomes, seed_words
+from berrylab.qpe import SeedWords, sample_outcomes, seed_words, stream_uniforms
 from berrylab.verifier import (
     BLOCK_RUNS,
     ENERGY_REPETITIONS,
@@ -164,25 +165,22 @@ def test_run_verifier_deterministic_per_seed(yes_instance):
 
 
 def test_a_seed_row_is_one_run(yes_instance):
-    # an (entropy, spawn key) row is one seed, as energy_test and
-    # BpeEngine.run take it: the run of that SeedSequence
+    # A seed's row of SeedWords, its one key, is the run of that seed.
     _, V = _eigenstates(yes_instance)
-    row = run_verifier(yes_instance, V[:, 0], seed=(12, (3,)))
-    listed = run_verifier(yes_instance, V[:, 0], seed=[(12, (3,))])
-    tree = run_verifier(yes_instance, V[:, 0], seed=np.random.SeedSequence(12, spawn_key=(3,)))
-    assert len(listed) == 1
-    assert (json.dumps(row.to_json_dict()) == json.dumps(listed[0].to_json_dict())
-            == json.dumps(tree.to_json_dict()))
+    row = run_verifier(yes_instance, V[:, 0], seed=seed_words([12]))
+    assert len(row) == 1
+    assert json.dumps(row[0].to_json_dict()) == json.dumps(
+        run_verifier(yes_instance, V[:, 0], seed=12).to_json_dict())
 
 
 def test_seed_words_are_the_runs_of_their_rows(yes_instance):
     # SeedWords are a tuple, yet many seeds: run for run, across a block
-    # boundary and through both branches of the gate, the runs of their rows.
+    # boundary and through both branches of the gate, the runs of their seeds.
     _, V = _eigenstates(yes_instance)
     witness = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
-    rows = [(12, (i,)) for i in range(BLOCK_RUNS + 44)]
-    by_words = run_verifier(yes_instance, witness, seed=seed_words(rows))
-    by_rows = run_verifier(yes_instance, witness, seed=rows)
+    seeds = [2**64 + i for i in range(BLOCK_RUNS + 44)]
+    by_words = run_verifier(yes_instance, witness, seed=seed_words(seeds))
+    by_rows = run_verifier(yes_instance, witness, seed=seeds)
     assert {o.energy_pass for o in by_rows} == {True, False}
     assert [json.dumps(o.to_json_dict()) for o in by_words] == [
         json.dumps(o.to_json_dict()) for o in by_rows
@@ -191,23 +189,22 @@ def test_seed_words_are_the_runs_of_their_rows(yes_instance):
 
 # Each form of seeds 2, or 1, 2 and 3, made afresh: a generator is spent by its use.
 ONE_OR_MANY = {
-    "int": lambda: 2, "row": lambda: (2, ()), "list": lambda: [1, 2, 3],
-    "ndarray": lambda: np.arange(1, 4), "range": lambda: range(1, 4),
+    "int": lambda: 2, "numpy-int": lambda: np.uint64(2), "tuple": lambda: (1, 2, 3),
+    "list": lambda: [1, 2, 3], "ndarray": lambda: np.arange(1, 4), "range": lambda: range(1, 4),
     "generator": lambda: (s for s in [1, 2, 3]), "seed-words": lambda: seed_words([1, 2, 3]),
-    "ndarray-rows": lambda: np.arange(1, 4).reshape(3, 1),  # entropy [s] hashes as s does
 }
 
 
 @pytest.mark.parametrize("form", ONE_OR_MANY)
 def test_energy_test_and_run_verifier_share_one_seed_rule(yes_instance, form):
-    # A bare tuple or a non-iterable is one seed; any other iterable is many,
+    # A non-iterable or a 0-d array is one seed; any iterable is many,
     # in energy_test as in run_verifier, and each form gives its seeds' runs.
     _, V = _eigenstates(yes_instance)
     dist = energy_distribution(yes_instance, V[:, 1])
     estimates, passed = energy_test(yes_instance, V[:, 1], seed=ONE_OR_MANY[form](),
                                     distribution=dist)
     outcomes = run_verifier(yes_instance, V[:, 1], seed=ONE_OR_MANY[form]())
-    if form in ("int", "row"):
+    if form in ("int", "numpy-int"):
         assert isinstance(estimates, float) and isinstance(passed, bool)
         assert (estimates, passed) == energy_test(yes_instance, V[:, 1], seed=2,
                                                   distribution=dist)
@@ -222,8 +219,8 @@ def test_energy_test_and_run_verifier_share_one_seed_rule(yes_instance, form):
         ]
 
 
-@pytest.mark.parametrize("seed", [1.5, (1,), (3, 4), (1.0, ()), -2, (1, (1.5,)), (1, ("a",)),
-                                  ([1, -2], ())])
+@pytest.mark.parametrize("seed", [1.5, np.random.SeedSequence(1), np.arange(1, 4).reshape(3, 1),
+                                  (1.0, ()), -2, (1, (1.5,)), (1, ("a",)), ([1, -2], ())])
 def test_malformed_seeds_are_config_errors(yes_instance, seed):
     _, V = _eigenstates(yes_instance)
     dist = energy_distribution(yes_instance, V[:, 0])
@@ -269,7 +266,7 @@ def test_instance_without_threshold_is_refused(monkeypatch):
             run(inst, V[:, 0], seed=[])
 
 
-@pytest.mark.parametrize("case", ["yes-int-seeds", "no-seed-sequences"])
+@pytest.mark.parametrize("case", ["yes-int-seeds", "no-child-keys"])
 def test_batch_equals_single_runs(yes_instance, no_instance, monkeypatch, case):
     # 300 runs cross a block boundary; the superposition witness passes the
     # gate about half the time, so a block mixes both branches.
@@ -279,11 +276,10 @@ def test_batch_equals_single_runs(yes_instance, no_instance, monkeypatch, case):
     _, V = _eigenstates(instance)
     witness = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
     if "int" in case:
-        batch_seeds, single_seeds, tree_seeds = list(range(300)), list(range(300)), range(300)
-    else:  # a spawned SeedSequence is spent by its run, so spawn once per use
-        batch_seeds, single_seeds, tree_seeds = (
-            np.random.SeedSequence(7).spawn(300) for _ in range(3)
-        )
+        batch_seeds, single_seeds = list(range(300)), list(range(300))
+    else:  # the verify command's runs: children 0..299 of one seed
+        batch_seeds = seed_words([7]).child(np.arange(300))
+        single_seeds = [SeedWords(batch_seeds.keys[i:i + 1]) for i in range(300)]
     batch = run_verifier(instance, witness, seed=batch_seeds)
     assert {o.energy_pass for o in batch} == {True, False}
 
@@ -293,23 +289,25 @@ def test_batch_equals_single_runs(yes_instance, no_instance, monkeypatch, case):
     monkeypatch.setattr(verifier, "energy_distribution", lambda *args: dist)
     monkeypatch.setattr(verifier, "BpeEngine", lambda *args, **kwargs: engine)
     single = [run_verifier(instance, witness, seed=s) for s in single_seeds]
+    single = [o if "int" in case else o[0] for o in single]
     assert [json.dumps(o.to_json_dict()) for o in batch] == [
         json.dumps(o.to_json_dict()) for o in single
     ]
 
-    # The seed tree, rebuilt outside the batch code: each run's energy seed
-    # draws its readouts through the scalar wrap_pm_pi, and its bpe seed
-    # gives the engine's own run.
-    for out, s in zip(batch, tree_seeds):
-        energy_seed, bpe_seed, _ = (
-            s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-        ).spawn(3)
-        qpe = dist.distribution
-        js = sample_outcomes(qpe, ENERGY_REPETITIONS, np.random.default_rng(energy_seed))
+    # Each run rebuilt from its own seed alone, outside the batch code: its
+    # energy child draws its readouts through the scalar wrap_pm_pi, and its
+    # bpe child gives the engine's readouts of that seed alone.
+    qpe = dist.distribution
+    for out, s in zip(batch, single_seeds):
+        words = seed_words([s] if "int" in case else s)
+        u = stream_uniforms(words.child(0), (ENERGY_REPETITIONS, qpe.m + 1))[0]
+        js = sample_outcomes(qpe, ENERGY_REPETITIONS, u)
         energies = [-wrap_pm_pi(2.0 * math.pi * j / 2 ** qpe.m) / dist.tau for j in js]
         assert out.energy_estimate == float(np.median(energies))
         if out.energy_pass:
-            assert out.theta_estimate == engine.run(bpe_seed)[0]
+            (m1,), (m_alpha,), _, _ = engine.readouts(words.child(1))
+            assert (out.theta_D, out.theta_estimate) == reconstruct_phases(
+                m1, m_alpha, engine.alpha, engine.config.alpha_mode)
 
 
 # -- pinned outcomes -------------------------------------------------------------
@@ -323,7 +321,7 @@ PINNED_OUTCOMES = json.loads("""
   "energy_pass": false,
   "theta_estimate": null,
   "decision": "accept-prob-bounded",
-  "accept": true,
+  "accept": false,
   "accept_probability": 0.25,
   "transcript": [
    {
@@ -339,8 +337,8 @@ PINNED_OUTCOMES = json.loads("""
     "branch": "energy-fail",
     "decision": "accept-prob-bounded",
     "accept_probability": 0.25,
-    "coin": 0.23316830360018304,
-    "accept": true
+    "coin": 0.8229311390254723,
+    "accept": false
    }
   ]
  },
@@ -415,9 +413,9 @@ PINNED_OUTCOMES = json.loads("""
  "interval-coin": {
   "energy_estimate": -1.0,
   "energy_pass": true,
-  "theta_estimate": 4.733864711415088,
+  "theta_estimate": 4.730796749839317,
   "decision": "accept-prob-bounded",
-  "accept": true,
+  "accept": false,
   "accept_probability": 0.3333333333333333,
   "transcript": [
    {
@@ -430,8 +428,8 @@ PINNED_OUTCOMES = json.loads("""
    },
    {
     "step": "phase-estimation",
-    "theta_B_hat": 4.733864711415088,
-    "theta_D_hat": 0.770058355518592,
+    "theta_B_hat": 4.730796749839317,
+    "theta_D_hat": 0.7731263170943636,
     "epsilon_B": 0.05,
     "alpha": 2.0,
     "T": 296.0881320326804,
@@ -449,8 +447,8 @@ PINNED_OUTCOMES = json.loads("""
     "in_yes_interval": 0,
     "decision": "accept-prob-bounded",
     "accept_probability": 0.3333333333333333,
-    "coin": 0.23316830360018304,
-    "accept": true
+    "coin": 0.8229311390254723,
+    "accept": false
    }
   ]
  }
@@ -519,6 +517,25 @@ def test_runs_json_equals_json_dumps(yes_instance, no_instance, duqma_yes_instan
         assert decisions == {"reject"} and {o.transcript[-1]["coin"] for o in outcomes} == {None}
     if "half" in case and n > 1:
         assert {o.energy_pass for o in outcomes} == {True, False}
+
+
+def test_runs_json_of_outcomes_from_two_calls(yes_instance, no_instance):
+    # Records of one shape from two calls keep each call's own constants
+    # (the two engines' T and alpha differ), and so does a job equal in value
+    # to another but not in text: a threshold of -0.0 against 0.0.
+    outcomes = []
+    for instance in (yes_instance, no_instance):
+        _, V = _eigenstates(instance)
+        outcomes += run_verifier(instance, V[:, 0], seed=[1, 2])
+    assert [o.energy_pass for o in outcomes] == [True] * 4
+    assert outcomes[0].job[2] != outcomes[2].job[2]
+    signed = replace(outcomes[1], job=(-0.0, *outcomes[1].job[1:]))
+    assert signed.job == outcomes[1].job
+    outcomes.insert(2, signed)
+    records = [json.dumps(o.to_json_dict(), sort_keys=True, separators=(",", ":"))
+               for o in outcomes]
+    assert [p[1:] for p in list(runs_json(outcomes))[:-1]] == records
+    assert '"threshold":-0.0' in records[2]
 
 
 def test_runs_json_of_no_runs_is_an_empty_list():
