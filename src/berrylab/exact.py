@@ -235,20 +235,26 @@ def _column_amps(family: HamiltonianFamily, members) -> np.ndarray:
     and sine amplitude of a group's entry sum_i c_i(lambda) vals_i[x]: the
     members' amplitudes weighted by vals_i[x] (+-1 or +-i), summed exactly
     (math.fsum) in the real and the imaginary part, so the entry is identically
-    zero where they are all zero.  Columns with the same vals share one sum."""
+    zero where they are all zero.  Columns with the same vals share one sum:
+    a lexsort of the int8 sign columns puts equal ones side by side, and a
+    neighbour compare groups them exactly.  Each complex sum is laid out from
+    its two parts, as re + 1j*im would turn a real part of -0.0 into +0.0."""
     m, amps = len(members), {}  # 0: the constant; +-j: harmonic j's cosine, sine
     for i, (k, _) in enumerate(members):
         c = family.terms[k][1]
         for key, a in [(0, c.const), *c.cos_terms, *[(-j, b) for j, b in c.sin_terms]]:
             amps.setdefault(key, np.zeros(m))[i] = a
     keys = [0, *[s * j for j in sorted({abs(k) for k in amps} - {0}) for s in (1, -1)]]
-    table = [amps.get(k, np.zeros(m)) for k in keys]
+    table = np.array([amps.get(k, np.zeros(m)) for k in keys])
     vals = np.array([v for _, v in members])
-    signs, where = np.unique(np.concatenate([vals.real, vals.imag]).T.astype(np.int8),
-                             axis=0, return_inverse=True)
-    sums = [[complex(math.fsum(a * row[:m]), math.fsum(a * row[m:])) for a in table]
-            for row in signs]
-    return np.array(sums).T[:, where.reshape(-1)]
+    signs = np.concatenate([vals.real, vals.imag]).T.astype(np.int8)  # (d, 2m)
+    order = np.lexsort(signs.T)
+    ranked = signs[order]
+    new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    where = (np.cumsum(new) - 1)[np.argsort(order)]  # each column's distinct one
+    terms = table[:, None, None] * ranked[new].reshape(-1, 2, m)  # (keys, distinct, re/im, m)
+    parts = np.array([math.fsum(row) for row in terms.reshape(-1, m).tolist()])
+    return parts.reshape(*terms.shape[:2], 2).view(complex)[..., 0][:, where]
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:

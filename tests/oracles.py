@@ -342,6 +342,27 @@ def pattern_sectors(family, lam: float = 0.2137) -> list:
             for s in sorted({len(b) for b in blocks})]
 
 
+def ungrouped_column_amps(family, members) -> np.ndarray:
+    """exact._column_amps one column at a time, with no grouping of equal
+    columns: per column x and amplitude row (the constant, then each harmonic
+    j's cosine and sine, j ascending over the members' harmonics), one
+    math.fsum over the members of a_i times vals_i[x]'s real part, taken as an
+    int, one of its imaginary part, and a complex made from the two sums."""
+    coeffs = [family.terms[k][1] for k, _ in members]
+    harmonics = sorted({j for c in coeffs for j, _ in (*c.cos_terms, *c.sin_terms)})
+    rows = [[c.const for c in coeffs]]
+    for j in harmonics:
+        rows += [[dict(c.cos_terms).get(j, 0.0) for c in coeffs],
+                 [dict(c.sin_terms).get(j, 0.0) for c in coeffs]]
+    out = np.empty((len(rows), family.dim), dtype=complex)
+    for x in range(family.dim):
+        column = [v[x] for _, v in members]
+        for r, amps in enumerate(rows):
+            out[r, x] = complex(math.fsum(a * int(v.real) for a, v in zip(amps, column)),
+                                math.fsum(a * int(v.imag) for a, v in zip(amps, column)))
+    return out
+
+
 # Closed forms for the single-qubit reference loops -------------------------
 #
 # H(lam) = -(cos 2 pi lam X + sin 2 pi lam Y) traces the equator of the

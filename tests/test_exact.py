@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import weakref
 from types import SimpleNamespace
@@ -483,6 +484,57 @@ def test_pruned_sweeps_equal_pointwise_full_solves(fam):
             assert np.linalg.eigvalsh(H)[0] > f.eigenvalues[1]
     first = min(((f.gap, f.lam) for f in full), key=lambda t: t[0])
     assert _bits(*min_gap(fam, 16)) == _bits(*first)
+
+
+# -- the exact amplitudes sector discovery reads ------------------------------
+
+
+def _x_variants(n):
+    """X on qubit 0 times each of the 2^(n-1) Z strings on the other qubits:
+    one group whose 2^(n-1) members give its 2^n columns 2^(n-1) distinct
+    sign columns.  Amplitudes drawn from a few dyadic values, so that many
+    sums cancel exactly."""
+    amps = np.random.default_rng(5).choice([-1.0, -0.5, 0.5, 1.0], size=(2 ** (n - 1), 3))
+    zs = itertools.product("IZ", repeat=n - 1)
+    return make_family(n, [("X" + "".join(z), TrigCoefficient(c, ((1, a),), ((2, b),)))
+                           for z, (c, a, b) in zip(zs, amps.tolist())])
+
+
+def _assert_ungrouped_amps(fam):
+    for _, members in exact._actions_for(fam):
+        got, want = exact._column_amps(fam, members), oracles.ungrouped_column_amps(fam, members)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # -0.0 too
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(split_loops())
+def test_column_amps_of_split_loops_equal_the_ungrouped_sums(fam):
+    _assert_ungrouped_amps(fam)
+
+
+@pytest.fixture(scope="module")
+def amp_families(scan_families, split_families):
+    from berrylab.circuits import with_idle_steps
+    from berrylab.corpus import duqma_yes_circuit
+    from berrylab.hardness import build_duqma_instance
+
+    m2 = build_duqma_instance(with_idle_steps(duqma_yes_circuit(), 2), 0).family
+    return {"bqp-yes": scan_families["bqp"][0], "duqma-no": split_families["duqma-6q"],
+            "duqma-yes": split_families["duqma-7q"], "duqma-m2": m2,
+            "x-variants-7q": _x_variants(7)}
+
+
+@pytest.mark.parametrize("name", ["bqp-yes", "duqma-no", "duqma-yes", "duqma-m2", "x-variants-7q"])
+def test_column_amps_equal_the_ungrouped_sums(amp_families, name):
+    # Each column's amplitudes are exact sums of its own, whatever column
+    # they are grouped with, and keep their bits, the sign of zero included.
+    fam = amp_families[name]
+    if name == "x-variants-7q":
+        (_, members), = exact._actions_for(fam)
+        signs = np.array([v for _, v in members]).real.T
+        assert len(members) == 64 and len(np.unique(signs, axis=0)) == 64
+    _assert_ungrouped_amps(fam)
 
 
 # -- every scan along the loop vs the pinned point-by-point scans ------------
