@@ -200,7 +200,7 @@ def cmd_genhard(args) -> int:
 
 def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
     kind, _, arg = spec.partition(":")
-    if kind == "ground":
+    if spec == "ground":  # ground:<anything> is refused below
         return ground_state(instance.family, 0.0)[1]
     if kind == "excited":
         k = _parse_int(arg, 10, f"witness {spec!r}") if arg else 1

@@ -661,17 +661,15 @@ def berry_connections_perturbative(
             "perturbative connection needs a non-degenerate base ground state"
         )
     psi0, evals, dV = base.ground_state, base.eigenvalues, derivative_family(V)
-    # Components of V|psi0> and dV|psi0> in the excited eigenbasis.
+    # Components of V|psi0> and dV|psi0> in the excited eigenbasis, row per lambda.
     Vh = base.eigenvectors.conj().T
-    denom = (evals - evals[0]) ** 2
-    out = []
-    for lam in lams:
-        w, u = (Vh @ (eval_hamiltonian(f, lam) @ psi0) for f in (V, dV))
-        s = 0.0
-        for k in range(1, evals.size):
-            s += (np.conj(w[k]) * u[k] / denom[k]).imag
-        out.append(PerturbativeConnection(-(r ** 2) * s, bool(r >= base.gap / 4.0)))
-    return out
+    w, u = np.array([[Vh @ (eval_hamiltonian(f, lam) @ psi0) for lam in lams]
+                     for f in (V, dV)]).reshape(2, len(lams), evals.size)[:, :, 1:]
+    # Im(conj(w_k) u_k / denom_k) rounded as numpy's scalar complex ops round it
+    # (its vectorised product may not), summed over k left to right from 0.0.
+    terms = (w.real * u.imag + -w.imag * u.real) * (1.0 / (evals[1:] - evals[0]) ** 2)
+    s = np.add.accumulate(np.insert(terms, 0, 0.0, axis=1), axis=1)[:, -1]
+    return [PerturbativeConnection(-(r ** 2) * x, bool(r >= base.gap / 4.0)) for x in s]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ where W|w_l> = e^{i phi_l}|w_l> and F_m is the Fejer-type kernel
 Soc. A 454, 339, 1998).  A distribution is that mixture (phi_l, w_l), from
 the dense eigensystem of W; sample_outcomes reads it out bit by bit, which is
 statistically identical to running the circuit with exact controlled powers,
-but lets a single propagator build serve many seeds.  unitary_eigensystem
-finds W's eigensystem with Hermitian solves alone, through a Cayley transform,
-as one block: the estimators' loops are psi0's sector's alone.
+but lets a single propagator build serve many seeds.  A bit's probability
+depends only on the component and the bits already read, so while those
+pairs are no more than the readouts it is evaluated once per pair, from the
+same float64 operands.  unitary_eigensystem finds W's eigensystem with
+Hermitian solves alone, through a Cayley transform, as one block: the
+estimators' loops are psi0's sector's alone.
 
 stream_uniforms draws every stream.  A seed is an int >= 0, and its stream
 is a pure function of one 64-bit key (seed_words) and the draw index, so a
@@ -231,7 +234,9 @@ def sample_outcomes(dist: QpeDistribution, R: int, uniforms: np.ndarray) -> np.n
     3228, 1996): with j the value of the bits already read, bit b is 1 with
     probability sin^2(pi (frac(2^(m-1-b) phi / 2 pi) - j / 2^(b+1))), and the
     product is F_m exactly.  The fractions are exact in float64, so an
-    on-grid phase reads exactly."""
+    on-grid phase reads exactly.  While keep.size * 2^b is at most the
+    readouts, bit b's probabilities are a (component, j) table gathered at
+    (pick << b) + j: the same float64 operands, so the same bits and draws."""
     if R < 1:
         raise ConfigError(f"repetitions must be >= 1, got {R}")
     m = dist.m
@@ -242,11 +247,15 @@ def sample_outcomes(dist: QpeDistribution, R: int, uniforms: np.ndarray) -> np.n
     cum = np.cumsum(dist.weights[keep])
     pick = np.minimum(np.searchsorted(cum, u[..., 0] * cum[-1], side="right"), keep.size - 1)
     frac = np.mod(np.outer(2.0 ** np.arange(m - 1, -1, -1), dist.phases[keep] / TWO_PI), 1.0)
-    j = np.zeros(pick.shape)
+    j = np.zeros(pick.shape, dtype=np.int64)
     for b in range(m):
-        one = np.sin(math.pi * (frac[b][pick] - j / 2.0 ** (b + 1))) ** 2  # P(bit b = 1)
-        j += (u[..., b + 1] < one) * 2.0 ** b
-    return j.astype(np.int64)
+        if keep.size << b <= pick.size:  # P(bit b = 1) once per (component, prefix)
+            prefix = np.arange(1 << b) / 2.0 ** (b + 1)
+            one = (np.sin(math.pi * (frac[b][:, None] - prefix)) ** 2).ravel()[(pick << b) + j]
+        else:
+            one = np.sin(math.pi * (frac[b][pick] - j / 2.0 ** (b + 1))) ** 2
+        j += (u[..., b + 1] < one).astype(np.int64) << b
+    return j
 
 
 def estimate_from_distribution(
@@ -300,7 +309,9 @@ def circular_median(angles):
     # s[i] + pi among the ring and the shifted samples, less the i before it.
     # So ring[i:ahead] lie up to pi ahead of s[i], ring[ahead:i + R] behind.
     merged = np.argsort(np.concatenate((ring, s + math.pi), axis=-1), axis=-1, kind="stable")
-    ahead = np.argsort(merged, axis=-1)[:, 2 * R:] - i
+    rank = np.empty_like(merged)  # merged's inverse permutation
+    np.put_along_axis(rank, merged, np.arange(3 * R), -1)
+    ahead = rank[:, 2 * R:] - i
     middle = np.take_along_axis(prefix, ahead, -1)
     cost = (middle - prefix[:, :R] - (ahead - i) * s
             + (i + R - ahead) * (TWO_PI + s) - (prefix[:, R:2 * R] - middle))

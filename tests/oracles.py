@@ -402,6 +402,31 @@ def fejer_row(phi: float, m: int) -> np.ndarray:
     return row
 
 
+def readout_sample_outcomes(dist, R: int, uniforms, at_edge=None):
+    """qpe.sample_outcomes with every bit's probability evaluated per
+    readout: the same component pick, fractions and sin^2 formula, with the
+    bits read so far held as a float, so each probability is formed from
+    the same float64 operands as the package's (component, prefix) table.
+
+    With at_edge, a bool array of the shape of uniforms[..., 1:], bit b's
+    uniform is replaced by its probability (False) or the float below it
+    (True), so a probability one ulp off flips a bit; the outcomes are then
+    returned with the uniforms they were read from."""
+    m, u = dist.m, np.array(uniforms, dtype=float)
+    keep = np.flatnonzero(dist.weights > 1e-14)
+    cum = np.cumsum(dist.weights[keep])
+    pick = np.minimum(np.searchsorted(cum, u[..., 0] * cum[-1], side="right"), keep.size - 1)
+    scales = 2.0 ** np.arange(m - 1, -1, -1)
+    frac = np.mod(np.outer(scales, dist.phases[keep] / (2.0 * np.pi)), 1.0)
+    j = np.zeros(pick.shape)
+    for b in range(m):
+        one = np.sin(np.pi * (frac[b][pick] - j / 2.0 ** (b + 1))) ** 2  # P(bit b = 1)
+        if at_edge is not None:
+            u[..., b + 1] = np.where(at_edge[..., b], np.nextafter(one, 0.0), one)
+        j += (u[..., b + 1] < one) * 2.0 ** b
+    return j.astype(np.int64) if at_edge is None else (j.astype(np.int64), u)
+
+
 def cube_circular_median(angles):
     """The circle-distance cube form of qpe.circular_median: every sample's
     summed |(x - y + pi) mod 2 pi - pi| to all samples, and the least sum,

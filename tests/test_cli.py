@@ -414,6 +414,7 @@ def test_bad_family_file_exit_code(tmp_path, command, record):
         ["bpe", "--instance", "eq.json", "--seed", -1],
         ["verify", "--instance", "syn", "--witness", "excited:x"],
         ["verify", "--instance", "syn", "--witness", "basis:2"],
+        ["verify", "--instance", "syn", "--witness", "ground:1"],
         ["genhard", "--circuit", "duqma.circuit.json", "--kind", "duqma",
          "--witness", "x"],
         ["genhard", "--circuit", "yes.circuit.json", "--kind", "bqp",
@@ -424,7 +425,8 @@ def test_bad_family_file_exit_code(tmp_path, command, record):
         ["murta", "--instance", "eq.json", "--runtime", 50, "--oversampling", 1, "--seed", 1],
     ],
     ids=["runs-0", "runs-negative", "seed-negative", "excited-not-int",
-         "basis-not-bits", "genhard-witness-not-bits", "genhard-bqp-duqma-flags",
+         "basis-not-bits", "ground-with-argument", "genhard-witness-not-bits",
+         "genhard-bqp-duqma-flags",
          "murta-alpha-cap", "murta-alpha-mode", "bpe-oversampling-1",
          "murta-oversampling-1"],
 )

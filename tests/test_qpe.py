@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berrylab.angles import circle_distance
@@ -25,7 +25,13 @@ from berrylab.qpe import (
 )
 from berrylab.verifier import BLOCK_RUNS
 
-from oracles import cube_circular_median, fejer_row, splitmix64_key, splitmix64_uniforms
+from oracles import (
+    cube_circular_median,
+    fejer_row,
+    readout_sample_outcomes,
+    splitmix64_key,
+    splitmix64_uniforms,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +114,44 @@ def test_sampled_frequencies_match_the_fejer_mixture(m):
     # bit whose probability is below 1.  Were the 1e-15 component not cut,
     # they would pick it, and its bits, each of probability 1, read 2^m - 1.
     assert sample_outcomes(dist, 1, np.full((1, m + 1), np.nextafter(1.0, 0.0)))[0] != 2**m - 1
+
+
+def _mixture(m, n, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n)
+    return distribution_from_phases(rng.uniform(-math.pi, math.pi, n), weights / weights.sum(), m)
+
+
+# name: (distribution, shape of the uniforms (..., R, m + 1))
+SAMPLER_CASES = {
+    # 10 components over 256 x 15 readouts: bits 0-8 read from the (component,
+    # prefix) table (10 x 2^8 <= 3840 entries), bits 9-17 per readout
+    "crosses-the-switch": (_mixture(18, 10, 1), (256, 15, 19)),
+    "on-grid": (distribution_from_phases(TWO_PI * np.array([3, 17, 40, 63]) / 2**6,
+                                         [0.4, 0.3, 0.2, 0.1], 6), (64, 19, 7)),
+    "under-the-cut": (distribution_from_phases([-2.9, 0.4, 5.5], [0.6, 0.4 - 1e-15, 1e-15], 5),
+                      (256, 19, 6)),
+    "m-48": (_mixture(48, 3, 2), (4, 19, 49)),
+    "one-readout": (_mixture(11, 2, 3), (1, 12)),
+    "two-leading-dims": (_mixture(7, 4, 4), (3, 5, 9, 8)),
+}
+
+
+@pytest.mark.parametrize("uniforms", ["random", "below-one", "at-the-probabilities"])
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_sample_outcomes_equal_the_per_readout_reference(case, uniforms):
+    # At the probabilities, each bit's uniform is the reference's probability
+    # or the float below it, so one ulp of difference in a probability shows.
+    dist, shape = SAMPLER_CASES[case]
+    rng = np.random.default_rng(len(case))
+    u = np.full(shape, np.nextafter(1.0, 0.0)) if uniforms == "below-one" else rng.random(shape)
+    if uniforms == "at-the-probabilities":
+        want, u = readout_sample_outcomes(dist, shape[-2], u, at_edge=rng.random(shape) < 0.5)
+    else:
+        want = readout_sample_outcomes(dist, shape[-2], u)
+    got = sample_outcomes(dist, shape[-2], u)
+    assert got.dtype == np.int64 and got.shape == shape[:-1]
+    assert np.array_equal(got, want)
 
 
 def test_rows_of_stream_uniforms_match_each_generator():
@@ -301,22 +345,34 @@ def test_circular_median_rows_match_the_1d_call(m, R):
 @st.composite
 def _median_rows(draw):
     # Readouts 2 pi j / 2^m: uniform over the grid, or a few bins around one
-    # centre (across 0 too), where exact and rounding-level ties occur; or
+    # centre (across 0 too), where exact and rounding-level ties occur, or a
+    # handful of such bins each read many times, as verify's readouts are; or
     # uniform floats, on and off [0, 2 pi).
     R, n = draw(st.integers(1, 20)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind, m = draw(st.sampled_from(["grid", "near", "float"])), draw(st.integers(2, 48))
+    kind, m = draw(st.sampled_from(["grid", "near", "few", "float"])), draw(st.integers(2, 48))
     if kind == "float":
         return rng.uniform(-7.0, 14.0, size=(n, R))
     j = rng.integers(0, 2**m, size=(n, R))
-    if kind == "near":
+    if kind in ("near", "few"):
         width = draw(st.integers(1, 4))
         j = rng.integers(0, 2**m, size=(n, 1)) + rng.integers(-width, width + 1, size=(n, R))
+    if kind == "few":
+        bins = j[:, :draw(st.integers(1, 3))]
+        j = np.take_along_axis(bins, rng.integers(0, bins.shape[1], size=(n, R)), axis=1)
     return TWO_PI * (j % 2**m) / 2**m
 
 
-@settings(max_examples=300, deadline=None)
+# A block of 256 rows of 19 sampled readouts: 33 distinct grid values, about
+# three to a row, most of them read many times.
+_SAMPLED = distribution_from_phases([1.0, -2.0, 2.5], [0.7, 0.2, 0.1], 11)
+SAMPLED_ROWS = _SAMPLED.angles(
+    sample_outcomes(_SAMPLED, 19, np.random.default_rng(5).random((256, 19, 12))))
+
+
+@settings(max_examples=400, deadline=None)
 @given(rows=_median_rows())
+@example(rows=SAMPLED_ROWS)
 def test_circular_median_equals_the_cube_form(rows):
     want = [v.hex() for v in cube_circular_median(rows).tolist()]
     assert [v.hex() for v in circular_median(rows).tolist()] == want

@@ -11,6 +11,7 @@ import pytest
 
 from berrylab import exact
 from berrylab.bpe import BpeConfig, BpeEngine, murta_bpe, reconstruct_phases, run_bpe
+from berrylab.cli import _resolve_witness
 from berrylab.circuits import Gate, GateCircuit, gate
 from berrylab.corpus import equatorial_loop, synthetic_verifier_instance
 from berrylab.dynamics import AdiabaticSchedule, StateVector, loop_propagators
@@ -50,6 +51,10 @@ REFUSALS = {  # case: (the refusal's message, the call)
        for name, estimator in ESTIMATORS.items() for kind, guide in GUIDES.items()},
     "verifier-witness-nan": ("not normalized", lambda: run_verifier(
         synthetic_verifier_instance("yes"), np.array([np.nan, 1.0]))),
+    # ground takes no argument: ground:1 is not read as ground
+    "witness-ground-with-argument": ("unknown witness spec 'ground:1'",
+                                     lambda: _resolve_witness(
+                                         synthetic_verifier_instance("yes"), "ground:1")),
     "state-registers-overlap": ("registers overlap",
                                 lambda: StateVector(ZERO2, {"a": (0,), "b": (0, 1)})),
     "state-register-out-of-range": ("out of range", lambda: StateVector(ZERO2, {"a": (2,)})),
@@ -143,6 +148,7 @@ def test_a_valid_call_of_each_kind_passes():
     for estimator in ESTIMATORS.values():
         estimator(equatorial_loop(), PSI0, BpeConfig(T=50.0))
     run_verifier(synthetic_verifier_instance("yes"), PSI0)
+    _resolve_witness(synthetic_verifier_instance("yes"), "ground")
     Gate("CX", (0, 1), np.eye(4))
     GateCircuit(2, (gate("H", 0),), output2_qubit=0, witness_qubits=(1,))
     BpeConfig(epsilon_B=0.1, eta=0.5, T=1.0, oversampling=2.0)
