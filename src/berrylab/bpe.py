@@ -83,10 +83,12 @@ def _dominant_phase(dist) -> float:
     return float(min(tied, key=wrap_2pi))
 
 
-def _checked_build(family: HamiltonianFamily, T: float, cap: int, low: int,
+def _checked_build(family: HamiltonianFamily, T: float, cap: int, total: int, low: int,
                    tol: float, build):
     """Build at the coarsest step count that the a-posteriori check accepts.
 
+    ``total``, the steps of the estimator's legs at the cap, is held to the
+    step budget first, before any propagation: the estimators' one check.
     ``build(n)`` makes the estimator's propagators at n steps per runtime T
     and returns (result, phase), the phase read from dominant eigenphases.
     n starts at twice the larger of ``low`` and half the commutator guess,
@@ -97,6 +99,7 @@ def _checked_build(family: HamiltonianFamily, T: float, cap: int, low: int,
     The level after n is 2n unless 2n passes the cap, so ``build(n)`` may
     build level 2n's work too, from the same sweep.  Returns (result, record).
     """
+    check_step_budget(T, total)
     guess = guess_step_count(family, T)
     n = min(cap, 2 * max(low, math.ceil(guess / 2))) if 2.0 * guess < cap else cap
     below = [n // 2, *(n << k for k in range(((cap - 1) // n).bit_length()))] if n < cap else []
@@ -303,7 +306,8 @@ def _resolve_runtime(
 
     T, calibration = cfg.T, None
     if T is None:
-        T, calibration = calibrate_runtime(family, cfg.delta_adia, cfg.oversampling, ground)
+        T, calibration = calibrate_runtime(family, cfg.delta_adia, cfg.oversampling,
+                                           ground=ground)
     phase_lag = phase_lag_scale(family, GAP_GRID)
     T_phase_floor = 4.0 * phase_lag / cfg.epsilon_B
     warnings = []
@@ -372,14 +376,14 @@ class BpeEngine:
 
         # Shared-step pairs: the alpha run reuses dt exactly, and the realized
         # step ratio is what enters the reconstruction.  The step check starts
-        # where the half level still gets one extra alpha step.  The budget is
-        # checked at the cap, before any propagation.  _ahead holds the T leg
-        # that a level's alpha sweep built for the next level.
+        # where the half level still gets one extra alpha step, and holds both
+        # legs at the cap to the budget.  _ahead holds the T leg that a level's
+        # alpha sweep built for the next level.
         self._cap, self._ahead = step_count(self.T, self.setup["H_max"], cfg.oversampling), {}
-        check_step_budget(self.T, self._cap + self._alpha_steps(self._cap))
         pair, self.step_check = _checked_build(
-            family, self.T, self._cap, math.ceil(1.0 / (self.alpha_nominal - 1.0)),
-            STEP_CHECK_FRACTION * cfg.epsilon_B, self._pair,
+            family, self.T, self._cap, self._cap + self._alpha_steps(self._cap),
+            math.ceil(1.0 / (self.alpha_nominal - 1.0)), STEP_CHECK_FRACTION * cfg.epsilon_B,
+            self._pair,
         )
         vars(self).update(pair, _ahead={})  # drop a T leg built ahead, not used
         self.R = cfg.repetitions
@@ -514,23 +518,21 @@ def murta_bpe(
     (sector, psi0), setup = _resolve_runtime(family, cfg, initial_ground_state)
     T = setup["T"]
     cap = step_count(T, setup["H_max"], cfg.oversampling)
-    check_step_budget(T, 2 * cap)
-    m = bits_for_precision(cfg.epsilon_B)
 
-    def build(steps):
+    def build(steps):  # m is sized after the budget check, as the engine's is
         fwd = AdiabaticSchedule(T=T, steps=steps)
         W_fwd, W_rev = loop_propagators(family, fwd, replace(fwd, direction="reversed"),
                                         sector=sector)
-        dist = distribution_for_unitary(W_rev @ W_fwd, psi0, m)
+        dist = distribution_for_unitary(W_rev @ W_fwd, psi0, bits_for_precision(cfg.epsilon_B))
         return (steps, W_fwd, dist), _dominant_phase(dist)
 
     # The check reads the doubled phase 2 theta_B, so its tolerance doubles.
     (steps, W_fwd, dist), step_check = _checked_build(
-        family, T, cap, 1, 2.0 * STEP_CHECK_FRACTION * cfg.epsilon_B, build
+        family, T, cap, 2 * cap, 1, 2.0 * STEP_CHECK_FRACTION * cfg.epsilon_B, build
     )
     _note_infidelity(setup["calibration"], np.vdot(psi0, W_fwd @ psi0))
 
-    R = cfg.repetitions
+    R, m = cfg.repetitions, dist.m
     est = estimate_from_distribution(dist, R, stream_uniforms([seed], (R, m + 1))[0])
     theta = est.value / 2.0  # in [0, pi)
 

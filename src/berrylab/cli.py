@@ -199,7 +199,9 @@ def cmd_genhard(args) -> int:
 
 
 def _resolve_witness(instance: HardnessInstance, spec: str) -> np.ndarray:
-    kind, _, arg = spec.partition(":")
+    kind, colon, arg = spec.partition(":")
+    if colon and not arg:  # excited: is not excited, nor history: history
+        raise ConfigError(f"witness {spec!r} has an empty argument after ':'")
     if spec == "ground":  # ground:<anything> is refused below
         return ground_state(instance.family, 0.0)[1]
     if kind == "excited":

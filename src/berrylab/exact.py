@@ -53,9 +53,9 @@ MIN_LOOP_OVERLAP = 0.5
 # Default Wilson-loop convergence tolerance on the error estimate (radians).
 WILSON_TOL = 1e-5
 
-# Each grid point costs one eigensolve, as an exact step does, so a grid is
-# held to the same budget as a run's steps (dynamics.MAX_TOTAL_STEPS).
-MAX_GRID_POINTS = 2_000_000
+# The one budget of an estimator run's exact steps and of a lambda grid's points,
+# each an eigensolve: a near-gapless family fails fast instead of grinding.
+MAX_TOTAL_STEPS = 2_000_000
 
 
 @dataclass
@@ -411,14 +411,14 @@ def lambda_grid(family: HamiltonianFamily, grid, offset: float = 0.0) -> np.ndar
     """The lambdas of a grid.  A point count n gives the uniform grid
     (j + offset) / n on [0, 1); it is refused when n <= 2 k for the family's
     highest harmonic k, since such a grid aliases that harmonic, and above
-    MAX_GRID_POINTS.  An explicit sequence of lambdas is taken as given."""
+    MAX_TOTAL_STEPS.  An explicit sequence of lambdas is taken as given."""
     if isinstance(grid, (int, np.integer)):
         if grid < 2:
             raise ConfigError(f"grid must have at least 2 points, got {grid}")
-        if grid > MAX_GRID_POINTS:
+        if grid > MAX_TOTAL_STEPS:
             raise CapacityError(
                 f"a {grid}-point lambda grid is over the budget of "
-                f"{MAX_GRID_POINTS} points"
+                f"{MAX_TOTAL_STEPS} points"
             )
         k = max((j for _, c in family.terms for j, _ in c.cos_terms + c.sin_terms),
                 default=0)

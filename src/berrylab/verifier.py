@@ -67,7 +67,7 @@ from .qpe import (
 ENERGY_REPETITIONS = 15
 DEFAULT_SOUNDNESS_DELTA = 1.0 / 12.0
 BLOCK_RUNS = 256  # runs per block: bounds each block's child words and uniform arrays
-# Like MAX_GRID_POINTS and MAX_TOTAL_STEPS: the most protocol runs one
+# Like MAX_TOTAL_STEPS, the eigensolve budget: the most protocol runs one
 # verify command makes, refused before any seed is drawn.
 MAX_VERIFY_RUNS = 100_000
 

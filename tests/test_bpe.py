@@ -37,7 +37,7 @@ from berrylab.errors import (
     DegeneracyError,
     NumericalError,
 )
-from berrylab.exact import ground_state, wilson_loop_berry_phase
+from berrylab.exact import ground_state, lambda_grid, wilson_loop_berry_phase
 from berrylab.hamiltonians import TrigCoefficient, constant, cosine, make_family, sine
 from berrylab.hardness import build_bqp_instance, build_duqma_instance
 from berrylab.qpe import distribution_for_unitary, distribution_from_phases
@@ -379,6 +379,9 @@ def test_fixed_runtime_skips_calibration(equatorial):
 def test_step_budget_guard(equatorial):
     with pytest.raises(CapacityError):
         BpeEngine(equatorial, BpeConfig(T=1e7))
+    # a grid point is one eigensolve, as a step is: one budget bounds both
+    with pytest.raises(CapacityError, match="lambda grid is over the budget"):
+        lambda_grid(equatorial, MAX_TOTAL_STEPS + 1)
 
 
 def test_budget_error_before_long_propagation(monkeypatch):

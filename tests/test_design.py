@@ -12,7 +12,9 @@ a lambda-independent family outside ``hamiltonians``, or a second path that
 builds loop propagators of one step count from a sweep each.  Every
 refinement ladder, the estimators' step check and runtime calibration, runs
 on ``exact.refine``, and no ``while`` loop but two that are not ladders is
-left, so a third hand-written ladder shows up here.  Nothing
+left, so a third hand-written ladder shows up here.  The step budget is
+one bound, defined once in ``exact`` and checked where the work is sized:
+by ``step_count`` and by the estimators' checked build.  Nothing
 in the package spawns a SeedSequence or makes a numpy generator or bit
 generator, since every stream is a pure function of its key, so numpy's
 seeding cannot come back unseen; nor can per-run seeding, since the
@@ -105,20 +107,19 @@ def test_block_solver_call_sites():
 
 
 def test_sector_call_sites():
-    # Only exact computes sector labels; the estimators and calibration take
-    # psi0's sector from ground_sector.  Only these propagate in a sector:
-    # the engine's legs, murta's and calibration's state; the rest is
-    # dynamics handing it down to the sweep.  The gap scan alone checks that
-    # the ground state stays in psi0's sector (ground_in), solving the whole
-    # family.  A whole-space propagation creeping back into the estimator,
-    # or a second sector finder, would show up here.
+    # Only exact computes sector labels; the estimators' set-up takes psi0's
+    # sector from ground_sector and hands it to calibration.  Only these
+    # propagate in a sector: the engine's legs, murta's and calibration's
+    # state; the rest is dynamics handing it down to the sweep.  The gap scan
+    # alone checks that the ground state stays in psi0's sector (ground_in),
+    # solving the whole family.  A whole-space propagation creeping back into
+    # the estimator, or a second sector finder, would show up here.
     assert _call_sites({"_find_sectors", "_blocks"}) == {
         ("exact", "_sectors_for", "_find_sectors"): 1,
         ("exact", "_find_sectors", "_blocks"): 1,
     }
     assert _call_sites({"ground_sector"}) == {
         ("bpe", "_resolve_runtime", "ground_sector"): 1,
-        ("dynamics", "calibrate_runtime", "ground_sector"): 1,
     }
     propagators = {"spectra", "_step_factors", "loop_propagators", "loop_propagator",
                    "adiabatic_propagate", "min_gap", "sweep"}
@@ -225,6 +226,25 @@ def test_one_refinement_ladder():
             loops.update((path.stem, getattr(fn, "name", None))
                          for node in ast.walk(fn) if isinstance(node, ast.While))
     assert loops == {("dynamics", "loop_propagators"): 1, ("exact", "_blocks"): 1}
+
+
+def test_one_step_budget():
+    # One bound on an estimator run's eigensolves, assigned once, in exact:
+    # step_count holds a schedule to it, and so calibration's doubling, and
+    # _checked_build holds the estimators' legs at the cap to it.  A second
+    # budget constant or a copied check would show up here.
+    assert _call_sites({"check_step_budget"}) == {
+        ("dynamics", "step_count", "check_step_budget"): 1,
+        ("bpe", "_checked_build", "check_step_budget"): 1,
+    }
+    assigned = Counter(
+        (path.stem, target.id)
+        for path in sorted(Path(berrylab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+        and target.id.startswith("MAX_") and target.id.endswith(("STEPS", "POINTS"))
+    )
+    assert assigned == {("exact", "MAX_TOTAL_STEPS"): 1}
 
 
 def test_gap_scan_call_sites():

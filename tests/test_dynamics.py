@@ -27,7 +27,7 @@ from berrylab.dynamics import (
     required_runtime,
     step_count,
 )
-from berrylab.errors import ConfigError, DegeneracyError, NumericalError
+from berrylab.errors import CapacityError, ConfigError, DegeneracyError, NumericalError
 from berrylab.exact import ground_sector, ground_state, refine
 from berrylab.hamiltonians import (
     commutator_bound,
@@ -253,18 +253,15 @@ def test_a_sector_propagates_as_its_block_of_the_whole(sector_families, name, di
         adiabatic_propagate(psi0, fam, sched, sector=sector)
 
 
-def test_calibration_takes_psi0_and_its_sector(kernel_families):
-    # calibrate_runtime given psi0 and its sector reads what it finds itself,
-    # and loop_infidelity propagates psi0 in its sector.  On a connected
-    # family the sector is the whole space and psi0 the strided column
-    # itself, whose np.vdot a contiguous copy would move.
+def test_calibration_takes_psi0_and_its_sector():
+    # loop_infidelity, calibration's measure, propagates psi0 in its sector.
+    # On a connected family the sector is the whole space and psi0 the
+    # strided column itself, whose np.vdot a contiguous copy would move.
     fields = [(q * "I" + a + (2 - q) * "I", constant(0.4 + 0.1 * q))
               for q in range(3) for a in "XZ"]
-    connected = make_family(3, [("XII", cosine(1, 0.5)), ("YII", sine(1, 0.5)), *fields])
-    for fam in (kernel_families["bqp"], kernel_families["random-3q"], connected):
-        _, psi0 = ground_state(fam, 0.0)
-        ground = ground_sector(fam, psi0)
-        assert calibrate_runtime(fam, 0.05, 10.0, ground) == calibrate_runtime(fam, 0.05, 10.0)
+    fam = make_family(3, [("XII", cosine(1, 0.5)), ("YII", sine(1, 0.5)), *fields])
+    _, psi0 = ground_state(fam, 0.0)
+    ground = ground_sector(fam, psi0)
     for T in (2.0, 8.0, 16.0):
         out = adiabatic_propagate(psi0, fam, make_schedule(fam, T, 10.0))
         assert (loop_infidelity(fam, T, 10.0, ground=ground)
@@ -374,14 +371,14 @@ def test_loop_infidelity_decreases_with_runtime(equatorial):
 
 
 def test_calibrate_runtime_meets_target(equatorial):
-    T, info = calibrate_runtime(equatorial, delta_adia=0.05)
+    T, info = calibrate_runtime(equatorial, delta_adia=0.05, ground=_ground(equatorial))
     assert info["infidelity"] <= 0.05**2
     assert T >= 1.0
     assert loop_infidelity(equatorial, T, ground=_ground(equatorial)) <= 0.05**2
 
 
 def test_calibrate_runtime_constant_family_is_instant(constant_z):
-    T, info = calibrate_runtime(constant_z, delta_adia=0.05)
+    T, info = calibrate_runtime(constant_z, delta_adia=0.05, ground=_ground(constant_z))
     assert T == 1.0
     assert info["infidelity"] == 0.0
 
@@ -389,27 +386,30 @@ def test_calibrate_runtime_constant_family_is_instant(constant_z):
 def test_calibration_records_its_ladder(equatorial):
     # calibration's record is refine's: each runtime tried, 1, 2, 4, ..., with
     # its infidelity, and converged at the first within the target
-    T, info = calibrate_runtime(equatorial, delta_adia=0.05)
+    T, info = calibrate_runtime(equatorial, delta_adia=0.05, ground=_ground(equatorial))
     levels = [t for t, _ in info["tested"]]
     assert levels == [2.0 ** k for k in range(len(levels))] and levels[-1] == T
     assert info["converged"] and info["tested"][-1][1] == info["infidelity"]
     assert all(infidelity > info["target"] for _, infidelity in info["tested"][:-1])
 
 
-def test_calibration_refuses_when_no_runtime_reaches_the_target(equatorial, monkeypatch):
-    # with three doublings and a target of 1e-14, the runtimes 1, 2 and 4 are
-    # each measured once, none is accepted, and the refusal names the last
+def test_calibration_ends_at_the_step_budget(equatorial, monkeypatch):
+    # calibration has no doubling count of its own: with a budget of 100
+    # steps and a target of 1e-14, the runtimes 1, 2, 4 and 8 are each
+    # measured once, none is accepted, and T = 16, needing 160 steps, is
+    # refused by the budget before it is measured
     calls = []
 
     def spy(family, T, *args, **kwargs):
+        infidelity = loop_infidelity(family, T, *args, **kwargs)
         calls.append(T)
-        return loop_infidelity(family, T, *args, **kwargs)
+        return infidelity
 
-    monkeypatch.setattr(dynamics, "CALIBRATION_DOUBLINGS", 3)
+    monkeypatch.setattr(dynamics, "MAX_TOTAL_STEPS", 100)
     monkeypatch.setattr(dynamics, "loop_infidelity", spy)
-    with pytest.raises(NumericalError, match=r"no runtime up to T=4\.000e\+00"):
-        calibrate_runtime(equatorial, delta_adia=1e-7)
-    assert calls == [1.0, 2.0, 4.0]
+    with pytest.raises(CapacityError, match=r"T=1\.600e\+01 needs 1\.600e\+02 exact"):
+        calibrate_runtime(equatorial, delta_adia=1e-7, ground=_ground(equatorial))
+    assert calls == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_required_runtime_frozen_value(equatorial):
@@ -417,7 +417,7 @@ def test_required_runtime_frozen_value(equatorial):
     # measured calibration, which is the point of having both
     got = required_runtime(equatorial, 0.1)
     assert math.isclose(got, 310062766.8029982, rel_tol=1e-9)
-    measured, _ = calibrate_runtime(equatorial, 0.1)
+    measured, _ = calibrate_runtime(equatorial, 0.1, ground=_ground(equatorial))
     assert measured < got / 1e4
 
 

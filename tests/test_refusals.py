@@ -13,11 +13,12 @@ from berrylab import exact
 from berrylab.bpe import BpeConfig, BpeEngine, murta_bpe, reconstruct_phases, run_bpe
 from berrylab.cli import _resolve_witness
 from berrylab.circuits import Gate, GateCircuit, gate
-from berrylab.corpus import equatorial_loop, synthetic_verifier_instance
+from berrylab.corpus import duqma_yes_circuit, equatorial_loop, synthetic_verifier_instance
 from berrylab.dynamics import AdiabaticSchedule, StateVector, loop_propagators
 from berrylab.errors import ConfigError
 from berrylab.exact import diagonalize, ground_state, min_gap
 from berrylab.hamiltonians import constant, derivative_family, make_family
+from berrylab.hardness import build_duqma_instance
 from berrylab.qpe import bits_for_precision, seed_words, stream_uniforms
 from berrylab.verifier import energy_test, run_verifier
 
@@ -55,6 +56,14 @@ REFUSALS = {  # case: (the refusal's message, the call)
     "witness-ground-with-argument": ("unknown witness spec 'ground:1'",
                                      lambda: _resolve_witness(
                                          synthetic_verifier_instance("yes"), "ground:1")),
+    # an empty argument is not read as none: excited: is not excited, level 1,
+    # and history: on an instance with a circuit is not history with no bits
+    "witness-excited-empty-argument": ("witness 'excited:' has an empty argument",
+                                       lambda: _resolve_witness(
+                                           synthetic_verifier_instance("yes"), "excited:")),
+    "witness-history-empty-argument": ("witness 'history:' has an empty argument",
+                                       lambda: _resolve_witness(build_duqma_instance(
+                                           duqma_yes_circuit(), 0), "history:")),
     "state-registers-overlap": ("registers overlap",
                                 lambda: StateVector(ZERO2, {"a": (0,), "b": (0, 1)})),
     "state-register-out-of-range": ("out of range", lambda: StateVector(ZERO2, {"a": (2,)})),
